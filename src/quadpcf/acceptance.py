@@ -191,11 +191,11 @@ def acceptance_db(db_path: Optional[str] = None, workers: int = 1,
 # criteria
 # ----------------------------------------------------------------------
 
-def criterion_1(db: Database, workers: int = 1) -> Tuple[bool, str]:
+def criterion_1(workers: int = 1) -> Tuple[bool, str]:
     """pipeline at (H1, H2) = (10, 20), first 130 odd primes: exactly the
     ten classified sigma-pairs, all VERIFIED_PCF, none UNDETERMINED."""
     primes = first_odd_primes(130)
-    survivors = sievedb.sieve(10, 20, primes, db, workers=workers)
+    survivors = sievedb.sieve(10, 20, primes, workers=workers)
     got = {(c.sigma1, c.sigma2) for c in survivors}
     want = set(TEN_SIGMA_PAIRS)
     if got != want:
@@ -210,15 +210,15 @@ def criterion_1(db: Database, workers: int = 1) -> Tuple[bool, str]:
     return True, "ten sigma-pairs, all verified PCF, zero undetermined"
 
 
-def criterion_2(db: Database) -> Tuple[bool, str]:
+def criterion_2() -> Tuple[bool, str]:
     """Sub-bound runs: (2, 4) gives a fixed four-element set; (1, 1) nothing."""
     primes = first_odd_primes(130)
-    got_24 = {(c.sigma1, c.sigma2) for c in sievedb.sieve(2, 4, primes, db)}
+    got_24 = {(c.sigma1, c.sigma2) for c in sievedb.sieve(2, 4, primes)}
     want_24 = {(Rat(2), Rat(-4)), (Rat(-2), Rat(4)), (Rat(-2), Rat(0)),
                (Rat(-2), Rat(2))}
     if got_24 != want_24:
         return False, f"(2,4) mismatch: {got_24}"
-    got_11 = sievedb.sieve(1, 1, primes, db)
+    got_11 = sievedb.sieve(1, 1, primes)
     if got_11:
         return False, f"(1,1) not empty: {[(str(c.sigma1), str(c.sigma2)) for c in got_11]}"
     return True, "(2,4) -> four known pairs; (1,1) -> empty"
@@ -385,8 +385,8 @@ def criterion_8(db: Database) -> Tuple[bool, str]:
 
 
 CRITERIA: Tuple[Tuple[str, str], ...] = (
-    ("1 classification reproduction", "needs_db_workers"),
-    ("2 sub-bound consistency", "needs_db"),
+    ("1 classification reproduction", "workers"),
+    ("2 sub-bound consistency", "pure"),
     ("3 portrait fidelity", "pure"),
     ("4 preperiodic graphs", "pure"),
     ("5 symmetry locus", "pure"),
@@ -400,8 +400,8 @@ def run_all(db_path: Optional[str] = None, workers: int = 1,
             build_if_missing: bool = True) -> bool:
     db = acceptance_db(db_path, workers=workers, build_if_missing=build_if_missing)
     runners: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
-        ("1 classification reproduction", lambda: criterion_1(db, workers)),
-        ("2 sub-bound consistency", lambda: criterion_2(db)),
+        ("1 classification reproduction", lambda: criterion_1(workers)),
+        ("2 sub-bound consistency", criterion_2),
         ("3 portrait fidelity", criterion_3),
         ("4 preperiodic graphs", criterion_4),
         ("5 symmetry locus", criterion_5),

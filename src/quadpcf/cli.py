@@ -4,6 +4,11 @@ Subcommands: build-db, sieve, verify, pipeline, portrait, preper,
 classify-twist, catalog, selftest.  All outputs are deterministic for a
 given configuration (independent of worker count), and every artifact
 embeds a digest of the configuration that produced it.
+
+sieve and pipeline compute every period set they need on the fly and never
+touch a database.  build-db writes the per-prime reference database, and
+selftest reads one (criteria 7 and 8 compare against it); --db and
+PCF_SIEVE_DB set its path for those two commands only.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from quadpcf.exact_arith import ExtendedRational, Rat
 from quadpcf.preper import CatalogMatchError
 from quadpcf.projmap import NormalizedQuadMap
 from quadpcf.sievedb import (
-    Database,
     DbConsistencyError,
     DbError,
     DbFormatError,
@@ -82,9 +86,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.h1 < 1 or self.h2 < 1:
             raise ValueError("height bounds must be >= 1")
-        primes = self.primes()
-        if len(set(primes)) != len(primes) or any(p < 3 or p % 2 == 0 for p in primes):
-            raise ValueError("primes must be distinct odd primes")
+        if self.h1 * self.h2 > sievedb.MAX_HEIGHT_PRODUCT:
+            raise ValueError(f"height bounds need h1 * h2 <= {sievedb.MAX_HEIGHT_PRODUCT}")
+        # the period rule is unsound for a composite modulus, so a composite
+        # would let the sieve drop a PCF pair without any error
+        sievedb.validate_primes(self.primes(), sievedb.LANE_PRIME_LIMIT, "the lane sieve")
 
 
 def _load_config_file(path: str) -> dict:
@@ -144,24 +150,6 @@ def _parse_map_arg(args) -> NormalizedQuadMap:
 # pipeline pieces shared by subcommands and the acceptance suite
 # ----------------------------------------------------------------------
 
-def ensure_db(cfg: RunConfig, build_if_missing: bool = False,
-              quiet: bool = False) -> Database:
-    path = cfg.db_path
-    if os.path.exists(path):
-        db = Database.load(path)
-        missing = [p for p in cfg.primes() if not db.covers(p)]
-        if missing:
-            raise UncoveredPrimeError(
-                f"database {path} lacks primes {missing[:5]}{'...' if len(missing) > 5 else ''}")
-        return db
-    if not build_if_missing:
-        raise DbMissingError(f"database file not found: {path} (run build-db first)")
-    if not quiet:
-        print(f"building database for {len(cfg.primes())} primes into {path} ...",
-              file=sys.stderr)
-    return build_db(cfg.primes(), path=path, workers=cfg.workers)
-
-
 @dataclass
 class PipelineResult:
     survivors: List[sievedb.SieveCandidate]
@@ -175,8 +163,8 @@ class PipelineResult:
         return [c for c, st in zip(self.survivors, self.statuses) if not st.verified]
 
 
-def run_pipeline(cfg: RunConfig, db: Database) -> PipelineResult:
-    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes(), db, workers=cfg.workers)
+def run_pipeline(cfg: RunConfig) -> PipelineResult:
+    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes(), workers=cfg.workers)
     statuses = [pcfverify.critical_orbit_portrait(c.phi, cfg.budget, cfg.cutoff)
                 for c in survivors]
     return PipelineResult(survivors, statuses)
@@ -247,8 +235,7 @@ def _cmd_build_db(args) -> int:
 
 def _cmd_sieve(args) -> int:
     cfg = _config_from_args(args)
-    db = ensure_db(cfg, build_if_missing=False)
-    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes(), db, workers=cfg.workers)
+    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes(), workers=cfg.workers)
     out = Path(args.out) if args.out else None
     if out:
         write_survivors_tsv(out, cfg, survivors)
@@ -299,8 +286,7 @@ def _cmd_pipeline(args) -> int:
     cfg = _config_from_args(args)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    db = ensure_db(cfg, build_if_missing=True)
-    result = run_pipeline(cfg, db)
+    result = run_pipeline(cfg)
     write_survivors_tsv(outdir / "survivors.tsv", cfg, result.survivors)
     write_verified_tsv(outdir / "verified.tsv", cfg, result)
     summary = pipeline_summary(cfg, result)
@@ -442,11 +428,12 @@ def _cmd_selftest(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, db: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, primes: bool = True, db: bool = False) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--workers", type=int, help="worker process count")
     if db:
-        p.add_argument("--db", help="database path (or env PCF_SIEVE_DB)")
+        p.add_argument("--db", help="reference database path (or env PCF_SIEVE_DB)")
+    if primes:
         p.add_argument("--primes", type=int, help="number of odd primes (default 130)")
         p.add_argument("--prime-list", dest="prime_list",
                        help="explicit comma-separated odd primes")
@@ -458,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="search, sieve and certification of quadratic PCF maps over Q")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-db", help="build the per-prime critical-orbit database")
-    _add_common(p)
+    p = sub.add_parser("build-db", help="build the per-prime reference database")
+    _add_common(p, db=True)
     p.add_argument("--method", choices=("fast", "scalar"), default="fast")
     p.add_argument("--dump", help="also write a lossless text dump to this path")
     p.set_defaults(func=_cmd_build_db)
@@ -472,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("verify", help="exactly verify critical-orbit finiteness")
-    _add_common(p, db=False)
+    _add_common(p, primes=False)
     p.add_argument("--sigmas", help='pairs like "2,-8;-6,4"')
     p.add_argument("--in", dest="infile", help="survivors TSV from the sieve")
     p.add_argument("--budget", type=int)
@@ -489,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("portrait", help="critical portrait of one map")
-    _add_common(p, db=False)
+    _add_common(p, primes=False)
     p.add_argument("--map", help='map as "[f2,f1,f0]/[g2,g1,g0]"')
     p.add_argument("--sigmas", help='sigma pair like "2,-8"')
     p.add_argument("--budget", type=int)
@@ -498,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_portrait)
 
     p = sub.add_parser("preper", help="rational preperiodic graph of one map")
-    _add_common(p, db=False)
+    _add_common(p, primes=False)
     p.add_argument("--map", help='map as "[f2,f1,f0]/[g2,g1,g0]"')
     p.add_argument("--sigmas", help='sigma pair like "2,-8"')
     p.add_argument("--preper-height-bound", dest="preper_height_bound", type=int)
@@ -508,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preper)
 
     p = sub.add_parser("classify-twist", help="symmetry-locus structure class")
-    _add_common(p, db=False)
+    _add_common(p, primes=False)
     p.add_argument("--psi1-b", dest="psi1_b", help="b of the z^2 twist z/2 + b/z")
     p.add_argument("--psi2-t", dest="psi2_t", help="t of the 1/z^2 twist t/z^2")
     p.add_argument("--psi2-dk", dest="psi2_dk", help='pair "d,k" of the 1/z^2 normal form')
@@ -516,12 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify_twist)
 
     p = sub.add_parser("catalog", help="print the computed structure catalogs")
-    _add_common(p, db=False)
+    _add_common(p, primes=False)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_common(p)
+    _add_common(p, db=True)
     p.set_defaults(func=_cmd_selftest)
 
     return ap

@@ -3,7 +3,9 @@
 Provides big-integer rationals with a distinguished point at infinity
 (the projective point (1 : 0)), elements a + b*sqrt(D) with squarefree D,
 the multiplicative height H(p/q) = max(|p|, q), height-ordered enumeration
-of the rationals, and exact root extraction for quadratics over Q.
+of the rationals, exact root extraction for quadratics over Q, and the
+small number theory the package needs: primes, divisors, and squarefree
+parts by trial division, Miller-Rabin and Pollard's rho.
 
 Everything here is immutable and all operations are pure, so values can be
 shared freely between worker processes.
@@ -13,10 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Iterator, Tuple, Union
+from math import gcd, isqrt
+from typing import Dict, Iterator, List, Tuple, Union
 
-from sympy import factorint
+# Miller-Rabin with these bases is exact below 3.3e24 (a strong
+# probable-prime test beyond)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Pollard's rho finds prime factors up to about 2^36 within this many steps
+_RHO_STEPS = 1 << 18
 
 
 class NegativeDiscriminantError(ValueError):
@@ -288,16 +294,121 @@ def enumerate_rationals(h_max: int) -> Iterator[ExtendedRational]:
 
 
 # ----------------------------------------------------------------------
-# quadratic field elements
+# small number theory
 # ----------------------------------------------------------------------
+
+def primes_up_to(bound: int) -> Tuple[int, ...]:
+    """Primes <= bound, by the sieve of Eratosthenes."""
+    bound = max(bound, 1)
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = b"\x00\x00"
+    for q in range(2, isqrt(bound) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, bound + 1, q)))
+    return tuple(q for q in range(bound + 1) if flags[q])
+
+
+_SMALL_PRIMES = primes_up_to(999)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin primality, exact below 3.3e24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _split(n: int) -> int:
+    """A proper factor of a composite n that is no perfect power and has no
+    prime factor below 1000, by Pollard's rho.  Finding a prime factor p
+    takes about sqrt(p) steps, so give up with ValueError after
+    _RHO_STEPS rather than run on."""
+    steps, c = 0, 1
+    while True:
+        x = y = 2
+        d = 1
+        while d == 1:
+            if steps == _RHO_STEPS:
+                raise ValueError(
+                    f"cannot factor {n}: no factor within {_RHO_STEPS} Pollard rho steps")
+            steps += 1
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+        c += 1
+
+
+def _factorize(n: int) -> Dict[int, int]:
+    """Prime factorisation {p: e} of n >= 1."""
+    out: Dict[int, int] = {}
+    for q in _SMALL_PRIMES:
+        if q * q > n:
+            break
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        # m has no prime factor below 1000, so below 1000^2 it is prime,
+        # and a k-th power only for 1000^k < m
+        if m < 1_000_000 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        for k in range(2, m.bit_length() // 9 + 1):
+            r = _iroot(m, k)
+            if r ** k == m:
+                todo += [r] * k
+                break
+        else:
+            d = _split(m)
+            todo += [d, m // d]
+    return out
+
+
+def divisors(n: int) -> List[int]:
+    """Positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for p, e in _factorize(n).items():
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
 
 def squarefree_part(n: int) -> Tuple[int, int]:
     """Write n = s^2 * D with D squarefree (sign carried by D); returns (s, D)."""
     if n == 0:
         return 0, 0
     s, d = 1, 1 if n > 0 else -1
-    for p, e in factorint(abs(n)).items():
-        p, e = int(p), int(e)
+    for p, e in _factorize(abs(n)).items():
         s *= p ** (e // 2)
         if e % 2:
             d *= p
@@ -308,6 +419,10 @@ def squarefree_part(n: int) -> Tuple[int, int]:
 def _is_squarefree(n: int) -> bool:
     return n != 0 and squarefree_part(n)[0] == 1
 
+
+# ----------------------------------------------------------------------
+# quadratic field elements
+# ----------------------------------------------------------------------
 
 class QuadFieldElement:
     """a + b*sqrt(D) with rational a, b and squarefree integer D != 0, 1.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple, Union
 
-from sympy import divisors
+from quadpcf.exact_arith import divisors
 
 PeriodSet = FrozenSet[int]
 

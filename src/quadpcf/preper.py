@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
-from sympy import totient
-
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
@@ -27,6 +25,11 @@ from quadpcf.exact_arith import (
 )
 from quadpcf.pcfverify import point_size
 from quadpcf.projmap import NormalizedQuadMap
+
+
+def totient(n: int) -> int:
+    """Euler's phi, by counting; the orders here are small."""
+    return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
 
 
 class CatalogMatchError(RuntimeError):

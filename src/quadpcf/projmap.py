@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence, Tuple
 
-from sympy import divisors, isprime
-
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
@@ -27,6 +25,8 @@ from quadpcf.exact_arith import (
     Rat,
     RationalLike,
     _as_rat,
+    divisors,
+    is_prime,
     quad_roots,
     squarefree_part,
 )
@@ -460,7 +460,7 @@ class NormalizedQuadMap:
 
     def reduce_mod_p(self, p: int):
         """FpMap over F_p, or BAD_REDUCTION when p divides the resultant."""
-        if p == 2 or not isprime(p):
+        if p == 2 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if self.resultant() % p == 0:
             return BAD_REDUCTION

@@ -1,18 +1,26 @@
-"""Per-prime database of normal-form maps and the multi-prime period sieve.
+"""The multi-prime period sieve, and the per-prime database kept as its reference.
 
-For each odd prime p and each pair (b, c) in F_p^2, the database stores the
-critical points of the family map [2x^2+bxy+by^2, -x^2+(4-b)xy+cy^2] and
-the admissible global-period set of each, provided the map has degree 2 and
-both critical points are F_p-rational; all other pairs are absent.
+For each odd prime p and each pair (b, c) in F_p^2, the family map
+[2x^2+bxy+by^2, -x^2+(4-b)xy+cy^2] has, when it has degree 2 and both
+critical points are F_p-rational, an admissible global-period set for each
+critical point.  One vectorised kernel, period_entries, computes these for
+any array of keys (b, c); scalar ffdyn.orbit_data is its oracle.
 
-The sieve enumerates sigma-pairs up to height bounds, builds the normal
-form, and intersects the per-critical-point period sets across good primes;
-a candidate dies the moment an intersection empties.
+sieve() enumerates sigma-pairs up to height bounds and intersects the
+per-critical-point period sets across good primes in numpy lanes: for each
+prime it reduces the alive pairs to their (b, c) keys, runs the kernel on
+the distinct keys only, intersects the running sets as arrays and drops the
+dead lanes.  A candidate dies the moment an intersection empties.  Only the
+survivors are turned into NormalizedQuadMap objects.
 
-On disk a database is a single versioned binary file: a header with the
-prime list, then per-prime blocks of a presence bitmap plus fixed-width
-records in (b, c) order.  Content is deterministic for a given prime list,
-independent of worker count.
+The database stores the kernel's output for all p^2 keys of each prime.
+Nothing on the search path reads it; examine_pair and the check functions
+run the same sieve one pair at a time against it, as the reference the
+tests and the benchmark's traced replay compare with.  On disk a database
+is a single versioned binary file: a header with the prime list, then
+per-prime blocks of a presence bitmap plus fixed-width records in (b, c)
+order.  Content is deterministic for a given prime list, independent of
+worker count.
 """
 
 from __future__ import annotations
@@ -23,10 +31,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from sympy import divisors, isprime, primerange
 
 from quadpcf import ffdyn
-from quadpcf.exact_arith import ExtendedRational, enumerate_rationals
+from quadpcf.exact_arith import (
+    ExtendedRational,
+    divisors,
+    enumerate_rationals,
+    is_prime,
+    primes_up_to,
+)
 from quadpcf.ffdyn import FpMap, PeriodSet, format_fp_point
 from quadpcf.projmap import NormalizedQuadMap
 
@@ -41,6 +54,18 @@ RECORD_DTYPE = np.dtype([
 assert RECORD_DTYPE.itemsize == 16
 
 NO_POINT = 0xFFFF
+# u2 record fields hold critical points <= p (NO_POINT reserved) and cycle
+# lengths <= p + 1; m * r <= p^2 - 1 then fits the u4 fields
+DB_PRIME_LIMIT = NO_POINT - 1
+# the lane kernel forms products of three residues (b^3 in the family
+# resultant), which must stay below 2^63
+LANE_PRIME_LIMIT = 1 << 20
+# normal-form coefficients of a pair are at most 4 * h1 * h2 <= 2^14, so the
+# wronskian discriminant (<= 32 * 2^56) and every other per-pair int64 value
+# of the lane sieve stays far from overflow
+MAX_HEIGHT_PRODUCT = 1 << 12
+# lanes a sieve step handles at once; bounds the memory of a run
+LANE_BUDGET = 1 << 14
 
 
 class DbError(Exception):
@@ -60,7 +85,8 @@ class UncoveredPrimeError(DbError):
 
 
 class DbConsistencyError(DbError):
-    """The database contradicts a build invariant (hard internal error)."""
+    """A database or sieve step contradicts a build invariant (hard
+    internal error)."""
 
 
 class _Absent:
@@ -81,17 +107,28 @@ class _Absent:
 ABSENT = _Absent()
 
 
-def first_odd_primes(count: int) -> Tuple[int, ...]:
-    out = []
-    for p in primerange(3, 10 ** 9):
-        out.append(int(p))
-        if len(out) == count:
-            break
-    return tuple(out)
-
-
 def odd_primes_up_to(bound: int) -> Tuple[int, ...]:
-    return tuple(int(p) for p in primerange(3, bound + 1))
+    return primes_up_to(bound)[1:]
+
+
+def first_odd_primes(count: int) -> Tuple[int, ...]:
+    bound = 64
+    while len(odd_primes_up_to(bound)) < count:
+        bound *= 2
+    return odd_primes_up_to(bound)[:count]
+
+
+def validate_primes(primes: Sequence[int], limit: int, what: str) -> Tuple[int, ...]:
+    """The primes as ints; ValueError unless distinct odd primes below limit."""
+    primes = tuple(int(p) for p in primes)
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
+    for p in primes:
+        if p >= limit:
+            raise ValueError(f"prime {p} is too large for {what} (limit {limit})")
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"need odd primes, got {p}")
+    return primes
 
 
 @dataclass(frozen=True)
@@ -171,25 +208,41 @@ def build_prime_block_scalar(p: int) -> "PrimeBlock":
     return PrimeBlock(p, bitmap, rec_arr)
 
 
-# -- vectorized builder ---------------------------------------------------
+# -- vectorised kernel ----------------------------------------------------
+
+def _powmod(x, e: int, p: int):
+    """x^e mod p elementwise, for residues x < p < LANE_PRIME_LIMIT."""
+    x = x % p
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
 
 def _mod_tables(p: int):
-    inv = np.zeros(p, dtype=np.int64)
-    if p > 1:
-        inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (-(p // i) * inv[p % i]) % p
+    """Inverse and square-root tables mod p (0 and -1 where there is none)."""
+    inv = _powmod(np.arange(p, dtype=np.int64), p - 2, p)
     sq = np.full(p, -1, dtype=np.int64)
     xs = np.arange((p - 1) // 2 + 1, dtype=np.int64)
     sq[(xs * xs) % p] = xs
-    order = np.zeros(p, dtype=np.int64)
-    divs = divisors(p - 1)
-    for a in range(1, p):
-        for d in divs:
-            if pow(a, d, p) == 1:
-                order[a] = d
-                break
-    return inv, sq, order
+    return inv, sq
+
+
+def _mult_orders(lam, p: int):
+    """Multiplicative order of each residue in lam, 0 for lam = 0."""
+    vals, back = np.unique(lam, return_inverse=True)
+    order = np.zeros(len(vals), dtype=np.int64)
+    todo = vals != 0
+    for d in divisors(p - 1):
+        if not todo.any():
+            break
+        hit = todo & (_powmod(vals, d, p) == 1)
+        order[hit] = d
+        todo &= ~hit
+    return order[back]
 
 
 def _family_step(z, b, c, p, inv):
@@ -268,52 +321,56 @@ def _vector_cycles(p, b, c, z0, inv):
     return lam_out, mult
 
 
-def build_prime_block_fast(p: int) -> "PrimeBlock":
-    """numpy builder over all (b, c) lanes at once; equals the scalar build."""
-    inv, sq, order = _mod_tables(p)
-    b = np.repeat(np.arange(p, dtype=np.int64), p)
-    c = np.tile(np.arange(p, dtype=np.int64), p)
+def period_entries(p: int, b, c, tables=None):
+    """Critical points and admissible period sets of the family maps at the
+    keys (b, c), by the rule of ffdyn.possible_periods.
+
+    Returns (present, points, periods) with one row per key.  present marks
+    the keys of degree 2 whose two critical points lie in P^1(F_p); for them
+    points holds the points ascending (infinity = p last) and periods holds
+    (m1, mr1, m2, mr2): the set of each point is {m}, or {m, mr} when the
+    cycle multiplier has order r > 1 and mr = m * r.  Other rows are zero.
+    """
+    inv, sq = tables if tables is not None else _mod_tables(p)
+    b = np.asarray(b, dtype=np.int64)
+    c = np.asarray(c, dtype=np.int64)
     res = (4 * c * c - 4 * b * c + b * b * c + b ** 3 - 11 * b * b + 32 * b) % p
-    deg2 = res != 0
     w2 = (8 - b) % p
     w1 = (2 * b + 4 * c) % p
     w0 = (b * (c + b - 4)) % p
-    quad = deg2 & (w2 != 0)
-    disc = (w1 * w1 - 4 * w2 * w0) % p
-    sqd = np.where(quad, sq[disc], -1)
-    lin = deg2 & (w2 == 0)
-    if lin.any() and (w1[lin] == 0).any():
-        raise AssertionError("degenerate wronskian on a degree-2 lane")
-    include = (quad & (sqd >= 0)) | lin
+    # the wronskian discriminant is 4 * res, so on degree-2 keys the roots are
+    # distinct, and w1 != 0 where w2 = 0 puts one root at infinity
+    lin = (res != 0) & (w2 == 0)
+    sqd = sq[(w1 * w1 - 4 * w2 * w0) % p]
+    present = lin | ((res != 0) & (sqd >= 0))
+    sel = np.flatnonzero(present)
+    b, c, w2, w1, w0, sqd, lin = (x[sel] for x in (b, c, w2, w1, w0, sqd, lin))
     i2w2 = inv[(2 * w2) % p]
     r_lo = ((sqd - w1) % p) * i2w2 % p
     r_hi = ((-sqd - w1) % p) * i2w2 % p
-    lo = np.minimum(r_lo, r_hi)
-    hi = np.maximum(r_lo, r_hi)
-    # critical pair per included lane, ascending, infinity (= p) last
-    c1 = np.where(lin, (-w0 * inv[np.where(lin, w1, 1)]) % p, lo)
-    c2 = np.where(lin, p, hi)
-    # a separable degree-2 map cannot have a repeated critical point, but a
-    # repeated wronskian root is stored as a single pair if it ever appears
-    single = include & quad & (lo == hi)
-    sel = np.flatnonzero(include)
-    b_s, c_s = b[sel], c[sel]
-    m1, mult1 = _vector_cycles(p, b_s, c_s, c1[sel], inv)
-    m2, mult2 = _vector_cycles(p, b_s, c_s, c2[sel], inv)
-    r1 = np.where(mult1 > 0, order[mult1], 0)
-    r2 = np.where(mult2 > 0, order[mult2], 0)
-    mr1 = np.where(r1 > 1, m1 * r1, 0)
-    mr2 = np.where(r2 > 1, m2 * r2, 0)
-    single_s = single[sel]
+    points = np.zeros((len(present), 2), dtype=np.int64)
+    points[sel, 0] = np.where(lin, (-w0 * inv[w1]) % p, np.minimum(r_lo, r_hi))
+    points[sel, 1] = np.where(lin, p, np.maximum(r_lo, r_hi))
+    periods = np.zeros((len(present), 4), dtype=np.int64)
+    for k in (0, 1):
+        m, mult = _vector_cycles(p, b, c, points[sel, k], inv)
+        r = _mult_orders(mult, p)
+        periods[sel, 2 * k] = m
+        periods[sel, 2 * k + 1] = np.where(r > 1, m * r, 0)
+    return present, points, periods
+
+
+def build_prime_block_fast(p: int) -> "PrimeBlock":
+    """numpy builder over all (b, c) lanes at once; equals the scalar build."""
+    b = np.repeat(np.arange(p, dtype=np.int64), p)
+    c = np.tile(np.arange(p, dtype=np.int64), p)
+    present, points, periods = period_entries(p, b, c)
+    sel = np.flatnonzero(present)
     records = np.empty(len(sel), dtype=RECORD_DTYPE)
-    records["c1"] = c1[sel]
-    records["c2"] = np.where(single_s, NO_POINT, c2[sel])
-    records["m1"] = m1
-    records["m2"] = np.where(single_s, 0, m2)
-    records["mr1"] = mr1
-    records["mr2"] = np.where(single_s, 0, mr2)
-    nbits = p * p
-    bitmap = np.zeros((nbits + 63) // 64, dtype=np.uint64)
+    records["c1"], records["c2"] = points[sel, 0], points[sel, 1]
+    for k, name in enumerate(("m1", "mr1", "m2", "mr2")):
+        records[name] = periods[sel, k]
+    bitmap = np.zeros((p * p + 63) // 64, dtype=np.uint64)
     word = sel >> 6
     np.bitwise_or.at(bitmap, word, np.uint64(1) << (sel & 63).astype(np.uint64))
     return PrimeBlock(p, bitmap, records)
@@ -521,12 +578,7 @@ def build_db(primes: Sequence[int], path: Optional[str] = None,
     Blocks are built per prime and merged in list order, so the result is
     byte-identical for any worker count.
     """
-    primes = tuple(int(p) for p in primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    for p in primes:
-        if p == 2 or not isprime(p):
-            raise ValueError(f"need odd primes, got {p}")
+    primes = validate_primes(primes, DB_PRIME_LIMIT, "16-bit database records")
     if method not in ("fast", "scalar"):
         raise ValueError(f"unknown build method {method!r}")
     jobs = [(p, method) for p in primes]
@@ -714,55 +766,210 @@ def examine_pair(s1: ExtendedRational, s2: ExtendedRational,
         period_sets=result.period_sets, primes_used=result.primes_used)
 
 
-_WORKER_STATE: dict = {}
+# ----------------------------------------------------------------------
+# the lane sieve
+# ----------------------------------------------------------------------
+
+LANE_DTYPE = np.dtype([
+    ("s1", "<i4"), ("s2", "<i4"),     # positions in the sigma enumerations
+    ("res", "<i8"),                     # resultant of the integer normal form
+    ("rational", "?"),                  # both critical points in P^1(Q)
+    # rational critical points as (N1, M1, N2, M2), each N/M in lowest
+    # terms and infinity as 1/0; zero for irrational lanes
+    ("gamma", "<i8", (4,)),
+    # running period sets, two slots per critical point (irrational lanes
+    # use the first pair only): 0 is an empty slot, -1 not yet constrained
+    ("run", "<i8", (4,)),
+    ("used", "<i4"),                    # primes that gave modular evidence
+])
 
 
-def _sieve_worker_init(db_path, primes):
-    _WORKER_STATE["db"] = Database.load(db_path)
-    _WORKER_STATE["primes"] = primes
+def _num_den(rationals):
+    return (np.array([x.num for x in rationals], dtype=np.int64),
+            np.array([x.den for x in rationals], dtype=np.int64))
 
 
-def _sieve_worker_chunk(args):
-    s1_text, s2_texts = args
-    db = _WORKER_STATE["db"]
-    primes = _WORKER_STATE["primes"]
-    s1 = ExtendedRational.from_str(s1_text)
-    out = []
-    for s2_text in s2_texts:
-        cand = examine_pair(s1, ExtendedRational.from_str(s2_text), primes, db)
-        if cand is not None:
-            out.append(cand)
-    return out
+def _prepare_lanes(num1, den1, num2, den2, start: int, stop: int) -> np.ndarray:
+    """Lanes of the non-degenerate pairs at flat positions [start, stop),
+    position t being sigma1 number t // len(num2) and sigma2 number
+    t % len(num2); integer arithmetic throughout (see MAX_HEIGHT_PRODUCT)."""
+    i, j = np.divmod(np.arange(start, stop, dtype=np.int64), len(num2))
+    n1, d1, n2, d2 = num1[i], den1[i], num2[j], den2[j]
+    # from_sigmas times d1*d2, then divided by the content; f2 > 0 already
+    dd = d1 * d2
+    f1 = (2 * d1 - n1) * d2
+    g1 = (2 * d1 + n1) * d2
+    g0 = 2 * dd - n1 * d2 - n2 * d1
+    content = np.gcd(np.gcd(dd, f1), np.gcd(g1, g0))
+    dd, f1, g1, g0 = dd // content, f1 // content, g1 // content, g0 // content
+    f2, f0, g2 = 2 * dd, f1, -dd
+    w2 = f2 * g1 - f1 * g2
+    h = f2 * g0 - f0 * g2          # the wronskian's middle coefficient is 2h
+    w0 = f1 * g0 - f0 * g1
+    res = h * h - w2 * w0          # equals NormalizedQuadMap.resultant()
+    keep = res != 0
+    i, j, w2, h, w0, res = (x[keep] for x in (i, j, w2, h, w0, res))
+    disc = 4 * res                 # nonzero, so the critical points differ
+    s = np.sqrt(np.maximum(disc, 0).astype(np.float64)).astype(np.int64)
+    s -= s * s > disc
+    s += (s + 1) * (s + 1) <= disc
+    lin = w2 == 0
+    rational = lin | (s * s == disc)
+    gamma = np.stack([np.where(lin, -w0, s - 2 * h), np.where(lin, 2 * h, 2 * w2),
+                      np.where(lin, 1, -s - 2 * h), np.where(lin, 0, 2 * w2)], axis=1)
+    gamma[~rational] = 0
+    for k in (0, 2):
+        g = np.gcd(gamma[:, k], gamma[:, k + 1])
+        gamma[:, k:k + 2] //= np.where(g == 0, 1, g)[:, None]
+    lanes = np.zeros(len(i), dtype=LANE_DTYPE)
+    lanes["s1"], lanes["s2"], lanes["res"] = i, j, res
+    lanes["rational"], lanes["gamma"], lanes["run"] = rational, gamma, -1
+    return lanes
 
 
-def sieve(h1: int, h2: int, primes: Sequence[int], db: Database,
+def _residues(num, den, p: int, inv):
+    """Each rational mod p, or -1 where p divides its denominator."""
+    d = den % p
+    return np.where(d == 0, -1, num % p * inv[d] % p)
+
+
+def _meet(x0, x1, n0, n1):
+    """Two-slot set (x0, x1) intersected with the nonzero elements of {n0, n1}."""
+    unconstrained = x0 < 0
+    y0 = np.where(unconstrained, n0, np.where((x0 == n0) | (x0 == n1), x0, 0))
+    y1 = np.where(unconstrained, n1, np.where((x1 == n0) | (x1 == n1), x1, 0))
+    return y0, y1
+
+
+def _sieve_step(p: int, lanes: np.ndarray, tables, sig1, sig2) -> np.ndarray:
+    """Meet the lanes' running sets with their period sets at p, as
+    check_rational_periods_detailed and check_irrational_periods_detailed
+    do per pair; the lanes still alive."""
+    good = lanes["res"] % p != 0
+    x1, x2 = sig1[lanes["s1"]], sig2[lanes["s2"]]
+    if (good & ((x1 < 0) | (x2 < 0))).any():
+        raise DbConsistencyError(
+            f"sigma denominator divisible by good prime {p}; resultant guard failed")
+    idx = np.flatnonzero(good)
+    if not len(idx):
+        return lanes
+    x1, x2 = x1[idx], x2[idx]
+    keys, back = np.unique((2 - x1) % p * p + (2 - x1 - x2) % p, return_inverse=True)
+    present, points, periods = period_entries(p, keys // p, keys % p, tables)
+    rational = lanes["rational"][idx]
+    run = lanes["run"][idx]
+    # each rational critical point meets the set of the point it reduces to
+    r = np.flatnonzero(rational)
+    kr = back[r]
+    if not present[kr].all():
+        raise DbConsistencyError(
+            f"no F_{p}-rational critical points at good prime {p} for a map "
+            "with rational critical points")
+    gamma = lanes["gamma"][idx[r]] % p
+    inv = tables[0]
+    for k in (0, 1):
+        red = np.where(gamma[:, 2 * k + 1] == 0, p,
+                       gamma[:, 2 * k] * inv[gamma[:, 2 * k + 1]] % p)
+        first = red == points[kr, 0]
+        if not (first | (red == points[kr, 1])).all():
+            raise DbConsistencyError(
+                f"a reduced critical point is not critical mod {p}")
+        run[r, 2 * k], run[r, 2 * k + 1] = _meet(
+            run[r, 2 * k], run[r, 2 * k + 1],
+            np.where(first, periods[kr, 0], periods[kr, 2]),
+            np.where(first, periods[kr, 1], periods[kr, 3]))
+    # conjugate irrational points share one set: the meet of both stored sets
+    shared = _meet(periods[:, 0], periods[:, 1], periods[:, 2], periods[:, 3])
+    q = np.flatnonzero(~rational & present[back])
+    run[q, 0], run[q, 1] = _meet(run[q, 0], run[q, 1], shared[0][back[q]],
+                                 shared[1][back[q]])
+    lanes["run"][idx] = run
+    lanes["used"][idx[r]] += 1
+    lanes["used"][idx[q]] += 1
+    dead = (((run[:, 0] == 0) & (run[:, 1] == 0))
+            | ((run[:, 2] == 0) & (run[:, 3] == 0)))
+    alive = np.ones(len(lanes), dtype=bool)
+    alive[idx[dead]] = False
+    return lanes[alive]
+
+
+def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...], start: int,
+                stop: int) -> np.ndarray:
+    """Surviving lanes of the flat pair positions [start, stop), in order.
+
+    Lanes stream through the primes in order.  The lanes waiting at a prime
+    are stepped together once there are LANE_BUDGET of them, and the rest
+    at the end, so the late primes, where few lanes are left, run their
+    kernel once rather than once per block of pairs.
+    """
+    num1, den1 = _num_den(s1_list)
+    num2, den2 = _num_den(s2_list)
+    contexts = {}
+    waiting: List[list] = [[] for _ in range(len(primes) + 1)]
+
+    def step(k):
+        p = primes[k]
+        if p not in contexts:
+            tables = _mod_tables(p)
+            contexts[p] = (tables, _residues(num1, den1, p, tables[0]),
+                           _residues(num2, den2, p, tables[0]))
+        batch = np.concatenate(waiting[k])
+        waiting[k] = []
+        waiting[k + 1].append(_sieve_step(p, batch, *contexts[p]))
+
+    for t in range(start, stop, LANE_BUDGET):
+        waiting[0].append(_prepare_lanes(num1, den1, num2, den2, t,
+                                         min(t + LANE_BUDGET, stop)))
+        k = 0
+        while k < len(primes) and sum(len(x) for x in waiting[k]) >= LANE_BUDGET:
+            step(k)
+            k += 1
+    for k in range(len(primes)):
+        if waiting[k]:
+            step(k)
+        contexts.pop(primes[k], None)  # no lane reaches prime k any more
+    return np.concatenate(waiting[-1]) if waiting[-1] else np.empty(0, LANE_DTYPE)
+
+
+def _sieve_range(h1: int, h2: int, primes: Tuple[int, ...], start: int, stop: int):
+    return _lane_sieve(list(enumerate_rationals(h1)), list(enumerate_rationals(h2)),
+                       primes, start, stop)
+
+
+def _candidate(s1: ExtendedRational, s2: ExtendedRational, lane) -> SieveCandidate:
+    used = int(lane["used"])
+    sets = tuple(None if used == 0 else
+                 frozenset(int(x) for x in lane["run"][k:k + 2] if x > 0)
+                 for k in (0, 2))
+    rational = bool(lane["rational"])
+    return SieveCandidate(
+        sigma1=s1, sigma2=s2, phi=NormalizedQuadMap.from_sigmas(s1, s2),
+        resultant=int(lane["res"]), critical_rational=rational,
+        period_sets=sets if rational else sets[:1], primes_used=used)
+
+
+def sieve(h1: int, h2: int, primes: Sequence[int],
           workers: int = 1) -> List[SieveCandidate]:
     """Find all possibly-PCF sigma-pairs with heights up to (h1, h2).
 
-    Enumeration order of pairs is fixed by enumerate_rationals, so the
-    survivor list is deterministic for any worker count.
+    Survivors come in the order of enumerate_rationals (sigma1 outer) and
+    equal examine_pair's over a database of the same primes.  Workers take
+    contiguous ranges of pairs, so the list is the same for any count.
     """
-    primes = tuple(primes)
-    for p in primes:
-        if not db.covers(p):
-            raise UncoveredPrimeError(f"prime {p} not covered by database")
+    primes = validate_primes(primes, LANE_PRIME_LIMIT, "the lane sieve")
+    if h1 * h2 > MAX_HEIGHT_PRODUCT:
+        raise ValueError(f"heights ({h1}, {h2}) exceed the lane sieve's int64 "
+                         f"bound h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
     sigma1_list = list(enumerate_rationals(h1))
     sigma2_list = list(enumerate_rationals(h2))
-    if workers > 1 and db._path is not None:
+    total = len(sigma1_list) * len(sigma2_list)
+    if workers > 1:
         import multiprocessing as mp
-        s2_texts = [str(s) for s in sigma2_list]
-        jobs = [(str(s1), s2_texts) for s1 in sigma1_list]
-        with mp.get_context("spawn").Pool(
-                workers, initializer=_sieve_worker_init,
-                initargs=(db._path, primes)) as pool:
-            survivors: List[SieveCandidate] = []
-            for chunk in pool.imap(_sieve_worker_chunk, jobs):
-                survivors.extend(chunk)
-            return survivors
-    survivors = []
-    for s1 in sigma1_list:
-        for s2 in sigma2_list:
-            cand = examine_pair(s1, s2, primes, db)
-            if cand is not None:
-                survivors.append(cand)
-    return survivors
+        cuts = [total * w // workers for w in range(workers + 1)]
+        jobs = [(h1, h2, primes, a, b) for a, b in zip(cuts, cuts[1:])]
+        with mp.get_context("spawn").Pool(workers) as pool:
+            lanes = np.concatenate(pool.starmap(_sieve_range, jobs))
+    else:
+        lanes = _lane_sieve(sigma1_list, sigma2_list, primes, 0, total)
+    return [_candidate(sigma1_list[lane["s1"]], sigma2_list[lane["s2"]], lane)
+            for lane in lanes]

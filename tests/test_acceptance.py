@@ -1,6 +1,6 @@
 """The acceptance suite: one test per exit criterion, each printing its
-PASS/FAIL line.  Criteria 1, 2, 7 and 8 need the database over all odd
-primes up to 750 (built once and cached by the session fixture)."""
+PASS/FAIL line.  Criteria 7 and 8 need the reference database over all
+odd primes up to 750 (built once and cached by the session fixture)."""
 
 from quadpcf import acceptance
 
@@ -10,13 +10,13 @@ def _report(name, ok, detail):
     assert ok, detail
 
 
-def test_criterion_1_classification_reproduction(full_db):
-    ok, detail = acceptance.criterion_1(full_db)
+def test_criterion_1_classification_reproduction():
+    ok, detail = acceptance.criterion_1()
     _report("1 classification reproduction", ok, detail)
 
 
-def test_criterion_2_sub_bound_consistency(full_db):
-    ok, detail = acceptance.criterion_2(full_db)
+def test_criterion_2_sub_bound_consistency():
+    ok, detail = acceptance.criterion_2()
     _report("2 sub-bound consistency", ok, detail)
 
 
@@ -50,10 +50,9 @@ def test_criterion_8_oracle_equivalence(full_db):
     _report("8 oracle equivalence at micro-scale", ok, detail)
 
 
-def test_criterion_1_through_the_cli(full_db, tmp_path, monkeypatch):
+def test_criterion_1_through_the_cli(tmp_path):
     """The pipeline subcommand itself reproduces the classification."""
     from quadpcf.cli import main
-    monkeypatch.setenv("PCF_SIEVE_DB", acceptance.default_db_path())
     outdir = tmp_path / "run"
     rc = main(["pipeline", "--h1", "10", "--h2", "20", "--primes", "130",
                "--outdir", str(outdir)])

@@ -5,21 +5,11 @@ import sys
 import pytest
 
 from quadpcf.cli import (
-    EXIT_DB_MISSING,
     EXIT_OK,
-    EXIT_UNCOVERED_PRIME,
     EXIT_USAGE,
     RunConfig,
     main,
 )
-
-
-@pytest.fixture
-def tiny_db(tmp_path):
-    path = tmp_path / "tiny.db"
-    rc = main(["build-db", "--prime-list", "3,5,7,11,13", "--db", str(path)])
-    assert rc == EXIT_OK
-    return str(path)
 
 
 class TestBuildDb:
@@ -43,52 +33,34 @@ class TestBuildDb:
 
 
 class TestSieve:
-    def test_missing_db_exit_code(self, tmp_path, capsys):
-        rc = main(["sieve", "--h1", "1", "--h2", "1",
-                   "--db", str(tmp_path / "absent.db")])
-        assert rc == EXIT_DB_MISSING
-        assert "db-missing" in capsys.readouterr().err
-
-    def test_uncovered_prime_exit_code(self, tiny_db, capsys):
-        rc = main(["sieve", "--h1", "1", "--h2", "1", "--db", tiny_db,
-                   "--prime-list", "3,5,7,11,13,17"])
-        assert rc == EXIT_UNCOVERED_PRIME
-        assert "uncovered-prime" in capsys.readouterr().err
-
-    def test_stdout_and_file_agree(self, tiny_db, tmp_path, capsys):
-        rc = main(["sieve", "--h1", "2", "--h2", "2", "--db", tiny_db,
+    def test_stdout_and_file_agree(self, tmp_path, capsys):
+        rc = main(["sieve", "--h1", "2", "--h2", "2",
                    "--prime-list", "3,5,7,11,13"])
         assert rc == EXIT_OK
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l and not l.startswith("#")]
         out = tmp_path / "s.tsv"
-        rc = main(["sieve", "--h1", "2", "--h2", "2", "--db", tiny_db,
+        rc = main(["sieve", "--h1", "2", "--h2", "2",
                    "--prime-list", "3,5,7,11,13", "--out", str(out)])
         assert rc == EXIT_OK
         file_lines = [l for l in out.read_text().splitlines()
                       if l and not l.startswith("#")]
         assert lines == file_lines
 
-    def test_determinism_across_workers(self, tiny_db, tmp_path):
+    def test_determinism_across_workers(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        base = ["sieve", "--h1", "3", "--h2", "3", "--db", tiny_db,
+        base = ["sieve", "--h1", "3", "--h2", "3",
                 "--prime-list", "3,5,7,11,13"]
         assert main(base + ["--out", str(a)]) == EXIT_OK
         assert main(base + ["--out", str(b), "--workers", "2"]) == EXIT_OK
         assert a.read_text() == b.read_text()
 
-    def test_env_var_db_path(self, tiny_db, capsys, monkeypatch):
-        monkeypatch.setenv("PCF_SIEVE_DB", tiny_db)
-        rc = main(["sieve", "--h1", "1", "--h2", "1", "--prime-list", "3,5,7"])
-        assert rc == EXIT_OK
-
 
 class TestPipeline:
     def test_artifacts_and_digest(self, tmp_path, capsys):
         outdir = tmp_path / "run"
-        db = tmp_path / "p.db"
         rc = main(["pipeline", "--h1", "2", "--h2", "2",
-                   "--prime-list", "3,5,7,11,13", "--db", str(db),
+                   "--prime-list", "3,5,7,11,13",
                    "--outdir", str(outdir)])
         assert rc == EXIT_OK
         surv = (outdir / "survivors.tsv").read_text()
@@ -100,13 +72,21 @@ class TestPipeline:
         assert summary["verified_count"] + summary["undetermined_count"] == \
             len(summary["survivors"])
 
-    def test_pipeline_builds_db_when_missing(self, tmp_path):
-        db = tmp_path / "auto.db"
+    def test_pipeline_leaves_only_its_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         rc = main(["pipeline", "--h1", "1", "--h2", "1",
-                   "--prime-list", "3,5", "--db", str(db),
-                   "--outdir", str(tmp_path / "out")])
+                   "--prime-list", "3,5", "--outdir", "out"])
         assert rc == EXIT_OK
-        assert db.exists()
+        assert sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")) == [
+            "out", "out/summary.json", "out/survivors.tsv", "out/verified.tsv"]
+
+    def test_composite_prime_list_rejected(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        rc = main(["pipeline", "--h1", "1", "--h2", "1",
+                   "--prime-list", "3,9,15,25", "--outdir", str(outdir)])
+        assert rc == EXIT_USAGE
+        assert "need odd primes, got 9" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestVerify:
@@ -117,11 +97,11 @@ class TestVerify:
         assert out.count("VERIFIED_PCF") == 2
         assert "0 ->(2) 0" in out
 
-    def test_reads_sieve_output(self, tiny_db, tmp_path, capsys):
+    def test_reads_sieve_output(self, tmp_path, capsys):
         # five small primes let some non-PCF pairs through; the verifier
         # must certify the genuine ones and report the rest undetermined
         out = tmp_path / "surv.tsv"
-        assert main(["sieve", "--h1", "2", "--h2", "4", "--db", tiny_db,
+        assert main(["sieve", "--h1", "2", "--h2", "4",
                      "--prime-list", "3,5,7,11,13", "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         rc = main(["verify", "--in", str(out)])
@@ -197,11 +177,11 @@ class TestCatalog:
 
 
 class TestConfig:
-    def test_config_file_and_override(self, tmp_path, tiny_db, capsys):
+    def test_config_file_and_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"h1": 1, "h2": 1, "prime_list": [3, 5, 7, 11, 13]}))
-        rc = main(["sieve", "--config", str(cfg_path), "--db", tiny_db,
+        rc = main(["sieve", "--config", str(cfg_path),
                    "--h2", "2"])
         assert rc == EXIT_OK
 
@@ -222,6 +202,23 @@ class TestConfig:
             RunConfig(h1=0).validate()
         with pytest.raises(ValueError):
             RunConfig(prime_list=(2, 3)).validate()
+
+    def test_bounds(self):
+        with pytest.raises(ValueError, match="need odd primes"):
+            RunConfig(prime_list=(3, 9)).validate()
+        with pytest.raises(ValueError, match="too large"):
+            RunConfig(prime_list=(3, 1048583)).validate()
+        with pytest.raises(ValueError, match="h1 \\* h2"):
+            RunConfig(h1=64, h2=65).validate()
+
+
+def test_import_needs_no_sympy():
+    # sympy is no dependency any more; it cost 37 MB and 0.4 s per process
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quadpcf.cli; sys.exit('sympy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_point():

@@ -11,9 +11,12 @@ from quadpcf.exact_arith import (
     NegativeDiscriminantError,
     QuadFieldElement,
     Rat,
+    divisors,
     enumerate_rationals,
     height,
+    is_prime,
     parse_point,
+    primes_up_to,
     quad_roots,
     squarefree_part,
 )
@@ -257,3 +260,43 @@ def test_squarefree_part():
     assert squarefree_part(36) == (6, 1)
     assert squarefree_part(-12) == (2, -3)
     assert squarefree_part(320) == (8, 5)
+
+
+def _is_prime_by_division(n):
+    return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_and_divisors_small():
+    for n in range(-3, 3000):
+        assert is_prime(n) == _is_prime_by_division(n), n
+    assert primes_up_to(3000) == tuple(n for n in range(3001) if _is_prime_by_division(n))
+    for n in range(1, 600):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+def test_is_prime_large():
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 89 - 1)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+    assert not is_prime(3215031751)       # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(1009 ** 2)
+
+
+def test_factorisation_gives_up_explicitly():
+    # two large primes: neither is within reach of Pollard's rho
+    with pytest.raises(ValueError, match="cannot factor"):
+        squarefree_part((2 ** 61 - 1) * (2 ** 89 - 1))
+
+
+@given(st.integers(1, 10 ** 4), st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 30]),
+       st.sampled_from([1, 1009, 999983, 1000037]),
+       st.sampled_from([1, 1013, 1000003, 2 ** 61 - 1]), st.sampled_from([1, -1]))
+@settings(max_examples=80, deadline=None)
+def test_squarefree_part_with_large_factors(s, d, q1, q2, sign):
+    # s^2 * d * q1 * q2^2 with distinct primes q1, q2 above the range of
+    # trial division: q1 joins the squarefree part and q2 the square root
+    n = sign * s * s * d * q1 * q2 * q2
+    got_s, got_d = squarefree_part(n)
+    core_s, core_d = squarefree_part(sign * s * s * d)
+    assert got_s == core_s * q2
+    assert got_d == core_d * q1
+    assert got_s * got_s * got_d == n

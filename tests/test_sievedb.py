@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import TEN_SIGMA_PAIRS
 from quadpcf import ffdyn
@@ -25,6 +27,8 @@ from quadpcf.sievedb import (
     check_rational_periods_detailed,
     examine_pair,
     family_key,
+    first_odd_primes,
+    period_entries,
     reduce_rational_point,
     sieve,
 )
@@ -60,6 +64,18 @@ def brute_force_entries(p):
                 continue
             stored[(b, c)] = sorted(set(roots))
     return stored
+
+
+def reference_sieve(h1, h2, primes):
+    """The sieve one pair at a time against a database of the same primes."""
+    db = build_db(primes)
+    out = []
+    for s1 in enumerate_rationals(h1):
+        for s2 in enumerate_rationals(h2):
+            cand = examine_pair(s1, s2, primes, db)
+            if cand is not None:
+                out.append(cand)
+    return out
 
 
 class TestBuild:
@@ -144,6 +160,12 @@ class TestBuild:
             build_db([3, 3])
         with pytest.raises(ValueError):
             build_db([9])
+
+    def test_rejects_primes_beyond_record_width(self):
+        # 65537 + 1 does not fit a u2 cycle-length field next to NO_POINT;
+        # the check comes before any block is allocated
+        with pytest.raises(ValueError, match="too large"):
+            build_db([3, 65537])
 
     def test_workers_deterministic(self, tmp_path):
         p1 = tmp_path / "w1.db"
@@ -275,13 +297,13 @@ class TestChecks:
 
 
 class TestSieve:
-    def test_sub_bound_2_4(self, small_db, small_primes):
-        got = {(c.sigma1, c.sigma2) for c in sieve(2, 4, small_primes, small_db)}
+    def test_sub_bound_2_4(self, small_primes):
+        got = {(c.sigma1, c.sigma2) for c in sieve(2, 4, small_primes)}
         assert got == {(Rat(2), Rat(-4)), (Rat(-2), Rat(4)),
                        (Rat(-2), Rat(0)), (Rat(-2), Rat(2))}
 
-    def test_sub_bound_1_1_empty(self, small_db, small_primes):
-        assert sieve(1, 1, small_primes, small_db) == []
+    def test_sub_bound_1_1_empty(self, small_primes):
+        assert sieve(1, 1, small_primes) == []
 
     def test_no_false_negatives_any_prefix(self, small_db, small_primes):
         # intersection can shrink toward but never past the true period
@@ -304,25 +326,69 @@ class TestSieve:
                 assert cur <= prev
             prev = cur
 
-    def test_determinism_and_workers(self, small_db_file, small_primes):
-        db = Database.load(small_db_file)
-        a = [c.tsv_line() for c in sieve(4, 4, small_primes, db)]
-        b = [c.tsv_line() for c in sieve(4, 4, small_primes, db)]
+    def test_determinism_and_workers(self, small_primes):
+        a = [c.tsv_line() for c in sieve(4, 4, small_primes)]
+        b = [c.tsv_line() for c in sieve(4, 4, small_primes)]
         assert a == b
-        c2 = [c.tsv_line() for c in sieve(4, 4, small_primes, db, workers=2)]
+        c2 = [c.tsv_line() for c in sieve(4, 4, small_primes, workers=2)]
         assert a == c2
 
-    def test_uncovered_prime_rejected(self, small_db):
-        with pytest.raises(UncoveredPrimeError):
-            sieve(1, 1, [1009], small_db)
-
-    def test_candidate_fields(self, small_db, small_primes):
-        cands = sieve(2, 4, small_primes, small_db)
+    def test_candidate_fields(self, small_primes):
+        cands = sieve(2, 4, small_primes)
         for c in cands:
             assert c.resultant != 0
             assert c.phi == NormalizedQuadMap.from_sigmas(c.sigma1, c.sigma2)
             line = c.tsv_line()
             assert str(c.sigma1) in line and str(c.phi) in line
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(h1=st.integers(1, 3), h2=st.integers(1, 6),
+           primes=st.lists(st.sampled_from(first_odd_primes(20)[1:]),
+                           unique=True, max_size=7),
+           where=st.integers(0, 7))
+    def test_equals_reference_sieve(self, h1, h2, primes, where):
+        # the lane sieve against examine_pair over a database, line for line
+        primes.insert(min(where, len(primes)), 3)
+        got = [c.tsv_line() for c in sieve(h1, h2, primes)]
+        assert got == [c.tsv_line() for c in reference_sieve(h1, h2, primes)]
+
+    def test_equals_reference_on_a_larger_box(self, small_primes):
+        # 8,601 pairs, more than one block of lanes, with every other prime
+        # of the 25 in a shuffled order, so lanes die at many different steps
+        primes = list(small_primes[::2])
+        random.Random(5).shuffle(primes)
+        got = [c.tsv_line() for c in sieve(6, 12, primes)]
+        assert got == [c.tsv_line() for c in reference_sieve(6, 12, primes)]
+
+    def test_size_bounds(self):
+        # both checks come before anything is enumerated or allocated
+        with pytest.raises(ValueError, match="too large"):
+            sieve(1, 1, [3, 1048583])          # the first prime above 2^20
+        with pytest.raises(ValueError, match="int64"):
+            sieve(64, 65, [3])
+        with pytest.raises(ValueError, match="need odd primes"):
+            sieve(1, 1, [3, 9])
+
+
+class TestPeriodEntries:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101])
+    def test_random_keys_equal_lookup(self, p):
+        block = build_prime_block_scalar(p)
+        rng = random.Random(p)
+        keys = [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
+        present, points, periods = period_entries(
+            p, [b for b, _ in keys], [c for _, c in keys])
+        for k, (b, c) in enumerate(keys):
+            entry = block.lookup(b, c)
+            assert bool(present[k]) == (entry is not ABSENT)
+            if entry is ABSENT:
+                assert not points[k].any() and not periods[k].any()
+                continue
+            assert tuple(points[k]) == entry.points
+            m1, mr1, m2, mr2 = periods[k]
+            assert entry.period_sets == (frozenset({m1, mr1} - {0}),
+                                         frozenset({m2, mr2} - {0}))
 
 
 class TestReductionHelpers:
