@@ -1,14 +1,12 @@
 """Command-line front end for the PCF search pipeline.
 
-Subcommands: build-db, sieve, verify, pipeline, portrait, preper,
-classify-twist, catalog, selftest.  All outputs are deterministic for a
-given configuration (independent of worker count), and every artifact
-embeds a digest of the configuration that produced it.
+Subcommands: sieve, verify, pipeline, portrait, preper, classify-twist,
+catalog.  All outputs are deterministic for a given configuration
+(independent of worker count), and every artifact embeds a digest of the
+configuration that produced it.
 
-sieve and pipeline compute every period set they need on the fly and never
-touch a database.  build-db writes the per-prime reference database, and
-selftest reads one (criteria 7 and 8 compare against it); --db and
-PCF_SIEVE_DB set its path for those two commands only.
+sieve and pipeline compute every period set they need on the fly; no
+command builds, reads or writes a database or a cache.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -26,23 +23,13 @@ from quadpcf import pcfverify, preper, sievedb
 from quadpcf.exact_arith import ExtendedRational, Rat
 from quadpcf.preper import CatalogMatchError
 from quadpcf.projmap import NormalizedQuadMap
-from quadpcf.sievedb import (
-    DbConsistencyError,
-    DbError,
-    DbFormatError,
-    DbMissingError,
-    UncoveredPrimeError,
-    build_db,
-    first_odd_primes,
-)
+from quadpcf.sievedb import DbConsistencyError, first_odd_primes
 
 CONFIG_VERSION = 1
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
-EXIT_DB_MISSING = 3
-EXIT_UNCOVERED_PRIME = 4
 EXIT_DATA_INCONSISTENT = 5
 EXIT_CATALOG_MISMATCH = 6
 
@@ -60,7 +47,6 @@ class RunConfig:
     preper_cutoff: int = preper.DEFAULT_SIZE_CUTOFF
     workers: int = 1
     outdir: str = "."
-    db_path: str = "quadpcf.db"
 
     def primes(self) -> Tuple[int, ...]:
         if self.prime_list is not None:
@@ -70,12 +56,12 @@ class RunConfig:
     def digest(self) -> str:
         """Digest of the semantic configuration.
 
-        Worker count, output directory and database location affect where
-        and how fast results appear, never what they are, so they stay out
-        of the digest and artifacts are byte-identical across them.
+        Worker count and output directory affect where and how fast results
+        appear, never what they are, so they stay out of the digest and
+        artifacts are byte-identical across them.
         """
         body = dict(asdict(self), config_version=CONFIG_VERSION)
-        for execution_only in ("workers", "outdir", "db_path"):
+        for execution_only in ("workers", "outdir"):
             body.pop(execution_only)
         body["primes"] = list(self.primes())
         body.pop("prime_list")
@@ -128,9 +114,6 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "prime_list", None):
         updates["prime_list"] = tuple(
             int(x) for x in args.prime_list.split(",") if x.strip())
-    db = getattr(args, "db", None) or os.environ.get("PCF_SIEVE_DB")
-    if db:
-        updates["db_path"] = db
     cfg = replace(base, **updates)
     cfg.validate()
     return cfg
@@ -147,7 +130,7 @@ def _parse_map_arg(args) -> NormalizedQuadMap:
 
 
 # ----------------------------------------------------------------------
-# pipeline pieces shared by subcommands and the acceptance suite
+# pipeline pieces shared by subcommands and the benchmark's traced replay
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -220,18 +203,6 @@ def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
 # ----------------------------------------------------------------------
 # subcommand handlers
 # ----------------------------------------------------------------------
-
-def _cmd_build_db(args) -> int:
-    cfg = _config_from_args(args)
-    method = args.method
-    db = build_db(cfg.primes(), path=cfg.db_path, workers=cfg.workers, method=method)
-    print(f"built database for {len(db.primes)} primes at {cfg.db_path}")
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            db.dump_text(fh)
-        print(f"text dump written to {args.dump}")
-    return EXIT_OK
-
 
 def _cmd_sieve(args) -> int:
     cfg = _config_from_args(args)
@@ -414,25 +385,13 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
-    from quadpcf import acceptance
-    cfg = _config_from_args(args)
-    # default to the shared cache, not a working-directory file
-    explicit = getattr(args, "db", None) or os.environ.get("PCF_SIEVE_DB")
-    ok = acceptance.run_all(db_path=explicit, workers=cfg.workers,
-                            build_if_missing=True)
-    return EXIT_OK if ok else EXIT_ERROR
-
-
 # ----------------------------------------------------------------------
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, primes: bool = True, db: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, primes: bool = True) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--workers", type=int, help="worker process count")
-    if db:
-        p.add_argument("--db", help="reference database path (or env PCF_SIEVE_DB)")
     if primes:
         p.add_argument("--primes", type=int, help="number of odd primes (default 130)")
         p.add_argument("--prime-list", dest="prime_list",
@@ -444,12 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quadpcf",
         description="search, sieve and certification of quadratic PCF maps over Q")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-db", help="build the per-prime reference database")
-    _add_common(p, db=True)
-    p.add_argument("--method", choices=("fast", "scalar"), default="fast")
-    p.add_argument("--dump", help="also write a lossless text dump to this path")
-    p.set_defaults(func=_cmd_build_db)
 
     p = sub.add_parser("sieve", help="run the height-bounded sigma-pair sieve")
     _add_common(p)
@@ -507,10 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_common(p, db=True)
-    p.set_defaults(func=_cmd_selftest)
-
     return ap
 
 
@@ -519,19 +468,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except DbMissingError as e:
-        print(f"error: db-missing: {e}", file=sys.stderr)
-        return EXIT_DB_MISSING
-    except UncoveredPrimeError as e:
-        print(f"error: uncovered-prime: {e}", file=sys.stderr)
-        return EXIT_UNCOVERED_PRIME
-    except (DbConsistencyError, DbFormatError) as e:
+    except DbConsistencyError as e:
         print(f"error: data-inconsistency: {e}", file=sys.stderr)
         return EXIT_DATA_INCONSISTENT
     except CatalogMatchError as e:
         print(f"error: catalog-mismatch: {e}", file=sys.stderr)
         return EXIT_CATALOG_MISMATCH
-    except (ValueError, OSError, DbError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: invalid-input: {e}", file=sys.stderr)
         return EXIT_USAGE
 

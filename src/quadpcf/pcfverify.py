@@ -122,13 +122,6 @@ def critical_orbit_portrait(phi: NormalizedQuadMap, budget: int = DEFAULT_BUDGET
     return PcfStatus(True, portrait, iterations, max_size)
 
 
-def is_pcf(phi: NormalizedQuadMap, budget: int = DEFAULT_BUDGET,
-           size_cutoff: int = DEFAULT_SIZE_CUTOFF) -> Tuple[bool, PcfStatus]:
-    """True iff the critical orbits provably close.  Never claims non-PCF."""
-    status = critical_orbit_portrait(phi, budget, size_cutoff)
-    return status.verified, status
-
-
 def postcritical_set(status: PcfStatus) -> Set[PointValue]:
     """Union of the strict forward orbits of the critical points."""
     if not status.verified or status.portrait is None:

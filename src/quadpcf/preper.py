@@ -145,9 +145,6 @@ class FunctionalGraph:
         m = next(len(c) for c in self.cycles() if cur in c)
         return TypeTag(m, n)
 
-    def points_of_type(self, tag: TypeTag) -> Tuple:
-        return tuple(v for v in self.vertices if self.type_of(v) == tag)
-
     # -- shape ----------------------------------------------------------------
 
     def components(self) -> List["FunctionalGraph"]:

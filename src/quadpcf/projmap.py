@@ -513,10 +513,6 @@ class MultiplierTriple:
         l1, l2, l3 = self.values
         return (l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3)
 
-    def as_multiset(self):
-        from collections import Counter
-        return Counter(self.values)
-
 
 def _rational_roots(coeffs):
     """Rational roots (with multiplicity) of an integer polynomial.

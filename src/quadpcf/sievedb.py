@@ -14,13 +14,12 @@ dead lanes.  A candidate dies the moment an intersection empties.  Only the
 survivors are turned into NormalizedQuadMap objects.
 
 The database stores the kernel's output for all p^2 keys of each prime.
-Nothing on the search path reads it; examine_pair and the check functions
-run the same sieve one pair at a time against it, as the reference the
-tests and the benchmark's traced replay compare with.  On disk a database
-is a single versioned binary file: a header with the prime list, then
-per-prime blocks of a presence bitmap plus fixed-width records in (b, c)
-order.  Content is deterministic for a given prime list, independent of
-worker count.
+Nothing on the search path, and no command, reads it; examine_pair and the
+check functions run the same sieve one pair at a time against it, as the
+reference the tests and the benchmark's traced replay compare with.  On
+disk a database is a single versioned binary file: a header with the prime
+list, then per-prime blocks of a presence bitmap plus fixed-width records
+in (b, c) order.  Content is deterministic for a given prime list.
 """
 
 from __future__ import annotations
@@ -132,13 +131,6 @@ def validate_primes(primes: Sequence[int], limit: int, what: str) -> Tuple[int, 
 
 
 @dataclass(frozen=True)
-class DbKey:
-    p: int
-    b: int
-    c: int
-
-
-@dataclass(frozen=True)
 class DbEntry:
     """Critical points of one reduced map with their admissible period sets.
 
@@ -158,13 +150,6 @@ class DbEntry:
         raise DbConsistencyError(
             f"point {format_fp_point(point_index, self.p)} not among stored "
             f"critical points {self.points} (p={self.p})")
-
-    def text(self) -> str:
-        cols = []
-        for pt, per in zip(self.points, self.period_sets):
-            per_text = ",".join(str(x) for x in sorted(per))
-            cols.append(f"{format_fp_point(pt, self.p)}:{{{per_text}}}")
-        return "\t".join(cols)
 
 
 # ----------------------------------------------------------------------
@@ -413,13 +398,6 @@ class PrimeBlock:
             pers.append(_unpack_period_set(int(rec["m2"]), int(rec["mr2"])))
         return DbEntry(p=self.p, points=tuple(pts), period_sets=tuple(pers))
 
-    def iter_entries(self):
-        sel = np.flatnonzero(
-            np.unpackbits(self.bitmap.view(np.uint8), bitorder="little"))
-        for idx, rec in zip(sel, self.records):
-            b, c = divmod(int(idx), self.p)
-            yield (b, c, self.lookup(b, c))
-
     def tobytes(self) -> bytes:
         head = struct.pack("<IQ", self.p, len(self.records))
         return head + self.bitmap.tobytes() + self.records.tobytes()
@@ -429,13 +407,6 @@ def _unpack_period_set(m: int, mr: int) -> PeriodSet:
     if mr == 0:
         return frozenset((m,))
     return frozenset((m, mr))
-
-
-def _build_block(args):
-    p, method = args
-    if method == "scalar":
-        return build_prime_block_scalar(p)
-    return build_prime_block_fast(p)
 
 
 class Database:
@@ -450,16 +421,10 @@ class Database:
 
     # -- queries ----------------------------------------------------------
 
-    def covers(self, p: int) -> bool:
-        return p in set(self.primes)
-
     def lookup(self, p: int, b: int, c: int):
         """DbEntry, or ABSENT for pairs excluded at build time."""
         block = self._block(p)
         return block.lookup(b % p, c % p)
-
-    def lookup_key(self, key: DbKey):
-        return self.lookup(key.p, key.b, key.c)
 
     def entry_count(self, p: int) -> int:
         return len(self._block(p).records)
@@ -525,71 +490,12 @@ class Database:
                 fh.read(nrec * RECORD_DTYPE.itemsize), dtype=RECORD_DTYPE).copy()
         return PrimeBlock(p, bitmap, records)
 
-    # -- text dump -----------------------------------------------------------
 
-    def dump_text(self, fh) -> None:
-        """Lossless line-oriented dump, one record per line."""
-        fh.write("# quadpcf-db text dump v1\n")
-        fh.write("# primes: " + " ".join(str(p) for p in self.primes) + "\n")
-        for p in self.primes:
-            for b, c, entry in self._block(p).iter_entries():
-                fh.write(f"{p}\t{b}\t{c}\t{entry.text()}\n")
-
-    @staticmethod
-    def parse_text(fh) -> "Database":
-        primes: Tuple[int, ...] = ()
-        rows: Dict[int, list] = {}
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# primes:"):
-                primes = tuple(int(x) for x in line.split(":", 1)[1].split())
-                rows = {p: [] for p in primes}
-                continue
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            p, b, c = int(parts[0]), int(parts[1]), int(parts[2])
-            pts_pers = []
-            for cell in parts[3:]:
-                pt_text, per_text = cell.split(":", 1)
-                pt = p if pt_text == "inf" else int(pt_text)
-                per = sorted(int(x) for x in per_text.strip("{}").split(","))
-                m = per[0]
-                mr = per[1] if len(per) == 2 else 0
-                pts_pers.append((pt, m, mr))
-            rows[p].append((b * p + c, _record(pts_pers)))
-        blocks = {}
-        for p in primes:
-            rows[p].sort()
-            bitmap = np.zeros((p * p + 63) // 64, dtype=np.uint64)
-            for idx, _ in rows[p]:
-                bitmap[idx >> 6] |= np.uint64(1 << (idx & 63))
-            recs = np.array([r for _, r in rows[p]], dtype=RECORD_DTYPE) \
-                if rows[p] else np.empty(0, RECORD_DTYPE)
-            blocks[p] = PrimeBlock(p, bitmap, recs)
-        return Database(primes, blocks=blocks)
-
-
-def build_db(primes: Sequence[int], path: Optional[str] = None,
-             workers: int = 1, method: str = "fast") -> Database:
-    """Build the database for the given odd primes (Algorithm: build once,
-    per prime, all (b, c) pairs with degree 2 and split wronskian).
-
-    Blocks are built per prime and merged in list order, so the result is
-    byte-identical for any worker count.
-    """
+def build_db(primes: Sequence[int], path: Optional[str] = None) -> Database:
+    """Build the database for the given odd primes: per prime, all (b, c)
+    pairs with degree 2 and split wronskian, in list order."""
     primes = validate_primes(primes, DB_PRIME_LIMIT, "16-bit database records")
-    if method not in ("fast", "scalar"):
-        raise ValueError(f"unknown build method {method!r}")
-    jobs = [(p, method) for p in primes]
-    if workers > 1 and len(primes) > 1:
-        import multiprocessing as mp
-        with mp.get_context("spawn").Pool(workers) as pool:
-            block_list = pool.map(_build_block, jobs)
-    else:
-        block_list = [_build_block(j) for j in jobs]
-    blocks = {p: blk for p, blk in zip(primes, block_list)}
-    db = Database(primes, blocks=blocks)
+    db = Database(primes, blocks={p: build_prime_block_fast(p) for p in primes})
     if path is not None:
         db.save(path)
         db = Database.load(path)
@@ -607,11 +513,12 @@ def _sigma_mod_p(s: ExtendedRational, p: int) -> int:
     return s.num * pow(s.den, p - 2, p) % p
 
 
-def family_key(s1: ExtendedRational, s2: ExtendedRational, p: int) -> DbKey:
+def family_key(s1: ExtendedRational, s2: ExtendedRational,
+               p: int) -> Tuple[int, int]:
     """(b, c) key of the reduction of the normal-form map at a good prime."""
     s1p = _sigma_mod_p(s1, p)
     s2p = _sigma_mod_p(s2, p)
-    return DbKey(p, (2 - s1p) % p, (2 - s1p - s2p) % p)
+    return (2 - s1p) % p, (2 - s1p - s2p) % p
 
 
 def reduce_rational_point(x: ExtendedRational, p: int) -> int:
@@ -639,12 +546,6 @@ def _sigmas_of(phi: NormalizedQuadMap):
     return phi.sigma_invariants()
 
 
-def check_rational_periods(phi: NormalizedQuadMap, gamma1, gamma2,
-                           primes: Sequence[int], res: int,
-                           db: Database) -> bool:
-    return check_rational_periods_detailed(phi, gamma1, gamma2, primes, res, db).ok
-
-
 def check_rational_periods_detailed(phi, gamma1, gamma2, primes, res, db) -> CheckResult:
     """Intersect admissible period sets of two rational critical points.
 
@@ -661,12 +562,12 @@ def check_rational_periods_detailed(phi, gamma1, gamma2, primes, res, db) -> Che
     for p in primes:
         if res % p == 0:
             continue
-        key = family_key(s1, s2, p)
-        entry = db.lookup(key.p, key.b, key.c)
+        b, c = family_key(s1, s2, p)
+        entry = db.lookup(p, b, c)
         if entry is ABSENT:
             raise DbConsistencyError(
                 f"entry absent at good prime {p} for map with rational critical "
-                f"points (key {key}); database and build invariant disagree")
+                f"points (key b={b}, c={c}); database and build invariant disagree")
         used += 1
         for i, gamma in enumerate((gamma1, gamma2)):
             reduced = reduce_rational_point(gamma, p)
@@ -675,11 +576,6 @@ def check_rational_periods_detailed(phi, gamma1, gamma2, primes, res, db) -> Che
             if not running[i]:
                 return CheckResult(False, tuple(running), used, killed_by=p)
     return CheckResult(True, tuple(running), used)
-
-
-def check_irrational_periods(phi: NormalizedQuadMap, primes: Sequence[int],
-                             res: int, db: Database) -> bool:
-    return check_irrational_periods_detailed(phi, primes, res, db).ok
 
 
 def check_irrational_periods_detailed(phi, primes, res, db) -> CheckResult:
@@ -698,8 +594,7 @@ def check_irrational_periods_detailed(phi, primes, res, db) -> CheckResult:
     for p in primes:
         if res % p == 0:
             continue
-        key = family_key(s1, s2, p)
-        entry = db.lookup(key.p, key.b, key.c)
+        entry = db.lookup(p, *family_key(s1, s2, p))
         if entry is ABSENT:
             continue
         used += 1

@@ -1,14 +1,6 @@
 import pytest
 
-from quadpcf.exact_arith import Rat
 from quadpcf.sievedb import build_db, first_odd_primes
-
-# the ten classified sigma-pairs (trivial stabilizer)
-TEN_SIGMA_PAIRS = (
-    (Rat(2), Rat(-8)), (Rat(2), Rat(-4)), (Rat(-6), Rat(4)), (Rat(-6), Rat(8)),
-    (Rat(-2), Rat(4)), (Rat(-2, 3), Rat(4, 3)), (Rat(-6), Rat(10)),
-    (Rat(-2), Rat(0)), (Rat(-2), Rat(2)), (Rat(-10, 3), Rat(20, 3)),
-)
 
 
 @pytest.fixture(scope="session")
@@ -28,10 +20,3 @@ def small_db_file(small_primes, tmp_path_factory):
     path = tmp_path_factory.mktemp("db") / "small.db"
     build_db(small_primes, path=str(path))
     return str(path)
-
-
-@pytest.fixture(scope="session")
-def full_db():
-    """Acceptance database over all odd primes <= 750 (built once, cached)."""
-    from quadpcf import acceptance
-    return acceptance.acceptance_db(workers=2, quiet=True)

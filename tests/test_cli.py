@@ -12,26 +12,6 @@ from quadpcf.cli import (
 )
 
 
-class TestBuildDb:
-    def test_build_and_dump(self, tmp_path, capsys):
-        db = tmp_path / "d.db"
-        dump = tmp_path / "d.txt"
-        rc = main(["build-db", "--prime-list", "3,5", "--db", str(db),
-                   "--dump", str(dump)])
-        assert rc == EXIT_OK
-        assert db.exists() and dump.exists()
-        text = dump.read_text()
-        assert text.startswith("# quadpcf-db text dump v1")
-        assert "# primes: 3 5" in text
-
-    def test_scalar_method_equals_fast(self, tmp_path):
-        a, b = tmp_path / "a.db", tmp_path / "b.db"
-        assert main(["build-db", "--prime-list", "3,5,7", "--db", str(a),
-                     "--method", "scalar"]) == EXIT_OK
-        assert main(["build-db", "--prime-list", "3,5,7", "--db", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
-
-
 class TestSieve:
     def test_stdout_and_file_agree(self, tmp_path, capsys):
         rc = main(["sieve", "--h1", "2", "--h2", "2",

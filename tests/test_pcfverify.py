@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import TEN_SIGMA_PAIRS
+from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import INFINITY, QuadFieldElement, Rat
 from quadpcf.pcfverify import (
     critical_orbit_portrait,
-    is_pcf,
     point_size,
     postcritical_set,
 )
@@ -73,8 +72,8 @@ class TestPortraits:
 
     def test_all_ten_verified(self):
         for s1, s2 in TEN_SIGMA_PAIRS:
-            ok, st = is_pcf(NormalizedQuadMap.from_sigmas(s1, s2))
-            assert ok and st.portrait is not None
+            st = critical_orbit_portrait(NormalizedQuadMap.from_sigmas(s1, s2))
+            assert st.verified and st.portrait is not None
 
 
 class TestUndetermined:
@@ -90,8 +89,8 @@ class TestUndetermined:
         assert critical_orbit_portrait(m, budget=3).verified
 
     def test_is_pcf_never_claims_non_pcf(self):
-        ok, st = is_pcf(NormalizedQuadMap.from_sigmas(2, -12))
-        assert not ok and not st.verified and "cutoff" in st.reason or "budget" in st.reason
+        st = critical_orbit_portrait(NormalizedQuadMap.from_sigmas(2, -12))
+        assert not st.verified and "cutoff" in st.reason or "budget" in st.reason
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

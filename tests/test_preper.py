@@ -18,6 +18,7 @@ from quadpcf.preper import (
     power_map_low_degree_preperiodic,
     rational_preperiodic_graph,
     sq_twist_map,
+    totient,
     type_of,
 )
 from quadpcf.projmap import NormalizedQuadMap
@@ -284,6 +285,14 @@ class TestPowerMapCatalogs:
                     for v in comp.vertices:
                         assert comp.successor[v] in comp
                         assert v.degree() <= deg
+
+    def test_scan_bound_misses_no_order(self):
+        # the catalog scans orders n <= max(6, d^2); phi(n) >= sqrt(n/2) puts
+        # every n > 2d^2 above degree d, so only (max(6, d^2), 2d^2] can hide one
+        phi = {n: totient(n) for n in range(1, 2 * 24 * 24 + 1)}
+        for d in range(1, 25):
+            missed = [n for n in range(max(6, d * d) + 1, 2 * d * d + 1) if phi[n] <= d]
+            assert not missed, (d, missed)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TEN_SIGMA_PAIRS
+from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import (
     INFINITY,
     NegativeDiscriminantError,
