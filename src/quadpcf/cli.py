@@ -1,12 +1,11 @@
 """Command-line front end for the PCF search pipeline.
 
 Subcommands: sieve, verify, pipeline, portrait, preper, classify-twist,
-catalog.  All outputs are deterministic for a given configuration
-(independent of worker count), and every artifact embeds a digest of the
-configuration that produced it.
+catalog.  All outputs are deterministic for a given configuration, and
+every artifact embeds a digest of the configuration that produced it.
 
-sieve and pipeline compute every period set they need on the fly; no
-command builds, reads or writes a database or a cache.
+sieve and pipeline compute every period set they need on the fly, in one
+process; no command builds, reads or writes a database or a cache.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class RunConfig:
     preper_height_bound: int = preper.DEFAULT_HEIGHT_BOUND
     preper_step_budget: int = preper.DEFAULT_STEP_BUDGET
     preper_cutoff: int = preper.DEFAULT_SIZE_CUTOFF
-    workers: int = 1
     outdir: str = "."
 
     def primes(self) -> Tuple[int, ...]:
@@ -56,13 +54,12 @@ class RunConfig:
     def digest(self) -> str:
         """Digest of the semantic configuration.
 
-        Worker count and output directory affect where and how fast results
-        appear, never what they are, so they stay out of the digest and
-        artifacts are byte-identical across them.
+        The output directory affects where results appear, never what they
+        are, so it stays out of the digest and artifacts are byte-identical
+        across directories.
         """
         body = dict(asdict(self), config_version=CONFIG_VERSION)
-        for execution_only in ("workers", "outdir"):
-            body.pop(execution_only)
+        body.pop("outdir")
         body["primes"] = list(self.primes())
         body.pop("prime_list")
         body.pop("primes_count")
@@ -105,7 +102,7 @@ def _config_from_args(args) -> RunConfig:
         ("preper_height_bound", "preper_height_bound"),
         ("preper_step_budget", "preper_step_budget"),
         ("preper_cutoff", "preper_cutoff"),
-        ("workers", "workers"), ("outdir", "outdir"),
+        ("outdir", "outdir"),
     ]
     for arg_name, field in mapping:
         v = getattr(args, arg_name, None)
@@ -138,16 +135,9 @@ class PipelineResult:
     survivors: List[sievedb.SieveCandidate]
     statuses: List[pcfverify.PcfStatus]
 
-    def verified_sigmas(self) -> List[Tuple[ExtendedRational, ExtendedRational]]:
-        return [(c.sigma1, c.sigma2)
-                for c, st in zip(self.survivors, self.statuses) if st.verified]
-
-    def undetermined(self) -> List[sievedb.SieveCandidate]:
-        return [c for c, st in zip(self.survivors, self.statuses) if not st.verified]
-
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes(), workers=cfg.workers)
+    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes())
     statuses = [pcfverify.critical_orbit_portrait(c.phi, cfg.budget, cfg.cutoff)
                 for c in survivors]
     return PipelineResult(survivors, statuses)
@@ -206,7 +196,7 @@ def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
 
 def _cmd_sieve(args) -> int:
     cfg = _config_from_args(args)
-    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes(), workers=cfg.workers)
+    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes())
     out = Path(args.out) if args.out else None
     if out:
         write_survivors_tsv(out, cfg, survivors)
@@ -391,7 +381,6 @@ def _cmd_catalog(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, primes: bool = True) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--workers", type=int, help="worker process count")
     if primes:
         p.add_argument("--primes", type=int, help="number of odd primes (default 130)")
         p.add_argument("--prime-list", dest="prime_list",

@@ -7,8 +7,7 @@ of the rationals, exact root extraction for quadratics over Q, and the
 small number theory the package needs: primes, divisors, and squarefree
 parts by trial division, Miller-Rabin and Pollard's rho.
 
-Everything here is immutable and all operations are pure, so values can be
-shared freely between worker processes.
+Everything here is immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -81,12 +80,6 @@ class ExtendedRational:
     def _require_finite(self):
         if self.den == 0:
             raise ArithmeticError("arithmetic with the point at infinity")
-
-    # -- conversions ---------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        self._require_finite()
-        return Fraction(self.num, self.den)
 
     def __bool__(self) -> bool:
         return self.num != 0
@@ -275,7 +268,7 @@ def enumerate_rationals(h_max: int) -> Iterator[ExtendedRational]:
     """Yield every finite rational of height <= h_max exactly once.
 
     Order is (height, denominator, numerator) ascending, which makes output
-    deterministic across runs and worker counts.
+    deterministic across runs.
     """
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
@@ -453,17 +446,11 @@ class QuadFieldElement:
             return a
         return QuadFieldElement(a, b, D)
 
-    def is_rational(self) -> bool:
-        return self.b.is_zero()
-
     def conjugate(self) -> "QuadFieldElement":
         return QuadFieldElement._make(self.a, -self.b, self.D)
 
     def norm(self) -> ExtendedRational:
         return self.a * self.a - self.b * self.b * self.D
-
-    def trace(self) -> ExtendedRational:
-        return self.a + self.a
 
     # -- arithmetic ------------------------------------------------------
 

@@ -87,19 +87,10 @@ class FpMap:
     @staticmethod
     def family_resultant(p: int, b: int, c: int) -> int:
         """Resultant of the (b, c) family member, reduced mod p."""
-        return (4 * c * c - 4 * b * c + b * b * c + b ** 3 - 11 * b * b + 32 * b) % p
+        return form_resultant((2, b, b), (-1, 4 - b, c)) % p
 
     def resultant(self) -> int:
-        f2, f1, f0 = self.F
-        g2, g1, g0 = self.G
-        p = self.p
-        rows = [
-            [f2, f1, f0, 0],
-            [0, f2, f1, f0],
-            [g2, g1, g0, 0],
-            [0, g2, g1, g0],
-        ]
-        return _int_det4(rows) % p
+        return form_resultant(self.F, self.G) % self.p
 
     def wronskian(self) -> Tuple[int, int, int]:
         if self._w is None:
@@ -154,12 +145,12 @@ class FpMap:
             return (-n_val * pow(f_val * f_val % p, p - 2, p)) % p
         return (n_val * pow(den * den % p, p - 2, p)) % p
 
-    def critical_point_indices(self) -> Optional[Tuple[int, ...]]:
+    def critical_point_indices(self) -> Optional[Tuple[int, int]]:
         """Roots of the wronskian in P^1(F_p), or None when irreducible.
 
-        Sorted ascending with infinity (= p) last.  A degree-2 map in odd
-        characteristic always has two distinct critical points, but a
-        repeated root is tolerated and reported once.
+        Sorted ascending with infinity (= p) last.  The two are distinct:
+        the wronskian discriminant is 4 * resultant, which is nonzero for a
+        degree-2 map in odd characteristic.
         """
         p = self.p
         w2, w1, w0 = self.wronskian()
@@ -175,8 +166,6 @@ class FpMap:
         inv2w2 = pow(2 * w2 % p, p - 2, p)
         r1 = ((-w1 + s) * inv2w2) % p
         r2 = ((-w1 - s) * inv2w2) % p
-        if r1 == r2:
-            return (r1,)
         return tuple(sorted((r1, r2)))
 
     def __repr__(self):
@@ -191,19 +180,16 @@ class FpMap:
         return hash((self.p, self.F, self.G))
 
 
-def _int_det4(rows) -> int:
-    def det3(m):
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+def form_resultant(F, G) -> int:
+    """Resultant of two binary quadratic forms (coefficients x^2 first).
 
-    total = 0
-    for i in range(4):
-        if rows[i][0] == 0:
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        total += (-1) ** i * rows[i][0] * det3(minor)
-    return total
+    It is h^2 - w2 * w0 with h = f2 * g0 - f0 * g2, where (w2, 2h, w0) is
+    the wronskian, whose discriminant is therefore 4 * resultant.
+    """
+    f2, f1, f0 = F
+    g2, g1, g0 = G
+    h = f2 * g0 - f0 * g2
+    return h * h - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)
 
 
 def _sqrt_mod(a: int, p: int) -> Optional[int]:

@@ -30,7 +30,7 @@ from quadpcf.exact_arith import (
     quad_roots,
     squarefree_part,
 )
-from quadpcf.ffdyn import FpMap
+from quadpcf.ffdyn import FpMap, form_resultant
 
 
 class DegenerateMapError(ValueError):
@@ -235,16 +235,8 @@ class NormalizedQuadMap:
     # -- algebraic data -----------------------------------------------------
 
     def resultant(self) -> int:
-        """Sylvester resultant of F and G; zero signals a common factor."""
-        from quadpcf.ffdyn import _int_det4
-        f2, f1, f0 = self.F
-        g2, g1, g0 = self.G
-        return _int_det4([
-            [f2, f1, f0, 0],
-            [0, f2, f1, f0],
-            [g2, g1, g0, 0],
-            [0, g2, g1, g0],
-        ])
+        """Resultant of F and G; zero signals a common factor."""
+        return form_resultant(self.F, self.G)
 
     def wronskian(self) -> FormCoeffs:
         """Coefficients (w2, w1, w0) of F_x G_y - F_y G_x, divided by 2."""
@@ -279,13 +271,6 @@ class NormalizedQuadMap:
                 raise DegenerateMapError(f"both forms vanish at {pt}")
             return INFINITY
         return fx / gx
-
-    def orbit(self, pt, steps: int):
-        out = [pt]
-        for _ in range(steps):
-            pt = self.apply(pt)
-            out.append(pt)
-        return out
 
     # -- critical points ---------------------------------------------------
 

@@ -13,19 +13,18 @@ the distinct keys only, intersects the running sets as arrays and drops the
 dead lanes.  A candidate dies the moment an intersection empties.  Only the
 survivors are turned into NormalizedQuadMap objects.
 
-The database stores the kernel's output for all p^2 keys of each prime.
-Nothing on the search path, and no command, reads it; examine_pair and the
-check functions run the same sieve one pair at a time against it, as the
-reference the tests and the benchmark's traced replay compare with.  On
-disk a database is a single versioned binary file: a header with the prime
-list, then per-prime blocks of a presence bitmap plus fixed-width records
-in (b, c) order.  Content is deterministic for a given prime list.
+The database holds the kernel's three arrays over all p^2 keys of each
+prime, row b * p + c for the key (b, c).  Nothing on the search path, and
+no command, reads it; examine_pair and the check functions run the same
+sieve one pair at a time against it, as the reference the tests and the
+benchmark's traced replay compare with.  On disk a database is a sequence
+of .npy records: the prime list, then each prime's three arrays.  Content
+is deterministic for a given prime list.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,22 +41,11 @@ from quadpcf.exact_arith import (
 from quadpcf.ffdyn import FpMap, PeriodSet, format_fp_point
 from quadpcf.projmap import NormalizedQuadMap
 
-MAGIC = b"QPCFSDB\x01"
-FORMAT_VERSION = 1
-
-RECORD_DTYPE = np.dtype([
-    ("c1", "<u2"), ("c2", "<u2"),
-    ("m1", "<u2"), ("m2", "<u2"),
-    ("mr1", "<u4"), ("mr2", "<u4"),
-])
-assert RECORD_DTYPE.itemsize == 16
-
-NO_POINT = 0xFFFF
-# u2 record fields hold critical points <= p (NO_POINT reserved) and cycle
-# lengths <= p + 1; m * r <= p^2 - 1 then fits the u4 fields
-DB_PRIME_LIMIT = NO_POINT - 1
-# the lane kernel forms products of three residues (b^3 in the family
-# resultant), which must stay below 2^63
+# the database keeps 49 bytes for each of the p^2 keys of a prime, so this
+# bound (below 4.2 M keys, about 200 MB) caps the memory of one prime
+DB_PRIME_LIMIT = 1 << 11
+# the lane kernel forms products of three residues (2 z^2 in _family_step,
+# w2 z^2 in _family_deriv), which must stay below 2^63
 LANE_PRIME_LIMIT = 1 << 20
 # normal-form coefficients of a pair are at most 4 * h1 * h2 <= 2^14, so the
 # wronskian discriminant (<= 32 * 2^56) and every other per-pair int64 value
@@ -132,16 +120,16 @@ def validate_primes(primes: Sequence[int], limit: int, what: str) -> Tuple[int, 
 
 @dataclass(frozen=True)
 class DbEntry:
-    """Critical points of one reduced map with their admissible period sets.
+    """The two critical points of one reduced map with their admissible
+    period sets.
 
-    Points use the integer index encoding (p for infinity), ascending, and
-    there are one or two of them depending on whether the reduced wronskian
-    had a repeated root.
+    Points use the integer index encoding (p for infinity), ascending.  They
+    are distinct, because the wronskian discriminant is 4 * resultant != 0.
     """
 
     p: int
-    points: Tuple[int, ...]
-    period_sets: Tuple[PeriodSet, ...]
+    points: Tuple[int, int]
+    period_sets: Tuple[PeriodSet, PeriodSet]
 
     def periods_for(self, point_index: int) -> PeriodSet:
         for pt, per in zip(self.points, self.period_sets):
@@ -153,24 +141,15 @@ class DbEntry:
 
 
 # ----------------------------------------------------------------------
-# per-prime block construction
+# the period-set kernel and its scalar reference
 # ----------------------------------------------------------------------
 
-def _record(pts_pers) -> tuple:
-    """Pack [(point, m, mr), ...] (1 or 2 items) into a record tuple."""
-    (c1, m1, mr1) = pts_pers[0]
-    if len(pts_pers) == 2:
-        (c2, m2, mr2) = pts_pers[1]
-    else:
-        c2, m2, mr2 = NO_POINT, 0, 0
-    return (c1, c2, m1, m2, mr1, mr2)
-
-
-def build_prime_block_scalar(p: int) -> "PrimeBlock":
-    """Reference builder: plain loops over (b, c) with exact orbit splits."""
-    nbits = p * p
-    bitmap = np.zeros((nbits + 63) // 64, dtype=np.uint64)
-    records = []
+def scalar_period_entries(p: int):
+    """Reference for period_entries over all p^2 keys, row b * p + c: plain
+    loops with the scalar orbit splitter."""
+    present = np.zeros(p * p, dtype=bool)
+    points = np.zeros((p * p, 2), dtype=np.int64)
+    periods = np.zeros((p * p, 4), dtype=np.int64)
     for b in range(p):
         for c in range(p):
             if FpMap.family_resultant(p, b, c) == 0:
@@ -179,18 +158,14 @@ def build_prime_block_scalar(p: int) -> "PrimeBlock":
             crit = fmap.critical_point_indices()
             if crit is None:
                 continue
-            per = []
-            for pt in crit:
-                o = ffdyn.orbit_data(fmap, pt)
-                if o.lam == 0 or o.r == 1:
-                    per.append((pt, o.m, 0))
-                else:
-                    per.append((pt, o.m, o.m * o.r))
-            idx = b * p + c
-            bitmap[idx >> 6] |= np.uint64(1 << (idx & 63))
-            records.append(_record(per))
-    rec_arr = np.array(records, dtype=RECORD_DTYPE) if records else np.empty(0, RECORD_DTYPE)
-    return PrimeBlock(p, bitmap, rec_arr)
+            k = b * p + c
+            present[k] = True
+            points[k] = crit
+            for i, pt in enumerate(crit):
+                # the set is {m} or {m, m * r}; a missing m * r is stored as 0
+                per = sorted(ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt)))
+                periods[k, 2 * i:2 * i + 2] = (per + [0])[:2]
+    return present, points, periods
 
 
 # -- vectorised kernel ----------------------------------------------------
@@ -319,17 +294,18 @@ def period_entries(p: int, b, c, tables=None):
     inv, sq = tables if tables is not None else _mod_tables(p)
     b = np.asarray(b, dtype=np.int64)
     c = np.asarray(c, dtype=np.int64)
-    res = (4 * c * c - 4 * b * c + b * b * c + b ** 3 - 11 * b * b + 32 * b) % p
     w2 = (8 - b) % p
     w1 = (2 * b + 4 * c) % p
     w0 = (b * (c + b - 4)) % p
-    # the wronskian discriminant is 4 * res, so on degree-2 keys the roots are
-    # distinct, and w1 != 0 where w2 = 0 puts one root at infinity
-    lin = (res != 0) & (w2 == 0)
-    sqd = sq[(w1 * w1 - 4 * w2 * w0) % p]
-    present = lin | ((res != 0) & (sqd >= 0))
+    # the wronskian discriminant is 4 * resultant: nonzero exactly on the
+    # degree-2 keys, whose two critical points then differ; where w2 = 0,
+    # w1 != 0 and one of them is infinity
+    disc = (w1 * w1 - 4 * w2 * w0) % p
+    sqd = sq[disc]
+    present = (disc != 0) & ((w2 == 0) | (sqd >= 0))
     sel = np.flatnonzero(present)
-    b, c, w2, w1, w0, sqd, lin = (x[sel] for x in (b, c, w2, w1, w0, sqd, lin))
+    b, c, w2, w1, w0, sqd = (x[sel] for x in (b, c, w2, w1, w0, sqd))
+    lin = w2 == 0
     i2w2 = inv[(2 * w2) % p]
     r_lo = ((sqd - w1) % p) * i2w2 % p
     r_hi = ((-sqd - w1) % p) * i2w2 % p
@@ -345,96 +321,45 @@ def period_entries(p: int, b, c, tables=None):
     return present, points, periods
 
 
-def build_prime_block_fast(p: int) -> "PrimeBlock":
-    """numpy builder over all (b, c) lanes at once; equals the scalar build."""
-    b = np.repeat(np.arange(p, dtype=np.int64), p)
-    c = np.tile(np.arange(p, dtype=np.int64), p)
-    present, points, periods = period_entries(p, b, c)
-    sel = np.flatnonzero(present)
-    records = np.empty(len(sel), dtype=RECORD_DTYPE)
-    records["c1"], records["c2"] = points[sel, 0], points[sel, 1]
-    for k, name in enumerate(("m1", "mr1", "m2", "mr2")):
-        records[name] = periods[sel, k]
-    bitmap = np.zeros((p * p + 63) // 64, dtype=np.uint64)
-    word = sel >> 6
-    np.bitwise_or.at(bitmap, word, np.uint64(1) << (sel & 63).astype(np.uint64))
-    return PrimeBlock(p, bitmap, records)
-
-
 # ----------------------------------------------------------------------
-# blocks, rank index, file format
+# the reference database
 # ----------------------------------------------------------------------
 
-_POPCOUNT_BYTE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
-
-class PrimeBlock:
-    """All database entries for one prime: bitmap + packed records."""
-
-    def __init__(self, p: int, bitmap: np.ndarray, records: np.ndarray):
-        self.p = p
-        self.bitmap = bitmap
-        self.records = records
-        counts = _POPCOUNT_BYTE[bitmap.view(np.uint8)].reshape(-1, 8).sum(axis=1)
-        self.rank = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        if self.rank[-1] != len(records):
-            raise DbFormatError(
-                f"bitmap population {self.rank[-1]} != record count {len(records)} "
-                f"for p={p}")
-
-    def lookup(self, b: int, c: int):
-        idx = b * self.p + c
-        word = idx >> 6
-        bit = idx & 63
-        w = int(self.bitmap[word])
-        if not (w >> bit) & 1:
-            return ABSENT
-        pos = int(self.rank[word]) + (w & ((1 << bit) - 1)).bit_count()
-        rec = self.records[pos]
-        pts = [int(rec["c1"])]
-        pers = [_unpack_period_set(int(rec["m1"]), int(rec["mr1"]))]
-        if int(rec["c2"]) != NO_POINT:
-            pts.append(int(rec["c2"]))
-            pers.append(_unpack_period_set(int(rec["m2"]), int(rec["mr2"])))
-        return DbEntry(p=self.p, points=tuple(pts), period_sets=tuple(pers))
-
-    def tobytes(self) -> bytes:
-        head = struct.pack("<IQ", self.p, len(self.records))
-        return head + self.bitmap.tobytes() + self.records.tobytes()
-
-
-def _unpack_period_set(m: int, mr: int) -> PeriodSet:
-    if mr == 0:
-        return frozenset((m,))
-    return frozenset((m, mr))
+# per prime: the dtype and row shape of period_entries' present, points and
+# periods arrays
+_ARRAY_LAYOUT = ((np.dtype(bool), ()), (np.dtype(np.int64), (2,)),
+                 (np.dtype(np.int64), (4,)))
 
 
 class Database:
-    """Mapping (p, b, c) -> DbEntry, persistent and read-only once built."""
+    """Mapping (p, b, c) -> DbEntry over period_entries' arrays for every key
+    of each prime, read-only once built."""
 
-    def __init__(self, primes: Sequence[int], blocks: Optional[Dict[int, PrimeBlock]] = None,
-                 path: Optional[str] = None, offsets: Optional[Dict[int, int]] = None):
-        self.primes = tuple(int(p) for p in primes)
-        self._blocks = blocks if blocks is not None else {}
-        self._path = path
-        self._offsets = offsets or {}
+    def __init__(self, arrays: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]):
+        self.arrays = arrays
+        self.primes = tuple(arrays)
 
     # -- queries ----------------------------------------------------------
 
     def lookup(self, p: int, b: int, c: int):
-        """DbEntry, or ABSENT for pairs excluded at build time."""
-        block = self._block(p)
-        return block.lookup(b % p, c % p)
+        """DbEntry, or ABSENT for keys without two F_p-rational critical
+        points."""
+        present, points, periods = self._arrays(p)
+        k = b % p * p + c % p
+        if not present[k]:
+            return ABSENT
+        m1, mr1, m2, mr2 = periods[k].tolist()
+        return DbEntry(p=p, points=tuple(points[k].tolist()),
+                       period_sets=(frozenset((m1, mr1)) - {0},
+                                    frozenset((m2, mr2)) - {0}))
 
     def entry_count(self, p: int) -> int:
-        return len(self._block(p).records)
+        return int(self._arrays(p)[0].sum())
 
-    def _block(self, p: int) -> PrimeBlock:
-        if p not in self._blocks:
-            if p not in self._offsets:
-                raise UncoveredPrimeError(f"prime {p} is not covered by this database")
-            self._blocks[p] = self._load_block(p)
-        return self._blocks[p]
+    def _arrays(self, p: int):
+        if p not in self.arrays:
+            raise UncoveredPrimeError(f"prime {p} is not covered by this database")
+        return self.arrays[p]
 
     # -- file I/O -----------------------------------------------------------
 
@@ -442,11 +367,10 @@ class Database:
         """Write atomically; a partially written file is never left behind."""
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", FORMAT_VERSION, len(self.primes)))
-            fh.write(struct.pack(f"<{len(self.primes)}I", *self.primes))
+            np.save(fh, np.array(self.primes, dtype=np.int64))
             for p in self.primes:
-                fh.write(self._block(p).tobytes())
+                for arr in self.arrays[p]:
+                    np.save(fh, arr)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -456,49 +380,39 @@ class Database:
         if not os.path.exists(path):
             raise DbMissingError(f"database file not found: {path}")
         with open(path, "rb") as fh:
-            head = fh.read(len(MAGIC))
-            if head != MAGIC:
-                raise DbFormatError(f"bad magic in {path}")
-            version, nprimes = struct.unpack("<II", fh.read(8))
-            if version != FORMAT_VERSION:
-                raise DbFormatError(f"unsupported db version {version}")
-            primes = struct.unpack(f"<{nprimes}I", fh.read(4 * nprimes))
-            offsets = {}
-            pos = fh.tell()
-            size = os.fstat(fh.fileno()).st_size
-            for p in primes:
-                offsets[p] = pos
-                fh.seek(pos)
-                blk_p, nrec = struct.unpack("<IQ", fh.read(12))
-                if blk_p != p:
-                    raise DbFormatError(f"block for prime {blk_p} where {p} expected")
-                nwords = (p * p + 63) // 64
-                pos += 12 + nwords * 8 + nrec * RECORD_DTYPE.itemsize
-            if pos != size:
-                raise DbFormatError(
-                    f"file length {size} does not match block layout end {pos}; "
-                    "refusing a partial database")
-        return Database(primes, blocks={}, path=path, offsets=offsets)
+            try:
+                primes = np.lib.format.read_array(fh, allow_pickle=False)
+                if primes.ndim != 1 or primes.dtype.kind != "i":
+                    raise ValueError("the prime list is not a vector of integers")
+                # checked before any block is read
+                primes = validate_primes(primes.tolist(), DB_PRIME_LIMIT,
+                                         "the reference database")
+                arrays = {p: tuple(_read_block(fh, p, dtype, row)
+                                   for dtype, row in _ARRAY_LAYOUT)
+                          for p in primes}
+            except ValueError as e:
+                raise DbFormatError(f"{path}: {e}") from None
+            if fh.read(1):
+                raise DbFormatError(f"{path}: trailing bytes after the last block")
+        return Database(arrays)
 
-    def _load_block(self, p: int) -> PrimeBlock:
-        with open(self._path, "rb") as fh:
-            fh.seek(self._offsets[p])
-            blk_p, nrec = struct.unpack("<IQ", fh.read(12))
-            nwords = (p * p + 63) // 64
-            bitmap = np.frombuffer(fh.read(nwords * 8), dtype="<u8").copy()
-            records = np.frombuffer(
-                fh.read(nrec * RECORD_DTYPE.itemsize), dtype=RECORD_DTYPE).copy()
-        return PrimeBlock(p, bitmap, records)
+
+def _read_block(fh, p: int, dtype: np.dtype, row: tuple) -> np.ndarray:
+    arr = np.lib.format.read_array(fh, allow_pickle=False)
+    if arr.dtype != dtype or arr.shape != (p * p, *row):
+        raise ValueError(f"block of dtype {arr.dtype} and shape {arr.shape} for "
+                         f"p={p}, expected {dtype} and {(p * p, *row)}")
+    return arr
 
 
 def build_db(primes: Sequence[int], path: Optional[str] = None) -> Database:
-    """Build the database for the given odd primes: per prime, all (b, c)
-    pairs with degree 2 and split wronskian, in list order."""
-    primes = validate_primes(primes, DB_PRIME_LIMIT, "16-bit database records")
-    db = Database(primes, blocks={p: build_prime_block_fast(p) for p in primes})
+    """Build the database for the given odd primes, in list order: the
+    kernel's arrays over all p^2 keys of each; saved to path if given."""
+    primes = validate_primes(primes, DB_PRIME_LIMIT, "the reference database")
+    db = Database({p: period_entries(p, *np.divmod(np.arange(p * p), p))
+                   for p in primes})
     if path is not None:
         db.save(path)
-        db = Database.load(path)
     return db
 
 
@@ -598,9 +512,7 @@ def check_irrational_periods_detailed(phi, primes, res, db) -> CheckResult:
         if entry is ABSENT:
             continue
         used += 1
-        inter = entry.period_sets[0]
-        for per in entry.period_sets[1:]:
-            inter = inter & per
+        inter = entry.period_sets[0] & entry.period_sets[1]
         running = inter if running is None else running & inter
         if not running:
             return CheckResult(False, (running,), used, killed_by=p)
@@ -788,9 +700,8 @@ def _sieve_step(p: int, lanes: np.ndarray, tables, sig1, sig2) -> np.ndarray:
     return lanes[alive]
 
 
-def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...], start: int,
-                stop: int) -> np.ndarray:
-    """Surviving lanes of the flat pair positions [start, stop), in order.
+def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...]) -> np.ndarray:
+    """Surviving lanes of all pairs, in order.
 
     Lanes stream through the primes in order.  The lanes waiting at a prime
     are stepped together once there are LANE_BUDGET of them, and the rest
@@ -812,9 +723,10 @@ def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...], start: int,
         waiting[k] = []
         waiting[k + 1].append(_sieve_step(p, batch, *contexts[p]))
 
-    for t in range(start, stop, LANE_BUDGET):
+    total = len(num1) * len(num2)
+    for t in range(0, total, LANE_BUDGET):
         waiting[0].append(_prepare_lanes(num1, den1, num2, den2, t,
-                                         min(t + LANE_BUDGET, stop)))
+                                         min(t + LANE_BUDGET, total)))
         k = 0
         while k < len(primes) and sum(len(x) for x in waiting[k]) >= LANE_BUDGET:
             step(k)
@@ -824,11 +736,6 @@ def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...], start: int,
             step(k)
         contexts.pop(primes[k], None)  # no lane reaches prime k any more
     return np.concatenate(waiting[-1]) if waiting[-1] else np.empty(0, LANE_DTYPE)
-
-
-def _sieve_range(h1: int, h2: int, primes: Tuple[int, ...], start: int, stop: int):
-    return _lane_sieve(list(enumerate_rationals(h1)), list(enumerate_rationals(h2)),
-                       primes, start, stop)
 
 
 def _candidate(s1: ExtendedRational, s2: ExtendedRational, lane) -> SieveCandidate:
@@ -843,13 +750,11 @@ def _candidate(s1: ExtendedRational, s2: ExtendedRational, lane) -> SieveCandida
         period_sets=sets if rational else sets[:1], primes_used=used)
 
 
-def sieve(h1: int, h2: int, primes: Sequence[int],
-          workers: int = 1) -> List[SieveCandidate]:
+def sieve(h1: int, h2: int, primes: Sequence[int]) -> List[SieveCandidate]:
     """Find all possibly-PCF sigma-pairs with heights up to (h1, h2).
 
     Survivors come in the order of enumerate_rationals (sigma1 outer) and
-    equal examine_pair's over a database of the same primes.  Workers take
-    contiguous ranges of pairs, so the list is the same for any count.
+    equal examine_pair's over a database of the same primes.
     """
     primes = validate_primes(primes, LANE_PRIME_LIMIT, "the lane sieve")
     if h1 * h2 > MAX_HEIGHT_PRODUCT:
@@ -857,14 +762,6 @@ def sieve(h1: int, h2: int, primes: Sequence[int],
                          f"bound h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
     sigma1_list = list(enumerate_rationals(h1))
     sigma2_list = list(enumerate_rationals(h2))
-    total = len(sigma1_list) * len(sigma2_list)
-    if workers > 1:
-        import multiprocessing as mp
-        cuts = [total * w // workers for w in range(workers + 1)]
-        jobs = [(h1, h2, primes, a, b) for a, b in zip(cuts, cuts[1:])]
-        with mp.get_context("spawn").Pool(workers) as pool:
-            lanes = np.concatenate(pool.starmap(_sieve_range, jobs))
-    else:
-        lanes = _lane_sieve(sigma1_list, sigma2_list, primes, 0, total)
+    lanes = _lane_sieve(sigma1_list, sigma2_list, primes)
     return [_candidate(sigma1_list[lane["s1"]], sigma2_list[lane["s2"]], lane)
             for lane in lanes]

@@ -27,14 +27,6 @@ class TestSieve:
                       if l and not l.startswith("#")]
         assert lines == file_lines
 
-    def test_determinism_across_workers(self, tmp_path):
-        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        base = ["sieve", "--h1", "3", "--h2", "3",
-                "--prime-list", "3,5,7,11,13"]
-        assert main(base + ["--out", str(a)]) == EXIT_OK
-        assert main(base + ["--out", str(b), "--workers", "2"]) == EXIT_OK
-        assert a.read_text() == b.read_text()
-
 
 class TestPipeline:
     def test_artifacts_and_digest(self, tmp_path, capsys):

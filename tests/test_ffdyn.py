@@ -1,19 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadpcf.ffdyn import (
     FpMap,
     FpPoint,
     OrbitData,
-    _int_det4,
     _sqrt_mod,
     mult_order,
     orbit_data,
     possible_periods,
 )
+from quadpcf.projmap import NormalizedQuadMap, poly_resultant
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -200,9 +200,19 @@ def test_sqrt_mod(p, data):
         assert (s * s) % p == a
 
 
-def test_int_det4_against_fraction_det():
-    from quadpcf.projmap import _det
-    rng = random.Random(13)
-    for _ in range(40):
-        rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        assert _int_det4(rows) == int(_det(rows))
+FORMS = st.tuples(*[st.integers(-50, 50)] * 3)
+
+
+@given(FORMS, FORMS, st.sampled_from(SMALL_PRIMES))
+@settings(max_examples=200, deadline=None)
+def test_resultant_equals_sylvester_determinant(F, G, p):
+    # h^2 - w2 * w0 against the Fraction determinant of the Sylvester matrix
+    assume(any(F + G))
+    m = NormalizedQuadMap(F, G)
+    assert m.resultant() == poly_resultant(m.F, m.G)
+    res = int(poly_resultant(F, G))
+    if res % p:
+        assert FpMap(p, F, G).resultant() == res % p
+    else:
+        with pytest.raises(ValueError):
+            FpMap(p, F, G)

@@ -16,11 +16,8 @@ from quadpcf.sievedb import (
     DbConsistencyError,
     DbFormatError,
     DbMissingError,
-    PrimeBlock,
     UncoveredPrimeError,
     build_db,
-    build_prime_block_fast,
-    build_prime_block_scalar,
     check_irrational_periods_detailed,
     check_rational_periods_detailed,
     examine_pair,
@@ -28,6 +25,7 @@ from quadpcf.sievedb import (
     first_odd_primes,
     period_entries,
     reduce_rational_point,
+    scalar_period_entries,
     sieve,
 )
 
@@ -115,16 +113,16 @@ class TestBuild:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
     def test_fast_equals_scalar(self, p):
-        a = build_prime_block_scalar(p)
-        b = build_prime_block_fast(p)
-        assert np.array_equal(a.bitmap, b.bitmap)
-        assert np.array_equal(a.records, b.records)
+        a = scalar_period_entries(p)
+        b = build_db([p]).arrays[p]
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_fast_equals_scalar_medium_prime(self):
-        a = build_prime_block_scalar(101)
-        b = build_prime_block_fast(101)
-        assert np.array_equal(a.bitmap, b.bitmap)
-        assert np.array_equal(a.records, b.records)
+        a = scalar_period_entries(101)
+        b = build_db([101]).arrays[101]
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_large_prime_spot_checks(self):
         # the kernel at the largest odd prime up to 750 against the scalar
@@ -160,9 +158,9 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_db([9])
 
-    def test_rejects_primes_beyond_record_width(self):
-        # 65537 + 1 does not fit a u2 cycle-length field next to NO_POINT;
-        # the check comes before any block is allocated
+    def test_rejects_primes_beyond_memory_bound(self):
+        # p^2 keys of 65537 would take about 200 GB; the check comes before
+        # any array is allocated
         with pytest.raises(ValueError, match="too large"):
             build_db([3, 65537])
 
@@ -217,6 +215,21 @@ class TestFileFormat:
         with pytest.raises(DbFormatError):
             Database.load(str(bad))
 
+    def test_trailing_bytes_rejected(self, tmp_path, small_db_file):
+        bad = tmp_path / "long.db"
+        bad.write_bytes(open(small_db_file, "rb").read() + b"\x00")
+        with pytest.raises(DbFormatError, match="trailing"):
+            Database.load(str(bad))
+
+    def test_block_of_wrong_shape_rejected(self, tmp_path):
+        present, points, periods = build_db([3]).arrays[3]
+        bad = tmp_path / "shape.db"
+        with open(bad, "wb") as fh:
+            for arr in (np.array([3]), present, points[:, :1], periods):
+                np.save(fh, arr)
+        with pytest.raises(DbFormatError, match="shape"):
+            Database.load(str(bad))
+
 
 class TestChecks:
     def test_single_prime_running_sets(self, small_db):
@@ -266,14 +279,11 @@ class TestChecks:
     def test_absent_at_good_prime_is_hard_error(self):
         # a doctored database missing the (7, 0, 1) entry contradicts the
         # build invariant for maps with rational critical points
-        block = build_prime_block_fast(7)
-        idx = 0 * 7 + 1
-        bits = np.unpackbits(block.bitmap.view(np.uint8), bitorder="little")
-        assert bits[idx]
-        bitmap = block.bitmap.copy()
-        bitmap[idx >> 6] &= ~np.uint64(1 << (idx & 63))
-        records = np.delete(block.records, int(bits[:idx].sum()))
-        doctored = Database((7,), blocks={7: PrimeBlock(7, bitmap, records)})
+        present, points, periods = build_db([7]).arrays[7]
+        assert present[0 * 7 + 1]
+        present = present.copy()
+        present[0 * 7 + 1] = False
+        doctored = Database({7: (present, points, periods)})
         assert doctored.lookup(7, 0, 1) is ABSENT
         m = NormalizedQuadMap.from_sigmas(2, -8)
         (g1, g2), _ = m.critical_points()
@@ -315,8 +325,6 @@ class TestSieve:
         a = [c.tsv_line() for c in sieve(4, 4, small_primes)]
         b = [c.tsv_line() for c in sieve(4, 4, small_primes)]
         assert a == b
-        c2 = [c.tsv_line() for c in sieve(4, 4, small_primes, workers=2)]
-        assert a == c2
 
     def test_candidate_fields(self, small_primes):
         cands = sieve(2, 4, small_primes)
@@ -359,13 +367,13 @@ class TestSieve:
 class TestPeriodEntries:
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101])
     def test_random_keys_equal_lookup(self, p):
-        block = build_prime_block_scalar(p)
+        db = Database({p: scalar_period_entries(p)})
         rng = random.Random(p)
         keys = [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
         present, points, periods = period_entries(
             p, [b for b, _ in keys], [c for _, c in keys])
         for k, (b, c) in enumerate(keys):
-            entry = block.lookup(b, c)
+            entry = db.lookup(p, b, c)
             assert bool(present[k]) == (entry is not ABSENT)
             if entry is ABSENT:
                 assert not points[k].any() and not periods[k].any()
