@@ -19,10 +19,10 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from quadpcf import pcfverify, preper, sievedb
-from quadpcf.exact_arith import ExtendedRational, Rat
+from quadpcf.exact_arith import ExtendedRational, Rat, first_odd_primes, validate_primes
 from quadpcf.preper import CatalogMatchError
 from quadpcf.projmap import NormalizedQuadMap
-from quadpcf.sievedb import DbConsistencyError, first_odd_primes
+from quadpcf.sievedb import DbConsistencyError
 
 CONFIG_VERSION = 1
 
@@ -71,9 +71,11 @@ class RunConfig:
             raise ValueError("height bounds must be >= 1")
         if self.h1 * self.h2 > sievedb.MAX_HEIGHT_PRODUCT:
             raise ValueError(f"height bounds need h1 * h2 <= {sievedb.MAX_HEIGHT_PRODUCT}")
+        if self.primes_count < 1 or not self.primes():
+            raise ValueError("the sieve needs at least one prime")
         # the period rule is unsound for a composite modulus, so a composite
         # would let the sieve drop a PCF pair without any error
-        sievedb.validate_primes(self.primes(), sievedb.LANE_PRIME_LIMIT, "the lane sieve")
+        validate_primes(self.primes(), sievedb.LANE_PRIME_LIMIT, "the lane sieve")
 
 
 def _load_config_file(path: str) -> dict:
@@ -108,7 +110,7 @@ def _config_from_args(args) -> RunConfig:
         v = getattr(args, arg_name, None)
         if v is not None:
             updates[field] = v
-    if getattr(args, "prime_list", None):
+    if getattr(args, "prime_list", None) is not None:
         updates["prime_list"] = tuple(
             int(x) for x in args.prime_list.split(",") if x.strip())
     cfg = replace(base, **updates)

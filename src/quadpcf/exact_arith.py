@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 # Miller-Rabin with these bases is exact below 3.3e24 (a strong
 # probable-prime test beyond)
@@ -326,6 +326,31 @@ def is_prime(n: int) -> bool:
             return False
     return True
 
+
+def odd_primes_up_to(bound: int) -> Tuple[int, ...]:
+    return primes_up_to(bound)[1:]
+
+
+def first_odd_primes(count: int) -> Tuple[int, ...]:
+    if count < 0:
+        raise ValueError(f"cannot take {count} primes")
+    bound = 64
+    while len(odd_primes_up_to(bound)) < count:
+        bound *= 2
+    return odd_primes_up_to(bound)[:count]
+
+
+def validate_primes(primes: Sequence[int], limit: int, what: str) -> Tuple[int, ...]:
+    """The primes as ints; ValueError unless distinct odd primes below limit."""
+    primes = tuple(int(p) for p in primes)
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
+    for p in primes:
+        if p >= limit:
+            raise ValueError(f"prime {p} is too large for {what} (limit {limit})")
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"need odd primes, got {p}")
+    return primes
 
 def _iroot(m: int, k: int) -> int:
     """floor(m^(1/k)) for m >= 1, by Newton's method from above."""

@@ -4,7 +4,9 @@ Orbits of points under a degree-2 map of P^1(F_p) are finite, so a single
 pass with a visited-index table splits them exactly into tail + cycle.
 The cycle multiplier (product of chart-correct local derivatives along the
 cycle) and its multiplicative order turn a mod-p cycle length m into the
-admissible set {m} or {m, m*r} of global periods.
+admissible set {m} or {m, m*r} of global periods.  The normal-form family,
+its key and the wronskian and resultant of two forms, which projmap and
+sievedb share, are defined here once.
 """
 
 from __future__ import annotations
@@ -67,42 +69,20 @@ def format_fp_point(index: int, p: int) -> str:
 class FpMap:
     """A degree-2 map of P^1 over F_p, as two binary quadratic forms mod p."""
 
-    __slots__ = ("p", "F", "G", "_w")
+    __slots__ = ("p", "F", "G")
 
     def __init__(self, p: int, f_coeffs, g_coeffs):
         self.p = p
         self.F = tuple(int(x) % p for x in f_coeffs)
         self.G = tuple(int(x) % p for x in g_coeffs)
-        self._w = None
         if self.resultant() == 0:
             raise ValueError(f"map [{self.F}]/[{self.G}] drops degree mod {p}")
-
-    @staticmethod
-    def from_bc(p: int, b: int, c: int) -> "FpMap":
-        """The normal-form family member [2x^2+bxy+by^2, -x^2+(4-b)xy+cy^2]."""
-        b %= p
-        c %= p
-        return FpMap(p, (2, b, b), (p - 1, (4 - b) % p, c))
-
-    @staticmethod
-    def family_resultant(p: int, b: int, c: int) -> int:
-        """Resultant of the (b, c) family member, reduced mod p."""
-        return form_resultant((2, b, b), (-1, 4 - b, c)) % p
 
     def resultant(self) -> int:
         return form_resultant(self.F, self.G) % self.p
 
     def wronskian(self) -> Tuple[int, int, int]:
-        if self._w is None:
-            f2, f1, f0 = self.F
-            g2, g1, g0 = self.G
-            p = self.p
-            self._w = (
-                (f2 * g1 - f1 * g2) % p,
-                (2 * (f2 * g0 - f0 * g2)) % p,
-                (f1 * g0 - f0 * g1) % p,
-            )
-        return self._w
+        return tuple(w % self.p for w in wronskian(self.F, self.G))
 
     # -- evaluation by integer index (p encodes infinity) -------------------
 
@@ -180,16 +160,37 @@ class FpMap:
         return hash((self.p, self.F, self.G))
 
 
-def form_resultant(F, G) -> int:
-    """Resultant of two binary quadratic forms (coefficients x^2 first).
+def family_forms(b, c, d=1):
+    """Milnor's normal form [2x^2 + bxy + by^2] / [-x^2 + (4 - b)xy + cy^2]
+    at (b / d, c / d) as forms (F, G) times d, elementwise on ints,
+    rationals and int64 arrays; the constant coefficients stay scalars."""
+    return (2 * d, b, b), (-d, 4 * d - b, c)
 
-    It is h^2 - w2 * w0 with h = f2 * g0 - f0 * g2, where (w2, 2h, w0) is
-    the wronskian, whose discriminant is therefore 4 * resultant.
-    """
+
+def family_bc(s1, s2, d=1):
+    """The family key (b, c) = (2 - s1, 2 - s1 - s2) of the normal form with
+    fixed-point multiplier invariants (s1 / d, s2 / d), times d."""
+    b = 2 * d - s1
+    return b, b - s2
+
+
+def wronskian(F, G):
+    """Coefficients (w2, w1, w0) of (F_x G_y - F_y G_x) / 2, elementwise on
+    ints or int64 arrays; its roots are the critical points."""
     f2, f1, f0 = F
     g2, g1, g0 = G
-    h = f2 * g0 - f0 * g2
-    return h * h - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)
+    return (f2 * g1 - f1 * g2, 2 * (f2 * g0 - f0 * g2), f1 * g0 - f0 * g1)
+
+
+def form_resultant(F, G):
+    """Resultant of two binary quadratic forms (coefficients x^2 first).
+
+    It is h^2 - w2 * w0 with (w2, 2h, w0) the wronskian, whose discriminant
+    is therefore 4 * resultant.
+    """
+    w2, w1, w0 = wronskian(F, G)
+    h = w1 // 2
+    return h * h - w2 * w0
 
 
 def _sqrt_mod(a: int, p: int) -> Optional[int]:

@@ -30,7 +30,7 @@ from quadpcf.exact_arith import (
     quad_roots,
     squarefree_part,
 )
-from quadpcf.ffdyn import FpMap, form_resultant
+from quadpcf.ffdyn import FpMap, family_bc, family_forms, form_resultant, wronskian
 
 
 class DegenerateMapError(ValueError):
@@ -203,10 +203,7 @@ class NormalizedQuadMap:
         vanishing resultant.
         """
         s1, s2 = _as_rat(s1), _as_rat(s2)
-        two = Rat(2)
-        f = (two, two - s1, two - s1)
-        g = (Rat(-1), two + s1, two - s1 - s2)
-        return NormalizedQuadMap(f, g, sigmas=(s1, s2))
+        return NormalizedQuadMap(*family_forms(*family_bc(s1, s2)), sigmas=(s1, s2))
 
     @staticmethod
     def from_str(text: str) -> "NormalizedQuadMap":
@@ -239,14 +236,9 @@ class NormalizedQuadMap:
         return form_resultant(self.F, self.G)
 
     def wronskian(self) -> FormCoeffs:
-        """Coefficients (w2, w1, w0) of F_x G_y - F_y G_x, divided by 2."""
-        f2, f1, f0 = self.F
-        g2, g1, g0 = self.G
-        return (
-            f2 * g1 - f1 * g2,
-            2 * (f2 * g0 - f0 * g2),
-            f1 * g0 - f0 * g1,
-        )
+        """Coefficients (w2, w1, w0) of F_x G_y - F_y G_x, divided by 2; the
+        numerator of phi' in the affine chart."""
+        return wronskian(self.F, self.G)
 
     # -- evaluation ------------------------------------------------------
 
@@ -325,10 +317,6 @@ class NormalizedQuadMap:
         g2, g1, g0 = self.G
         return (-g2, f2 - g1, f1 - g0, f0)
 
-    def _derivative_numerator(self):
-        # numerator of phi' is the (halved) wronskian evaluated affinely
-        return self.wronskian()
-
     def fixed_point_multipliers(self) -> "MultiplierTriple":
         """Multipliers of the three fixed points, with multiplicity.
 
@@ -343,12 +331,10 @@ class NormalizedQuadMap:
             coeffs.pop(0)
             deg -= 1
         mults = []
-        f2 = self.F[0]
-        g2, g1 = self.G[0], self.G[1]
         inf_multiplicity = 3 - deg
         if inf_multiplicity > 0:
             # multiplier at a fixed infinity, via the conjugate by z -> 1/z
-            lam_inf = Rat(g1 * f2 - g2 * self.F[1], f2 * f2)
+            lam_inf = Rat(self.wronskian()[0], self.F[0] ** 2)
             mults.extend([lam_inf] * inf_multiplicity)
         if deg > 0:
             rational_roots, leftover = _rational_roots(coeffs)
@@ -375,7 +361,7 @@ class NormalizedQuadMap:
 
     def _multiplier_at(self, alpha):
         """phi'(alpha) for a finite fixed point alpha."""
-        w2, w1, w0 = self._derivative_numerator()
+        w2, w1, w0 = self.wronskian()
         g2, g1, g0 = self.G
         n_val = (alpha * w2 + w1) * alpha + w0
         g_val = (alpha * g2 + g1) * alpha + g0
@@ -400,7 +386,7 @@ class NormalizedQuadMap:
             if m.G[0] == 0:
                 raise AssertionError("conjugation failed to move infinity")
         p_coeffs = list(m.fixed_point_cubic())                  # degree 3, c3 != 0
-        w2, w1, w0 = m._derivative_numerator()
+        w2, w1, w0 = m.wronskian()
         g2, g1, g0 = m.G
         gsq = [g2 * g2, 2 * g2 * g1, g1 * g1 + 2 * g2 * g0, 2 * g1 * g0, g0 * g0]
         n_ext = [0, 0, w2, w1, w0]

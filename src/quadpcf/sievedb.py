@@ -1,10 +1,11 @@
 """The multi-prime period sieve, and the per-prime database kept as its reference.
 
-For each odd prime p and each pair (b, c) in F_p^2, the family map
-[2x^2+bxy+by^2, -x^2+(4-b)xy+cy^2] has, when it has degree 2 and both
+A map (F, G) mod an odd prime p has, when it has degree 2 and both
 critical points are F_p-rational, an admissible global-period set for each
 critical point.  One vectorised kernel, period_entries, computes these for
-any array of keys (b, c); scalar ffdyn.orbit_data is its oracle.
+arrays of integer forms, evaluating them as FpMap does; scalar
+ffdyn.orbit_data is its oracle.  The sieve passes it the normal forms
+ffdyn.family_forms(b, c) of its keys (b, c) in F_p^2.
 
 sieve() enumerates sigma-pairs up to height bounds and intersects the
 per-critical-point period sets across good primes in numpy lanes: for each
@@ -35,8 +36,7 @@ from quadpcf.exact_arith import (
     ExtendedRational,
     divisors,
     enumerate_rationals,
-    is_prime,
-    primes_up_to,
+    validate_primes,
 )
 from quadpcf.ffdyn import FpMap, PeriodSet, format_fp_point
 from quadpcf.projmap import NormalizedQuadMap
@@ -44,12 +44,12 @@ from quadpcf.projmap import NormalizedQuadMap
 # the database keeps 49 bytes for each of the p^2 keys of a prime, so this
 # bound (below 4.2 M keys, about 200 MB) caps the memory of one prime
 DB_PRIME_LIMIT = 1 << 11
-# the lane kernel forms products of three residues (2 z^2 in _family_step,
-# w2 z^2 in _family_deriv), which must stay below 2^63
+# the kernel evaluates forms reduced mod p by Horner's rule, so its largest
+# int64 values are products of three residues, below 2^60
 LANE_PRIME_LIMIT = 1 << 20
-# normal-form coefficients of a pair are at most 4 * h1 * h2 <= 2^14, so the
-# wronskian discriminant (<= 32 * 2^56) and every other per-pair int64 value
-# of the lane sieve stays far from overflow
+# a pair's integral normal form has coefficients of at most 4 * h1 * h2 <=
+# 2^14, so its wronskian discriminant, the largest per-pair int64 value of
+# the lane sieve, is below 2^61
 MAX_HEIGHT_PRODUCT = 1 << 12
 # lanes a sieve step handles at once; bounds the memory of a run
 LANE_BUDGET = 1 << 14
@@ -94,30 +94,6 @@ class _Absent:
 ABSENT = _Absent()
 
 
-def odd_primes_up_to(bound: int) -> Tuple[int, ...]:
-    return primes_up_to(bound)[1:]
-
-
-def first_odd_primes(count: int) -> Tuple[int, ...]:
-    bound = 64
-    while len(odd_primes_up_to(bound)) < count:
-        bound *= 2
-    return odd_primes_up_to(bound)[:count]
-
-
-def validate_primes(primes: Sequence[int], limit: int, what: str) -> Tuple[int, ...]:
-    """The primes as ints; ValueError unless distinct odd primes below limit."""
-    primes = tuple(int(p) for p in primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    for p in primes:
-        if p >= limit:
-            raise ValueError(f"prime {p} is too large for {what} (limit {limit})")
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"need odd primes, got {p}")
-    return primes
-
-
 @dataclass(frozen=True)
 class DbEntry:
     """The two critical points of one reduced map with their admissible
@@ -152,9 +128,10 @@ def scalar_period_entries(p: int):
     periods = np.zeros((p * p, 4), dtype=np.int64)
     for b in range(p):
         for c in range(p):
-            if FpMap.family_resultant(p, b, c) == 0:
+            F, G = ffdyn.family_forms(b, c)
+            if ffdyn.form_resultant(F, G) % p == 0:
                 continue
-            fmap = FpMap.from_bc(p, b, c)
+            fmap = FpMap(p, F, G)
             crit = fmap.critical_point_indices()
             if crit is None:
                 continue
@@ -205,50 +182,59 @@ def _mult_orders(lam, p: int):
     return order[back]
 
 
-def _family_step(z, b, c, p, inv):
-    """Vectorized map evaluation on index-encoded points (p = infinity)."""
-    aff = z != p
-    zz = np.where(aff, z, 0)
-    num = (2 * zz * zz + b * zz + b) % p
-    den = (-(zz * zz) + (4 - b) * zz + c) % p
-    out = np.where(den == 0, p, (num * inv[den]) % p)
-    return np.where(aff, out, p - 2)
+def _pick(coeffs, idx):
+    """The coefficients at the lanes idx; scalar coefficients stay scalars."""
+    return tuple([x if np.ndim(x) == 0 else x[idx] for x in coeffs])
 
 
-def _family_deriv(z, b, c, p, inv):
-    """Vectorized chart-correct derivative factor; g2 = -1 in this family."""
+def _step(z, M, p, inv):
+    """FpMap.step_index on each lane; M is F + G (+ W), reduced mod p."""
+    f2, f1, f0, g2, g1, g0 = M[:6]
     aff = z != p
     zz = np.where(aff, z, 0)
-    w2 = (8 - b) % p
-    n_val = (w2 * zz * zz + (2 * b + 4 * c) * zz + b * (c + b - 4)) % p
-    den = (-(zz * zz) + (4 - b) * zz + c) % p
-    f_val = (2 * zz * zz + b * zz + b) % p
+    num = ((f2 * zz + f1) * zz + f0) % p
+    den = ((g2 * zz + g1) * zz + g0) % p
+    out = np.where(den == 0, p, num * inv[den] % p)
+    return np.where(aff, out, np.where(g2 == 0, p, f2 * inv[g2] % p))
+
+
+def _deriv(z, M, p, inv):
+    """FpMap.derivative_factor on each lane; M is F + G + W, reduced mod p."""
+    f2, f1, f0, g2, g1, g0, w2, w1, w0 = M
+    aff = z != p
+    zz = np.where(aff, z, 0)
+    n_val = ((w2 * zz + w1) * zz + w0) % p
+    den = ((g2 * zz + g1) * zz + g0) % p
+    f_val = ((f2 * zz + f1) * zz + f0) % p
     fin = np.where(den == 0,
                    (-n_val * inv[f_val] % p) * inv[f_val] % p,
                    (n_val * inv[den] % p) * inv[den] % p)
-    # from infinity: (f1*g2 - f2*g1) / g2^2 with g2 = -1 -> b - 8
-    return np.where(aff, fin, (b - 8) % p)
+    # at infinity, in the chart 1/z: w2 / f2^2 where g2 = 0, else -w2 / g2^2
+    lead = inv[np.where(g2 == 0, f2, g2)]
+    at_inf = np.where(g2 == 0, w2, -w2) * (lead * lead % p) % p
+    return np.where(aff, fin, at_inf)
 
 
-def _vector_cycles(p, b, c, z0, inv):
-    """Cycle length and cycle multiplier for each lane, by Brent's method."""
+def _vector_cycles(p, M, z0, inv):
+    """Cycle length and cycle multiplier for each lane, M being F + G + W
+    reduced mod p: Brent's method, then one walk round each cycle."""
     n = len(z0)
-    lam_out = np.zeros(n, dtype=np.int64)
-    mult_out = np.zeros(n, dtype=np.int64)
+    length = np.zeros(n, dtype=np.int64)
+    on_cycle = np.zeros(n, dtype=np.int64)
     idx = np.arange(n)
-    bw, cw = b.copy(), c.copy()
+    FG = M[:6]
     tort = z0.copy()
-    hare = _family_step(z0, bw, cw, p, inv)
+    hare = _step(z0, FG, p, inv)
     power = np.ones(n, dtype=np.int64)
     lam = np.ones(n, dtype=np.int64)
     while len(idx):
         done = tort == hare
         if done.any():
             lane = idx[done]
-            lam_out[lane] = lam[done]
-            mult_out[lane] = hare[done]  # stash the on-cycle point for phase 2
-            keep = ~done
-            idx, bw, cw = idx[keep], bw[keep], cw[keep]
+            length[lane] = lam[done]
+            on_cycle[lane] = hare[done]
+            keep = np.flatnonzero(~done)
+            idx, FG = idx[keep], _pick(FG, keep)
             tort, hare = tort[keep], hare[keep]
             power, lam = power[keep], lam[keep]
             if not len(idx):
@@ -258,63 +244,60 @@ def _vector_cycles(p, b, c, z0, inv):
             tort[tp] = hare[tp]
             power[tp] <<= 1
             lam[tp] = 0
-        hare = _family_step(hare, bw, cw, p, inv)
+        hare = _step(hare, FG, p, inv)
         lam += 1
-    # phase 2: walk each cycle once, multiplying derivative factors
-    cur = mult_out.copy()
-    remaining = lam_out.copy()
+    # with the lanes in ascending order of cycle length, those still walking
+    # at step t are the ones from starts[t] on
+    order = np.argsort(length, kind="stable")
+    M = _pick(M, order)
+    cur = on_cycle[order]
     mult = np.ones(n, dtype=np.int64)
-    idx = np.flatnonzero(remaining > 0)
-    bw, cw, cur_w, rem_w = b[idx], c[idx], cur[idx], remaining[idx]
-    mult_w = np.ones(len(idx), dtype=np.int64)
-    while len(idx):
-        f = _family_deriv(cur_w, bw, cw, p, inv)
-        mult_w = (mult_w * f) % p
-        cur_w = _family_step(cur_w, bw, cw, p, inv)
-        rem_w -= 1
-        done = rem_w == 0
-        if done.any():
-            mult[idx[done]] = mult_w[done]
-            keep = ~done
-            idx, bw, cw = idx[keep], bw[keep], cw[keep]
-            cur_w, rem_w, mult_w = cur_w[keep], rem_w[keep], mult_w[keep]
-    return lam_out, mult
+    starts = np.searchsorted(length[order], np.arange(length.max(initial=0)),
+                             side="right")
+    for s in starts.tolist():
+        Ms = _pick(M, slice(s, None))
+        mult[s:] = mult[s:] * _deriv(cur[s:], Ms, p, inv) % p
+        cur[s:] = _step(cur[s:], Ms, p, inv)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = mult
+    return length, out
 
 
-def period_entries(p: int, b, c, tables=None):
-    """Critical points and admissible period sets of the family maps at the
-    keys (b, c), by the rule of ffdyn.possible_periods.
+def period_entries(p: int, F, G, tables=None):
+    """Critical points and admissible period sets of the maps (F, G) mod p,
+    by the rule of ffdyn.possible_periods; a coefficient is a vector with
+    one entry per row, or a scalar shared by all rows.
 
-    Returns (present, points, periods) with one row per key.  present marks
-    the keys of degree 2 whose two critical points lie in P^1(F_p); for them
-    points holds the points ascending (infinity = p last) and periods holds
-    (m1, mr1, m2, mr2): the set of each point is {m}, or {m, mr} when the
-    cycle multiplier has order r > 1 and mr = m * r.  Other rows are zero.
+    present marks the rows of degree 2 whose two critical points lie in
+    P^1(F_p); for them points holds the points ascending (infinity = p
+    last) and periods holds (m1, mr1, m2, mr2): the set of each point is
+    {m}, or {m, mr} when the cycle multiplier has order r > 1 and
+    mr = m * r.  Other rows are zero.
     """
     inv, sq = tables if tables is not None else _mod_tables(p)
-    b = np.asarray(b, dtype=np.int64)
-    c = np.asarray(c, dtype=np.int64)
-    w2 = (8 - b) % p
-    w1 = (2 * b + 4 * c) % p
-    w0 = (b * (c + b - 4)) % p
+    M = tuple(np.asarray(x, dtype=np.int64) % p for x in (*F, *G))
+    (n,) = np.broadcast(*M).shape
+    w2, w1, w0 = (w % p for w in ffdyn.wronskian(M[:3], M[3:]))
     # the wronskian discriminant is 4 * resultant: nonzero exactly on the
-    # degree-2 keys, whose two critical points then differ; where w2 = 0,
+    # degree-2 rows, whose two critical points then differ; where w2 = 0,
     # w1 != 0 and one of them is infinity
-    disc = (w1 * w1 - 4 * w2 * w0) % p
+    disc = np.broadcast_to((w1 * w1 - 4 * w2 * w0) % p, (n,))
     sqd = sq[disc]
     present = (disc != 0) & ((w2 == 0) | (sqd >= 0))
     sel = np.flatnonzero(present)
-    b, c, w2, w1, w0, sqd = (x[sel] for x in (b, c, w2, w1, w0, sqd))
+    M = _pick(M + (w2, w1, w0), sel)
+    w2, w1, w0 = M[6:]
+    sqd = sqd[sel]
     lin = w2 == 0
     i2w2 = inv[(2 * w2) % p]
     r_lo = ((sqd - w1) % p) * i2w2 % p
     r_hi = ((-sqd - w1) % p) * i2w2 % p
-    points = np.zeros((len(present), 2), dtype=np.int64)
+    points = np.zeros((n, 2), dtype=np.int64)
     points[sel, 0] = np.where(lin, (-w0 * inv[w1]) % p, np.minimum(r_lo, r_hi))
     points[sel, 1] = np.where(lin, p, np.maximum(r_lo, r_hi))
-    periods = np.zeros((len(present), 4), dtype=np.int64)
+    periods = np.zeros((n, 4), dtype=np.int64)
     for k in (0, 1):
-        m, mult = _vector_cycles(p, b, c, points[sel, k], inv)
+        m, mult = _vector_cycles(p, M, points[sel, k], inv)
         r = _mult_orders(mult, p)
         periods[sel, 2 * k] = m
         periods[sel, 2 * k + 1] = np.where(r > 1, m * r, 0)
@@ -409,8 +392,9 @@ def build_db(primes: Sequence[int], path: Optional[str] = None) -> Database:
     """Build the database for the given odd primes, in list order: the
     kernel's arrays over all p^2 keys of each; saved to path if given."""
     primes = validate_primes(primes, DB_PRIME_LIMIT, "the reference database")
-    db = Database({p: period_entries(p, *np.divmod(np.arange(p * p), p))
-                   for p in primes})
+    db = Database({
+        p: period_entries(p, *ffdyn.family_forms(*np.divmod(np.arange(p * p), p)))
+        for p in primes})
     if path is not None:
         db.save(path)
     return db
@@ -430,9 +414,8 @@ def _sigma_mod_p(s: ExtendedRational, p: int) -> int:
 def family_key(s1: ExtendedRational, s2: ExtendedRational,
                p: int) -> Tuple[int, int]:
     """(b, c) key of the reduction of the normal-form map at a good prime."""
-    s1p = _sigma_mod_p(s1, p)
-    s2p = _sigma_mod_p(s2, p)
-    return (2 - s1p) % p, (2 - s1p - s2p) % p
+    b, c = ffdyn.family_bc(_sigma_mod_p(s1, p), _sigma_mod_p(s2, p))
+    return b % p, c % p
 
 
 def reduce_rational_point(x: ExtendedRational, p: int) -> int:
@@ -602,28 +585,24 @@ def _prepare_lanes(num1, den1, num2, den2, start: int, stop: int) -> np.ndarray:
     t % len(num2); integer arithmetic throughout (see MAX_HEIGHT_PRODUCT)."""
     i, j = np.divmod(np.arange(start, stop, dtype=np.int64), len(num2))
     n1, d1, n2, d2 = num1[i], den1[i], num2[j], den2[j]
-    # from_sigmas times d1*d2, then divided by the content; f2 > 0 already
+    # from_sigmas over the common denominator d1 * d2, divided by the
+    # content gcd(d1 * d2, b, c) of the forms; f2 > 0 already
     dd = d1 * d2
-    f1 = (2 * d1 - n1) * d2
-    g1 = (2 * d1 + n1) * d2
-    g0 = 2 * dd - n1 * d2 - n2 * d1
-    content = np.gcd(np.gcd(dd, f1), np.gcd(g1, g0))
-    dd, f1, g1, g0 = dd // content, f1 // content, g1 // content, g0 // content
-    f2, f0, g2 = 2 * dd, f1, -dd
-    w2 = f2 * g1 - f1 * g2
-    h = f2 * g0 - f0 * g2          # the wronskian's middle coefficient is 2h
-    w0 = f1 * g0 - f0 * g1
-    res = h * h - w2 * w0          # equals NormalizedQuadMap.resultant()
+    b, c = ffdyn.family_bc(n1 * d2, n2 * d1, dd)
+    content = np.gcd(np.gcd(dd, b), c)
+    F, G = ffdyn.family_forms(b // content, c // content, dd // content)
+    res = ffdyn.form_resultant(F, G)   # equals NormalizedQuadMap.resultant()
     keep = res != 0
-    i, j, w2, h, w0, res = (x[keep] for x in (i, j, w2, h, w0, res))
+    i, j, res = i[keep], j[keep], res[keep]
+    w2, w1, w0 = (w[keep] for w in ffdyn.wronskian(F, G))
     disc = 4 * res                 # nonzero, so the critical points differ
     s = np.sqrt(np.maximum(disc, 0).astype(np.float64)).astype(np.int64)
     s -= s * s > disc
     s += (s + 1) * (s + 1) <= disc
     lin = w2 == 0
     rational = lin | (s * s == disc)
-    gamma = np.stack([np.where(lin, -w0, s - 2 * h), np.where(lin, 2 * h, 2 * w2),
-                      np.where(lin, 1, -s - 2 * h), np.where(lin, 0, 2 * w2)], axis=1)
+    gamma = np.stack([np.where(lin, -w0, s - w1), np.where(lin, w1, 2 * w2),
+                      np.where(lin, 1, -s - w1), np.where(lin, 0, 2 * w2)], axis=1)
     gamma[~rational] = 0
     for k in (0, 2):
         g = np.gcd(gamma[:, k], gamma[:, k + 1])
@@ -660,9 +639,11 @@ def _sieve_step(p: int, lanes: np.ndarray, tables, sig1, sig2) -> np.ndarray:
     idx = np.flatnonzero(good)
     if not len(idx):
         return lanes
-    x1, x2 = x1[idx], x2[idx]
-    keys, back = np.unique((2 - x1) % p * p + (2 - x1 - x2) % p, return_inverse=True)
-    present, points, periods = period_entries(p, keys // p, keys % p, tables)
+    b, c = ffdyn.family_bc(x1[idx], x2[idx])
+    del x1, x2  # a run's peak memory is reached in the first steps
+    keys, back = np.unique(b % p * p + c % p, return_inverse=True)
+    present, points, periods = period_entries(
+        p, *ffdyn.family_forms(keys // p, keys % p), tables)
     rational = lanes["rational"][idx]
     run = lanes["run"][idx]
     # each rational critical point meets the set of the point it reduces to

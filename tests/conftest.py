@@ -1,6 +1,7 @@
 import pytest
 
-from quadpcf.sievedb import build_db, first_odd_primes
+from quadpcf.exact_arith import first_odd_primes
+from quadpcf.sievedb import build_db
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,19 @@ compute every period set they need over the odd primes up to 750 with the
 lane kernel, so the suite builds and reads no database.
 """
 
+import numpy as np
+
 from quadpcf import sievedb
 from quadpcf.cli import TEN_SIGMA_PAIRS, main
-from quadpcf.exact_arith import INFINITY, QuadFieldElement, Rat, enumerate_rationals
+from quadpcf.exact_arith import (
+    INFINITY,
+    QuadFieldElement,
+    Rat,
+    enumerate_rationals,
+    first_odd_primes,
+    odd_primes_up_to,
+)
+from quadpcf.ffdyn import family_forms
 from quadpcf.pcfverify import critical_orbit_portrait
 from quadpcf.preper import (
     INVERSE_SQUARE,
@@ -22,13 +32,7 @@ from quadpcf.preper import (
     rational_preperiodic_graph,
 )
 from quadpcf.projmap import NormalizedQuadMap
-from quadpcf.sievedb import (
-    family_key,
-    first_odd_primes,
-    odd_primes_up_to,
-    period_entries,
-    reduce_rational_point,
-)
+from quadpcf.sievedb import family_key, period_entries, reduce_rational_point
 
 PRIME_BOUND = 750
 
@@ -271,8 +275,8 @@ def test_criterion_7_local_global_suite():
     for p in odd_primes_up_to(PRIME_BOUND):
         good = [m for m in maps if m[1] % p != 0]
         keys = [family_key(s1, s2, p) for (s1, s2), _, _ in good]
-        present, points, periods = period_entries(p, [b for b, _ in keys],
-                                                  [c for _, c in keys])
+        present, points, periods = period_entries(p, *family_forms(
+            np.array([b for b, _ in keys]), np.array([c for _, c in keys])))
         for k, ((s1, s2), _, orbits) in enumerate(good):
             assert present[k], f"absent entry at good prime {p} for ({s1},{s2})"
             for gamma, n in orbits:

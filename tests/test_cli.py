@@ -10,6 +10,7 @@ from quadpcf.cli import (
     RunConfig,
     main,
 )
+from quadpcf.exact_arith import first_odd_primes
 
 
 class TestSieve:
@@ -58,6 +59,17 @@ class TestPipeline:
                    "--prime-list", "3,9,15,25", "--outdir", str(outdir)])
         assert rc == EXIT_USAGE
         assert "need odd primes, got 9" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("primes", [["--primes", "-5"], ["--primes", "0"],
+                                        ["--prime-list", ","], ["--prime-list", ""]])
+    def test_no_primes_rejected(self, tmp_path, capsys, primes):
+        # without a prime every pair would survive unconstrained
+        outdir = tmp_path / "out"
+        rc = main(["pipeline", "--h1", "1", "--h2", "1", *primes,
+                   "--outdir", str(outdir)])
+        assert rc == EXIT_USAGE
+        assert "invalid-input" in capsys.readouterr().err
         assert not outdir.exists()
 
 
@@ -182,6 +194,12 @@ class TestConfig:
             RunConfig(prime_list=(3, 1048583)).validate()
         with pytest.raises(ValueError, match="h1 \\* h2"):
             RunConfig(h1=64, h2=65).validate()
+        for cfg in (RunConfig(primes_count=0), RunConfig(primes_count=-5),
+                    RunConfig(prime_list=())):
+            with pytest.raises(ValueError, match="at least one prime"):
+                cfg.validate()
+        with pytest.raises(ValueError):
+            first_odd_primes(-5)
 
 
 def test_import_needs_no_sympy():

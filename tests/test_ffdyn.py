@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,8 @@ from quadpcf.ffdyn import (
     FpPoint,
     OrbitData,
     _sqrt_mod,
+    family_forms,
+    form_resultant,
     mult_order,
     orbit_data,
     possible_periods,
@@ -35,11 +38,11 @@ class TestFpMap:
             FpMap(7, (1, 0, 0), (2, 0, 0))
 
     def test_family_form(self):
-        m = FpMap.from_bc(7, 0, 1)
+        m = FpMap(7, *family_forms(0, 1))
         assert m.F == (2, 0, 0) and m.G == (6, 4, 1)
 
     def test_step_values(self):
-        m = FpMap.from_bc(7, 0, 1)
+        m = FpMap(7, *family_forms(0, 1))
         assert m.step_index(3) == 1
         assert m.step_index(1) == 4
         assert m.step_index(4) == 4
@@ -52,9 +55,9 @@ class TestFpMap:
         for p in SMALL_PRIMES:
             for _ in range(30):
                 b, c = rng.randrange(p), rng.randrange(p)
-                if FpMap.family_resultant(p, b, c) == 0:
+                if form_resultant(*family_forms(b, c)) % p == 0:
                     continue
-                m = FpMap.from_bc(p, b, c)
+                m = FpMap(p, *family_forms(b, c))
                 w2, w1, w0 = m.wronskian()
                 brute = sorted(
                     z for z in range(p) if (w2 * z * z + w1 * z + w0) % p == 0)
@@ -69,20 +72,20 @@ class TestFpMap:
 
 class TestOrbitData:
     def test_spec_example_tail(self):
-        m = FpMap.from_bc(7, 0, 1)
+        m = FpMap(7, *family_forms(0, 1))
         o = orbit_data(m, 3)
         assert (o.tail, o.m, o.lam, o.r) == (2, 1, 4, 3)
         assert possible_periods(o) == frozenset({1, 3})
 
     def test_spec_example_superattracting(self):
-        m = FpMap.from_bc(7, 0, 1)
+        m = FpMap(7, *family_forms(0, 1))
         o = orbit_data(m, 0)
         assert (o.tail, o.m, o.lam) == (0, 1, 0)
         assert o.superattracting and o.r is None
         assert possible_periods(o) == frozenset({1})
 
     def test_fixed_point_start(self):
-        m = FpMap.from_bc(7, 0, 1)
+        m = FpMap(7, *family_forms(0, 1))
         o = orbit_data(m, FpPoint.affine(4, 7))
         assert o.tail == 0 and o.m == 1
 
@@ -91,9 +94,9 @@ class TestOrbitData:
         for p in SMALL_PRIMES:
             for _ in range(25):
                 b, c = rng.randrange(p), rng.randrange(p)
-                if FpMap.family_resultant(p, b, c) == 0:
+                if form_resultant(*family_forms(b, c)) % p == 0:
                     continue
-                m = FpMap.from_bc(p, b, c)
+                m = FpMap(p, *family_forms(b, c))
                 start = rng.randrange(p + 1)
                 o = orbit_data(m, start)
                 assert o.tail + o.m <= p + 2
@@ -111,9 +114,9 @@ class TestOrbitData:
         for p in (7, 11, 13):
             for _ in range(10):
                 b, c = rng.randrange(p), rng.randrange(p)
-                if FpMap.family_resultant(p, b, c) == 0:
+                if form_resultant(*family_forms(b, c)) % p == 0:
                     continue
-                m = FpMap.from_bc(p, b, c)
+                m = FpMap(p, *family_forms(b, c))
                 while True:
                     a_, b_, c_, d_ = (rng.randrange(p) for _ in range(4))
                     if (a_ * d_ - b_ * c_) % p != 0:
@@ -203,6 +206,11 @@ def test_sqrt_mod(p, data):
 FORMS = st.tuples(*[st.integers(-50, 50)] * 3)
 
 
+def _columns(*forms):
+    """The forms as one form with an int64 column per coefficient."""
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*forms))
+
+
 @given(FORMS, FORMS, st.sampled_from(SMALL_PRIMES))
 @settings(max_examples=200, deadline=None)
 def test_resultant_equals_sylvester_determinant(F, G, p):
@@ -211,6 +219,9 @@ def test_resultant_equals_sylvester_determinant(F, G, p):
     m = NormalizedQuadMap(F, G)
     assert m.resultant() == poly_resultant(m.F, m.G)
     res = int(poly_resultant(F, G))
+    # elementwise on int64 columns too: rows (F, G), (G, F) and (F, F)
+    columns = form_resultant(_columns(F, G, F), _columns(G, F, F))
+    assert columns.tolist() == [res, res, 0]
     if res % p:
         assert FpMap(p, F, G).resultant() == res % p
     else:

@@ -11,7 +11,7 @@ from quadpcf.exact_arith import (
     QuadFieldElement,
     Rat,
 )
-from quadpcf.ffdyn import FpMap
+from quadpcf.ffdyn import FpMap, family_forms
 from quadpcf.projmap import (
     BAD_REDUCTION,
     MobiusTransform,
@@ -302,7 +302,7 @@ class TestReduction:
                 fm = m.reduce_mod_p(p)
                 s1p = s1.num * pow(s1.den, p - 2, p) % p
                 s2p = s2.num * pow(s2.den, p - 2, p) % p
-                fam = FpMap.from_bc(p, (2 - s1p) % p, (2 - s1p - s2p) % p)
+                fam = FpMap(p, *family_forms((2 - s1p) % p, (2 - s1p - s2p) % p))
                 scale = fm.F[0] * pow(fam.F[0], p - 2, p) % p
                 assert all(x == y * scale % p for x, y in zip(fm.F, fam.F))
                 assert all(x == y * scale % p for x, y in zip(fm.G, fam.G))

@@ -1,14 +1,15 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quadpcf import ffdyn
 from quadpcf.cli import TEN_SIGMA_PAIRS
-from quadpcf.exact_arith import INFINITY, Rat, enumerate_rationals
-from quadpcf.ffdyn import FpMap
+from quadpcf.exact_arith import INFINITY, Rat, enumerate_rationals, first_odd_primes
+from quadpcf.ffdyn import FpMap, family_forms, form_resultant
 from quadpcf.projmap import NormalizedQuadMap
 from quadpcf.sievedb import (
     ABSENT,
@@ -22,7 +23,6 @@ from quadpcf.sievedb import (
     check_rational_periods_detailed,
     examine_pair,
     family_key,
-    first_odd_primes,
     period_entries,
     reduce_rational_point,
     scalar_period_entries,
@@ -104,7 +104,7 @@ class TestBuild:
                     e = small_db.lookup(p, b, c)
                     if e is ABSENT:
                         continue
-                    w2, w1, w0 = FpMap.from_bc(p, b, c).wronskian()
+                    w2, w1, w0 = FpMap(p, *family_forms(b, c)).wronskian()
                     for pt in e.points:
                         if pt == p:
                             assert w2 == 0
@@ -132,12 +132,13 @@ class TestBuild:
         checked = 0
         while checked < 40:
             b, c = rng.randrange(p), rng.randrange(p)
-            fam_res = FpMap.family_resultant(p, b, c)
-            present, points, periods = period_entries(p, [b], [c])
+            fam_res = form_resultant(*family_forms(b, c)) % p
+            present, points, periods = period_entries(
+                p, *family_forms(np.array([b]), np.array([c])))
             if fam_res == 0:
                 assert not present[0]
                 continue
-            fmap = FpMap.from_bc(p, b, c)
+            fmap = FpMap(p, *family_forms(b, c))
             crit = fmap.critical_point_indices()
             if crit is None:
                 assert not present[0]
@@ -172,7 +173,7 @@ class TestLookup:
 
     def test_absent_irreducible_wronskian(self, small_db):
         # p=3, (b,c)=(1,1): wronskian z^2+1 is irreducible over F_3
-        assert FpMap.family_resultant(3, 1, 1) != 0
+        assert form_resultant(*family_forms(1, 1)) % 3 != 0
         assert small_db.lookup(3, 1, 1) is ABSENT
 
     def test_uncovered_prime_is_error_not_absent(self, small_db):
@@ -203,7 +204,7 @@ class TestFileFormat:
             Database.load(str(tmp_path / "nope.db"))
 
     def test_truncated_file_rejected(self, tmp_path, small_db_file):
-        data = open(small_db_file, "rb").read()
+        data = Path(small_db_file).read_bytes()
         bad = tmp_path / "trunc.db"
         bad.write_bytes(data[:-50])
         with pytest.raises(DbFormatError):
@@ -217,7 +218,7 @@ class TestFileFormat:
 
     def test_trailing_bytes_rejected(self, tmp_path, small_db_file):
         bad = tmp_path / "long.db"
-        bad.write_bytes(open(small_db_file, "rb").read() + b"\x00")
+        bad.write_bytes(Path(small_db_file).read_bytes() + b"\x00")
         with pytest.raises(DbFormatError, match="trailing"):
             Database.load(str(bad))
 
@@ -364,14 +365,46 @@ class TestSieve:
             sieve(1, 1, [3, 9])
 
 
+COEFF = st.integers(-40, 40)
+# leading coefficients are often 0, so that orbits meet the branches at
+# infinity: a fixed infinity when g2 = 0, and infinity critical when
+# f2 = 0 or g2 = 0 makes w2 = f2 * g1 - f1 * g2 vanish with the other
+FORM = st.tuples(st.one_of(st.just(0), COEFF), COEFF, COEFF)
+
+
 class TestPeriodEntries:
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 11, 13]),
+           rows=st.lists(st.tuples(FORM, FORM), min_size=1, max_size=12))
+    @example(p=3, rows=[((1, 0, 0), (0, 0, 1)), ((0, 1, 1), (1, 0, 2)),
+                        ((3, 1, 2), (6, 2, 1))])
+    def test_forms_equal_scalar_oracle(self, p, rows):
+        # the kernel on arbitrary integer forms, one map per row, against
+        # FpMap's critical points and possible_periods(orbit_data(...))
+        F = tuple(np.array(c) for c in zip(*(f for f, _ in rows)))
+        G = tuple(np.array(c) for c in zip(*(g for _, g in rows)))
+        present, points, periods = period_entries(p, F, G)
+        for k, (f, g) in enumerate(rows):
+            crit = None
+            if form_resultant(f, g) % p:
+                fmap = FpMap(p, f, g)
+                crit = fmap.critical_point_indices()
+            assert bool(present[k]) == (crit is not None)
+            if crit is None:
+                assert not points[k].any() and not periods[k].any()
+                continue
+            assert tuple(points[k]) == crit
+            for i, pt in enumerate(crit):
+                got = set(periods[k, 2 * i:2 * i + 2].tolist()) - {0}
+                assert got == ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt))
+
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101])
     def test_random_keys_equal_lookup(self, p):
         db = Database({p: scalar_period_entries(p)})
         rng = random.Random(p)
         keys = [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
-        present, points, periods = period_entries(
-            p, [b for b, _ in keys], [c for _, c in keys])
+        present, points, periods = period_entries(p, *family_forms(
+            np.array([b for b, _ in keys]), np.array([c for _, c in keys])))
         for k, (b, c) in enumerate(keys):
             entry = db.lookup(p, b, c)
             assert bool(present[k]) == (entry is not ABSENT)
@@ -396,7 +429,7 @@ class TestReductionHelpers:
         b, c = family_key(s1, s2, 7)
         m = NormalizedQuadMap.from_sigmas(s1, s2)
         fm = m.reduce_mod_p(7)
-        fam = FpMap.from_bc(7, b, c)
+        fam = FpMap(7, *family_forms(b, c))
         scale = fm.F[0] * pow(fam.F[0], 5, 7) % 7
         assert all(x == y * scale % 7 for x, y in zip(fm.F + fm.G, fam.F + fam.G))
 
