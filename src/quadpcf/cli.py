@@ -5,7 +5,8 @@ catalog.  All outputs are deterministic for a given configuration, and
 every artifact embeds a digest of the configuration that produced it.
 
 sieve and pipeline compute every period set they need on the fly, in one
-process; no command builds, reads or writes a database or a cache.
+process; no command builds, reads or writes a database or a cache.  Only
+they load the sieve, and numpy with it.
 """
 
 from __future__ import annotations
@@ -16,20 +17,22 @@ import json
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from quadpcf import pcfverify, preper, sievedb
+from quadpcf import pcfverify, preper
 from quadpcf.exact_arith import ExtendedRational, Rat, first_odd_primes, validate_primes
+from quadpcf.ffdyn import LANE_PRIME_LIMIT, MAX_HEIGHT_PRODUCT
 from quadpcf.preper import CatalogMatchError
 from quadpcf.projmap import NormalizedQuadMap
-from quadpcf.sievedb import DbConsistencyError
+
+if TYPE_CHECKING:
+    from quadpcf import sievedb
 
 CONFIG_VERSION = 1
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
-EXIT_DATA_INCONSISTENT = 5
 EXIT_CATALOG_MISMATCH = 6
 
 
@@ -69,13 +72,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.h1 < 1 or self.h2 < 1:
             raise ValueError("height bounds must be >= 1")
-        if self.h1 * self.h2 > sievedb.MAX_HEIGHT_PRODUCT:
-            raise ValueError(f"height bounds need h1 * h2 <= {sievedb.MAX_HEIGHT_PRODUCT}")
+        if self.h1 * self.h2 > MAX_HEIGHT_PRODUCT:
+            raise ValueError(f"height bounds need h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
         if self.primes_count < 1 or not self.primes():
             raise ValueError("the sieve needs at least one prime")
         # the period rule is unsound for a composite modulus, so a composite
         # would let the sieve drop a PCF pair without any error
-        validate_primes(self.primes(), sievedb.LANE_PRIME_LIMIT, "the lane sieve")
+        validate_primes(self.primes(), LANE_PRIME_LIMIT, "the lane sieve")
 
 
 def _load_config_file(path: str) -> dict:
@@ -139,6 +142,7 @@ class PipelineResult:
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
+    from quadpcf import sievedb
     survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes())
     statuses = [pcfverify.critical_orbit_portrait(c.phi, cfg.budget, cfg.cutoff)
                 for c in survivors]
@@ -147,6 +151,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 def write_survivors_tsv(path: Path, cfg: RunConfig,
                         survivors: Sequence[sievedb.SieveCandidate]) -> None:
+    from quadpcf import sievedb
     with open(path, "w") as fh:
         fh.write(f"# quadpcf sieve survivors\n# config-digest: {cfg.digest()}\n")
         fh.write("# " + sievedb.SieveCandidate.tsv_header() + "\n")
@@ -197,6 +202,7 @@ def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
 # ----------------------------------------------------------------------
 
 def _cmd_sieve(args) -> int:
+    from quadpcf import sievedb
     cfg = _config_from_args(args)
     survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes())
     out = Path(args.out) if args.out else None
@@ -459,9 +465,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except DbConsistencyError as e:
-        print(f"error: data-inconsistency: {e}", file=sys.stderr)
-        return EXIT_DATA_INCONSISTENT
     except CatalogMatchError as e:
         print(f"error: catalog-mismatch: {e}", file=sys.stderr)
         return EXIT_CATALOG_MISMATCH

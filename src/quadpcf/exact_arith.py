@@ -223,6 +223,17 @@ class ExtendedRational:
     __repr__ = __str__
 
     @staticmethod
+    def from_pair(x: int, y: int) -> "ExtendedRational":
+        """The point (x : y) of a pair in lowest terms with y >= 0, where
+        (1 : 0) is infinity; trusted, so no gcd is taken."""
+        if y == 0:
+            return INFINITY
+        self = object.__new__(ExtendedRational)
+        self.num = x
+        self.den = y
+        return self
+
+    @staticmethod
     def from_str(text: str) -> "ExtendedRational":
         text = text.strip()
         if text == "inf":
@@ -264,26 +275,33 @@ def height(x: RationalLike) -> HeightValue:
     return max(abs(r.num), r.den)
 
 
-def enumerate_rationals(h_max: int) -> Iterator[ExtendedRational]:
-    """Yield every finite rational of height <= h_max exactly once.
+def enumerate_pairs(h_max: int) -> Iterator[Tuple[int, int]]:
+    """Yield (num, den) in lowest terms, den >= 1, for every finite rational
+    of height <= h_max exactly once.
 
     Order is (height, denominator, numerator) ascending, which makes output
     deterministic across runs.
     """
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
-    yield ExtendedRational(-1)
-    yield ExtendedRational(0)
-    yield ExtendedRational(1)
+    yield (-1, 1)
+    yield (0, 1)
+    yield (1, 1)
     for h in range(2, h_max + 1):
         for q in range(1, h):
             if gcd(h, q) == 1:
-                yield ExtendedRational(-h, q)
-                yield ExtendedRational(h, q)
+                yield (-h, q)
+                yield (h, q)
         # denominator equal to the height: numerators strictly inside (-h, h)
         for p in range(-h + 1, h):
             if gcd(abs(p), h) == 1:
-                yield ExtendedRational(p, h)
+                yield (p, h)
+
+
+def enumerate_rationals(h_max: int) -> Iterator[ExtendedRational]:
+    """The rationals of enumerate_pairs, in its order."""
+    for x, y in enumerate_pairs(h_max):
+        yield ExtendedRational.from_pair(x, y)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,16 @@ from quadpcf.exact_arith import divisors
 
 PeriodSet = FrozenSet[int]
 
+# bounds of the lane sieve (sievedb), kept here, free of numpy, so that the
+# command line validates its configuration without loading the sieve.
+# The kernel evaluates forms reduced mod p by Horner's rule, so its largest
+# int64 values are products of three residues, below 2^60
+LANE_PRIME_LIMIT = 1 << 20
+# a pair's integral normal form has coefficients of at most 4 * h1 * h2 <=
+# 2^14, so its wronskian discriminant, the largest per-pair int64 value of
+# the lane sieve, is below 2^61
+MAX_HEIGHT_PRODUCT = 1 << 12
+
 
 class FpPoint:
     """A point of P^1(F_p), normalized to (x : 1) or (1 : 0).

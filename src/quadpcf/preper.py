@@ -13,17 +13,14 @@ from math import gcd
 from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from quadpcf.exact_arith import (
-    INFINITY,
     ExtendedRational,
-    PointValue,
     Rat,
     RationalLike,
     _as_rat,
-    enumerate_rationals,
+    enumerate_pairs,
     point_sort_key,
     squarefree_part,
 )
-from quadpcf.pcfverify import point_size
 from quadpcf.projmap import NormalizedQuadMap
 
 
@@ -213,37 +210,37 @@ def rational_preperiodic_graph(phi: NormalizedQuadMap,
     preperiodic, escaping past size_cutoff classifies it divergent.  The
     returned graph is forward-closed; candidates the budget could not
     resolve are reported on the .unresolved attribute.
+
+    The search runs on reduced integer pairs (x, y), infinity being (1, 0),
+    through NormalizedQuadMap.step; the size of a pair is max(|x|, y).
     """
     if phi.resultant() == 0:
         raise ValueError("degenerate map (resultant 0)")
-    fate: Dict[PointValue, bool] = {}
-    succ: Dict[PointValue, PointValue] = {}
-    unresolved: List[PointValue] = []
-    candidates: List[PointValue] = [INFINITY, *enumerate_rationals(height_bound)]
-    for start in candidates:
+    step = phi.step
+    fate: Dict[Tuple[int, int], bool] = {}
+    succ: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    unresolved: List[Tuple[int, int]] = []
+    for start in [(1, 0), *enumerate_pairs(height_bound)]:
         if start in fate:
             continue
         path = [start]
         local = {start}
         verdict: Optional[bool] = None
         cur = start
+        # every point on a path is still without a fate, so its image is
+        # computed, never looked up
         for _ in range(step_budget):
-            nxt = succ.get(cur, None)
-            if nxt is None:
-                nxt = phi.apply(cur)
+            nxt = step(*cur)
+            path.append(nxt)
             if nxt in fate:
-                path.append(nxt)
                 verdict = fate[nxt]
                 break
             if nxt in local:
-                path.append(nxt)
                 verdict = True
                 break
-            if point_size(nxt) > size_cutoff:
-                path.append(nxt)
+            if max(abs(nxt[0]), nxt[1]) > size_cutoff:
                 verdict = False
                 break
-            path.append(nxt)
             local.add(nxt)
             cur = nxt
         if verdict is None:
@@ -252,13 +249,11 @@ def rational_preperiodic_graph(phi: NormalizedQuadMap,
         if verdict:
             for a, b in zip(path, path[1:]):
                 succ[a] = b
-            for v in path:
-                fate[v] = True
-        else:
-            for v in path:
-                fate[v] = False
-    graph = {v: w for v, w in succ.items() if fate.get(v)}
-    return FunctionalGraph(graph, unresolved=tuple(unresolved))
+        for v in path:
+            fate[v] = verdict
+    point = ExtendedRational.from_pair
+    return FunctionalGraph({point(*v): point(*w) for v, w in succ.items()},
+                           unresolved=tuple(point(*v) for v in unresolved))
 
 
 # ----------------------------------------------------------------------

@@ -242,18 +242,36 @@ class NormalizedQuadMap:
 
     # -- evaluation ------------------------------------------------------
 
+    def step(self, x: int, y: int) -> Tuple[int, int]:
+        """The image of a point (x : y) of P^1(Q) in lowest terms with
+        y >= 0, infinity being (1 : 0), as such a pair: (F(x, y) : G(x, y))
+        after one sign fix and one gcd."""
+        f2, f1, f0 = self.F
+        g2, g1, g0 = self.G
+        xx, xy, yy = x * x, x * y, y * y
+        u = f2 * xx + f1 * xy + f0 * yy
+        v = g2 * xx + g1 * xy + g0 * yy
+        if v == 0:
+            if u == 0:
+                raise DegenerateMapError(
+                    f"both forms vanish at {ExtendedRational.from_pair(x, y)}")
+            return 1, 0
+        if v < 0:
+            u, v = -u, -v
+        g = gcd(u, v)
+        return u // g, v // g
+
     def apply(self, pt) -> PointValue:
         """Evaluate at an exact point of P^1 (rational or quadratic)."""
         if isinstance(pt, (int, Fraction)):
             pt = Rat(pt)
+        if isinstance(pt, ExtendedRational):
+            return ExtendedRational.from_pair(*self.step(pt.num, pt.den))
         f2, f1, f0 = self.F
         g2, g1, g0 = self.G
-        if isinstance(pt, ExtendedRational) and pt.is_infinity():
-            if g2 == 0:
-                return INFINITY
-            return Rat(f2, g2)
         fx = (pt * f2 + f1) * pt + f0
         gx = (pt * g2 + g1) * pt + g0
+        # field arithmetic collapses to ExtendedRational when sqrt(D) cancels
         f_zero = fx.is_zero() if isinstance(fx, ExtendedRational) else (
             fx.a.is_zero() and fx.b.is_zero())
         g_zero = gx.is_zero() if isinstance(gx, ExtendedRational) else (

@@ -38,19 +38,18 @@ from quadpcf.exact_arith import (
     enumerate_rationals,
     validate_primes,
 )
-from quadpcf.ffdyn import FpMap, PeriodSet, format_fp_point
+from quadpcf.ffdyn import (
+    LANE_PRIME_LIMIT,
+    MAX_HEIGHT_PRODUCT,
+    FpMap,
+    PeriodSet,
+    format_fp_point,
+)
 from quadpcf.projmap import NormalizedQuadMap
 
 # the database keeps 49 bytes for each of the p^2 keys of a prime, so this
 # bound (below 4.2 M keys, about 200 MB) caps the memory of one prime
 DB_PRIME_LIMIT = 1 << 11
-# the kernel evaluates forms reduced mod p by Horner's rule, so its largest
-# int64 values are products of three residues, below 2^60
-LANE_PRIME_LIMIT = 1 << 20
-# a pair's integral normal form has coefficients of at most 4 * h1 * h2 <=
-# 2^14, so its wronskian discriminant, the largest per-pair int64 value of
-# the lane sieve, is below 2^61
-MAX_HEIGHT_PRODUCT = 1 << 12
 # lanes a sieve step handles at once; bounds the memory of a run
 LANE_BUDGET = 1 << 14
 

@@ -203,11 +203,30 @@ class TestConfig:
 
 
 def test_import_needs_no_sympy():
-    # sympy is no dependency any more; it cost 37 MB and 0.4 s per process
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, quadpcf.cli; sys.exit('sympy' in sys.modules)"],
-        capture_output=True, text=True)
+    # sympy is no dependency any more; it cost 37 MB and 0.4 s per process.
+    # numpy is loaded by sieve and pipeline only
+    for module in ("sympy", "numpy"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, quadpcf.cli; sys.exit({module!r} in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, (module, proc.stderr)
+
+
+def test_exact_commands_run_without_numpy():
+    # a None entry in sys.modules makes every import of numpy fail
+    commands = [["catalog", "--json"], ["preper", "--sigmas=2,-8"],
+                ["verify", "--sigmas=2,-8;-6,8"], ["portrait", "--sigmas=-2,0"],
+                ["classify-twist", "--psi1-b=-3/2"],
+                ["classify-twist", "--psi2-dk", "2,1"]]
+    code = ("import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from quadpcf import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if cli.main(argv) != 0:\n"
+            "        sys.exit(f'{argv} failed')\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import INFINITY, Rat
+from quadpcf.ffdyn import form_resultant
 from quadpcf.preper import (
     INVERSE_SQUARE,
     SQUARE,
@@ -25,6 +29,64 @@ from quadpcf.projmap import NormalizedQuadMap
 
 nonzero_small = st.builds(Rat, st.integers(-30, 30).filter(bool),
                           st.integers(1, 12))
+COEFF = st.integers(-9, 9)
+FORM = st.tuples(st.one_of(st.just(0), COEFF), COEFF, COEFF)
+
+
+def reference_search(F, G, height_bound, step_budget, size_cutoff):
+    """The bounded search on Fraction points, None standing for infinity:
+    the successor dict and the unresolved candidates of
+    rational_preperiodic_graph, computed without its integer step."""
+    def image(z):
+        if z is None:
+            f, g = F[0], G[0]
+        else:
+            f = (F[0] * z + F[1]) * z + F[2]
+            g = (G[0] * z + G[1]) * z + G[2]
+        return None if g == 0 else Fraction(f) / g
+
+    def size(z):
+        return 1 if z is None else max(abs(z.numerator), z.denominator)
+
+    # candidates by (height, denominator, numerator)
+    rationals = {Fraction(a, b) for b in range(1, height_bound + 1)
+                 for a in range(-height_bound, height_bound + 1)}
+    fate, succ, unresolved = {}, {}, []
+    for start in [None, *sorted(rationals, key=lambda z: (size(z), z.denominator,
+                                                          z.numerator))]:
+        if start in fate:
+            continue
+        path, local, verdict, cur = [start], {start}, None, start
+        for _ in range(step_budget):
+            nxt = succ[cur] if cur in succ else image(cur)
+            if nxt in fate:
+                path.append(nxt)
+                verdict = fate[nxt]
+                break
+            if nxt in local:
+                path.append(nxt)
+                verdict = True
+                break
+            if size(nxt) > size_cutoff:
+                path.append(nxt)
+                verdict = False
+                break
+            path.append(nxt)
+            local.add(nxt)
+            cur = nxt
+        if verdict is None:
+            unresolved.append(start)
+            continue
+        if verdict:
+            for a, b in zip(path, path[1:]):
+                succ[a] = b
+        for v in path:
+            fate[v] = verdict
+    return {v: w for v, w in succ.items() if fate.get(v)}, unresolved
+
+
+def as_fraction(pt):
+    return None if pt is INFINITY else Fraction(pt.num, pt.den)
 
 
 # ----------------------------------------------------------------------
@@ -101,6 +163,32 @@ class TestRationalPreperiodicGraph:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             rational_preperiodic_graph(NormalizedQuadMap.from_sigmas(2, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(F=FORM, G=FORM, height_bound=st.integers(1, 8),
+           step_budget=st.integers(1, 8),
+           size_cutoff=st.one_of(st.integers(1, 60), st.integers(1, 10 ** 5)))
+    def test_equals_fraction_reference(self, F, G, height_bound, step_budget,
+                                       size_cutoff):
+        assume(form_resultant(F, G) != 0)
+        graph = rational_preperiodic_graph(NormalizedQuadMap(F, G), height_bound,
+                                           step_budget, size_cutoff)
+        succ, unresolved = reference_search(F, G, height_bound, step_budget,
+                                            size_cutoff)
+        assert {as_fraction(v): as_fraction(w)
+                for v, w in graph.successor.items()} == succ
+        assert [as_fraction(v) for v in graph.unresolved] == unresolved
+
+    def test_benchmark_height_on_the_ten(self):
+        # the benchmark's catalog workload searches to height 120; for the
+        # ten maps that finds nothing beyond the default height 16
+        counts = (6, 4, 6, 4, 4, 6, 4, 4, 2, 6)
+        for (s1, s2), count in zip(TEN_SIGMA_PAIRS, counts):
+            phi = NormalizedQuadMap.from_sigmas(s1, s2)
+            graph = rational_preperiodic_graph(phi, height_bound=120)
+            assert len(graph) == count, (s1, s2)
+            assert graph.unresolved == ()
+            assert graph == rational_preperiodic_graph(phi)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadpcf.cli import TEN_SIGMA_PAIRS
@@ -11,9 +13,10 @@ from quadpcf.exact_arith import (
     QuadFieldElement,
     Rat,
 )
-from quadpcf.ffdyn import FpMap, family_forms
+from quadpcf.ffdyn import FpMap, family_forms, form_resultant
 from quadpcf.projmap import (
     BAD_REDUCTION,
+    DegenerateMapError,
     MobiusTransform,
     NormalizedQuadMap,
     UnsupportedFieldError,
@@ -21,6 +24,30 @@ from quadpcf.projmap import (
 
 nonzero = st.integers(-40, 40).filter(lambda x: x != 0)
 small_sigmas = st.builds(Rat, st.integers(-8, 8), st.integers(1, 4))
+COEFF = st.integers(-12, 12)
+# leading coefficients are often 0, so that infinity is fixed or critical
+FORM = st.tuples(st.one_of(st.just(0), COEFF), COEFF, COEFF)
+
+
+def fraction_image(F, G, z):
+    """F(z) / G(z) over Fraction, with None for infinity on both sides."""
+    if z is None:
+        f, g = F[0], G[0]
+    else:
+        f = (F[0] * z + F[1]) * z + F[2]
+        g = (G[0] * z + G[1]) * z + G[2]
+    return None if g == 0 else Fraction(f) / g
+
+
+def rational_roots(form):
+    """The finite rational roots of a quadratic form's affine polynomial."""
+    a, b, c = form
+    if a == 0:
+        return [Fraction(-c, b)] if b else []
+    disc = b * b - 4 * a * c
+    if disc < 0 or isqrt(disc) ** 2 != disc:
+        return []
+    return [Fraction(-b + s, 2 * a) for s in (isqrt(disc), -isqrt(disc))]
 
 
 def random_mobius(rng):
@@ -211,6 +238,28 @@ class TestApply:
         assert m.apply(INFINITY) == Rat(-2)
         z2 = NormalizedQuadMap((1, 0, 0), (0, 0, 1))
         assert z2.apply(INFINITY) is INFINITY
+
+    @settings(max_examples=300, deadline=None)
+    @given(F=FORM, G=FORM,
+           zs=st.lists(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                 st.integers(1, 10 ** 4)), max_size=6))
+    def test_integer_step_equals_fraction_oracle(self, F, G, zs):
+        # nonzero resultant: F and G never vanish together, so infinity is
+        # exactly where G does
+        assume(form_resultant(F, G) != 0)
+        m = NormalizedQuadMap(F, G)
+        for z in [None, *rational_roots(G), *zs]:
+            pt = INFINITY if z is None else Rat(z)
+            image = fraction_image(F, G, z)
+            expected = INFINITY if image is None else Rat(image)
+            got = m.apply(pt)
+            assert (got.num, got.den) == (expected.num, expected.den)
+            assert (got is INFINITY) == (image is None)
+
+    def test_degenerate_pair_raises(self):
+        # F = x * y and G = y^2 share the root infinity
+        with pytest.raises(DegenerateMapError):
+            NormalizedQuadMap((0, 1, 0), (0, 0, 1)).apply(INFINITY)
 
 
 class TestConjugation:

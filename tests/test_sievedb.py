@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from quadpcf import ffdyn
@@ -373,7 +373,10 @@ FORM = st.tuples(st.one_of(st.just(0), COEFF), COEFF, COEFF)
 
 
 class TestPeriodEntries:
-    @settings(max_examples=150, deadline=None)
+    # no shrinking: each example runs up to twelve scalar orbit walks, so a
+    # kernel wrong only at a fixed infinity took minutes to shrink
+    @settings(max_examples=150, deadline=None,
+              phases=[ph for ph in Phase if ph is not Phase.shrink])
     @given(p=st.sampled_from([3, 5, 7, 11, 13]),
            rows=st.lists(st.tuples(FORM, FORM), min_size=1, max_size=12))
     @example(p=3, rows=[((1, 0, 0), (0, 0, 1)), ((0, 1, 1), (1, 0, 2)),
