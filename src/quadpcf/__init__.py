@@ -11,12 +11,8 @@ from quadpcf.exact_arith import (
     quad_roots,
 )
 from quadpcf.projmap import (
-    BAD_REDUCTION,
     DegenerateMapError,
-    MobiusTransform,
-    MultiplierTriple,
     NormalizedQuadMap,
-    UnsupportedFieldError,
 )
 
 __version__ = "0.1.0"
@@ -30,11 +26,7 @@ __all__ = [
     "enumerate_rationals",
     "height",
     "quad_roots",
-    "BAD_REDUCTION",
     "DegenerateMapError",
-    "MobiusTransform",
-    "MultiplierTriple",
     "NormalizedQuadMap",
-    "UnsupportedFieldError",
     "__version__",
 ]

@@ -445,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preper)
 
     p = sub.add_parser("classify-twist", help="symmetry-locus structure class")
-    _add_common(p, primes=False)
     p.add_argument("--psi1-b", dest="psi1_b", help="b of the z^2 twist z/2 + b/z")
     p.add_argument("--psi2-t", dest="psi2_t", help="t of the 1/z^2 twist t/z^2")
     p.add_argument("--psi2-dk", dest="psi2_dk", help='pair "d,k" of the 1/z^2 normal form')
@@ -453,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify_twist)
 
     p = sub.add_parser("catalog", help="print the computed structure catalogs")
-    _add_common(p, primes=False)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_catalog)
 

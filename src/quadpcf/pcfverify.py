@@ -11,7 +11,7 @@ non-PCF verdict (refutation is the sieve's job).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from quadpcf.exact_arith import ExtendedRational, PointValue, point_sort_key
 from quadpcf.projmap import NormalizedQuadMap
@@ -121,15 +121,3 @@ def critical_orbit_portrait(phi: NormalizedQuadMap, budget: int = DEFAULT_BUDGET
     portrait = Portrait(successor=successor, critical=tuple(crit_points))
     return PcfStatus(True, portrait, iterations, max_size)
 
-
-def postcritical_set(status: PcfStatus) -> Set[PointValue]:
-    """Union of the strict forward orbits of the critical points."""
-    if not status.verified or status.portrait is None:
-        raise ValueError("postcritical set needs a verified portrait")
-    pc: Set[PointValue] = set()
-    for gamma in status.portrait.critical:
-        cur = status.portrait.successor[gamma]
-        while cur not in pc:
-            pc.add(cur)
-            cur = status.portrait.successor[cur]
-    return pc

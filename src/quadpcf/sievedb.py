@@ -41,7 +41,6 @@ from quadpcf.exact_arith import (
 from quadpcf.ffdyn import (
     LANE_PRIME_LIMIT,
     MAX_HEIGHT_PRODUCT,
-    FpMap,
     PeriodSet,
     format_fp_point,
 )
@@ -116,35 +115,8 @@ class DbEntry:
 
 
 # ----------------------------------------------------------------------
-# the period-set kernel and its scalar reference
+# the vectorised period-set kernel
 # ----------------------------------------------------------------------
-
-def scalar_period_entries(p: int):
-    """Reference for period_entries over all p^2 keys, row b * p + c: plain
-    loops with the scalar orbit splitter."""
-    present = np.zeros(p * p, dtype=bool)
-    points = np.zeros((p * p, 2), dtype=np.int64)
-    periods = np.zeros((p * p, 4), dtype=np.int64)
-    for b in range(p):
-        for c in range(p):
-            F, G = ffdyn.family_forms(b, c)
-            if ffdyn.form_resultant(F, G) % p == 0:
-                continue
-            fmap = FpMap(p, F, G)
-            crit = fmap.critical_point_indices()
-            if crit is None:
-                continue
-            k = b * p + c
-            present[k] = True
-            points[k] = crit
-            for i, pt in enumerate(crit):
-                # the set is {m} or {m, m * r}; a missing m * r is stored as 0
-                per = sorted(ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt)))
-                periods[k, 2 * i:2 * i + 2] = (per + [0])[:2]
-    return present, points, periods
-
-
-# -- vectorised kernel ----------------------------------------------------
 
 def _powmod(x, e: int, p: int):
     """x^e mod p elementwise, for residues x < p < LANE_PRIME_LIMIT."""
@@ -632,6 +604,7 @@ def _sieve_step(p: int, lanes: np.ndarray, tables, sig1, sig2) -> np.ndarray:
     do per pair; the lanes still alive."""
     good = lanes["res"] % p != 0
     x1, x2 = sig1[lanes["s1"]], sig2[lanes["s2"]]
+    # den(sigma) divides the resultant: test_sievedb's test_denominator_prime_safety
     if (good & ((x1 < 0) | (x2 < 0))).any():
         raise DbConsistencyError(
             f"sigma denominator divisible by good prime {p}; resultant guard failed")

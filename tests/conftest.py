@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import Phase, settings
 
 from quadpcf.exact_arith import first_odd_primes
 from quadpcf.sievedb import build_db
+
+# tools/mutation_gate.py runs its tests under this profile: a failing
+# property is reported without shrinking, which can take minutes when the
+# code under test is wrong
+settings.register_profile("mutation", phases=(Phase.explicit, Phase.generate),
+                          database=None)
 
 
 @pytest.fixture(scope="session")

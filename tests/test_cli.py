@@ -169,6 +169,14 @@ class TestConfig:
                    "--h2", "2"])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["catalog", "classify-twist"])
+    def test_commands_without_config_reject_it(self, command, capsys):
+        # catalog and classify-twist read no configuration
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "/nonexistent/x.json"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"nope": 1}))

@@ -16,7 +16,9 @@ from quadpcf.ffdyn import (
     orbit_data,
     possible_periods,
 )
-from quadpcf.projmap import NormalizedQuadMap, poly_resultant
+from quadpcf.projmap import NormalizedQuadMap
+
+from oracles import poly_resultant
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 

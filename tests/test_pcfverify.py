@@ -5,13 +5,11 @@ import pytest
 
 from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import INFINITY, QuadFieldElement, Rat
-from quadpcf.pcfverify import (
-    critical_orbit_portrait,
-    point_size,
-    postcritical_set,
-)
+from quadpcf.pcfverify import critical_orbit_portrait, point_size
 from quadpcf.preper import FunctionalGraph
-from quadpcf.projmap import MobiusTransform, NormalizedQuadMap
+from quadpcf.projmap import NormalizedQuadMap
+
+from oracles import MobiusTransform, conjugate, postcritical_set
 
 
 def brute_orbit_z2_minus_2(start, steps=20):
@@ -122,7 +120,7 @@ class TestPortraitInvariants:
                     if a * d - b * c != 0:
                         break
                 f = MobiusTransform(a, b, c, d)
-                conj = critical_orbit_portrait(m.conjugate(f)).portrait
+                conj = critical_orbit_portrait(conjugate(m, f)).portrait
                 mapped = {(f(p), f(q), r) for p, q, r in base.edges()}
                 assert mapped == set(conj.edges())
 

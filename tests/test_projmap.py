@@ -14,12 +14,13 @@ from quadpcf.exact_arith import (
     Rat,
 )
 from quadpcf.ffdyn import FpMap, family_forms, form_resultant
-from quadpcf.projmap import (
-    BAD_REDUCTION,
-    DegenerateMapError,
+from quadpcf.projmap import DegenerateMapError, NormalizedQuadMap
+
+from oracles import (
     MobiusTransform,
-    NormalizedQuadMap,
     UnsupportedFieldError,
+    conjugate,
+    fixed_point_multipliers,
 )
 
 nonzero = st.integers(-40, 40).filter(lambda x: x != 0)
@@ -158,30 +159,30 @@ class TestCriticalPoints:
 class TestMultipliers:
     def test_z2_minus_2(self):
         m = NormalizedQuadMap((1, 0, -2), (0, 0, 1))
-        vals = m.fixed_point_multipliers().values
+        vals = fixed_point_multipliers(m).values
         assert sorted(vals, key=str) == sorted([Rat(4), Rat(-2), Rat(0)], key=str)
 
     def test_z2(self):
         m = NormalizedQuadMap((1, 0, 0), (0, 0, 1))
-        assert sorted(m.fixed_point_multipliers().values, key=str) == \
+        assert sorted(fixed_point_multipliers(m).values, key=str) == \
             sorted([Rat(2), Rat(0), Rat(0)], key=str)
 
     def test_inverse_square(self):
         m = NormalizedQuadMap((0, 0, 1), (1, 0, 0))
-        assert m.fixed_point_multipliers().values == (Rat(-2), Rat(-2), Rat(-2))
+        assert fixed_point_multipliers(m).values == (Rat(-2), Rat(-2), Rat(-2))
 
     def test_triple_fixed_infinity(self):
         # z + 1/z fixes only infinity, with multiplicity three
         m = NormalizedQuadMap((1, 0, 1), (0, 1, 0))
-        assert m.fixed_point_multipliers().values == (Rat(1), Rat(1), Rat(1))
+        assert fixed_point_multipliers(m).values == (Rat(1), Rat(1), Rat(1))
 
     def test_golden_ratio_multipliers(self):
         m = NormalizedQuadMap((1, 0, -1), (0, 0, 1))   # z^2 - 1
-        vals = m.fixed_point_multipliers().values
+        vals = fixed_point_multipliers(m).values
         quad = [v for v in vals if isinstance(v, QuadFieldElement)]
         assert len(quad) == 2 and quad[0].D == 5
         assert quad[0] == quad[1].conjugate()
-        e1, e2, _ = m.fixed_point_multipliers().elementary_symmetric()
+        e1, e2, _ = fixed_point_multipliers(m).elementary_symmetric()
         assert (e1, e2) == (Rat(2), Rat(-4))
 
     def test_irreducible_cubic_rejected(self):
@@ -189,11 +190,11 @@ class TestMultipliers:
         # fixed-point cubic, so its multipliers live in a cubic field
         m = NormalizedQuadMap.from_str("[0,2,1]/[-2,4,0]")
         with pytest.raises(UnsupportedFieldError):
-            m.fixed_point_multipliers()
+            fixed_point_multipliers(m)
 
     def test_complex_multiplier_pair(self):
         m = NormalizedQuadMap.from_sigmas(Rat(-10, 3), Rat(20, 3))
-        vals = m.fixed_point_multipliers().values
+        vals = fixed_point_multipliers(m).values
         quad = [v for v in vals if isinstance(v, QuadFieldElement)]
         assert len(quad) == 2 and quad[0].D == -3
 
@@ -206,6 +207,31 @@ class TestSigmaInvariants:
             (Rat(2), Rat(-4))
         assert NormalizedQuadMap((0, 0, 1), (1, 0, 0)).sigma_invariants() == \
             (Rat(-6), Rat(12))
+        # z + 1/z: infinity is its only fixed point, with multiplier 1
+        assert NormalizedQuadMap((1, 0, 1), (0, 1, 0)).sigma_invariants() == \
+            (Rat(3), Rat(3))
+
+    def test_degenerate_raises(self):
+        with pytest.raises(DegenerateMapError):
+            NormalizedQuadMap.from_sigmas(2, 0).sigma_invariants()
+
+    @settings(max_examples=300, deadline=None)
+    @given(root=st.tuples(COEFF, st.one_of(st.just(0), COEFF)),
+           q=st.tuples(st.one_of(st.just(0), COEFF), st.one_of(st.just(0), COEFF), COEFF),
+           g=st.tuples(COEFF, COEFF))
+    def test_equals_oracle_multipliers(self, root, q, g):
+        # F - z G = (v z - u) q(z) makes u / v a fixed point (infinity for
+        # v = 0), so the oracle can split the fixed-point cubic over Q or a
+        # quadratic field; q2 = 0 makes infinity fixed (g2 = 0), and
+        # q1 = 0 as well makes it a multiple fixed point (f2 = g1)
+        (u, v), (q2, q1, q0), (g1, g0) = root, q, g
+        assume((u, v) != (0, 0))
+        G = (-v * q2, g1, g0)
+        F = (v * q1 - u * q2 + g1, v * q0 - u * q1 + g0, -u * q0)
+        assume(form_resultant(F, G) != 0)
+        m = NormalizedQuadMap(F, G)
+        e1, e2, _ = fixed_point_multipliers(m).elementary_symmetric()
+        assert m.sigma_invariants() == (e1, e2)
 
     @given(small_sigmas, small_sigmas)
     @settings(max_examples=40, deadline=None)
@@ -265,12 +291,12 @@ class TestApply:
 class TestConjugation:
     def test_identity(self):
         z2 = NormalizedQuadMap((1, 0, 0), (0, 0, 1))
-        assert z2.conjugate(MobiusTransform.identity()) == z2
+        assert conjugate(z2, MobiusTransform.identity()) == z2
 
     def test_cube_scaling(self):
         # conjugating 8/z^2 by z -> z/2 gives 1/z^2
         t8 = NormalizedQuadMap((0, 0, 8), (1, 0, 0))
-        assert t8.conjugate(MobiusTransform(1, 0, 0, 2)) == \
+        assert conjugate(t8, MobiusTransform(1, 0, 0, 2)) == \
             NormalizedQuadMap((0, 0, 1), (1, 0, 0))
 
     def test_sigma_invariance(self):
@@ -279,7 +305,7 @@ class TestConjugation:
             m = NormalizedQuadMap.from_sigmas(s1, s2)
             for _ in range(3):
                 f = random_mobius(rng)
-                assert m.conjugate(f).sigma_invariants() == (s1, s2)
+                assert conjugate(m, f).sigma_invariants() == (s1, s2)
 
     def test_critical_points_transform(self):
         rng = random.Random(11)
@@ -287,7 +313,7 @@ class TestConjugation:
         pts, _ = m.critical_points()
         for _ in range(4):
             f = random_mobius(rng)
-            conj_pts, _ = m.conjugate(f).critical_points()
+            conj_pts, _ = conjugate(m, f).critical_points()
             assert set(conj_pts) == {f(p) for p in pts}
 
     def test_rational_mobius_entries_cleared(self):
@@ -313,19 +339,14 @@ def fp_degree_drops(p, F, G):
 class TestReduction:
     def test_coefficient_reduction(self):
         m = NormalizedQuadMap.from_sigmas(2, -8)
-        fm = m.reduce_mod_p(7)
+        fm = FpMap(7, m.F, m.G)
         assert fm.F == (2, 0, 0) and fm.G == (6, 4, 1)
-
-    def test_p2_rejected(self):
-        with pytest.raises(ValueError):
-            NormalizedQuadMap.from_sigmas(2, -8).reduce_mod_p(2)
-        with pytest.raises(ValueError):
-            NormalizedQuadMap.from_sigmas(2, -8).reduce_mod_p(9)
 
     def test_bad_reduction_at_denominator_prime(self):
         m = NormalizedQuadMap.from_sigmas(Rat(-2, 3), Rat(4, 3))
-        assert m.reduce_mod_p(3) is BAD_REDUCTION
         assert m.resultant() % 3 == 0
+        with pytest.raises(ValueError, match="drops degree"):
+            FpMap(3, m.F, m.G)
 
     def test_bad_reduction_characterization(self):
         primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -334,8 +355,6 @@ class TestReduction:
             m = NormalizedQuadMap.from_sigmas(s1, s2)
             res = m.resultant()
             for p in primes:
-                reduced = m.reduce_mod_p(p)
-                assert (reduced is BAD_REDUCTION) == (res % p == 0)
                 # cross-check with an independent common-root scan
                 assert (res % p == 0) == fp_degree_drops(p, m.F, m.G)
 
@@ -348,7 +367,7 @@ class TestReduction:
             for p in (3, 5, 7, 11, 13):
                 if res % p == 0:
                     continue
-                fm = m.reduce_mod_p(p)
+                fm = FpMap(p, m.F, m.G)
                 s1p = s1.num * pow(s1.den, p - 2, p) % p
                 s2p = s2.num * pow(s2.den, p - 2, p) % p
                 fam = FpMap(p, *family_forms((2 - s1p) % p, (2 - s1p - s2p) % p))

@@ -25,9 +25,10 @@ from quadpcf.sievedb import (
     family_key,
     period_entries,
     reduce_rational_point,
-    scalar_period_entries,
     sieve,
 )
+
+from oracles import scalar_period_entries
 
 
 # ----------------------------------------------------------------------
@@ -431,23 +432,17 @@ class TestReductionHelpers:
         s1, s2 = Rat(-2, 3), Rat(4, 3)
         b, c = family_key(s1, s2, 7)
         m = NormalizedQuadMap.from_sigmas(s1, s2)
-        fm = m.reduce_mod_p(7)
+        fm = FpMap(7, m.F, m.G)
         fam = FpMap(7, *family_forms(b, c))
         scale = fm.F[0] * pow(fam.F[0], 5, 7) % 7
         assert all(x == y * scale % 7 for x, y in zip(fm.F + fm.G, fam.F + fam.G))
 
-    def test_denominator_prime_safety(self):
-        # p dividing a sigma denominator forces p into the resultant
-        rng = random.Random(17)
-        found = 0
-        for _ in range(300):
-            n1, d1 = rng.randint(-9, 9), rng.randint(1, 9)
-            n2, d2 = rng.randint(-9, 9), rng.randint(1, 9)
-            s1, s2 = Rat(n1, d1), Rat(n2, d2)
-            m = NormalizedQuadMap.from_sigmas(s1, s2)
-            res = m.resultant()
-            for p in (3, 5, 7):
-                if s1.den % p == 0 or s2.den % p == 0:
-                    found += 1
-                    assert res % p == 0, (str(s1), str(s2), p)
-        assert found > 20
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(Rat, st.integers(-60, 60), st.integers(1, 60)),
+           st.builds(Rat, st.integers(-60, 60), st.integers(1, 60)))
+    def test_denominator_prime_safety(self, s1, s2):
+        # sigma_i = N_i / resultant with N_i integral, so each denominator
+        # divides the resultant: a prime dividing one is bad, and the
+        # resultant guard in _sieve_step never fires
+        res = NormalizedQuadMap.from_sigmas(s1, s2).resultant()
+        assert res % s1.den == 0 and res % s2.den == 0

@@ -1,0 +1,174 @@
+"""Mutation gate: each hand-made fault in the package must fail its tests.
+
+    python tools/mutation_gate.py
+
+A mutant names a file under src/quadpcf, an exact old text, the new text
+that replaces it, and the test ids that must fail.  For each mutant the
+script copies src/, tests/ and pyproject.toml into a fresh temporary
+directory, applies the one edit there and runs only the named tests, so the
+checkout and its .hypothesis database are never touched.  Hypothesis runs
+under the "mutation" profile of tests/conftest.py, which reports a failing
+example without shrinking it.  The named tests first run once on an
+unmutated copy and must pass there.
+
+The gate fails when a mutant survives (a named test passes), when a
+mutant is stale (its old text does not occur exactly once) or when a
+named test is not collected.  It prints mutants killed out of mutants and
+its wall time, and exits 0 only when every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str                 # relative to src/quadpcf
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "kernel maps a fixed infinity to 0",
+        "sievedb.py",
+        "np.where(g2 == 0, p, f2 * inv[g2] % p)",
+        "np.where(g2 == 0, 0, f2 * inv[g2] % p)",
+        ("tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",),
+    ),
+    Mutant(
+        "preperiodic search cuts off at the size bound itself",
+        "preper.py",
+        "if max(abs(nxt[0]), nxt[1]) > size_cutoff:",
+        "if max(abs(nxt[0]), nxt[1]) >= size_cutoff:",
+        ("tests/test_preper.py::TestRationalPreperiodicGraph::test_equals_fraction_reference",),
+    ),
+    Mutant(
+        "integer step drops its sign fix",
+        "projmap.py",
+        "        if v < 0:\n            u, v = -u, -v\n",
+        "",
+        ("tests/test_projmap.py::TestApply::test_integer_step_equals_fraction_oracle",),
+    ),
+    Mutant(
+        "one coefficient of the sigma2 numerator changed",
+        "projmap.py",
+        "12 * f0 * g2 * g2",
+        "11 * f0 * g2 * g2",
+        ("tests/test_projmap.py::TestSigmaInvariants::test_equals_oracle_multipliers",
+         "tests/test_projmap.py::TestSigmaInvariants::test_round_trip_on_the_ten"),
+    ),
+    Mutant(
+        "period rule drops m * r",
+        "ffdyn.py",
+        "    return frozenset((o.m, o.m * o.r))\n",
+        "    return frozenset((o.m,))\n",
+        ("tests/test_ffdyn.py::TestPossiblePeriods::test_general",
+         "tests/test_sievedb.py::TestBuild::test_fast_equals_scalar[7]"),
+    ),
+    Mutant(
+        "lane sets ignore their second slot",
+        "sievedb.py",
+        "y1 = np.where(unconstrained, n1, np.where((x1 == n0) | (x1 == n1), x1, 0))",
+        "y1 = np.where(unconstrained, n1, x1)",
+        ("tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box",),
+    ),
+    Mutant(
+        "sieve steps only the bad lanes",
+        "sievedb.py",
+        '    good = lanes["res"] % p != 0\n',
+        '    good = lanes["res"] % p == 0\n',
+        ("tests/test_sievedb.py::TestSieve::test_sub_bound_2_4",),
+    ),
+    Mutant(
+        "verifier claims PCF when its budget runs out",
+        "pcfverify.py",
+        '                return PcfStatus(False, None, iterations, max_size,\n'
+        '                                 reason=f"budget',
+        '                return PcfStatus(True, None, iterations, max_size,\n'
+        '                                 reason=f"budget',
+        ("tests/test_pcfverify.py::TestUndetermined::test_budget_boundary",),
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
+    shutil.copytree(ROOT / "src", dest / "src", ignore=ignore)
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _run_tests(work: Path, tests: Tuple[str, ...]) -> Tuple[int, set, str]:
+    """Run pytest on the copy; exit code, failed test ids and the output."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    found = subprocess.run(
+        [sys.executable, "-c", "import quadpcf; print(quadpcf.__file__)"],
+        cwd=work, env=env, capture_output=True, text=True, check=True).stdout
+    if not Path(found.strip()).is_relative_to(work):
+        raise RuntimeError(f"tests would import the package from {found.strip()}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutation", *tests],
+        cwd=work, env=env, capture_output=True, text=True)
+    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, flags=re.MULTILINE))
+    return proc.returncode, failed, proc.stdout + proc.stderr
+
+
+def _check_mutant(m: Mutant) -> str:
+    """Empty when the mutant is killed, else why it is not."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        _copy_tree(work)
+        target = work / "src" / "quadpcf" / m.path
+        text = target.read_text()
+        count = text.count(m.old)
+        if count != 1:
+            return f"stale: the old text occurs {count} times in {m.path}"
+        target.write_text(text.replace(m.old, m.new))
+        code, failed, out = _run_tests(work, m.tests)
+        if code not in (0, 1):
+            return f"pytest exit code {code}:\n{out[-2000:]}"
+        survived = [t for t in m.tests if t not in failed]
+        if survived:
+            return "survived: " + ", ".join(survived)
+        return ""
+
+
+def main() -> int:
+    start = time.perf_counter()
+    all_tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
+        _copy_tree(Path(tmp))
+        code, _, out = _run_tests(Path(tmp), all_tests)
+    if code != 0:
+        print(f"the named tests do not pass on the unmutated code:\n{out[-3000:]}")
+        return 1
+    killed = 0
+    for m in MUTANTS:
+        t0 = time.perf_counter()
+        problem = _check_mutant(m)
+        verdict = "killed" if not problem else problem
+        print(f"{m.name}: {verdict} ({time.perf_counter() - t0:.1f} s)")
+        killed += not problem
+    wall = time.perf_counter() - start
+    print(f"{killed}/{len(MUTANTS)} mutants killed in {wall:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
