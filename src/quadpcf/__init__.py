@@ -3,12 +3,10 @@
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
-    NegativeDiscriminantError,
     QuadFieldElement,
     Rat,
     enumerate_rationals,
     height,
-    quad_roots,
 )
 from quadpcf.projmap import (
     DegenerateMapError,
@@ -20,12 +18,10 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITY",
     "ExtendedRational",
-    "NegativeDiscriminantError",
     "QuadFieldElement",
     "Rat",
     "enumerate_rationals",
     "height",
-    "quad_roots",
     "DegenerateMapError",
     "NormalizedQuadMap",
     "__version__",

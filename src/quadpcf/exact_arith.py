@@ -1,11 +1,11 @@
-"""Exact scalar arithmetic over Q and real quadratic fields Q(sqrt(D)).
+"""Exact scalar arithmetic over Q and quadratic fields Q(sqrt(D)).
 
 Provides big-integer rationals with a distinguished point at infinity
 (the projective point (1 : 0)), elements a + b*sqrt(D) with squarefree D,
 the multiplicative height H(p/q) = max(|p|, q), height-ordered enumeration
-of the rationals, exact root extraction for quadratics over Q, and the
-small number theory the package needs: primes, divisors, and squarefree
-parts by trial division, Miller-Rabin and Pollard's rho.
+of the rationals, and the small number theory the package needs: primes,
+divisors, and squarefree parts by trial division, Miller-Rabin and
+Pollard's rho.
 
 Everything here is immutable and all operations are pure.
 """
@@ -22,10 +22,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple, Union
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Pollard's rho finds prime factors up to about 2^36 within this many steps
 _RHO_STEPS = 1 << 18
-
-
-class NegativeDiscriminantError(ValueError):
-    """A quadratic has complex roots; complex scalars are out of scope."""
 
 
 # ----------------------------------------------------------------------
@@ -465,8 +461,9 @@ class QuadFieldElement:
 
     Arithmetic is closed in the field and collapses to ExtendedRational
     whenever the sqrt coefficient cancels, so exact-equality tables can mix
-    rationals and field elements.  D < 0 is accepted by the type (the
-    algebra is identical) but quad_roots never produces it.
+    rationals and field elements.  D > 0 gives the real quadratic fields and
+    D < 0 the imaginary quadratic fields of complex critical points; the
+    algebra is the same.
     """
 
     __slots__ = ("a", "b", "D")
@@ -643,41 +640,3 @@ def point_sort_key(pt: PointValue):
             return (0, Fraction(pt.a.num, pt.a.den))
         return (1, pt.D, Fraction(pt.a.num, pt.a.den), Fraction(pt.b.num, pt.b.den))
     raise TypeError(f"not a point value: {pt!r}")
-
-
-# ----------------------------------------------------------------------
-# quadratic roots in P^1
-# ----------------------------------------------------------------------
-
-def quad_roots(a: RationalLike, b: RationalLike, c: RationalLike):
-    """Roots of a*z^2 + b*z + c in P^1, as exact scalars.
-
-    Interprets the triple as a binary quadratic form, so a == 0 puts one
-    (or, if also b == 0, both) of the roots at INFINITY.  Irrational real
-    roots come back as conjugate QuadFieldElements over squarefree D > 1;
-    a negative discriminant raises NegativeDiscriminantError since no
-    in-scope computation needs complex roots.
-    """
-    a, b, c = _as_rat(a), _as_rat(b), _as_rat(c)
-    for v in (a, b, c):
-        v._require_finite()
-    if a.is_zero() and b.is_zero() and c.is_zero():
-        raise ValueError("zero form has no well-defined roots")
-    if a.is_zero():
-        if b.is_zero():
-            return (INFINITY, INFINITY)
-        return (-c / b, INFINITY)
-    disc = b * b - 4 * a * c
-    if disc.is_zero():
-        r = -b / (a + a)
-        return (r, r)
-    if disc < 0:
-        raise NegativeDiscriminantError(f"complex roots: discriminant {disc} < 0")
-    s, D = squarefree_part(disc.num * disc.den)
-    half = ExtendedRational(1) / (a + a)
-    if D == 1:
-        t = ExtendedRational(s, disc.den)
-        return ((-b + t) * half, (-b - t) * half)
-    re = -b * half
-    co = abs(ExtendedRational(s, disc.den) * half)
-    return (QuadFieldElement(re, co, D), QuadFieldElement(re, -co, D))

@@ -3,9 +3,11 @@
 Iterates both critical orbits with exact arithmetic until each revisits a
 previously seen value, then assembles the critical portrait: the functional
 graph of the union of the orbits, with ramification index 2 on the edges
-leaving the critical points.  Orbits that exceed the iteration budget or
-the size cutoff come back as UNDETERMINED with diagnostics, never as a
-non-PCF verdict (refutation is the sieve's job).
+leaving the critical points.  The critical points are rational or a
+conjugate pair in one quadratic field Q(sqrt(D)), real or imaginary; the
+complex ones take the same path as the real ones.  Orbits that exceed the
+iteration budget or the size cutoff come back as UNDETERMINED with
+diagnostics, never as a non-PCF verdict (refutation is the sieve's job).
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def critical_orbit_portrait(phi: NormalizedQuadMap, budget: int = DEFAULT_BUDGET
         raise ValueError("budget must be positive")
     if phi.resultant() == 0:
         raise ValueError("degenerate map (resultant 0) cannot be verified")
-    crit_points, _rational = phi.critical_points()
+    crit_points = phi.critical_point_data().points
     successor: Dict[PointValue, PointValue] = {}
     iterations = 0
     max_size = 1

@@ -9,7 +9,7 @@ points for the two power maps via exponent dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from quadpcf.exact_arith import (
@@ -19,7 +19,6 @@ from quadpcf.exact_arith import (
     _as_rat,
     enumerate_pairs,
     point_sort_key,
-    squarefree_part,
 )
 from quadpcf.projmap import NormalizedQuadMap
 
@@ -280,10 +279,11 @@ def sq_twist_map(b: RationalLike) -> NormalizedQuadMap:
 
 
 def _is_rational_square(x: ExtendedRational) -> bool:
-    """Membership in (Q^x)^2: positive with squarefree part 1."""
+    """Membership in (Q^x)^2: positive, with square numerator and
+    denominator in lowest terms; no factorization needed."""
     if x.is_infinity() or x <= 0:
         return False
-    return squarefree_part(x.num * x.den)[1] == 1
+    return isqrt(x.num) ** 2 == x.num and isqrt(x.den) ** 2 == x.den
 
 
 _SQ_CLASS_REPS = {

@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
-    NegativeDiscriminantError,
     PointValue,
     QuadFieldElement,
     Rat,
@@ -168,47 +167,30 @@ class NormalizedQuadMap:
     # -- critical points ---------------------------------------------------
 
     def critical_point_data(self, need_points: bool = True) -> "CriticalPoints":
-        """Classify the wronskian roots; integer arithmetic on the hot path.
+        """The two critical points, the roots of the wronskian in P^1.
 
-        With need_points=False the irrational cases skip the factorization
-        needed to build explicit field elements; the sieve only dispatches
-        on rationality.
+        Rational roots come back as ExtendedRationals.  Otherwise the
+        discriminant is s^2 * D with D squarefree and the roots are the
+        conjugate pair in Q(sqrt(D)), real for D > 0 and complex for D < 0.
+        With need_points=False the irrational case skips the factorization
+        that D needs; the sieve only dispatches on rationality.
         """
         w2, w1, w0 = self.wronskian()
         if w2 == 0 and w1 == 0:
             raise DegenerateMapError("wronskian is degenerate; not a degree-2 morphism")
         if w2 == 0:
-            return CriticalPoints((Rat(-w0, w1), INFINITY), True, "rational", None)
+            return CriticalPoints((Rat(-w0, w1), INFINITY), True)
         disc = w1 * w1 - 4 * w2 * w0
-        if disc == 0:
-            r = Rat(-w1, 2 * w2)
-            return CriticalPoints((r, r), True, "rational", None)
-        if disc < 0:
-            return CriticalPoints(None, False, "complex", None)
-        s = isqrt(disc)
+        s = isqrt(max(disc, 0))
         if s * s == disc:
-            return CriticalPoints((Rat(-w1 + s, 2 * w2), Rat(-w1 - s, 2 * w2)),
-                                  True, "rational", None)
+            return CriticalPoints((Rat(-w1 + s, 2 * w2), Rat(-w1 - s, 2 * w2)), True)
         if not need_points:
-            return CriticalPoints(None, False, "quadratic", None)
+            return CriticalPoints(None, False)
         sq, d = squarefree_part(disc)
         re = Rat(-w1, 2 * w2)
         co = abs(Rat(sq, 2 * w2))
         return CriticalPoints(
-            (QuadFieldElement(re, co, d), QuadFieldElement(re, -co, d)),
-            False, "quadratic", d)
-
-    def critical_points(self):
-        """The two critical points and whether both are rational.
-
-        Raises NegativeDiscriminantError for complex critical points; the
-        sieve handles those through critical_point_data instead.
-        """
-        data = self.critical_point_data()
-        if data.field == "complex":
-            raise NegativeDiscriminantError(
-                "complex critical points (negative wronskian discriminant)")
-        return data.points, data.rational
+            (QuadFieldElement(re, co, d), QuadFieldElement(re, -co, d)), False)
 
     # -- sigma-invariants ----------------------------------------------------
 
@@ -246,5 +228,3 @@ class NormalizedQuadMap:
 class CriticalPoints:
     points: Optional[Tuple[PointValue, PointValue]]
     rational: bool
-    field: str          # "rational" | "quadratic" | "complex"
-    D: Optional[int]

@@ -9,8 +9,7 @@ route something the package computes directly:
   closed-form ffdyn.form_resultant;
 - Moebius conjugation, for the equivariance properties;
 - the period-set tables of one prime by plain loops over ffdyn's scalar
-  orbit splitter, against sievedb.period_entries;
-- postcritical sets, read off a verified portrait.
+  orbit splitter, against sievedb.period_entries.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Sequence, Set, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +31,9 @@ from quadpcf.exact_arith import (
     RationalLike,
     _as_rat,
     divisors,
-    quad_roots,
     squarefree_part,
 )
 from quadpcf.ffdyn import FpMap
-from quadpcf.pcfverify import PcfStatus
 from quadpcf.projmap import FormCoeffs, NormalizedQuadMap
 
 
@@ -304,9 +301,8 @@ def _rational_roots(coeffs):
         disc = b * b - 4 * a * c
         n, d = (disc.numerator, disc.denominator)
         if n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d:
-            r1, r2 = quad_roots(Rat(a.numerator, a.denominator),
-                                Rat(b.numerator, b.denominator),
-                                Rat(c.numerator, c.denominator))
+            s = Fraction(isqrt(n), isqrt(d))
+            r1, r2 = Rat((-b + s) / (2 * a)), Rat((-b - s) / (2 * a))
             for r in sorted({r1, r2}, key=lambda x: (x.num, x.den)):
                 mult = sum(1 for x in (r1, r2) if x == r)
                 roots.append((r, mult))
@@ -347,20 +343,3 @@ def scalar_period_entries(p: int):
                 per = sorted(ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt)))
                 periods[k, 2 * i:2 * i + 2] = (per + [0])[:2]
     return present, points, periods
-
-
-# ----------------------------------------------------------------------
-# postcritical sets
-# ----------------------------------------------------------------------
-
-def postcritical_set(status: PcfStatus) -> Set[PointValue]:
-    """Union of the strict forward orbits of the critical points."""
-    if not status.verified or status.portrait is None:
-        raise ValueError("postcritical set needs a verified portrait")
-    pc: Set[PointValue] = set()
-    for gamma in status.portrait.critical:
-        cur = status.portrait.successor[gamma]
-        while cur not in pc:
-            pc.add(cur)
-            cur = status.portrait.successor[cur]
-    return pc

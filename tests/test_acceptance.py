@@ -303,13 +303,8 @@ def test_criterion_8_oracle_equivalence():
             if phi.resultant() == 0:
                 continue
             n_pairs += 1
-            if phi.critical_point_data(need_points=False).field == "complex":
-                # complex critical orbits cannot be exactly certified here,
-                # and no PCF map over Q has them; the sieve must agree
-                brute = False
-            else:
-                brute = critical_orbit_portrait(phi, budget=64,
-                                                size_cutoff=10 ** 6).verified
+            brute = critical_orbit_portrait(phi, budget=64,
+                                            size_cutoff=10 ** 6).verified
             sieve_ok = (s1, s2) in survivors
             assert brute == sieve_ok, (f"disagreement at ({s1},{s2}): "
                                        f"brute={brute} sieve={sieve_ok}")

@@ -1,16 +1,28 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadpcf.cli import (
     EXIT_OK,
     EXIT_USAGE,
+    TEN_SIGMA_PAIRS,
     RunConfig,
     main,
 )
-from quadpcf.exact_arith import first_odd_primes
+from quadpcf.exact_arith import first_odd_primes, height
+
+
+def _records(path):
+    return [l.split("\t") for l in path.read_text().splitlines()
+            if l and not l.startswith("#")]
 
 
 class TestSieve:
@@ -44,6 +56,45 @@ class TestPipeline:
         assert f"# config-digest: {digest}" in verified
         assert summary["verified_count"] + summary["undetermined_count"] == \
             len(summary["survivors"])
+
+    def test_paper_box_with_few_primes(self, tmp_path, capsys):
+        # 20 primes leave complex-critical survivors beside the ten maps;
+        # the verifier lists them as UNDETERMINED and the run still succeeds
+        outdir = tmp_path / "run"
+        rc = main(["pipeline", "--h1", "10", "--h2", "20", "--primes", "20",
+                   "--outdir", str(outdir)])
+        assert rc == EXIT_OK
+        verified = {(c[0], c[1]): c[3] for c in _records(outdir / "verified.tsv")}
+        pcf = {(str(s1), str(s2)) for s1, s2 in TEN_SIGMA_PAIRS}
+        assert {k for k, v in verified.items() if v == "VERIFIED_PCF"} == pcf
+        assert verified[("6", "18/13")] == "UNDETERMINED"
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert (summary["verified_count"], summary["undetermined_count"]) == (10, 8)
+        assert len(_records(outdir / "survivors.tsv")) == 18
+
+    @given(h1=st.integers(1, 3), h2=st.integers(1, 3),
+           primes=st.sets(st.sampled_from(first_odd_primes(12)), min_size=1))
+    @example(h1=3, h2=3, primes={3})
+    @settings(max_examples=20, deadline=None)
+    def test_every_survivor_reaches_the_verifier(self, h1, h2, primes):
+        # few primes let maps with complex critical points survive; each
+        # survivor must reach the verifier and appear in all three artifacts
+        with tempfile.TemporaryDirectory() as tmp:
+            outdir = Path(tmp)
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["pipeline", "--h1", str(h1), "--h2", str(h2),
+                           "--prime-list", ",".join(map(str, sorted(primes))),
+                           "--outdir", str(outdir)])
+            assert rc == EXIT_OK
+            survivors = _records(outdir / "survivors.tsv")
+            status = {(c[0], c[1]): c[3] for c in _records(outdir / "verified.tsv")}
+            summary = json.loads((outdir / "summary.json").read_text())
+        assert len(status) == len(survivors) == len(summary["survivors"])
+        assert summary["verified_count"] + summary["undetermined_count"] == \
+            len(survivors)
+        for s1, s2 in TEN_SIGMA_PAIRS:
+            if height(s1) <= h1 and height(s2) <= h2:
+                assert status[(str(s1), str(s2))] == "VERIFIED_PCF"
 
     def test_pipeline_leaves_only_its_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -99,6 +150,15 @@ class TestVerify:
         assert rc != EXIT_OK
         assert "UNDETERMINED" in capsys.readouterr().out
 
+    def test_complex_critical_points(self, capsys):
+        # the critical points of (3, 5/6) are a conjugate pair in an
+        # imaginary quadratic field; their orbits grow past the cutoff
+        rc = main(["verify", "--sigmas", "3,5/6;2,-8"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "(3,5/6)\tUNDETERMINED\torbit size" in out
+        assert "(2,-8)\tVERIFIED_PCF" in out
+
 
 class TestPortrait:
     def test_by_sigmas(self, capsys, tmp_path):
@@ -130,6 +190,12 @@ class TestClassifyTwist:
         rc = main(["classify-twist", "--psi1-b=-3/2"])
         assert rc == EXIT_OK
         assert capsys.readouterr().out.startswith("sq-2cycle")
+
+    def test_psi1_beyond_factorization(self, capsys):
+        # (10^18 + 3)(10^18 + 9): a square-class test needs no factorization
+        rc = main(["classify-twist", "--psi1-b=1000000000000000012000000000000000027"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.startswith("sq-generic")
 
     def test_psi2_map(self, capsys):
         rc = main(["classify-twist", "--map", "[0,2,-1]/[1,0,-1]"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
-    NegativeDiscriminantError,
     QuadFieldElement,
     Rat,
     divisors,
@@ -17,7 +16,6 @@ from quadpcf.exact_arith import (
     is_prime,
     parse_point,
     primes_up_to,
-    quad_roots,
     squarefree_part,
 )
 
@@ -202,56 +200,6 @@ class TestQuadFieldElement:
             return v.conjugate() if isinstance(v, QuadFieldElement) else v
         assert conj(x + y) == conj(x) + conj(y)
         assert conj(x * y) == conj(x) * conj(y)
-
-
-# ----------------------------------------------------------------------
-# quadratic roots
-# ----------------------------------------------------------------------
-
-class TestQuadRoots:
-    def test_sqrt2(self):
-        r1, r2 = quad_roots(1, 0, -2)
-        assert r1 == QuadFieldElement(Rat(0), Rat(1), 2)
-        assert r2 == QuadFieldElement(Rat(0), Rat(-1), 2)
-
-    def test_degree_drop(self):
-        assert quad_roots(0, 1, -4) == (Rat(4), INFINITY)
-        assert quad_roots(0, 0, 3) == (INFINITY, INFINITY)
-
-    def test_sqrt5_conjugate_pair(self):
-        r1, r2 = quad_roots(1, 6, 4)
-        assert r1 == QuadFieldElement(Rat(-3), Rat(1), 5)
-        assert r2 == QuadFieldElement(Rat(-3), Rat(-1), 5)
-
-    def test_rational_roots(self):
-        assert quad_roots(1, -3, 2) == (Rat(2), Rat(1))
-        assert quad_roots(2, 1, 0) == (Rat(0), Rat(-1, 2))
-
-    def test_double_root(self):
-        assert quad_roots(1, -2, 1) == (Rat(1), Rat(1))
-
-    def test_negative_discriminant(self):
-        with pytest.raises(NegativeDiscriminantError):
-            quad_roots(1, 0, 1)
-
-    def test_zero_form(self):
-        with pytest.raises(ValueError):
-            quad_roots(0, 0, 0)
-
-    @given(small_rats, small_rats, small_rats)
-    @settings(max_examples=60)
-    def test_roots_satisfy_equation(self, a, b, c):
-        if a.is_zero() and b.is_zero() and c.is_zero():
-            return
-        try:
-            roots = quad_roots(a, b, c)
-        except NegativeDiscriminantError:
-            return
-        for r in roots:
-            if isinstance(r, ExtendedRational) and r.is_infinity():
-                assert a.is_zero()
-            else:
-                assert (r * a + b) * r + c == 0
 
 
 def test_squarefree_part():

@@ -9,7 +9,7 @@ from quadpcf.pcfverify import critical_orbit_portrait, point_size
 from quadpcf.preper import FunctionalGraph
 from quadpcf.projmap import NormalizedQuadMap
 
-from oracles import MobiusTransform, conjugate, postcritical_set
+from oracles import MobiusTransform, conjugate
 
 
 def brute_orbit_z2_minus_2(start, steps=20):
@@ -139,25 +139,6 @@ class TestPortraitInvariants:
             g1 = FunctionalGraph(critical_orbit_portrait(normal).portrait.successor)
             g2 = FunctionalGraph(critical_orbit_portrait(other).portrait.successor)
             assert g1.is_isomorphic_to(g2), text
-
-
-class TestPostcriticalSet:
-    def test_fixed_and_tail_orbits(self):
-        st = critical_orbit_portrait(NormalizedQuadMap.from_sigmas(2, -8))
-        assert postcritical_set(st) == {Rat(0), Rat(-4, 3), Rat(4)}
-
-    def test_z2(self):
-        st = critical_orbit_portrait(NormalizedQuadMap((1, 0, 0), (0, 0, 1)))
-        assert postcritical_set(st) == {Rat(0), INFINITY}
-
-    def test_three_cycle_class(self):
-        st = critical_orbit_portrait(NormalizedQuadMap.from_sigmas(-6, 8))
-        assert postcritical_set(st) == {Rat(-2), Rat(0), INFINITY}
-
-    def test_requires_verified(self):
-        st = critical_orbit_portrait(NormalizedQuadMap.from_sigmas(2, -12))
-        with pytest.raises(ValueError):
-            postcritical_set(st)
 
 
 class TestPointSize:

@@ -216,6 +216,12 @@ class TestSqTwists:
         assert classify_psi1_twist(Rat(-8)).id == "sq-type12"     # -2b = 16
         assert classify_psi1_twist(Rat(2)).id == "sq-fixed"       # 2b = 4
         assert classify_psi1_twist(Rat(7)).id == "sq-generic"
+        # q is beyond Pollard's rho; a square-class test needs no factoring
+        q = (10 ** 18 + 3) * (10 ** 18 + 9)
+        assert classify_psi1_twist(Rat(q)).id == "sq-generic"
+        assert classify_psi1_twist(Rat(2 * q * q)).id == "sq-fixed"
+        assert classify_psi1_twist(Rat(-3 * q * q, 2)).id == "sq-2cycle"
+        assert classify_psi1_twist(Rat(-8 * q * q, 9)).id == "sq-type12"
 
     def test_type_tags_in_twist_graphs(self):
         g = classify_psi1_twist(Rat(1)).graph

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import (
     INFINITY,
-    NegativeDiscriminantError,
     QuadFieldElement,
     Rat,
 )
@@ -114,33 +113,35 @@ class TestResultant:
 
 class TestCriticalPoints:
     def test_rational_pair(self):
-        pts, rational = NormalizedQuadMap.from_sigmas(2, -8).critical_points()
-        assert rational and pts == (Rat(0), Rat(-4))
+        crit = NormalizedQuadMap.from_sigmas(2, -8).critical_point_data()
+        assert crit.rational and crit.points == (Rat(0), Rat(-4))
 
     def test_squaring_map(self):
-        pts, rational = NormalizedQuadMap((1, 0, 0), (0, 0, 1)).critical_points()
-        assert rational and set(pts) == {Rat(0), INFINITY}
+        crit = NormalizedQuadMap((1, 0, 0), (0, 0, 1)).critical_point_data()
+        assert crit.rational and set(crit.points) == {Rat(0), INFINITY}
 
     def test_conjugate_quadratic_pair(self):
-        pts, rational = NormalizedQuadMap.from_sigmas(-2, 0).critical_points()
-        assert not rational
-        assert pts == (QuadFieldElement(Rat(-3), Rat(1), 5),
+        crit = NormalizedQuadMap.from_sigmas(-2, 0).critical_point_data()
+        assert not crit.rational
+        assert crit.points == (QuadFieldElement(Rat(-3), Rat(1), 5),
                        QuadFieldElement(Rat(-3), Rat(-1), 5))
 
-    def test_complex_raises(self):
-        # (4, -3) has wronskian (10z^2 + 10) up to scale: negative discriminant
+    def test_complex_pair(self):
+        # (4, -3) has wronskian 10z^2 + 10: the critical points are +-i
         m = NormalizedQuadMap.from_sigmas(4, -3)
         assert m.resultant() != 0
         data = m.critical_point_data(need_points=False)
-        assert data.field == "complex" and not data.rational
-        with pytest.raises(NegativeDiscriminantError):
-            m.critical_points()
+        assert data.points is None and not data.rational
+        crit = m.critical_point_data()
+        assert not crit.rational
+        assert crit.points == (QuadFieldElement(Rat(0), Rat(1), -1),
+                               QuadFieldElement(Rat(0), Rat(-1), -1))
 
     def test_critical_value_single_fiber(self):
         # each critical value has exactly one preimage (ramification 2)
         for s1, s2 in TEN_SIGMA_PAIRS:
             m = NormalizedQuadMap.from_sigmas(s1, s2)
-            pts, _ = m.critical_points()
+            pts = m.critical_point_data().points
             f2, f1, f0 = m.F
             g2, g1, g0 = m.G
             for gamma in pts:
@@ -310,10 +311,10 @@ class TestConjugation:
     def test_critical_points_transform(self):
         rng = random.Random(11)
         m = NormalizedQuadMap.from_sigmas(2, -8)
-        pts, _ = m.critical_points()
+        pts = m.critical_point_data().points
         for _ in range(4):
             f = random_mobius(rng)
-            conj_pts, _ = conjugate(m, f).critical_points()
+            conj_pts = conjugate(m, f).critical_point_data().points
             assert set(conj_pts) == {f(p) for p in pts}
 
     def test_rational_mobius_entries_cleared(self):

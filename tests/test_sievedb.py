@@ -236,13 +236,13 @@ class TestFileFormat:
 class TestChecks:
     def test_single_prime_running_sets(self, small_db):
         m = NormalizedQuadMap.from_sigmas(2, -8)
-        (g1, g2), _ = m.critical_points()
+        g1, g2 = m.critical_point_data().points
         r = check_rational_periods_detailed(m, g1, g2, [7], m.resultant(), small_db)
         assert r.ok and r.period_sets == (frozenset({1}), frozenset({1, 3}))
 
     def test_pcf_map_survives_many_primes(self, small_db, small_primes):
         m = NormalizedQuadMap.from_sigmas(2, -8)
-        (g1, g2), _ = m.critical_points()
+        g1, g2 = m.critical_point_data().points
         assert check_rational_periods_detailed(
             m, g1, g2, small_primes, m.resultant(), small_db).ok
 
@@ -288,7 +288,7 @@ class TestChecks:
         doctored = Database({7: (present, points, periods)})
         assert doctored.lookup(7, 0, 1) is ABSENT
         m = NormalizedQuadMap.from_sigmas(2, -8)
-        (g1, g2), _ = m.critical_points()
+        g1, g2 = m.critical_point_data().points
         with pytest.raises(DbConsistencyError):
             check_rational_periods_detailed(m, g1, g2, [7], m.resultant(), doctored)
 

@@ -103,6 +103,15 @@ MUTANTS = (
         '                                 reason=f"budget',
         ("tests/test_pcfverify.py::TestUndetermined::test_budget_boundary",),
     ),
+    Mutant(
+        "complex critical points come back without points",
+        "projmap.py",
+        "        if not need_points:\n",
+        "        if not need_points or disc < 0:\n",
+        ("tests/test_projmap.py::TestCriticalPoints::test_complex_pair",
+         "tests/test_cli.py::TestVerify::test_complex_critical_points",
+         "tests/test_cli.py::TestPipeline::test_every_survivor_reaches_the_verifier"),
+    ),
 )
 
 
