@@ -376,10 +376,14 @@ def _iroot(m: int, k: int) -> int:
         x = y
 
 
+class FactorizationError(ValueError):
+    """Pollard's rho found no factor within its step budget."""
+
+
 def _split(n: int) -> int:
     """A proper factor of a composite n that is no perfect power and has no
     prime factor below 1000, by Pollard's rho.  Finding a prime factor p
-    takes about sqrt(p) steps, so give up with ValueError after
+    takes about sqrt(p) steps, so give up with FactorizationError after
     _RHO_STEPS rather than run on."""
     steps, c = 0, 1
     while True:
@@ -387,7 +391,7 @@ def _split(n: int) -> int:
         d = 1
         while d == 1:
             if steps == _RHO_STEPS:
-                raise ValueError(
+                raise FactorizationError(
                     f"cannot factor {n}: no factor within {_RHO_STEPS} Pollard rho steps")
             steps += 1
             x = (x * x + c) % n

@@ -6,8 +6,10 @@ graph of the union of the orbits, with ramification index 2 on the edges
 leaving the critical points.  The critical points are rational or a
 conjugate pair in one quadratic field Q(sqrt(D)), real or imaginary; the
 complex ones take the same path as the real ones.  Orbits that exceed the
-iteration budget or the size cutoff come back as UNDETERMINED with
-diagnostics, never as a non-PCF verdict (refutation is the sieve's job).
+iteration budget or the size cutoff, and irrational critical points whose
+field cannot be found because the discriminant defeats factoring, come
+back as UNDETERMINED with diagnostics, never as a non-PCF verdict
+(refutation is the sieve's job).
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from quadpcf.exact_arith import ExtendedRational, PointValue, point_sort_key
+from quadpcf.exact_arith import (
+    ExtendedRational,
+    FactorizationError,
+    PointValue,
+    point_sort_key,
+)
 from quadpcf.projmap import NormalizedQuadMap
 
 DEFAULT_BUDGET = 64
@@ -98,7 +105,13 @@ def critical_orbit_portrait(phi: NormalizedQuadMap, budget: int = DEFAULT_BUDGET
         raise ValueError("budget must be positive")
     if phi.resultant() == 0:
         raise ValueError("degenerate map (resultant 0) cannot be verified")
-    crit_points = phi.critical_point_data().points
+    try:
+        crit_points = phi.critical_point_data().points
+    except FactorizationError as e:
+        # irrational critical points live in Q(sqrt(D)), D the squarefree
+        # part of the discriminant; without D there is nothing to iterate
+        return PcfStatus(False, None, 0, 1,
+                         reason=f"cannot factor the wronskian discriminant ({e})")
     successor: Dict[PointValue, PointValue] = {}
     iterations = 0
     max_size = 1

@@ -4,15 +4,20 @@ A map (F, G) mod an odd prime p has, when it has degree 2 and both
 critical points are F_p-rational, an admissible global-period set for each
 critical point.  One vectorised kernel, period_entries, computes these for
 arrays of integer forms, evaluating them as FpMap does; scalar
-ffdyn.orbit_data is its oracle.  The sieve passes it the normal forms
+ffdyn.orbit_data is its oracle.  It walks both critical points of every
+row together and finds each cycle by Brent's method, whose loop also
+carries the cycle multiplier.  The sieve passes it the normal forms
 ffdyn.family_forms(b, c) of its keys (b, c) in F_p^2.
 
 sieve() enumerates sigma-pairs up to height bounds and intersects the
-per-critical-point period sets across good primes in numpy lanes: for each
-prime it reduces the alive pairs to their (b, c) keys, runs the kernel on
+per-critical-point period sets across good primes in numpy lanes, taking
+the primes in ascending order: a pair dies when its sets over all the
+primes have an empty intersection, whatever their order, and the small
+primes kill most pairs.  For each prime it reduces the alive pairs to their
+(b, c) keys, reads their sets from one table over all p^2 keys when the
+prime is small next to its first batch of lanes, else runs the kernel on
 the distinct keys only, intersects the running sets as arrays and drops the
-dead lanes.  A candidate dies the moment an intersection empties.  Only the
-survivors are turned into NormalizedQuadMap objects.
+dead lanes.  Only the survivors are turned into NormalizedQuadMap objects.
 
 The database holds the kernel's three arrays over all p^2 keys of each
 prime, row b * p + c for the key (b, c).  Nothing on the search path, and
@@ -153,85 +158,61 @@ def _mult_orders(lam, p: int):
     return order[back]
 
 
-def _pick(coeffs, idx):
-    """The coefficients at the lanes idx; scalar coefficients stay scalars."""
-    return tuple([x if np.ndim(x) == 0 else x[idx] for x in coeffs])
-
-
-def _step(z, M, p, inv):
-    """FpMap.step_index on each lane; M is F + G (+ W), reduced mod p."""
-    f2, f1, f0, g2, g1, g0 = M[:6]
+def _step(z, C, at_inf, p, inv):
+    """FpMap.step_index and FpMap.derivative_factor on each lane, from one
+    evaluation of F, G and W: C[d] holds their coefficients of z^(2 - d)
+    reduced mod p, at_inf the image and the derivative factor at infinity."""
+    # infinity (= p) evaluates as 0 and is replaced below
+    f, g, w = ((C[0] * z + C[1]) * z + C[2]) % p
+    pole = g == 0                 # then f != 0, the resultant being nonzero
+    ig = inv[np.where(pole, f, g)]
+    img = np.where(pole, p, f * ig % p)
+    der = np.where(pole, -w, w) * (ig * ig % p) % p
     aff = z != p
-    zz = np.where(aff, z, 0)
-    num = ((f2 * zz + f1) * zz + f0) % p
-    den = ((g2 * zz + g1) * zz + g0) % p
-    out = np.where(den == 0, p, num * inv[den] % p)
-    return np.where(aff, out, np.where(g2 == 0, p, f2 * inv[g2] % p))
+    return np.where(aff, img, at_inf[0]), np.where(aff, der, at_inf[1])
 
 
-def _deriv(z, M, p, inv):
-    """FpMap.derivative_factor on each lane; M is F + G + W, reduced mod p."""
-    f2, f1, f0, g2, g1, g0, w2, w1, w0 = M
-    aff = z != p
-    zz = np.where(aff, z, 0)
-    n_val = ((w2 * zz + w1) * zz + w0) % p
-    den = ((g2 * zz + g1) * zz + g0) % p
-    f_val = ((f2 * zz + f1) * zz + f0) % p
-    fin = np.where(den == 0,
-                   (-n_val * inv[f_val] % p) * inv[f_val] % p,
-                   (n_val * inv[den] % p) * inv[den] % p)
-    # at infinity, in the chart 1/z: w2 / f2^2 where g2 = 0, else -w2 / g2^2
+def _vector_cycles(p, C, z0, inv):
+    """Cycle length and cycle multiplier of each lane's orbit by Brent's
+    cycle finding, C[d] holding the coefficients of z^(2 - d) of F, G and
+    W reduced mod p.
+
+    All lanes share Brent's schedule, so its counters are plain ints.  The
+    hare carries the product of the derivative factors since the tortoise
+    last moved; when it meets the tortoise, which is then on the cycle, it
+    has walked the cycle once and the product is the multiplier.
+    """
+    f2, g2, w2 = C[0]
+    # in the chart 1/z: w2 / f2^2 where g2 = 0, else -w2 / g2^2
     lead = inv[np.where(g2 == 0, f2, g2)]
-    at_inf = np.where(g2 == 0, w2, -w2) * (lead * lead % p) % p
-    return np.where(aff, fin, at_inf)
-
-
-def _vector_cycles(p, M, z0, inv):
-    """Cycle length and cycle multiplier for each lane, M being F + G + W
-    reduced mod p: Brent's method, then one walk round each cycle."""
+    at_inf = np.stack((np.where(g2 == 0, p, f2 * inv[g2] % p),
+                       np.where(g2 == 0, w2, -w2) * (lead * lead % p) % p))
     n = len(z0)
     length = np.zeros(n, dtype=np.int64)
-    on_cycle = np.zeros(n, dtype=np.int64)
+    mult = np.zeros(n, dtype=np.int64)
     idx = np.arange(n)
-    FG = M[:6]
-    tort = z0.copy()
-    hare = _step(z0, FG, p, inv)
-    power = np.ones(n, dtype=np.int64)
-    lam = np.ones(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    tort = hare = z0
+    prod, power, lam = 1, 1, 0
     while len(idx):
-        done = tort == hare
-        if done.any():
-            lane = idx[done]
-            length[lane] = lam[done]
-            on_cycle[lane] = hare[done]
-            keep = np.flatnonzero(~done)
-            idx, FG = idx[keep], _pick(FG, keep)
-            tort, hare = tort[keep], hare[keep]
-            power, lam = power[keep], lam[keep]
-            if not len(idx):
-                break
-        tp = power == lam
-        if tp.any():
-            tort[tp] = hare[tp]
-            power[tp] <<= 1
-            lam[tp] = 0
-        hare = _step(hare, FG, p, inv)
+        if lam == power:
+            tort, prod = hare, 1
+            power, lam = 2 * power, 0
+        hare, der = _step(hare, C, at_inf, p, inv)
+        prod = prod * der % p
         lam += 1
-    # with the lanes in ascending order of cycle length, those still walking
-    # at step t are the ones from starts[t] on
-    order = np.argsort(length, kind="stable")
-    M = _pick(M, order)
-    cur = on_cycle[order]
-    mult = np.ones(n, dtype=np.int64)
-    starts = np.searchsorted(length[order], np.arange(length.max(initial=0)),
-                             side="right")
-    for s in starts.tolist():
-        Ms = _pick(M, slice(s, None))
-        mult[s:] = mult[s:] * _deriv(cur[s:], Ms, p, inv) % p
-        cur[s:] = _step(cur[s:], Ms, p, inv)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = mult
-    return length, out
+        done = (tort == hare) & live
+        if done.any():
+            length[idx[done]] = lam
+            mult[idx[done]] = prod[done]
+            live &= ~done
+            # finished lanes walk on, unread, until a quarter have finished
+            if 4 * np.count_nonzero(live) <= 3 * len(live):
+                keep = np.flatnonzero(live)
+                idx, tort, hare, prod = idx[keep], tort[keep], hare[keep], prod[keep]
+                live, C = live[keep], C.take(keep, axis=-1)
+                at_inf = at_inf.take(keep, axis=-1)
+    return length, mult
 
 
 def period_entries(p: int, F, G, tables=None):
@@ -246,9 +227,10 @@ def period_entries(p: int, F, G, tables=None):
     mr = m * r.  Other rows are zero.
     """
     inv, sq = tables if tables is not None else _mod_tables(p)
-    M = tuple(np.asarray(x, dtype=np.int64) % p for x in (*F, *G))
-    (n,) = np.broadcast(*M).shape
-    w2, w1, w0 = (w % p for w in ffdyn.wronskian(M[:3], M[3:]))
+    F, G = ([np.asarray(x, dtype=np.int64) % p for x in form] for form in (F, G))
+    W = [w % p for w in ffdyn.wronskian(F, G)]
+    (n,) = np.broadcast(*F, *G).shape
+    w2, w1, w0 = W
     # the wronskian discriminant is 4 * resultant: nonzero exactly on the
     # degree-2 rows, whose two critical points then differ; where w2 = 0,
     # w1 != 0 and one of them is infinity
@@ -256,22 +238,27 @@ def period_entries(p: int, F, G, tables=None):
     sqd = sq[disc]
     present = (disc != 0) & ((w2 == 0) | (sqd >= 0))
     sel = np.flatnonzero(present)
-    M = _pick(M + (w2, w1, w0), sel)
-    w2, w1, w0 = M[6:]
+    # C[d] holds the coefficients of z^(2 - d) of F, G and W, one per row
+    C = np.stack([np.broadcast_to(x, (n,)) for x in (*F, *G, *W)])
+    C = C.reshape(3, 3, n).transpose(1, 0, 2).take(sel, axis=-1)
+    w2, w1, w0 = C[:, 2]
     sqd = sqd[sel]
     lin = w2 == 0
     i2w2 = inv[(2 * w2) % p]
     r_lo = ((sqd - w1) % p) * i2w2 % p
     r_hi = ((-sqd - w1) % p) * i2w2 % p
+    lo = np.where(lin, (-w0 * inv[w1]) % p, np.minimum(r_lo, r_hi))
+    hi = np.where(lin, p, np.maximum(r_lo, r_hi))
+    # the two critical points of row i walk together, as lanes i and k + i
+    k = len(sel)
+    m, mult = _vector_cycles(p, np.concatenate((C, C), axis=-1),
+                             np.concatenate((lo, hi)), inv)
+    r = _mult_orders(mult, p)
+    mr = np.where(r > 1, m * r, 0)
     points = np.zeros((n, 2), dtype=np.int64)
-    points[sel, 0] = np.where(lin, (-w0 * inv[w1]) % p, np.minimum(r_lo, r_hi))
-    points[sel, 1] = np.where(lin, p, np.maximum(r_lo, r_hi))
+    points[sel, 0], points[sel, 1] = lo, hi
     periods = np.zeros((n, 4), dtype=np.int64)
-    for k in (0, 1):
-        m, mult = _vector_cycles(p, M, points[sel, k], inv)
-        r = _mult_orders(mult, p)
-        periods[sel, 2 * k] = m
-        periods[sel, 2 * k + 1] = np.where(r > 1, m * r, 0)
+    periods[sel] = np.stack((m[:k], mr[:k], m[k:], mr[k:]), axis=1)
     return present, points, periods
 
 
@@ -531,18 +518,28 @@ def examine_pair(s1: ExtendedRational, s2: ExtendedRational,
 # the lane sieve
 # ----------------------------------------------------------------------
 
-LANE_DTYPE = np.dtype([
-    ("s1", "<i4"), ("s2", "<i4"),     # positions in the sigma enumerations
-    ("res", "<i8"),                     # resultant of the integer normal form
-    ("rational", "?"),                  # both critical points in P^1(Q)
-    # rational critical points as (N1, M1, N2, M2), each N/M in lowest
-    # terms and infinity as 1/0; zero for irrational lanes
-    ("gamma", "<i8", (4,)),
-    # running period sets, two slots per critical point (irrational lanes
-    # use the first pair only): 0 is an empty slot, -1 not yet constrained
-    ("run", "<i8", (4,)),
-    ("used", "<i4"),                    # primes that gave modular evidence
-])
+# A batch of lanes is a dict of arrays whose last axis runs over the
+# lanes, one per sigma-pair:
+#   s1, s2    positions in the sigma enumerations
+#   res       resultant of the integer normal form
+#   rational  both critical points in P^1(Q)
+#   gamma     (2, 2, lanes): rational critical point k as (N, M) = gamma[k],
+#             N/M in lowest terms and infinity as 1/0; zero for irrational
+#             lanes
+#   run       (2, 2, lanes): running period sets, two slots per critical
+#             point (irrational lanes use run[0] only): 0 is an empty slot,
+#             -1 not yet constrained
+#   used      primes that gave modular evidence
+
+
+def _take(lanes, idx):
+    return {k: v.take(idx, axis=-1) for k, v in lanes.items()}
+
+
+def _concat(batches):
+    if len(batches) == 1:
+        return batches[0]
+    return {k: np.concatenate([x[k] for x in batches], axis=-1) for k in batches[0]}
 
 
 def _num_den(rationals):
@@ -550,7 +547,7 @@ def _num_den(rationals):
             np.array([x.den for x in rationals], dtype=np.int64))
 
 
-def _prepare_lanes(num1, den1, num2, den2, start: int, stop: int) -> np.ndarray:
+def _prepare_lanes(num1, den1, num2, den2, start: int, stop: int):
     """Lanes of the non-degenerate pairs at flat positions [start, stop),
     position t being sigma1 number t // len(num2) and sigma2 number
     t % len(num2); integer arithmetic throughout (see MAX_HEIGHT_PRODUCT)."""
@@ -573,15 +570,15 @@ def _prepare_lanes(num1, den1, num2, den2, start: int, stop: int) -> np.ndarray:
     lin = w2 == 0
     rational = lin | (s * s == disc)
     gamma = np.stack([np.where(lin, -w0, s - w1), np.where(lin, w1, 2 * w2),
-                      np.where(lin, 1, -s - w1), np.where(lin, 0, 2 * w2)], axis=1)
-    gamma[~rational] = 0
-    for k in (0, 2):
-        g = np.gcd(gamma[:, k], gamma[:, k + 1])
-        gamma[:, k:k + 2] //= np.where(g == 0, 1, g)[:, None]
-    lanes = np.zeros(len(i), dtype=LANE_DTYPE)
-    lanes["s1"], lanes["s2"], lanes["res"] = i, j, res
-    lanes["rational"], lanes["gamma"], lanes["run"] = rational, gamma, -1
-    return lanes
+                      np.where(lin, 1, -s - w1), np.where(lin, 0, 2 * w2)]
+                     ).reshape(2, 2, -1)
+    gamma[..., ~rational] = 0
+    g = np.gcd(gamma[:, 0], gamma[:, 1])
+    gamma //= np.where(g == 0, 1, g)[:, None]
+    return {"s1": i.astype(np.int32), "s2": j.astype(np.int32), "res": res,
+            "rational": rational, "gamma": gamma,
+            "run": np.full((2, 2, len(i)), -1, dtype=np.int64),
+            "used": np.zeros(len(i), dtype=np.int32)}
 
 
 def _residues(num, den, p: int, inv):
@@ -590,76 +587,81 @@ def _residues(num, den, p: int, inv):
     return np.where(d == 0, -1, num % p * inv[d] % p)
 
 
-def _meet(x0, x1, n0, n1):
-    """Two-slot set (x0, x1) intersected with the nonzero elements of {n0, n1}."""
-    unconstrained = x0 < 0
-    y0 = np.where(unconstrained, n0, np.where((x0 == n0) | (x0 == n1), x0, 0))
-    y1 = np.where(unconstrained, n1, np.where((x1 == n0) | (x1 == n1), x1, 0))
-    return y0, y1
+def _lane_table(entries):
+    """period_entries' arrays in the lanes' layout: the periods as
+    (2, 2, rows), then the set that conjugate irrational critical points
+    share, the meet of the two stored sets, as (2, rows)."""
+    present, points, periods = entries
+    periods = np.ascontiguousarray(periods.T).reshape(2, 2, -1)
+    return present, points, periods, _meet(periods[0], periods[1])
 
 
-def _sieve_step(p: int, lanes: np.ndarray, tables, sig1, sig2) -> np.ndarray:
+def _meet(x, n):
+    """Two-slot sets x, slots on the axis before the lanes, intersected with
+    the nonzero elements of the sets n; a set whose first slot is -1 is
+    unconstrained."""
+    hit = (x == n[..., :1, :]) | (x == n[..., 1:, :])
+    return np.where(x[..., :1, :] < 0, n, np.where(hit, x, 0))
+
+
+def _sieve_step(p: int, lanes, tables, sig1, sig2, table):
     """Meet the lanes' running sets with their period sets at p, as
     check_rational_periods_detailed and check_irrational_periods_detailed
-    do per pair; the lanes still alive."""
+    do per pair; the lanes still alive.  table is _lane_table over all p^2
+    keys, row b * p + c, or None to run the kernel on the lanes' keys."""
     good = lanes["res"] % p != 0
-    x1, x2 = sig1[lanes["s1"]], sig2[lanes["s2"]]
+    if not good.any():
+        return lanes
+    x1, x2 = sig1.take(lanes["s1"]), sig2.take(lanes["s2"])
     # den(sigma) divides the resultant: test_sievedb's test_denominator_prime_safety
     if (good & ((x1 < 0) | (x2 < 0))).any():
         raise DbConsistencyError(
             f"sigma denominator divisible by good prime {p}; resultant guard failed")
-    idx = np.flatnonzero(good)
-    if not len(idx):
-        return lanes
-    b, c = ffdyn.family_bc(x1[idx], x2[idx])
+    # the keys of bad lanes are garbage, but in range, and go unread
+    b, c = ffdyn.family_bc(x1, x2)
     del x1, x2  # a run's peak memory is reached in the first steps
-    keys, back = np.unique(b % p * p + c % p, return_inverse=True)
-    present, points, periods = period_entries(
-        p, *ffdyn.family_forms(keys // p, keys % p), tables)
-    rational = lanes["rational"][idx]
-    run = lanes["run"][idx]
+    back = b % p * p + c % p
+    if table is None:
+        keys, back = np.unique(back, return_inverse=True)
+        table = _lane_table(period_entries(
+            p, *ffdyn.family_forms(keys // p, keys % p), tables))
+    present, points, periods, shared = table
+    rational = lanes["rational"]
+    run = lanes["run"]           # owned by this batch, so updated in place
+    # conjugate irrational points share one set: the meet of both stored sets
+    irr = good & ~rational & present.take(back)
+    run[0] = np.where(irr, _meet(run[0], shared.take(back, axis=-1)), run[0])
     # each rational critical point meets the set of the point it reduces to
-    r = np.flatnonzero(rational)
+    r = np.flatnonzero(good & rational)
     kr = back[r]
     if not present[kr].all():
         raise DbConsistencyError(
             f"no F_{p}-rational critical points at good prime {p} for a map "
             "with rational critical points")
-    gamma = lanes["gamma"][idx[r]] % p
+    gamma = lanes["gamma"][..., r] % p
     inv = tables[0]
-    for k in (0, 1):
-        red = np.where(gamma[:, 2 * k + 1] == 0, p,
-                       gamma[:, 2 * k] * inv[gamma[:, 2 * k + 1]] % p)
-        first = red == points[kr, 0]
-        if not (first | (red == points[kr, 1])).all():
-            raise DbConsistencyError(
-                f"a reduced critical point is not critical mod {p}")
-        run[r, 2 * k], run[r, 2 * k + 1] = _meet(
-            run[r, 2 * k], run[r, 2 * k + 1],
-            np.where(first, periods[kr, 0], periods[kr, 2]),
-            np.where(first, periods[kr, 1], periods[kr, 3]))
-    # conjugate irrational points share one set: the meet of both stored sets
-    shared = _meet(periods[:, 0], periods[:, 1], periods[:, 2], periods[:, 3])
-    q = np.flatnonzero(~rational & present[back])
-    run[q, 0], run[q, 1] = _meet(run[q, 0], run[q, 1], shared[0][back[q]],
-                                 shared[1][back[q]])
-    lanes["run"][idx] = run
-    lanes["used"][idx[r]] += 1
-    lanes["used"][idx[q]] += 1
-    dead = (((run[:, 0] == 0) & (run[:, 1] == 0))
-            | ((run[:, 2] == 0) & (run[:, 3] == 0)))
-    alive = np.ones(len(lanes), dtype=bool)
-    alive[idx[dead]] = False
-    return lanes[alive]
+    red = np.where(gamma[:, 1] == 0, p, gamma[:, 0] * inv[gamma[:, 1]] % p)
+    pts = points[kr].T
+    first = red == pts[0]
+    if not (first | (red == pts[1])).all():
+        raise DbConsistencyError(f"a reduced critical point is not critical mod {p}")
+    pr = periods[..., kr]
+    run[..., r] = _meet(run[..., r], np.where(first[:, None], pr[:1], pr[1:]))
+    lanes = dict(lanes, used=lanes["used"] + (irr | (good & rational)))
+    alive = (run != 0).any(axis=1).all(axis=0)
+    return lanes if alive.all() else _take(lanes, np.flatnonzero(alive))
 
 
-def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...]) -> np.ndarray:
-    """Surviving lanes of all pairs, in order.
+def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...]):
+    """The lanes of all pairs that survive, in order.
 
-    Lanes stream through the primes in order.  The lanes waiting at a prime
-    are stepped together once there are LANE_BUDGET of them, and the rest
-    at the end, so the late primes, where few lanes are left, run their
-    kernel once rather than once per block of pairs.
+    Lanes stream through the primes in the order given; sieve passes them
+    ascending.  The lanes waiting at a prime are stepped together once
+    there are LANE_BUDGET of them, and the rest at the end, so the late
+    primes, where few lanes are left, run their kernel once rather than
+    once per block of pairs.  When the first batch to reach a prime p holds
+    at least p^2 lanes, the kernel runs once over all p^2 keys and every
+    batch at p reads that table.
     """
     num1, den1 = _num_den(s1_list)
     num2, den2 = _num_den(s2_list)
@@ -668,12 +670,16 @@ def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...]) -> np.ndarray:
 
     def step(k):
         p = primes[k]
+        batch = _concat(waiting[k])
+        waiting[k] = []
         if p not in contexts:
             tables = _mod_tables(p)
+            table = None
+            if len(batch["res"]) >= p * p:
+                table = _lane_table(period_entries(
+                    p, *ffdyn.family_forms(*np.divmod(np.arange(p * p), p)), tables))
             contexts[p] = (tables, _residues(num1, den1, p, tables[0]),
-                           _residues(num2, den2, p, tables[0]))
-        batch = np.concatenate(waiting[k])
-        waiting[k] = []
+                           _residues(num2, den2, p, tables[0]), table)
         waiting[k + 1].append(_sieve_step(p, batch, *contexts[p]))
 
     total = len(num1) * len(num2)
@@ -681,25 +687,25 @@ def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...]) -> np.ndarray:
         waiting[0].append(_prepare_lanes(num1, den1, num2, den2, t,
                                          min(t + LANE_BUDGET, total)))
         k = 0
-        while k < len(primes) and sum(len(x) for x in waiting[k]) >= LANE_BUDGET:
+        while k < len(primes) and sum(len(x["res"]) for x in waiting[k]) >= LANE_BUDGET:
             step(k)
             k += 1
     for k in range(len(primes)):
         if waiting[k]:
             step(k)
         contexts.pop(primes[k], None)  # no lane reaches prime k any more
-    return np.concatenate(waiting[-1]) if waiting[-1] else np.empty(0, LANE_DTYPE)
+    return _concat(waiting[-1] or [_prepare_lanes(num1, den1, num2, den2, 0, 0)])
 
 
-def _candidate(s1: ExtendedRational, s2: ExtendedRational, lane) -> SieveCandidate:
-    used = int(lane["used"])
-    sets = tuple(None if used == 0 else
-                 frozenset(int(x) for x in lane["run"][k:k + 2] if x > 0)
-                 for k in (0, 2))
-    rational = bool(lane["rational"])
+def _candidate(s1: ExtendedRational, s2: ExtendedRational, lanes,
+               k: int) -> SieveCandidate:
+    used = int(lanes["used"][k])
+    sets = tuple(None if used == 0 else frozenset(x for x in pair if x > 0)
+                 for pair in lanes["run"][..., k].tolist())
+    rational = bool(lanes["rational"][k])
     return SieveCandidate(
         sigma1=s1, sigma2=s2, phi=NormalizedQuadMap.from_sigmas(s1, s2),
-        resultant=int(lane["res"]), critical_rational=rational,
+        resultant=int(lanes["res"][k]), critical_rational=rational,
         period_sets=sets if rational else sets[:1], primes_used=used)
 
 
@@ -707,7 +713,7 @@ def sieve(h1: int, h2: int, primes: Sequence[int]) -> List[SieveCandidate]:
     """Find all possibly-PCF sigma-pairs with heights up to (h1, h2).
 
     Survivors come in the order of enumerate_rationals (sigma1 outer) and
-    equal examine_pair's over a database of the same primes.
+    equal examine_pair's over a database of the same primes, in any order.
     """
     primes = validate_primes(primes, LANE_PRIME_LIMIT, "the lane sieve")
     if h1 * h2 > MAX_HEIGHT_PRODUCT:
@@ -715,6 +721,8 @@ def sieve(h1: int, h2: int, primes: Sequence[int]) -> List[SieveCandidate]:
                          f"bound h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
     sigma1_list = list(enumerate_rationals(h1))
     sigma2_list = list(enumerate_rationals(h2))
-    lanes = _lane_sieve(sigma1_list, sigma2_list, primes)
-    return [_candidate(sigma1_list[lane["s1"]], sigma2_list[lane["s2"]], lane)
-            for lane in lanes]
+    # a lane dies when its sets over all the primes have an empty
+    # intersection, whatever their order, and small primes kill most lanes
+    lanes = _lane_sieve(sigma1_list, sigma2_list, tuple(sorted(primes)))
+    return [_candidate(sigma1_list[i], sigma2_list[j], lanes, k)
+            for k, (i, j) in enumerate(zip(lanes["s1"].tolist(), lanes["s2"].tolist()))]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadpcf import exact_arith
 from quadpcf.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -56,6 +57,22 @@ class TestPipeline:
         assert f"# config-digest: {digest}" in verified
         assert summary["verified_count"] + summary["undetermined_count"] == \
             len(summary["survivors"])
+
+    def test_prime_order_does_not_change_the_artifacts(self, tmp_path, capsys):
+        # the sieve sorts its primes; only the config digest, which keeps
+        # the list as given, tells the two runs apart
+        primes = [13, 3, 29, 7, 19, 5, 11]
+        runs = []
+        for order in (primes, sorted(primes)):
+            outdir = tmp_path / ",".join(map(str, order))
+            assert main(["pipeline", "--h1", "3", "--h2", "6", "--prime-list",
+                         ",".join(map(str, order)), "--outdir", str(outdir)]) == EXIT_OK
+            runs.append(([line for name in ("survivors.tsv", "verified.tsv")
+                          for line in (outdir / name).read_text().splitlines()
+                          if not line.startswith("# config-digest:")],
+                         json.loads((outdir / "summary.json").read_text())["survivors"]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) > 10
 
     def test_paper_box_with_few_primes(self, tmp_path, capsys):
         # 20 primes leave complex-critical survivors beside the ten maps;
@@ -149,6 +166,17 @@ class TestVerify:
         rc = main(["verify", "--sigmas", "2,-12"])
         assert rc != EXIT_OK
         assert "UNDETERMINED" in capsys.readouterr().out
+
+    def test_unfactorable_discriminant(self, capsys, monkeypatch):
+        # the wronskian discriminant of this pair,
+        # 4814988813760728630044503936230148203481, defeats Pollard's rho;
+        # a small step budget gets there fast.  The input is valid, so the
+        # map is UNDETERMINED, not an input error
+        monkeypatch.setattr(exact_arith, "_RHO_STEPS", 64)
+        rc = main(["verify", "--sigmas", "250412573173/888599,682777914928/66173"])
+        assert rc == 1
+        assert "UNDETERMINED\tcannot factor the wronskian discriminant" in \
+            capsys.readouterr().out
 
     def test_complex_critical_points(self, capsys):
         # the critical points of (3, 5/6) are a conjugate pair in an

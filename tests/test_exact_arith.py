@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
+    FactorizationError,
     QuadFieldElement,
     Rat,
     divisors,
@@ -231,7 +232,7 @@ def test_is_prime_large():
 
 def test_factorisation_gives_up_explicitly():
     # two large primes: neither is within reach of Pollard's rho
-    with pytest.raises(ValueError, match="cannot factor"):
+    with pytest.raises(FactorizationError, match="cannot factor"):
         squarefree_part((2 ** 61 - 1) * (2 ** 89 - 1))
 
 

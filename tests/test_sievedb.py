@@ -63,9 +63,10 @@ def brute_force_entries(p):
     return stored
 
 
-def reference_sieve(h1, h2, primes):
-    """The sieve one pair at a time against a database of the same primes."""
-    db = build_db(primes)
+def reference_sieve(h1, h2, primes, db=None):
+    """The sieve one pair at a time, in the order of primes, against a
+    database of the same primes."""
+    db = build_db(primes) if db is None else db
     out = []
     for s1 in enumerate_rationals(h1):
         for s2 in enumerate_rationals(h2):
@@ -323,7 +324,7 @@ class TestSieve:
                 assert cur <= prev
             prev = cur
 
-    def test_determinism_and_workers(self, small_primes):
+    def test_determinism(self, small_primes):
         a = [c.tsv_line() for c in sieve(4, 4, small_primes)]
         b = [c.tsv_line() for c in sieve(4, 4, small_primes)]
         assert a == b
@@ -348,9 +349,23 @@ class TestSieve:
         got = [c.tsv_line() for c in sieve(h1, h2, primes)]
         assert got == [c.tsv_line() for c in reference_sieve(h1, h2, primes)]
 
+    @settings(max_examples=25, deadline=None)
+    @given(h1=st.integers(1, 3), h2=st.integers(1, 3),
+           primes=st.lists(st.sampled_from(first_odd_primes(12)), unique=True,
+                           min_size=1))
+    def test_prime_order_does_not_matter(self, h1, h2, primes):
+        # a pair dies exactly when its sets over all the primes have an
+        # empty intersection, so the survivors, their sets and primes_used
+        # do not depend on the order of the primes; sieve() sorts them
+        db = build_db(primes)
+        got = [c.tsv_line() for c in reference_sieve(h1, h2, primes, db)]
+        assert got == [c.tsv_line() for c in reference_sieve(h1, h2, sorted(primes), db)]
+
     def test_equals_reference_on_a_larger_box(self, small_primes):
         # 8,601 pairs, more than one block of lanes, with every other prime
-        # of the 25 in a shuffled order, so lanes die at many different steps
+        # of the 25 in a shuffled order; only the reference follows that
+        # order (the lane sieve sorts its primes), so the two kill pairs at
+        # different primes and must still agree
         primes = list(small_primes[::2])
         random.Random(5).shuffle(primes)
         got = [c.tsv_line() for c in sieve(6, 12, primes)]
@@ -378,7 +393,7 @@ class TestPeriodEntries:
     # kernel wrong only at a fixed infinity took minutes to shrink
     @settings(max_examples=150, deadline=None,
               phases=[ph for ph in Phase if ph is not Phase.shrink])
-    @given(p=st.sampled_from([3, 5, 7, 11, 13]),
+    @given(p=st.sampled_from([3, 5, 7, 11, 13, 31, 101]),
            rows=st.lists(st.tuples(FORM, FORM), min_size=1, max_size=12))
     @example(p=3, rows=[((1, 0, 0), (0, 0, 1)), ((0, 1, 1), (1, 0, 2)),
                         ((3, 1, 2), (6, 2, 1))])

@@ -83,8 +83,8 @@ MUTANTS = (
     Mutant(
         "lane sets ignore their second slot",
         "sievedb.py",
-        "y1 = np.where(unconstrained, n1, np.where((x1 == n0) | (x1 == n1), x1, 0))",
-        "y1 = np.where(unconstrained, n1, x1)",
+        "    hit = (x == n[..., :1, :]) | (x == n[..., 1:, :])\n",
+        "    hit = (x == n[..., :1, :]) | (x == n[..., 1:, :])\n    hit[..., 1, :] = True\n",
         ("tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box",),
     ),
     Mutant(
@@ -93,6 +93,20 @@ MUTANTS = (
         '    good = lanes["res"] % p != 0\n',
         '    good = lanes["res"] % p == 0\n',
         ("tests/test_sievedb.py::TestSieve::test_sub_bound_2_4",),
+    ),
+    Mutant(
+        "multiplier product not reset when the tortoise moves",
+        "sievedb.py",
+        "            tort, prod = hare, 1\n",
+        "            tort = hare\n",
+        ("tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",),
+    ),
+    Mutant(
+        "per-prime table indexed (c, b)",
+        "sievedb.py",
+        "family_forms(*np.divmod(np.arange(p * p), p)), tables)",
+        "family_forms(*np.divmod(np.arange(p * p), p)[::-1]), tables)",
+        ("tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",),
     ),
     Mutant(
         "verifier claims PCF when its budget runs out",
