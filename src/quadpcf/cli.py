@@ -12,8 +12,8 @@ they load the sieve, and numpy with it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -67,6 +67,10 @@ class RunConfig:
         body.pop("prime_list")
         body.pop("primes_count")
         text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        # loaded on first use: OpenSSL costs a process 3.5 MiB, which then
+        # come after the sieve's peak, not on top of it, and commands that
+        # write no digest never load it
+        import hashlib
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
@@ -141,8 +145,17 @@ class PipelineResult:
     statuses: List[pcfverify.PcfStatus]
 
 
-def run_pipeline(cfg: RunConfig) -> PipelineResult:
+def _load_sievedb():
+    """The sieve module, and numpy with it.  The sieve does no linear
+    algebra, so numpy's BLAS starts one thread, not a pool, unless the
+    user set OPENBLAS_NUM_THREADS."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from quadpcf import sievedb
+    return sievedb
+
+
+def run_pipeline(cfg: RunConfig) -> PipelineResult:
+    sievedb = _load_sievedb()
     survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes())
     statuses = [pcfverify.critical_orbit_portrait(c.phi, cfg.budget, cfg.cutoff)
                 for c in survivors]
@@ -202,7 +215,7 @@ def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
 # ----------------------------------------------------------------------
 
 def _cmd_sieve(args) -> int:
-    from quadpcf import sievedb
+    sievedb = _load_sievedb()
     cfg = _config_from_args(args)
     survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes())
     out = Path(args.out) if args.out else None

@@ -41,16 +41,16 @@ FormCoeffs = Tuple[int, int, int]
 
 def _normalize_forms(fc, gc):
     """Clear denominators, divide by content, fix the sign convention."""
-    vals = [_as_rat(x) for x in (*fc, *gc)]
-    for v in vals:
-        v._require_finite()
-    lcm = 1
-    for v in vals:
-        lcm = lcm * v.den // gcd(lcm, v.den)
-    ints = [v.num * (lcm // v.den) for v in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = (*fc, *gc)
+    if not all(type(x) is int for x in ints):
+        vals = [_as_rat(x) for x in ints]
+        for v in vals:
+            v._require_finite()
+        lcm = 1
+        for v in vals:
+            lcm = lcm * v.den // gcd(lcm, v.den)
+        ints = [v.num * (lcm // v.den) for v in vals]
+    g = gcd(*ints)
     if g == 0:
         raise DegenerateMapError("all six coefficients vanish")
     ints = [x // g for x in ints]

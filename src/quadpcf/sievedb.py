@@ -6,18 +6,26 @@ critical point.  One vectorised kernel, period_entries, computes these for
 arrays of integer forms, evaluating them as FpMap does; scalar
 ffdyn.orbit_data is its oracle.  It walks both critical points of every
 row together and finds each cycle by Brent's method, whose loop also
-carries the cycle multiplier.  The sieve passes it the normal forms
-ffdyn.family_forms(b, c) of its keys (b, c) in F_p^2.
+carries the cycle multiplier.  p is one prime for all rows or one prime
+per row: the inverse, square-root and discrete-log tables it reads are
+concatenated over the primes and indexed through each row's offset.  The
+sieve passes it the normal forms ffdyn.family_forms(b, c) of its keys
+(b, c) in F_p^2.
 
 sieve() enumerates sigma-pairs up to height bounds and intersects the
 per-critical-point period sets across good primes in numpy lanes, taking
 the primes in ascending order: a pair dies when its sets over all the
 primes have an empty intersection, whatever their order, and the small
-primes kill most pairs.  For each prime it reduces the alive pairs to their
-(b, c) keys, reads their sets from one table over all p^2 keys when the
-prime is small next to its first batch of lanes, else runs the kernel on
-the distinct keys only, intersects the running sets as arrays and drops the
-dead lanes.  Only the survivors are turned into NormalizedQuadMap objects.
+primes kill most pairs.  Lanes go through a prime in batches of up to
+2^12; for each batch it reduces the alive pairs' sigmas mod p, which fix
+their keys (b, c), reads their sets from one table over all p^2 keys when
+p is small and a full batch reaches it, else runs the kernel on the
+distinct keys only, intersects the running sets as arrays and drops the
+dead lanes.  Once
+few lanes are left, one kernel call over the distinct (prime, key) rows
+of all of them and all the primes still ahead replaces the steps.  Only
+the survivors are turned into NormalizedQuadMap objects, from their
+integer normal forms.
 
 The database holds the kernel's three arrays over all p^2 keys of each
 prime, row b * p + c for the key (b, c).  Nothing on the search path, and
@@ -32,14 +40,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from quadpcf import ffdyn
 from quadpcf.exact_arith import (
     ExtendedRational,
-    divisors,
+    _factorize,
     enumerate_rationals,
     validate_primes,
 )
@@ -55,7 +63,13 @@ from quadpcf.projmap import NormalizedQuadMap
 # bound (below 4.2 M keys, about 200 MB) caps the memory of one prime
 DB_PRIME_LIMIT = 1 << 11
 # lanes a sieve step handles at once; bounds the memory of a run
-LANE_BUDGET = 1 << 14
+LANE_BUDGET = 1 << 12
+# the most keys (b, c) of one prime that the sieve runs the kernel over at
+# once, in a table that every batch of lanes at the prime reads
+TABLE_KEYS = 1 << 14
+# a bound (primes times the largest of them) on the entries of the modular
+# tables of one tail call, 16 bytes each
+TAIL_TABLE_ENTRIES = 1 << 17
 
 
 class DbError(Exception):
@@ -123,59 +137,81 @@ class DbEntry:
 # the vectorised period-set kernel
 # ----------------------------------------------------------------------
 
-def _powmod(x, e: int, p: int):
-    """x^e mod p elementwise, for residues x < p < LANE_PRIME_LIMIT."""
-    x = x % p
-    out = np.ones_like(x)
-    while e:
-        if e & 1:
-            out = out * x % p
-        x = x * x % p
-        e >>= 1
-    return out
+class ModTables(NamedTuple):
+    """Inverse, square-root and discrete-log tables mod each of some primes,
+    concatenated: x mod primes[i] is at off[i] + x.  The logs are to a
+    primitive root; a non-square's root is -1, and 0 has inverse, root and
+    log 0."""
+
+    primes: np.ndarray
+    off: np.ndarray
+    inv: np.ndarray
+    sq: np.ndarray
+    log: np.ndarray
+
+    def base(self, p):
+        """The offset of p, a scalar or an array of the primes."""
+        return self.off[np.searchsorted(self.primes, p)]
 
 
-def _mod_tables(p: int):
-    """Inverse and square-root tables mod p (0 and -1 where there is none)."""
-    inv = _powmod(np.arange(p, dtype=np.int64), p - 2, p)
-    sq = np.full(p, -1, dtype=np.int64)
-    xs = np.arange((p - 1) // 2 + 1, dtype=np.int64)
-    sq[(xs * xs) % p] = xs
-    return inv, sq
+def _primitive_root(p: int) -> int:
+    factors = _factorize(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
 
 
-def _mult_orders(lam, p: int):
-    """Multiplicative order of each residue in lam, 0 for lam = 0."""
-    vals, back = np.unique(lam, return_inverse=True)
-    order = np.zeros(len(vals), dtype=np.int64)
-    todo = vals != 0
-    for d in divisors(p - 1):
-        if not todo.any():
-            break
-        hit = todo & (_powmod(vals, d, p) == 1)
-        order[hit] = d
-        todo &= ~hit
-    return order[back]
+def _mod_tables(primes) -> ModTables:
+    """ModTables of the primes, from the powers of a primitive root g of
+    each: g^t has inverse g^(p - 1 - t), log t, and is a square for even
+    t.  The roots and logs are never multiplied, so int32 holds them."""
+    # not np.unique, which loads numpy.ma, a megabyte the sieve never needs
+    primes = np.array(sorted(set(np.ravel(primes).tolist())), dtype=np.int64)
+    off = np.cumsum(primes) - primes
+    inv = np.zeros(int(primes.sum()), dtype=np.int64)
+    sq = np.zeros(len(inv), dtype=np.int32)
+    log = np.zeros(len(inv), dtype=np.int32)
+    for p, o in zip(primes.tolist(), off.tolist()):
+        g = _primitive_root(p)
+        pw = np.ones(p - 1, dtype=np.int64)    # pw[t] = g^t, by doubling
+        h = 1
+        while h < p - 1:
+            pw[h:2 * h] = pw[:min(h, p - 1 - h)] * g % p
+            g, h = g * g % p, 2 * h
+        at = o + pw
+        inv[at] = np.roll(pw[::-1], 1)
+        log[at] = np.arange(p - 1)
+        sq[at[1::2]] = -1
+        root = pw[:len(at[::2])]
+        sq[at[::2]] = np.minimum(root, p - root)
+    return ModTables(primes, off, inv, sq, log)
 
 
-def _step(z, C, at_inf, p, inv):
+def _rows(x, idx):
+    """The rows idx of a per-row array, or a scalar shared by all rows."""
+    return x.take(idx, axis=-1) if np.ndim(x) else x
+
+
+def _step(z, C, at_inf, p, inv, base):
     """FpMap.step_index and FpMap.derivative_factor on each lane, from one
     evaluation of F, G and W: C[d] holds their coefficients of z^(2 - d)
     reduced mod p, at_inf the image and the derivative factor at infinity."""
     # infinity (= p) evaluates as 0 and is replaced below
     f, g, w = ((C[0] * z + C[1]) * z + C[2]) % p
     pole = g == 0                 # then f != 0, the resultant being nonzero
-    ig = inv[np.where(pole, f, g)]
+    ig = inv[base + np.where(pole, f, g)]
     img = np.where(pole, p, f * ig % p)
     der = np.where(pole, -w, w) * (ig * ig % p) % p
     aff = z != p
     return np.where(aff, img, at_inf[0]), np.where(aff, der, at_inf[1])
 
 
-def _vector_cycles(p, C, z0, inv):
+def _vector_cycles(p, C, z0, inv, base):
     """Cycle length and cycle multiplier of each lane's orbit by Brent's
     cycle finding, C[d] holding the coefficients of z^(2 - d) of F, G and
-    W reduced mod p.
+    W reduced mod p; p and base, the offset of p in the table inv, are
+    scalars or one per lane.
 
     All lanes share Brent's schedule, so its counters are plain ints.  The
     hare carries the product of the derivative factors since the tortoise
@@ -184,8 +220,8 @@ def _vector_cycles(p, C, z0, inv):
     """
     f2, g2, w2 = C[0]
     # in the chart 1/z: w2 / f2^2 where g2 = 0, else -w2 / g2^2
-    lead = inv[np.where(g2 == 0, f2, g2)]
-    at_inf = np.stack((np.where(g2 == 0, p, f2 * inv[g2] % p),
+    lead = inv[base + np.where(g2 == 0, f2, g2)]
+    at_inf = np.stack((np.where(g2 == 0, p, f2 * inv[base + g2] % p),
                        np.where(g2 == 0, w2, -w2) * (lead * lead % p) % p))
     n = len(z0)
     length = np.zeros(n, dtype=np.int64)
@@ -198,7 +234,7 @@ def _vector_cycles(p, C, z0, inv):
         if lam == power:
             tort, prod = hare, 1
             power, lam = 2 * power, 0
-        hare, der = _step(hare, C, at_inf, p, inv)
+        hare, der = _step(hare, C, at_inf, p, inv, base)
         prod = prod * der % p
         lam += 1
         done = (tort == hare) & live
@@ -212,13 +248,16 @@ def _vector_cycles(p, C, z0, inv):
                 idx, tort, hare, prod = idx[keep], tort[keep], hare[keep], prod[keep]
                 live, C = live[keep], C.take(keep, axis=-1)
                 at_inf = at_inf.take(keep, axis=-1)
+                p, base = _rows(p, keep), _rows(base, keep)
     return length, mult
 
 
-def period_entries(p: int, F, G, tables=None):
+def period_entries(p, F, G, tables=None):
     """Critical points and admissible period sets of the maps (F, G) mod p,
     by the rule of ffdyn.possible_periods; a coefficient is a vector with
-    one entry per row, or a scalar shared by all rows.
+    one entry per row, or a scalar shared by all rows, and so is p, an odd
+    prime.  tables, when given, is _mod_tables over primes that include
+    every row's.
 
     present marks the rows of degree 2 whose two critical points lie in
     P^1(F_p); for them points holds the points ascending (infinity = p
@@ -226,7 +265,8 @@ def period_entries(p: int, F, G, tables=None):
     {m}, or {m, mr} when the cycle multiplier has order r > 1 and
     mr = m * r.  Other rows are zero.
     """
-    inv, sq = tables if tables is not None else _mod_tables(p)
+    tables = _mod_tables(p) if tables is None else tables
+    inv, base = tables.inv, tables.base(p)
     F, G = ([np.asarray(x, dtype=np.int64) % p for x in form] for form in (F, G))
     W = [w % p for w in ffdyn.wronskian(F, G)]
     (n,) = np.broadcast(*F, *G).shape
@@ -235,25 +275,30 @@ def period_entries(p: int, F, G, tables=None):
     # degree-2 rows, whose two critical points then differ; where w2 = 0,
     # w1 != 0 and one of them is infinity
     disc = np.broadcast_to((w1 * w1 - 4 * w2 * w0) % p, (n,))
-    sqd = sq[disc]
+    sqd = tables.sq[base + disc]
     present = (disc != 0) & ((w2 == 0) | (sqd >= 0))
     sel = np.flatnonzero(present)
     # C[d] holds the coefficients of z^(2 - d) of F, G and W, one per row
     C = np.stack([np.broadcast_to(x, (n,)) for x in (*F, *G, *W)])
     C = C.reshape(3, 3, n).transpose(1, 0, 2).take(sel, axis=-1)
+    p, base = _rows(p, sel), _rows(base, sel)
     w2, w1, w0 = C[:, 2]
     sqd = sqd[sel]
     lin = w2 == 0
-    i2w2 = inv[(2 * w2) % p]
+    i2w2 = inv[base + (2 * w2) % p]
     r_lo = ((sqd - w1) % p) * i2w2 % p
     r_hi = ((-sqd - w1) % p) * i2w2 % p
-    lo = np.where(lin, (-w0 * inv[w1]) % p, np.minimum(r_lo, r_hi))
+    lo = np.where(lin, (-w0 * inv[base + w1]) % p, np.minimum(r_lo, r_hi))
     hi = np.where(lin, p, np.maximum(r_lo, r_hi))
     # the two critical points of row i walk together, as lanes i and k + i
     k = len(sel)
+    both = np.arange(2 * k) % k
+    p, base = _rows(p, both), _rows(base, both)
     m, mult = _vector_cycles(p, np.concatenate((C, C), axis=-1),
-                             np.concatenate((lo, hi)), inv)
-    r = _mult_orders(mult, p)
+                             np.concatenate((lo, hi)), inv, base)
+    # the multiplier's order; 0, superattracting, reads as order 1, which
+    # like it leaves the set {m}
+    r = (p - 1) // np.gcd(tables.log[base + mult], p - 1)
     mr = np.where(r > 1, m * r, 0)
     points = np.zeros((n, 2), dtype=np.int64)
     points[sel, 0], points[sel, 1] = lo, hi
@@ -547,18 +592,26 @@ def _num_den(rationals):
             np.array([x.den for x in rationals], dtype=np.int64))
 
 
-def _prepare_lanes(num1, den1, num2, den2, start: int, stop: int):
-    """Lanes of the non-degenerate pairs at flat positions [start, stop),
-    position t being sigma1 number t // len(num2) and sigma2 number
-    t % len(num2); integer arithmetic throughout (see MAX_HEIGHT_PRODUCT)."""
-    i, j = np.divmod(np.arange(start, stop, dtype=np.int64), len(num2))
-    n1, d1, n2, d2 = num1[i], den1[i], num2[j], den2[j]
-    # from_sigmas over the common denominator d1 * d2, divided by the
-    # content gcd(d1 * d2, b, c) of the forms; f2 > 0 already
+def _normal_forms(n1, d1, n2, d2):
+    """The forms (F, G) of NormalizedQuadMap.from_sigmas(n1 / d1, n2 / d2),
+    elementwise on int64 arrays of fractions in lowest terms: the normal
+    form over the common denominator d1 * d2, divided by the content of the
+    forms, gcd(d1 * d2, b, c) = gcd(d1 * d2, n1 * d2, n2 * d1) =
+    gcd(d1, d2); f2 > 0 already."""
     dd = d1 * d2
     b, c = ffdyn.family_bc(n1 * d2, n2 * d1, dd)
-    content = np.gcd(np.gcd(dd, b), c)
-    F, G = ffdyn.family_forms(b // content, c // content, dd // content)
+    content = np.gcd(d1, d2)
+    return ffdyn.family_forms(b // content, c // content, dd // content)
+
+
+def _prepare_lanes(sig, start: int, stop: int):
+    """Lanes of the non-degenerate pairs at flat positions [start, stop),
+    position t being sigma1 number t // len(num2) and sigma2 number
+    t % len(num2), sig being (num1, den1, num2, den2); integer arithmetic
+    throughout (see MAX_HEIGHT_PRODUCT)."""
+    num1, den1, num2, den2 = sig
+    i, j = np.divmod(np.arange(start, stop, dtype=np.int64), len(num2))
+    F, G = _normal_forms(num1[i], den1[i], num2[j], den2[j])
     res = ffdyn.form_resultant(F, G)   # equals NormalizedQuadMap.resultant()
     keep = res != 0
     i, j, res = i[keep], j[keep], res[keep]
@@ -567,24 +620,27 @@ def _prepare_lanes(num1, den1, num2, den2, start: int, stop: int):
     s = np.sqrt(np.maximum(disc, 0).astype(np.float64)).astype(np.int64)
     s -= s * s > disc
     s += (s + 1) * (s + 1) <= disc
-    lin = w2 == 0
-    rational = lin | (s * s == disc)
-    gamma = np.stack([np.where(lin, -w0, s - w1), np.where(lin, w1, 2 * w2),
-                      np.where(lin, 1, -s - w1), np.where(lin, 0, 2 * w2)]
-                     ).reshape(2, 2, -1)
-    gamma[..., ~rational] = 0
-    g = np.gcd(gamma[:, 0], gamma[:, 1])
-    gamma //= np.where(g == 0, 1, g)[:, None]
+    rational = (w2 == 0) | (s * s == disc)
+    r = np.flatnonzero(rational)
+    lin, s, w2, w1, w0 = (x[r] for x in (w2 == 0, s, w2, w1, w0))
+    # N or M is nonzero: w1 != 0 where w2 = 0
+    pts = np.stack([np.where(lin, -w0, s - w1), np.where(lin, w1, 2 * w2),
+                    np.where(lin, 1, -s - w1), np.where(lin, 0, 2 * w2)]
+                   ).reshape(2, 2, -1)
+    pts //= np.gcd(pts[:, 0], pts[:, 1])[:, None]
+    gamma = np.zeros((2, 2, len(i)), dtype=np.int64)
+    gamma[..., r] = pts
     return {"s1": i.astype(np.int32), "s2": j.astype(np.int32), "res": res,
             "rational": rational, "gamma": gamma,
             "run": np.full((2, 2, len(i)), -1, dtype=np.int64),
             "used": np.zeros(len(i), dtype=np.int32)}
 
 
-def _residues(num, den, p: int, inv):
-    """Each rational mod p, or -1 where p divides its denominator."""
+def _reduce(num, den, p, tables, pole):
+    """num / den mod p elementwise, pole where p divides den; p is a scalar
+    or one prime per entry."""
     d = den % p
-    return np.where(d == 0, -1, num % p * inv[d] % p)
+    return np.where(d == 0, pole, num % p * tables.inv[tables.base(p) + d] % p)
 
 
 def _lane_table(entries):
@@ -604,67 +660,138 @@ def _meet(x, n):
     return np.where(x[..., :1, :] < 0, n, np.where(hit, x, 0))
 
 
-def _sieve_step(p: int, lanes, tables, sig1, sig2, table):
-    """Meet the lanes' running sets with their period sets at p, as
+def _first(p, mask) -> int:
+    """The prime of the first row in mask, p being a scalar or one per row."""
+    return int(np.broadcast_to(p, mask.shape)[mask][0])
+
+
+def _key_sets(p, good, x1, x2, rational, gamma, tables, table=None):
+    """The period sets the rows meet at p, a scalar or one prime per row, as
     check_rational_periods_detailed and check_irrational_periods_detailed
-    do per pair; the lanes still alive.  table is _lane_table over all p^2
-    keys, row b * p + c, or None to run the kernel on the lanes' keys."""
+    take them per pair: the rows marked good are at a good prime, x1 and x2
+    are the residues of their sigmas (_reduce), rational and gamma their
+    lanes' fields.  Returns the indices ri of the irrational rows that
+    meet a set, with the set, as (2, len(ri)), then the indices r of the
+    rational rows with their two sets, as (2, 2, len(r)).  table is
+    _lane_table over all p^2 keys of a scalar p, row x1 * p + x2 for the
+    key family_bc(x1, x2), or None to run the kernel on the rows' distinct
+    (prime, key) pairs."""
+    # den(sigma) divides the resultant: test_sievedb's test_denominator_prime_safety
+    bad_den = good & ((x1 < 0) | (x2 < 0))
+    if bad_den.any():
+        raise DbConsistencyError(
+            f"sigma denominator divisible by good prime {_first(p, bad_den)}; "
+            "resultant guard failed")
+    # (x1, x2) -> family_bc(x1, x2) is a bijection of F_p^2, so a row's
+    # residues index its key; at a bad prime one may be -1, which take
+    # reads from the end, and the row goes unread
+    back = x1 * p + x2
+    del x1, x2  # a run's peak memory is reached in the first steps
+    if table is None:
+        # code a row by its residues and, in the low digits, its prime
+        primes = tables.primes
+        keys, back = np.unique(back * len(primes) + np.searchsorted(primes, p),
+                               return_inverse=True)
+        keys, kp = np.divmod(keys, len(primes))
+        kp = primes[kp] if np.ndim(p) else p
+        table = _lane_table(period_entries(
+            kp, *ffdyn.family_forms(*ffdyn.family_bc(*np.divmod(keys, kp))), tables))
+    present, points, periods, shared = table
+    # conjugate irrational points share one set: the meet of both stored sets
+    ri = np.flatnonzero(good & ~rational & present.take(back))
+    # each rational critical point meets the set of the point it reduces to
+    r = np.flatnonzero(good & rational)
+    kr, rp = back[r], _rows(p, r)
+    if not present[kr].all():
+        raise DbConsistencyError(
+            f"no F_{_first(rp, ~present[kr])}-rational critical points at a "
+            "good prime for a map with rational critical points")
+    gamma = gamma[..., r]
+    red = _reduce(gamma[:, 0], gamma[:, 1], rp, tables, rp)
+    pts = points[kr].T
+    first = red == pts[0]
+    stray = ~(first | (red == pts[1]))
+    if stray.any():
+        raise DbConsistencyError("a reduced critical point is not critical mod "
+                                 f"{_first(rp, stray.any(axis=0))}")
+    pr = periods[..., kr]
+    return (ri, shared.take(back[ri], axis=-1), r,
+            np.where(first[:, None], pr[:1], pr[1:]))
+
+
+def _sieve_step(p: int, lanes, tables, res1, res2, table):
+    """Meet the lanes' running sets with their period sets at p; the lanes
+    still alive.  res1 and res2 are the residues of the sigmas mod p."""
     good = lanes["res"] % p != 0
     if not good.any():
         return lanes
-    x1, x2 = sig1.take(lanes["s1"]), sig2.take(lanes["s2"])
-    # den(sigma) divides the resultant: test_sievedb's test_denominator_prime_safety
-    if (good & ((x1 < 0) | (x2 < 0))).any():
-        raise DbConsistencyError(
-            f"sigma denominator divisible by good prime {p}; resultant guard failed")
-    # the keys of bad lanes are garbage, but in range, and go unread
-    b, c = ffdyn.family_bc(x1, x2)
-    del x1, x2  # a run's peak memory is reached in the first steps
-    back = b % p * p + c % p
-    if table is None:
-        keys, back = np.unique(back, return_inverse=True)
-        table = _lane_table(period_entries(
-            p, *ffdyn.family_forms(keys // p, keys % p), tables))
-    present, points, periods, shared = table
-    rational = lanes["rational"]
-    run = lanes["run"]           # owned by this batch, so updated in place
-    # conjugate irrational points share one set: the meet of both stored sets
-    irr = good & ~rational & present.take(back)
-    run[0] = np.where(irr, _meet(run[0], shared.take(back, axis=-1)), run[0])
-    # each rational critical point meets the set of the point it reduces to
-    r = np.flatnonzero(good & rational)
-    kr = back[r]
-    if not present[kr].all():
-        raise DbConsistencyError(
-            f"no F_{p}-rational critical points at good prime {p} for a map "
-            "with rational critical points")
-    gamma = lanes["gamma"][..., r] % p
-    inv = tables[0]
-    red = np.where(gamma[:, 1] == 0, p, gamma[:, 0] * inv[gamma[:, 1]] % p)
-    pts = points[kr].T
-    first = red == pts[0]
-    if not (first | (red == pts[1])).all():
-        raise DbConsistencyError(f"a reduced critical point is not critical mod {p}")
-    pr = periods[..., kr]
-    run[..., r] = _meet(run[..., r], np.where(first[:, None], pr[:1], pr[1:]))
-    lanes = dict(lanes, used=lanes["used"] + (irr | (good & rational)))
+    ri, shared, r, sets = _key_sets(
+        p, good, res1.take(lanes["s1"]), res2.take(lanes["s2"]),
+        lanes["rational"], lanes["gamma"], tables, table)
+    # run and used are owned by this batch, so updated in place
+    run, used = lanes["run"], lanes["used"]
+    run[0][:, ri] = _meet(run[0][:, ri], shared)
+    run[..., r] = _meet(run[..., r], sets)
+    used[ri] += 1
+    used[r] += 1
     alive = (run != 0).any(axis=1).all(axis=0)
     return lanes if alive.all() else _take(lanes, np.flatnonzero(alive))
 
 
-def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...]):
-    """The lanes of all pairs that survive, in order.
+def _sieve_tail(lanes, start, primes: Tuple[int, ...], sig):
+    """The lanes still alive after the primes, lane i having passed
+    primes[:start[i]] already, by one kernel call over the distinct
+    (prime, key) rows of all lanes and primes.
+
+    A lane's running set ends as the meet of it with its sets at every
+    prime, in any order: its own set if constrained, else its first
+    evidence's, keeping the values that every evidence holds.  That is
+    what _sieve_step, prime by prime, leaves, so the survivors, their sets
+    and their evidence counts are the same.
+    """
+    ps = np.array(primes, dtype=np.int64)
+    tables = _mod_tables(ps)
+    num1, den1, num2, den2 = sig
+    ahead = np.arange(len(ps)) >= start[:, None]      # (lanes, primes)
+    i, j = np.nonzero(ahead & (lanes["res"][:, None] % ps != 0))
+    p = ps[j]
+    s1, s2 = lanes["s1"][i], lanes["s2"][i]
+    ri, shared, r, sets = _key_sets(
+        p, np.ones(len(i), dtype=bool), _reduce(num1[s1], den1[s1], p, tables, -1),
+        _reduce(num2[s2], den2[s2], p, tables, -1), lanes["rational"][i],
+        lanes["gamma"][..., i], tables)
+    # ev (2, lanes, primes) marks the evidence of each critical point, n
+    # (2, 2, lanes, primes) holds its sets
+    ev = np.zeros((2, *ahead.shape), dtype=bool)
+    n = np.zeros((2, 2, *ahead.shape), dtype=np.int64)
+    ev[0, i[ri], j[ri]] = True
+    n[0][:, i[ri], j[ri]] = shared
+    ev[:, i[r], j[r]] = True
+    n[..., i[r], j[r]] = sets
+    run = lanes["run"]
+    seed = np.take_along_axis(n, ev.argmax(axis=-1)[:, None, :, None], axis=-1)[..., 0]
+    run = np.where((run[:, :1] < 0) & ev.any(axis=-1)[:, None], seed, run)
+    hit = (run[..., None] == n[:, :1]) | (run[..., None] == n[:, 1:])
+    run = np.where((hit | ~ev[:, None]).all(axis=-1), run, 0)
+    lanes = dict(lanes, run=run, used=lanes["used"] + ev[0].sum(axis=-1, dtype=np.int32))
+    return _take(lanes, np.flatnonzero((run != 0).any(axis=1).all(axis=0)))
+
+
+def _lane_sieve(sig, primes: Tuple[int, ...]):
+    """The lanes of all pairs that survive, in order, sig being the sigmas'
+    (num1, den1, num2, den2).
 
     Lanes stream through the primes in the order given; sieve passes them
     ascending.  The lanes waiting at a prime are stepped together once
-    there are LANE_BUDGET of them, and the rest at the end, so the late
-    primes, where few lanes are left, run their kernel once rather than
-    once per block of pairs.  When the first batch to reach a prime p holds
-    at least p^2 lanes, the kernel runs once over all p^2 keys and every
-    batch at p reads that table.
+    there are LANE_BUDGET of them, and the rest after the last pair is
+    prepared.  Once the lanes still alive times the primes still ahead fit
+    in LANE_BUDGET, and the primes ahead times the largest of them, which
+    bounds the size of _mod_tables over them, in TAIL_TABLE_ENTRIES, one
+    _sieve_tail call takes the lanes through all of those primes.  When
+    LANE_BUDGET lanes reach a prime p together, p^2 being at most
+    TABLE_KEYS, the kernel runs once over all p^2 keys and every batch at p
+    reads that table.
     """
-    num1, den1 = _num_den(s1_list)
-    num2, den2 = _num_den(s2_list)
     contexts = {}
     waiting: List[list] = [[] for _ in range(len(primes) + 1)]
 
@@ -675,37 +802,45 @@ def _lane_sieve(s1_list, s2_list, primes: Tuple[int, ...]):
         if p not in contexts:
             tables = _mod_tables(p)
             table = None
-            if len(batch["res"]) >= p * p:
-                table = _lane_table(period_entries(
-                    p, *ffdyn.family_forms(*np.divmod(np.arange(p * p), p)), tables))
-            contexts[p] = (tables, _residues(num1, den1, p, tables[0]),
-                           _residues(num2, den2, p, tables[0]), table)
+            if len(batch["res"]) >= LANE_BUDGET and p * p <= TABLE_KEYS:
+                table = _lane_table(period_entries(p, *ffdyn.family_forms(
+                    *ffdyn.family_bc(*np.divmod(np.arange(p * p), p))), tables))
+            contexts[p] = (tables, _reduce(sig[0], sig[1], p, tables, -1),
+                           _reduce(sig[2], sig[3], p, tables, -1), table)
         waiting[k + 1].append(_sieve_step(p, batch, *contexts[p]))
 
-    total = len(num1) * len(num2)
+    total = len(sig[0]) * len(sig[2])
     for t in range(0, total, LANE_BUDGET):
-        waiting[0].append(_prepare_lanes(num1, den1, num2, den2, t,
-                                         min(t + LANE_BUDGET, total)))
+        waiting[0].append(_prepare_lanes(sig, t, min(t + LANE_BUDGET, total)))
         k = 0
         while k < len(primes) and sum(len(x["res"]) for x in waiting[k]) >= LANE_BUDGET:
             step(k)
             k += 1
     for k in range(len(primes)):
+        # deeper lanes come first in the pair order
+        rest = [(j, x) for j in range(len(primes) - 1, k - 1, -1) for x in waiting[j]]
+        alive = sum(len(x["res"]) for _, x in rest)
+        ahead = len(primes) - k
+        if (alive * ahead <= LANE_BUDGET
+                and ahead * max(primes[k:]) <= TAIL_TABLE_ENTRIES):
+            if alive:
+                start = np.concatenate([np.full(len(x["res"]), j - k) for j, x in rest])
+                waiting[-1].append(_sieve_tail(
+                    _concat([x for _, x in rest]), start, primes[k:], sig))
+            break
         if waiting[k]:
             step(k)
         contexts.pop(primes[k], None)  # no lane reaches prime k any more
-    return _concat(waiting[-1] or [_prepare_lanes(num1, den1, num2, den2, 0, 0)])
+    return _concat(waiting[-1] or [_prepare_lanes(sig, 0, 0)])
 
 
-def _candidate(s1: ExtendedRational, s2: ExtendedRational, lanes,
-               k: int) -> SieveCandidate:
-    used = int(lanes["used"][k])
+def _candidate(s1: ExtendedRational, s2: ExtendedRational, forms, res: int,
+               rational: bool, used: int, run) -> SieveCandidate:
     sets = tuple(None if used == 0 else frozenset(x for x in pair if x > 0)
-                 for pair in lanes["run"][..., k].tolist())
-    rational = bool(lanes["rational"][k])
+                 for pair in run)
     return SieveCandidate(
-        sigma1=s1, sigma2=s2, phi=NormalizedQuadMap.from_sigmas(s1, s2),
-        resultant=int(lanes["res"][k]), critical_rational=rational,
+        sigma1=s1, sigma2=s2, phi=NormalizedQuadMap(forms[:3], forms[3:], (s1, s2)),
+        resultant=res, critical_rational=rational,
         period_sets=sets if rational else sets[:1], primes_used=used)
 
 
@@ -721,8 +856,14 @@ def sieve(h1: int, h2: int, primes: Sequence[int]) -> List[SieveCandidate]:
                          f"bound h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
     sigma1_list = list(enumerate_rationals(h1))
     sigma2_list = list(enumerate_rationals(h2))
+    sig = (*_num_den(sigma1_list), *_num_den(sigma2_list))
     # a lane dies when its sets over all the primes have an empty
     # intersection, whatever their order, and small primes kill most lanes
-    lanes = _lane_sieve(sigma1_list, sigma2_list, tuple(sorted(primes)))
-    return [_candidate(sigma1_list[i], sigma2_list[j], lanes, k)
-            for k, (i, j) in enumerate(zip(lanes["s1"].tolist(), lanes["s2"].tolist()))]
+    lanes = _lane_sieve(sig, tuple(sorted(primes)))
+    i, j = lanes["s1"], lanes["s2"]
+    F, G = _normal_forms(sig[0][i], sig[1][i], sig[2][j], sig[3][j])
+    forms = np.stack(np.broadcast_arrays(*F, *G), axis=1).tolist()
+    return [_candidate(sigma1_list[a], sigma2_list[b], *rest)
+            for a, b, *rest in zip(i.tolist(), j.tolist(), forms, lanes["res"].tolist(),
+                                   lanes["rational"].tolist(), lanes["used"].tolist(),
+                                   lanes["run"].transpose(2, 0, 1).tolist())]

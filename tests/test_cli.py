@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -306,8 +307,9 @@ class TestConfig:
 
 def test_import_needs_no_sympy():
     # sympy is no dependency any more; it cost 37 MB and 0.4 s per process.
-    # numpy is loaded by sieve and pipeline only
-    for module in ("sympy", "numpy"):
+    # numpy is loaded by sieve and pipeline only, and OpenSSL's _hashlib by
+    # the config digest only
+    for module in ("sympy", "numpy", "_hashlib"):
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys, quadpcf.cli; sys.exit({module!r} in sys.modules)"],
@@ -326,10 +328,28 @@ def test_exact_commands_run_without_numpy():
             "from quadpcf import cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    if cli.main(argv) != 0:\n"
-            "        sys.exit(f'{argv} failed')\n")
+            "        sys.exit(f'{argv} failed')\n"
+            "if '_hashlib' in sys.modules:\n"
+            "    sys.exit('_hashlib loaded')\n")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("given, kept", [(None, "1"), ("4", "4")])
+def test_sieve_starts_no_blas_pool(given, kept):
+    # the sieve does no linear algebra: numpy's BLAS gets one thread unless
+    # the user chose otherwise
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = ("import os, sys\n"
+            "from quadpcf import cli\n"
+            "assert cli.main(['sieve', '--h1', '1', '--h2', '1', '--primes', '3']) == 0\n"
+            "sys.stderr.write(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == kept, proc.stderr
 
 
 def test_console_entry_point():

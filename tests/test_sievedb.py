@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf import ffdyn
+from quadpcf import ffdyn, sievedb
 from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import INFINITY, Rat, enumerate_rationals, first_odd_primes
 from quadpcf.ffdyn import FpMap, family_forms, form_resultant
@@ -294,6 +294,20 @@ class TestChecks:
             check_rational_periods_detailed(m, g1, g2, [7], m.resultant(), doctored)
 
 
+@pytest.fixture
+def tail_primes(monkeypatch):
+    """The primes of each tail call of the lane sieve, in order."""
+    calls = []
+    tail = sievedb._sieve_tail
+
+    def spy(lanes, start, primes, sig):
+        calls.append(tuple(primes))
+        return tail(lanes, start, primes, sig)
+
+    monkeypatch.setattr(sievedb, "_sieve_tail", spy)
+    return calls
+
+
 class TestSieve:
     def test_sub_bound_2_4(self, small_primes):
         got = {(c.sigma1, c.sigma2) for c in sieve(2, 4, small_primes)}
@@ -361,15 +375,43 @@ class TestSieve:
         got = [c.tsv_line() for c in reference_sieve(h1, h2, primes, db)]
         assert got == [c.tsv_line() for c in reference_sieve(h1, h2, sorted(primes), db)]
 
-    def test_equals_reference_on_a_larger_box(self, small_primes):
-        # 8,601 pairs, more than one block of lanes, with every other prime
-        # of the 25 in a shuffled order; only the reference follows that
-        # order (the lane sieve sorts its primes), so the two kill pairs at
-        # different primes and must still agree
+    def test_equals_reference_on_a_larger_box(self, small_primes, tail_primes):
+        # 8,601 pairs, three batches of lanes, with every other prime of the
+        # 25 in a shuffled order; only the reference follows that order (the
+        # lane sieve sorts its primes), so the two kill pairs at different
+        # primes and must still agree.  The first primes step the batches,
+        # the last ones are the tail
         primes = list(small_primes[::2])
         random.Random(5).shuffle(primes)
         got = [c.tsv_line() for c in sieve(6, 12, primes)]
         assert got == [c.tsv_line() for c in reference_sieve(6, 12, primes)]
+        (tail,) = tail_primes
+        assert 0 < len(tail) < len(primes) and tail == tuple(sorted(primes)[-len(tail):])
+
+    def test_tail_from_the_first_prime(self, small_primes, tail_primes):
+        # 161 pairs times 25 primes fit in one tail call
+        got = [c.tsv_line() for c in sieve(2, 4, small_primes)]
+        assert tail_primes == [tuple(small_primes)]
+        assert got == [c.tsv_line() for c in reference_sieve(2, 4, small_primes)]
+
+    def test_no_tail(self, tail_primes):
+        # 4,953 pairs: the batches step through both primes while the pairs
+        # are still being prepared, and no lane is left for a tail
+        got = [c.tsv_line() for c in sieve(5, 10, [3, 5])]
+        assert tail_primes == []
+        assert got == [c.tsv_line() for c in reference_sieve(5, 10, [3, 5])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(s1=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)),
+           s2=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)))
+    def test_integer_forms_equal_from_sigmas(self, s1, s2):
+        # the survivors' maps come from the lanes' integer normal form
+        F, G = sievedb._normal_forms(
+            *(np.array([x]) for x in (s1.num, s1.den, s2.num, s2.den)))
+        (forms,) = np.stack(np.broadcast_arrays(*F, *G), axis=1).tolist()
+        phi = NormalizedQuadMap(forms[:3], forms[3:], (s1, s2))
+        ref = NormalizedQuadMap.from_sigmas(s1, s2)
+        assert (phi.F, phi.G, str(phi)) == (ref.F, ref.G, str(ref))
 
     def test_size_bounds(self):
         # both checks come before anything is enumerated or allocated
@@ -416,6 +458,22 @@ class TestPeriodEntries:
             for i, pt in enumerate(crit):
                 got = set(periods[k, 2 * i:2 * i + 2].tolist()) - {0}
                 assert got == ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt))
+
+    @settings(max_examples=60, deadline=None,
+              phases=[ph for ph in Phase if ph is not Phase.shrink])
+    @given(rows=st.lists(st.tuples(st.sampled_from(first_odd_primes(40)), FORM, FORM),
+                         min_size=1, max_size=30))
+    def test_prime_per_row_equals_per_prime_calls(self, rows):
+        # one call with a prime per row against one call per prime
+        p = np.array([q for q, _, _ in rows])
+        F = tuple(np.array(c) for c in zip(*(f for _, f, _ in rows)))
+        G = tuple(np.array(c) for c in zip(*(g for _, _, g in rows)))
+        got = period_entries(p, F, G)
+        for q in set(p.tolist()):
+            at = np.flatnonzero(p == q)
+            want = period_entries(q, [x[at] for x in F], [x[at] for x in G])
+            for x, y in zip(got, want):
+                assert np.array_equal(x[at], y)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101])
     def test_random_keys_equal_lookup(self, p):

@@ -46,8 +46,8 @@ MUTANTS = (
     Mutant(
         "kernel maps a fixed infinity to 0",
         "sievedb.py",
-        "np.where(g2 == 0, p, f2 * inv[g2] % p)",
-        "np.where(g2 == 0, 0, f2 * inv[g2] % p)",
+        "np.where(g2 == 0, p, f2 * inv[base + g2] % p)",
+        "np.where(g2 == 0, 0, f2 * inv[base + g2] % p)",
         ("tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",),
     ),
     Mutant(
@@ -92,7 +92,8 @@ MUTANTS = (
         "sievedb.py",
         '    good = lanes["res"] % p != 0\n',
         '    good = lanes["res"] % p == 0\n',
-        ("tests/test_sievedb.py::TestSieve::test_sub_bound_2_4",),
+        ("tests/test_sievedb.py::TestSieve::test_no_tail",
+         "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
     ),
     Mutant(
         "multiplier product not reset when the tortoise moves",
@@ -102,11 +103,20 @@ MUTANTS = (
         ("tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",),
     ),
     Mutant(
-        "per-prime table indexed (c, b)",
+        "per-prime table indexed (x2, x1)",
         "sievedb.py",
-        "family_forms(*np.divmod(np.arange(p * p), p)), tables)",
-        "family_forms(*np.divmod(np.arange(p * p), p)[::-1]), tables)",
-        ("tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",),
+        "family_bc(*np.divmod(np.arange(p * p), p))), tables)",
+        "family_bc(*np.divmod(np.arange(p * p), p)[::-1])), tables)",
+        ("tests/test_sievedb.py::TestSieve::test_no_tail",
+         "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
+    ),
+    Mutant(
+        "the tail skips its last prime",
+        "sievedb.py",
+        "    ahead = np.arange(len(ps)) >= start[:, None]",
+        "    ahead = (np.arange(len(ps)) >= start[:, None]) & (np.arange(len(ps)) < len(ps) - 1)",
+        ("tests/test_sievedb.py::TestSieve::test_tail_from_the_first_prime",
+         "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
     ),
     Mutant(
         "verifier claims PCF when its budget runs out",
