@@ -36,6 +36,20 @@ EXIT_USAGE = 2
 EXIT_CATALOG_MISMATCH = 6
 
 
+def _sha256():
+    """SHA-256 from CPython's built-in module, _sha2 from 3.12 and _sha256
+    before, and from hashlib only when neither imports.  hashlib loads
+    OpenSSL, 3.5 MiB; the sieve's freed arrays stay resident, so even after
+    the sieve those would raise a process's peak."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+    return sha256
+
+
 @dataclass(frozen=True)
 class RunConfig:
     primes_count: int = 130
@@ -67,11 +81,7 @@ class RunConfig:
         body.pop("prime_list")
         body.pop("primes_count")
         text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        # loaded on first use: OpenSSL costs a process 3.5 MiB, which then
-        # come after the sieve's peak, not on top of it, and commands that
-        # write no digest never load it
-        import hashlib
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return _sha256()(text.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
         if self.h1 < 1 or self.h2 < 1:

@@ -490,9 +490,6 @@ class QuadFieldElement:
             return a
         return QuadFieldElement(a, b, D)
 
-    def conjugate(self) -> "QuadFieldElement":
-        return QuadFieldElement._make(self.a, -self.b, self.D)
-
     def norm(self) -> ExtendedRational:
         return self.a * self.a - self.b * self.b * self.D
 

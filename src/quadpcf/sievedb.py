@@ -21,7 +21,11 @@ primes kill most pairs.  Lanes go through a prime in batches of up to
 their keys (b, c), reads their sets from one table over all p^2 keys when
 p is small and a full batch reaches it, else runs the kernel on the
 distinct keys only, intersects the running sets as arrays and drops the
-dead lanes.  Once
+dead lanes.  A prime's all-key table, costly to rebuild, lives until no
+lane can reach the prime any more.  Every other per-prime context, the
+ModTables and the sigmas' residues, costs O(p) to build, next to the
+kernel work of a batch at p, and lives only for that batch's step: a run
+holds one such context at a time, beside the small primes' tables.  Once
 few lanes are left, one kernel call over the distinct (prime, key) rows
 of all of them and all the primes still ahead replaces the steps.  Only
 the survivors are turned into NormalizedQuadMap objects, from their
@@ -790,7 +794,7 @@ def _lane_sieve(sig, primes: Tuple[int, ...]):
     _sieve_tail call takes the lanes through all of those primes.  When
     LANE_BUDGET lanes reach a prime p together, p^2 being at most
     TABLE_KEYS, the kernel runs once over all p^2 keys and every batch at p
-    reads that table.
+    reads that table; it is the only per-prime context kept between steps.
     """
     contexts = {}
     waiting: List[list] = [[] for _ in range(len(primes) + 1)]
@@ -799,15 +803,18 @@ def _lane_sieve(sig, primes: Tuple[int, ...]):
         p = primes[k]
         batch = _concat(waiting[k])
         waiting[k] = []
-        if p not in contexts:
+        context = contexts.get(p)
+        if context is None:
             tables = _mod_tables(p)
             table = None
             if len(batch["res"]) >= LANE_BUDGET and p * p <= TABLE_KEYS:
                 table = _lane_table(period_entries(p, *ffdyn.family_forms(
                     *ffdyn.family_bc(*np.divmod(np.arange(p * p), p))), tables))
-            contexts[p] = (tables, _reduce(sig[0], sig[1], p, tables, -1),
-                           _reduce(sig[2], sig[3], p, tables, -1), table)
-        waiting[k + 1].append(_sieve_step(p, batch, *contexts[p]))
+            context = (tables, _reduce(sig[0], sig[1], p, tables, -1),
+                       _reduce(sig[2], sig[3], p, tables, -1), table)
+            if table is not None:
+                contexts[p] = context
+        waiting[k + 1].append(_sieve_step(p, batch, *context))
 
     total = len(sig[0]) * len(sig[2])
     for t in range(0, total, LANE_BUDGET):

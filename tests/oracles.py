@@ -8,6 +8,8 @@ route something the package computes directly:
 - Sylvester resultants by Gaussian elimination over Fraction, against the
   closed-form ffdyn.form_resultant;
 - Moebius conjugation, for the equivariance properties;
+- the Galois conjugate of a quadratic field element, for the multipliers
+  and the field-arithmetic properties;
 - the period-set tables of one prime by plain loops over ffdyn's scalar
   orbit splitter, against sievedb.period_entries.
 """
@@ -160,6 +162,13 @@ def _substitute(form: FormCoeffs, u: int, v: int, w: int, t: int) -> FormCoeffs:
     )
 
 
+def field_conjugate(x: PointValue) -> PointValue:
+    """a - b sqrt(D) for x = a + b sqrt(D); a rational is its own conjugate."""
+    if isinstance(x, QuadFieldElement):
+        return QuadFieldElement(x.a, -x.b, x.D)
+    return x
+
+
 def conjugate(phi: NormalizedQuadMap, f: MobiusTransform) -> NormalizedQuadMap:
     """The map f . phi . f^{-1}, content-normalized.
 
@@ -229,10 +238,7 @@ def fixed_point_multipliers(phi: NormalizedQuadMap) -> MultiplierTriple:
             co = Rat(s, 2 * a)
             alpha = QuadFieldElement(re, co, d)
             lam = _multiplier_at(phi, alpha)
-            if isinstance(lam, QuadFieldElement):
-                mults.extend([lam, lam.conjugate()])
-            else:
-                mults.extend([lam, lam])
+            mults.extend([lam, field_conjugate(lam)])
     if len(mults) != 3:
         raise AssertionError(f"expected 3 multipliers, got {len(mults)}")
     return MultiplierTriple(tuple(mults))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -255,6 +256,29 @@ class TestCatalog:
         assert len(data["sq_twist_classes"]) == 4
 
 
+configs = st.builds(
+    RunConfig,
+    primes_count=st.integers(1, 40),
+    prime_list=st.none() | st.lists(st.integers(3, 1 << 20), max_size=6).map(tuple),
+    h1=st.integers(1, 64), h2=st.integers(1, 64),
+    budget=st.integers(1, 10 ** 7), cutoff=st.integers(1, 10 ** 12),
+    preper_height_bound=st.integers(1, 500),
+    preper_step_budget=st.integers(1, 10 ** 6),
+    preper_cutoff=st.integers(1, 10 ** 9),
+    outdir=st.text(max_size=6))
+
+
+def _digest_text(cfg):
+    """The text the config digest hashes, field by field: every semantic
+    field, the primes as a list, and no output directory."""
+    return json.dumps({
+        "budget": cfg.budget, "config_version": 1, "cutoff": cfg.cutoff,
+        "h1": cfg.h1, "h2": cfg.h2, "preper_cutoff": cfg.preper_cutoff,
+        "preper_height_bound": cfg.preper_height_bound,
+        "preper_step_budget": cfg.preper_step_budget,
+        "primes": list(cfg.primes())}, sort_keys=True, separators=(",", ":"))
+
+
 class TestConfig:
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -283,6 +307,29 @@ class TestConfig:
         b = RunConfig(h1=2, h2=4)
         c = RunConfig(h1=2, h2=5)
         assert a.digest() == b.digest() != c.digest()
+        # the default configuration's digest on CPython 3.10 to 3.13
+        assert RunConfig().digest() == "618edfa00efb4f9b"
+
+    @settings(max_examples=100, deadline=None)
+    @given(configs)
+    def test_digest_equals_hashlib(self, cfg):
+        assert cfg.digest() == hashlib.sha256(_digest_text(cfg).encode()).hexdigest()[:16]
+
+    def test_digest_without_the_builtin_module(self, monkeypatch):
+        # with neither built-in module, hashlib gives the same digest
+        cfg = RunConfig(h1=3, h2=7, prime_list=(3, 5, 11))
+        want = cfg.digest()
+        calls, sha256 = [], hashlib.sha256
+
+        def spy(data):
+            calls.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+        assert cfg.digest() == want
+        assert calls == [_digest_text(cfg).encode()]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -308,7 +355,7 @@ class TestConfig:
 def test_import_needs_no_sympy():
     # sympy is no dependency any more; it cost 37 MB and 0.4 s per process.
     # numpy is loaded by sieve and pipeline only, and OpenSSL's _hashlib by
-    # the config digest only
+    # no command: the config digest hashes with CPython's built-in SHA-256
     for module in ("sympy", "numpy", "_hashlib"):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -334,6 +381,27 @@ def test_exact_commands_run_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--h1", "2", "--h2", "2", "--prime-list", "3,5,7,11,13",
+     "--outdir", "{tmp}"],
+    ["sieve", "--h1", "2", "--h2", "4", "--primes", "10", "--out", "{tmp}/s.tsv"]])
+def test_digest_loads_no_openssl(argv, tmp_path):
+    # OpenSSL would cost a sieve process 3.5 MiB of peak memory, even when
+    # loaded after the sieve
+    code = ("import json, sys\n"
+            "from quadpcf import cli\n"
+            "if cli.main(json.loads(sys.argv[1])) != 0:\n"
+            "    sys.exit('command failed')\n"
+            "if '_hashlib' in sys.modules:\n"
+            "    sys.exit('_hashlib loaded')\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    tsv = tmp_path / ("survivors.tsv" if argv[0] == "pipeline" else "s.tsv")
+    assert "# config-digest: " in tsv.read_text()
 
 
 @pytest.mark.parametrize("given, kept", [(None, "1"), ("4", "4")])

@@ -1,4 +1,5 @@
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,39 @@ class TestSieve:
         got = [c.tsv_line() for c in sieve(5, 10, [3, 5])]
         assert tail_primes == []
         assert got == [c.tsv_line() for c in reference_sieve(5, 10, [3, 5])]
+
+    def test_contexts_live_only_while_lanes_wait(self, monkeypatch):
+        # with batches of 128 lanes, 2,001 pairs step through every prime
+        # while pairs are still being prepared; 3 and 5 get all-key tables,
+        # and of the table-less primes' ModTables at most one is alive at a
+        # step: each is rebuilt for every batch at its prime
+        monkeypatch.setattr(sievedb, "LANE_BUDGET", 1 << 7)
+        mod_tables, sieve_step = sievedb._mod_tables, sievedb._sieve_step
+        built, alive_at_step = [], []
+
+        def tables_spy(primes):
+            tables = mod_tables(primes)
+            if np.ndim(primes) == 0 and primes * primes > sievedb.TABLE_KEYS:
+                built.append((primes, weakref.ref(tables.inv)))
+            return tables
+
+        def step_spy(*args):
+            alive_at_step.append(sum(ref() is not None for _, ref in built))
+            return sieve_step(*args)
+
+        monkeypatch.setattr(sievedb, "_mod_tables", tables_spy)
+        monkeypatch.setattr(sievedb, "_sieve_step", step_spy)
+        primes = [3, 5, 131, 137, 139, 149]
+        got = [c.tsv_line() for c in sieve(4, 8, primes)]
+        assert max(alive_at_step) == 1
+        assert len(built) > len({p for p, _ in built}) == 4
+        assert got == [c.tsv_line() for c in reference_sieve(4, 8, primes)]
+
+    def test_beyond_the_paper_box(self):
+        # the paper proves the list complete: an eleventh survivor at any
+        # height is a bug in the sieve, never a new map
+        got = [(c.sigma1, c.sigma2) for c in sieve(15, 30, first_odd_primes(130))]
+        assert sorted(got) == sorted(TEN_SIGMA_PAIRS)
 
     @settings(max_examples=200, deadline=None)
     @given(s1=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)),

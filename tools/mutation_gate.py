@@ -111,6 +111,13 @@ MUTANTS = (
          "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
     ),
     Mutant(
+        "every per-prime context outlives its step",
+        "sievedb.py",
+        "            if table is not None:\n                contexts[p] = context\n",
+        "            contexts[p] = context\n",
+        ("tests/test_sievedb.py::TestSieve::test_contexts_live_only_while_lanes_wait",),
+    ),
+    Mutant(
         "the tail skips its last prime",
         "sievedb.py",
         "    ahead = np.arange(len(ps)) >= start[:, None]",
@@ -135,6 +142,13 @@ MUTANTS = (
         ("tests/test_projmap.py::TestCriticalPoints::test_complex_pair",
          "tests/test_cli.py::TestVerify::test_complex_critical_points",
          "tests/test_cli.py::TestPipeline::test_every_survivor_reaches_the_verifier"),
+    ),
+    Mutant(
+        "the config digest drops the verifier's cutoff",
+        "cli.py",
+        '        body.pop("outdir")\n',
+        '        body.pop("outdir")\n        body.pop("cutoff")\n',
+        ("tests/test_cli.py::TestConfig::test_digest_equals_hashlib",),
     ),
 )
 
