@@ -3,7 +3,6 @@
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
-    QuadFieldElement,
     Rat,
     enumerate_rationals,
     height,
@@ -18,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITY",
     "ExtendedRational",
-    "QuadFieldElement",
     "Rat",
     "enumerate_rationals",
     "height",

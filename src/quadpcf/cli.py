@@ -93,6 +93,13 @@ class RunConfig:
         # the period rule is unsound for a composite modulus, so a composite
         # would let the sieve drop a PCF pair without any error
         validate_primes(self.primes(), LANE_PRIME_LIMIT, "the lane sieve")
+        for name in ("budget", "cutoff", "preper_height_bound", "preper_step_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # below the height bound the cutoff would call searched preperiodic
+        # points divergent, and they would leave the graph without a word
+        if self.preper_cutoff < self.preper_height_bound:
+            raise ValueError("preper_cutoff must be >= preper_height_bound")
 
 
 def _load_config_file(path: str) -> dict:

@@ -1,11 +1,12 @@
-"""Exact scalar arithmetic over Q and quadratic fields Q(sqrt(D)).
+"""Exact scalars: rationals, and the points of P^1 over quadratic fields.
 
 Provides big-integer rationals with a distinguished point at infinity
-(the projective point (1 : 0)), elements a + b*sqrt(D) with squarefree D,
-the multiplicative height H(p/q) = max(|p|, q), height-ordered enumeration
-of the rationals, and the small number theory the package needs: primes,
-divisors, and squarefree parts by trial division, Miller-Rabin and
-Pollard's rho.
+(the projective point (1 : 0)), quadratic points (a + b*sqrt(D)) / c held
+as four integers with squarefree D (values only: projmap steps them with
+integer arithmetic), the multiplicative height H(p/q) = max(|p|, q),
+height-ordered enumeration of the rationals, and the small number theory
+the package needs: primes, divisors, and squarefree parts by trial
+division, Miller-Rabin and Pollard's rho.
 
 Everything here is immutable and all operations are pure.
 """
@@ -13,9 +14,8 @@ Everything here is immutable and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 # Miller-Rabin with these bases is exact below 3.3e24 (a strong
 # probable-prime test beyond)
@@ -167,8 +167,6 @@ class ExtendedRational:
             return self.den == 1 and self.num == other
         if isinstance(other, Fraction):
             return self.den != 0 and self.num == other.numerator and self.den == other.denominator
-        if isinstance(other, QuadFieldElement):
-            return other.__eq__(self)
         return NotImplemented
 
     def __hash__(self):
@@ -451,183 +449,33 @@ def squarefree_part(n: int) -> Tuple[int, int]:
     return s, d
 
 
-@lru_cache(maxsize=4096)
-def _is_squarefree(n: int) -> bool:
-    return n != 0 and squarefree_part(n)[0] == 1
-
-
 # ----------------------------------------------------------------------
-# quadratic field elements
+# quadratic points
 # ----------------------------------------------------------------------
 
-class QuadFieldElement:
-    """a + b*sqrt(D) with rational a, b and squarefree integer D != 0, 1.
+class QuadPoint(NamedTuple):
+    """The point (a + b*sqrt(D)) / c of P^1(Q(sqrt(D))) outside P^1(Q).
 
-    Arithmetic is closed in the field and collapses to ExtendedRational
-    whenever the sqrt coefficient cancels, so exact-equality tables can mix
-    rationals and field elements.  D > 0 gives the real quadratic fields and
-    D < 0 the imaginary quadratic fields of complex critical points; the
-    algebra is the same.
+    Integers with gcd(a, b, c) == 1, c > 0, b != 0 and D squarefree, not 0
+    or 1: D > 0 gives the real quadratic fields and D < 0 the imaginary
+    fields of complex critical points.  The form is canonical, so equality
+    and hashing are the tuple's, and c^2 z^2 - 2ac z + (a^2 - D b^2) is the
+    point's minimal polynomial.  NormalizedQuadMap.quad_step moves it.
     """
 
-    __slots__ = ("a", "b", "D")
-
-    def __init__(self, a: RationalLike, b: RationalLike, D: int):
-        a = _as_rat(a)
-        b = _as_rat(b)
-        a._require_finite()
-        b._require_finite()
-        if D in (0, 1) or not _is_squarefree(D):
-            raise ValueError(f"D must be squarefree and != 0, 1; got {D}")
-        self.a = a
-        self.b = b
-        self.D = D
-
-    @staticmethod
-    def _make(a: ExtendedRational, b: ExtendedRational, D: int):
-        """Arithmetic results collapse to Q when the sqrt part vanishes."""
-        if b.is_zero():
-            return a
-        return QuadFieldElement(a, b, D)
-
-    def norm(self) -> ExtendedRational:
-        return self.a * self.a - self.b * self.b * self.D
-
-    # -- arithmetic ------------------------------------------------------
-
-    def _split(self, other):
-        """Return (a, b) parts of the operand in this element's field."""
-        if isinstance(other, QuadFieldElement):
-            if other.b.is_zero():
-                return other.a, ExtendedRational(0)
-            if other.D != self.D:
-                raise ValueError(f"mixing sqrt({self.D}) with sqrt({other.D})")
-            return other.a, other.b
-        if isinstance(other, (int, Fraction, ExtendedRational)):
-            return _as_rat(other), ExtendedRational(0)
-        return None
-
-    def __add__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return QuadFieldElement._make(self.a + oa, self.b + ob, self.D)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadFieldElement._make(-self.a, -self.b, self.D)
-
-    def __sub__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return QuadFieldElement._make(self.a - oa, self.b - ob, self.D)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return QuadFieldElement._make(
-            self.a * oa + self.b * ob * self.D,
-            self.a * ob + self.b * oa,
-            self.D,
-        )
-
-    __rmul__ = __mul__
-
-    def _inverse(self):
-        n = self.norm()
-        if n.is_zero():
-            # only possible for a = b = 0 since D is not a square
-            raise ZeroDivisionError("inverse of zero")
-        return QuadFieldElement._make(self.a / n, -self.b / n, self.D)
-
-    def __truediv__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        if oa.is_zero() and ob.is_zero():
-            if self.a.is_zero() and self.b.is_zero():
-                raise ZeroDivisionError("0/0 is not a point of P^1")
-            return INFINITY
-        o = QuadFieldElement._make(oa, ob, self.D)
-        if isinstance(o, ExtendedRational):
-            return QuadFieldElement._make(self.a / o, self.b / o, self.D)
-        return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction, ExtendedRational)):
-            o = _as_rat(other)
-            if self.b.is_zero() and self.a.is_zero():
-                if o.is_zero():
-                    raise ZeroDivisionError("0/0 is not a point of P^1")
-                return INFINITY
-            return self._inverse() * o
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = ExtendedRational(1)
-        base = self
-        for _ in range(k):
-            out = base * out
-        return out
-
-    # -- comparison / hashing ---------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, QuadFieldElement):
-            if self.b.is_zero() or other.b.is_zero():
-                return self.b == other.b and self.a == other.a
-            return self.D == other.D and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction, ExtendedRational)):
-            return self.b.is_zero() and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b.is_zero():
-            return hash(self.a)
-        return hash((self.a, self.b, self.D))
+    a: int
+    b: int
+    c: int
+    D: int
 
     def __str__(self):
         sign = "-" if self.b < 0 else "+"
-        return f"{self.a}{sign}{abs(self.b)}*sqrt({self.D})"
+        return f"{Rat(self.a, self.c)}{sign}{Rat(abs(self.b), self.c)}*sqrt({self.D})"
 
     __repr__ = __str__
 
-    @staticmethod
-    def from_str(text: str) -> "QuadFieldElement":
-        text = text.strip()
-        body, d_part = text.rsplit("*sqrt(", 1)
-        D = int(d_part.rstrip(")"))
-        # split the b coefficient off at the last top-level +/-
-        for i in range(len(body) - 1, 0, -1):
-            if body[i] in "+-" and body[i - 1] not in "+-/":
-                a = ExtendedRational.from_str(body[:i])
-                b = ExtendedRational.from_str(body[i:].replace("+", "", 1) or "0")
-                if body[i] == "-":
-                    b = -abs(b)
-                return QuadFieldElement(a, b, D)
-        raise ValueError(f"cannot parse quadratic element {text!r}")
 
-
-PointValue = Union[ExtendedRational, QuadFieldElement]
-
-
-def parse_point(text: str) -> PointValue:
-    text = text.strip()
-    if "sqrt" in text:
-        return QuadFieldElement.from_str(text)
-    return ExtendedRational.from_str(text)
+PointValue = Union[ExtendedRational, QuadPoint]
 
 
 def point_sort_key(pt: PointValue):
@@ -636,8 +484,6 @@ def point_sort_key(pt: PointValue):
         if pt.is_infinity():
             return (2,)
         return (0, Fraction(pt.num, pt.den))
-    if isinstance(pt, QuadFieldElement):
-        if pt.b.is_zero():
-            return (0, Fraction(pt.a.num, pt.a.den))
-        return (1, pt.D, Fraction(pt.a.num, pt.a.den), Fraction(pt.b.num, pt.b.den))
+    if isinstance(pt, QuadPoint):
+        return (1, pt.D, Fraction(pt.a, pt.c), Fraction(pt.b, pt.c))
     raise TypeError(f"not a point value: {pt!r}")

@@ -1,20 +1,22 @@
 """Exact certification of post-critical finiteness.
 
-Iterates both critical orbits with exact arithmetic until each revisits a
-previously seen value, then assembles the critical portrait: the functional
-graph of the union of the orbits, with ramification index 2 on the edges
-leaving the critical points.  The critical points are rational or a
-conjugate pair in one quadratic field Q(sqrt(D)), real or imaginary; the
-complex ones take the same path as the real ones.  Orbits that exceed the
-iteration budget or the size cutoff, and irrational critical points whose
-field cannot be found because the discriminant defeats factoring, come
-back as UNDETERMINED with diagnostics, never as a non-PCF verdict
-(refutation is the sieve's job).
+Iterates both critical orbits exactly until each revisits a previously
+seen value, then assembles the critical portrait: the functional graph of
+the union of the orbits, with ramification index 2 on the edges leaving
+the critical points.  The critical points are rational or a conjugate pair
+in one quadratic field Q(sqrt(D)), real or imaginary; the complex ones take
+the same path as the real ones.  Every step is one of projmap's integer
+steps, and a point's size and order are read off its integers.  Orbits
+that exceed the iteration budget or the size cutoff, and irrational
+critical points whose field cannot be found because the discriminant
+defeats factoring, come back as UNDETERMINED with diagnostics, never as a
+non-PCF verdict (refutation is the sieve's job).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from quadpcf.exact_arith import (
@@ -30,13 +32,15 @@ DEFAULT_SIZE_CUTOFF = 10 ** 6
 
 
 def point_size(pt: PointValue) -> int:
-    """Crude arithmetic size: the height for rationals, componentwise max
-    for quadratic elements, 1 at infinity."""
+    """Crude arithmetic size: the height for rationals, 1 at infinity, and
+    for (a + b*sqrt(D)) / c the larger height of a/c and b/c in lowest
+    terms."""
     if isinstance(pt, ExtendedRational):
         if pt.is_infinity():
             return 1
         return max(abs(pt.num), pt.den)
-    return max(point_size(pt.a), point_size(pt.b))
+    a, b, c, _ = pt
+    return max(max(abs(a), c) // gcd(a, c), max(abs(b), c) // gcd(b, c))
 
 
 @dataclass(frozen=True)

@@ -185,10 +185,6 @@ class FunctionalGraph:
         return self.canonical_form() == other.canonical_form()
 
 
-def type_of(graph: FunctionalGraph, point) -> TypeTag:
-    return graph.type_of(point)
-
-
 # ----------------------------------------------------------------------
 # bounded rational preperiodic search
 # ----------------------------------------------------------------------

@@ -5,13 +5,13 @@ content-normalized with a fixed sign convention, acting as
 z -> F(z, 1) / G(z, 1) on the affine chart.  This module builds the
 standard normal form from the sigma-invariants, computes the resultant,
 the Wronskian critical points and the sigma-invariants, and evaluates
-maps at exact points.
+maps at exact points with one integer step for each kind of point:
+step for P^1(Q) and quad_step for P^1(Q(sqrt(D))) outside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Tuple
 
@@ -19,7 +19,7 @@ from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
     PointValue,
-    QuadFieldElement,
+    QuadPoint,
     Rat,
     RationalLike,
     _as_rat,
@@ -143,26 +143,46 @@ class NormalizedQuadMap:
         g = gcd(u, v)
         return u // g, v // g
 
-    def apply(self, pt) -> PointValue:
-        """Evaluate at an exact point of P^1 (rational or quadratic)."""
-        if isinstance(pt, (int, Fraction)):
-            pt = Rat(pt)
-        if isinstance(pt, ExtendedRational):
-            return ExtendedRational.from_pair(*self.step(pt.num, pt.den))
+    def quad_step(self, pt: QuadPoint) -> PointValue:
+        """The image of a point (a + b*sqrt(D)) / c outside P^1(Q).
+
+        At (a + b*sqrt(D) : c), F = u0 + u1*sqrt(D) and G = v0 + v1*sqrt(D),
+        so the image is (u0*v0 - D*u1*v1 + (u1*v0 - u0*v1)*sqrt(D)) divided
+        by the norm v0^2 - D*v1^2, after one sign fix and one gcd.  The norm
+        vanishes only with G, since D is not a square, and then the image is
+        infinity; a vanishing sqrt(D) part gives an ExtendedRational.
+        """
+        a, b, c, D = pt
         f2, f1, f0 = self.F
         g2, g1, g0 = self.G
-        fx = (pt * f2 + f1) * pt + f0
-        gx = (pt * g2 + g1) * pt + g0
-        # field arithmetic collapses to ExtendedRational when sqrt(D) cancels
-        f_zero = fx.is_zero() if isinstance(fx, ExtendedRational) else (
-            fx.a.is_zero() and fx.b.is_zero())
-        g_zero = gx.is_zero() if isinstance(gx, ExtendedRational) else (
-            gx.a.is_zero() and gx.b.is_zero())
-        if g_zero:
-            if f_zero:
+        # x^2, x*y and y^2 for x = a + b*sqrt(D), y = c, as rational and
+        # sqrt(D) parts
+        xx0, xx1, xy0, xy1, yy = a * a + D * b * b, 2 * a * b, a * c, b * c, c * c
+        u0 = f2 * xx0 + f1 * xy0 + f0 * yy
+        u1 = f2 * xx1 + f1 * xy1
+        v0 = g2 * xx0 + g1 * xy0 + g0 * yy
+        v1 = g2 * xx1 + g1 * xy1
+        n = v0 * v0 - D * v1 * v1
+        if n == 0:
+            if u0 == 0 and u1 == 0:
                 raise DegenerateMapError(f"both forms vanish at {pt}")
             return INFINITY
-        return fx / gx
+        # u times the conjugate of v, over the norm n
+        p0 = u0 * v0 - D * u1 * v1
+        p1 = u1 * v0 - u0 * v1
+        if n < 0:
+            p0, p1, n = -p0, -p1, -n
+        g = gcd(p0, p1, n)
+        if p1 == 0:
+            return ExtendedRational.from_pair(p0 // g, n // g)
+        return QuadPoint(p0 // g, p1 // g, n // g, D)
+
+    def apply(self, pt) -> PointValue:
+        """Evaluate at an exact point of P^1 (rational or quadratic)."""
+        if isinstance(pt, QuadPoint):
+            return self.quad_step(pt)
+        pt = Rat(pt)
+        return ExtendedRational.from_pair(*self.step(pt.num, pt.den))
 
     # -- critical points ---------------------------------------------------
 
@@ -171,7 +191,8 @@ class NormalizedQuadMap:
 
         Rational roots come back as ExtendedRationals.  Otherwise the
         discriminant is s^2 * D with D squarefree and the roots are the
-        conjugate pair in Q(sqrt(D)), real for D > 0 and complex for D < 0.
+        conjugate pair of QuadPoints in Q(sqrt(D)), real for D > 0 and
+        complex for D < 0.
         With need_points=False the irrational case skips the factorization
         that D needs; the sieve only dispatches on rationality.
         """
@@ -187,10 +208,11 @@ class NormalizedQuadMap:
         if not need_points:
             return CriticalPoints(None, False)
         sq, d = squarefree_part(disc)
-        re = Rat(-w1, 2 * w2)
-        co = abs(Rat(sq, 2 * w2))
-        return CriticalPoints(
-            (QuadFieldElement(re, co, d), QuadFieldElement(re, -co, d)), False)
+        # the roots (-w1 +- sq*sqrt(d)) / (2*w2), with c > 0 and no common factor
+        a, c = (-w1, 2 * w2) if w2 > 0 else (w1, -2 * w2)
+        g = gcd(a, sq, c)
+        a, b, c = a // g, sq // g, c // g
+        return CriticalPoints((QuadPoint(a, b, c, d), QuadPoint(a, -b, c, d)), False)
 
     # -- sigma-invariants ----------------------------------------------------
 

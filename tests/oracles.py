@@ -8,8 +8,9 @@ route something the package computes directly:
 - Sylvester resultants by Gaussian elimination over Fraction, against the
   closed-form ffdyn.form_resultant;
 - Moebius conjugation, for the equivariance properties;
-- the Galois conjugate of a quadratic field element, for the multipliers
-  and the field-arithmetic properties;
+- arithmetic in Q(sqrt(d)) over pairs of Fractions, for the multipliers,
+  the Moebius action on quadratic points and the integer step
+  NormalizedQuadMap.quad_step;
 - the period-set tables of one prime by plain loops over ffdyn's scalar
   orbit splitter, against sievedb.period_entries.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
     PointValue,
-    QuadFieldElement,
+    QuadPoint,
     Rat,
     RationalLike,
     _as_rat,
@@ -41,6 +42,78 @@ from quadpcf.projmap import FormCoeffs, NormalizedQuadMap
 
 class UnsupportedFieldError(ValueError):
     """A value lives outside Q and the quadratic fields handled here."""
+
+
+# ----------------------------------------------------------------------
+# Q(sqrt(d)) over Fraction
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Surd:
+    """x + y*sqrt(d) with Fraction parts and d not a square: field
+    arithmetic by the textbook formulas, which the package does not have."""
+
+    x: Fraction
+    y: Fraction
+    d: int
+
+    @staticmethod
+    def of(v, d: int) -> "Surd":
+        """An int, a Fraction, a finite ExtendedRational or a QuadPoint
+        (which brings its own d) as an element of Q(sqrt(d))."""
+        if isinstance(v, Surd):
+            return v
+        if isinstance(v, QuadPoint):
+            return Surd(Fraction(v.a, v.c), Fraction(v.b, v.c), v.D)
+        if isinstance(v, ExtendedRational):
+            v._require_finite()
+            v = Fraction(v.num, v.den)
+        return Surd(Fraction(v), Fraction(0), d)
+
+    def _operand(self, other) -> "Surd":
+        o = Surd.of(other, self.d)
+        if o.d != self.d:
+            raise ValueError(f"mixing sqrt({self.d}) with sqrt({o.d})")
+        return o
+
+    def __bool__(self):
+        return bool(self.x or self.y)
+
+    def __add__(self, other):
+        o = self._operand(other)
+        return Surd(self.x + o.x, self.y + o.y, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Surd(-self.x, -self.y, self.d)
+
+    def __sub__(self, other):
+        return self + -self._operand(other)
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        return Surd(self.x * o.x + self.d * self.y * o.y,
+                    self.x * o.y + self.y * o.x, self.d)
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "Surd":
+        return Surd(self.x, -self.y, self.d)
+
+    def __truediv__(self, other):
+        o = self._operand(other)
+        norm = o.x * o.x - self.d * o.y * o.y
+        q = self * o.conjugate()
+        return Surd(q.x / norm, q.y / norm, self.d)
+
+    def point(self) -> PointValue:
+        """The package's value: a Rat when y = 0, else the QuadPoint over
+        the least common denominator."""
+        if not self.y:
+            return Rat(self.x)
+        c = lcm(self.x.denominator, self.y.denominator)
+        return QuadPoint(int(self.x * c), int(self.y * c), c, self.d)
 
 
 # ----------------------------------------------------------------------
@@ -127,12 +200,12 @@ class MobiusTransform:
 
     def __call__(self, pt: PointValue) -> PointValue:
         if isinstance(pt, ExtendedRational) and pt.is_infinity():
-            return Rat(self.a) / Rat(self.c) if self.c else INFINITY
-        num = pt * self.a + self.b
-        den = pt * self.c + self.d
-        if isinstance(den, ExtendedRational) and den.is_zero():
+            return Rat(self.a, self.c) if self.c else INFINITY
+        z = Surd.of(pt, 0)
+        den = z * self.c + self.d
+        if not den:
             return INFINITY
-        return num / den
+        return ((z * self.a + self.b) / den).point()
 
     def __eq__(self, other):
         if not isinstance(other, MobiusTransform):
@@ -163,9 +236,10 @@ def _substitute(form: FormCoeffs, u: int, v: int, w: int, t: int) -> FormCoeffs:
 
 
 def field_conjugate(x: PointValue) -> PointValue:
-    """a - b sqrt(D) for x = a + b sqrt(D); a rational is its own conjugate."""
-    if isinstance(x, QuadFieldElement):
-        return QuadFieldElement(x.a, -x.b, x.D)
+    """(a - b sqrt(D)) / c for x = (a + b sqrt(D)) / c; a rational is its
+    own conjugate."""
+    if isinstance(x, QuadPoint):
+        return x._replace(b=-x.b)
     return x
 
 
@@ -194,8 +268,10 @@ class MultiplierTriple:
     values: Tuple[PointValue, PointValue, PointValue]
 
     def elementary_symmetric(self) -> Tuple[PointValue, PointValue, PointValue]:
-        l1, l2, l3 = self.values
-        return (l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3)
+        d = next((v.D for v in self.values if isinstance(v, QuadPoint)), 0)
+        l1, l2, l3 = (Surd.of(v, d) for v in self.values)
+        return tuple(e.point() for e in (
+            l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3))
 
 
 def fixed_point_cubic(phi: NormalizedQuadMap) -> Tuple[int, int, int, int]:
@@ -226,7 +302,7 @@ def fixed_point_multipliers(phi: NormalizedQuadMap) -> MultiplierTriple:
     if deg > 0:
         rational_roots, leftover = _rational_roots(coeffs)
         for root, mult in rational_roots:
-            lam = _multiplier_at(phi, root)
+            lam = _multiplier_at(phi, Surd.of(root, 0))
             mults.extend([lam] * mult)
         if leftover is not None:
             a, b, c = leftover
@@ -234,9 +310,7 @@ def fixed_point_multipliers(phi: NormalizedQuadMap) -> MultiplierTriple:
             s, d = squarefree_part(disc)
             if d == 1:
                 raise AssertionError("square discriminant after root extraction")
-            re = Rat(-b, 2 * a)
-            co = Rat(s, 2 * a)
-            alpha = QuadFieldElement(re, co, d)
+            alpha = Surd(Fraction(-b, 2 * a), Fraction(s, 2 * a), d)
             lam = _multiplier_at(phi, alpha)
             mults.extend([lam, field_conjugate(lam)])
     if len(mults) != 3:
@@ -244,13 +318,13 @@ def fixed_point_multipliers(phi: NormalizedQuadMap) -> MultiplierTriple:
     return MultiplierTriple(tuple(mults))
 
 
-def _multiplier_at(phi: NormalizedQuadMap, alpha):
+def _multiplier_at(phi: NormalizedQuadMap, alpha: Surd) -> PointValue:
     """phi'(alpha) for a finite fixed point alpha."""
     w2, w1, w0 = phi.wronskian()
     g2, g1, g0 = phi.G
     n_val = (alpha * w2 + w1) * alpha + w0
     g_val = (alpha * g2 + g1) * alpha + g0
-    return n_val / (g_val * g_val)
+    return (n_val / (g_val * g_val)).point()
 
 
 def _rational_roots(coeffs):

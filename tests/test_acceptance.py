@@ -14,7 +14,7 @@ from quadpcf import sievedb
 from quadpcf.cli import TEN_SIGMA_PAIRS, main
 from quadpcf.exact_arith import (
     INFINITY,
-    QuadFieldElement,
+    QuadPoint,
     Rat,
     enumerate_rationals,
     first_odd_primes,
@@ -39,12 +39,12 @@ PRIME_BOUND = 750
 I = INFINITY
 
 
-def _q5(a, b):
-    return QuadFieldElement(a, b, 5)
+def _q5(a, b, c=1):
+    return QuadPoint(a, b, c, 5)
 
 
 def _q2(a, b):
-    return QuadFieldElement(a, b, 2)
+    return QuadPoint(a, b, 1, 2)
 
 
 # Critical portraits of the normal forms, as (source, target, ramification).
@@ -69,15 +69,15 @@ EXPECTED_PORTRAITS = {
         (I, Rat(-2), 2), (Rat(-2), Rat(0), 2), (Rat(0), Rat(-4), 1),
         (Rat(-4), Rat(-4), 1)}),
     (Rat(-2), Rat(0)): frozenset({
-        (_q5(Rat(-3), Rat(-1)), _q5(Rat(-1, 2), Rat(-1, 2)), 2),
-        (_q5(Rat(-3), Rat(1)), _q5(Rat(-1, 2), Rat(1, 2)), 2),
-        (_q5(Rat(-1, 2), Rat(-1, 2)), Rat(2), 1),
-        (_q5(Rat(-1, 2), Rat(1, 2)), Rat(2), 1),
+        (_q5(-3, -1), _q5(-1, -1, 2), 2),
+        (_q5(-3, 1), _q5(-1, 1, 2), 2),
+        (_q5(-1, -1, 2), Rat(2), 1),
+        (_q5(-1, 1, 2), Rat(2), 1),
         (Rat(2), I, 1), (I, Rat(-2), 1), (Rat(-2), I, 1)}),
     (Rat(-2), Rat(2)): frozenset({
-        (_q2(Rat(-2), Rat(-1)), _q2(Rat(0), Rat(-1)), 2),
-        (_q2(Rat(-2), Rat(1)), _q2(Rat(0), Rat(1)), 2),
-        (_q2(Rat(0), Rat(-1)), I, 1), (_q2(Rat(0), Rat(1)), I, 1),
+        (_q2(-2, -1), _q2(0, -1), 2),
+        (_q2(-2, 1), _q2(0, 1), 2),
+        (_q2(0, -1), I, 1), (_q2(0, 1), I, 1),
         (I, Rat(-2), 1), (Rat(-2), Rat(-2), 1)}),
     (Rat(-10, 3), Rat(20, 3)): frozenset({
         (Rat(0), Rat(-4), 2), (Rat(-4), Rat(-4, 3), 1),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf import exact_arith
+from quadpcf import cli, exact_arith
 from quadpcf.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -26,6 +26,20 @@ from quadpcf.exact_arith import first_odd_primes, height
 def _records(path):
     return [l.split("\t") for l in path.read_text().splitlines()
             if l and not l.startswith("#")]
+
+
+# at (10, 20) with 20 primes: the survivors with complex critical points,
+# and the orbit size at which the verifier gives up on each
+COMPLEX_SURVIVOR_SIZES = {
+    ("6", "18/13"): 3588083,
+    ("-7", "-3/11"): 177562671,
+    ("-7/6", "19/15"): 289168647,
+    ("8/3", "11/18"): 18539975,
+    ("2/9", "9/7"): 9793816816,
+    ("10/9", "7/12"): 104844896,
+    ("10/9", "-9/14"): 1343807,
+    ("10/9", "-19/9"): 3893133,
+}
 
 
 class TestSieve:
@@ -86,7 +100,13 @@ class TestPipeline:
         verified = {(c[0], c[1]): c[3] for c in _records(outdir / "verified.tsv")}
         pcf = {(str(s1), str(s2)) for s1, s2 in TEN_SIGMA_PAIRS}
         assert {k for k, v in verified.items() if v == "VERIFIED_PCF"} == pcf
-        assert verified[("6", "18/13")] == "UNDETERMINED"
+        # the complex survivors' orbits in Q(sqrt(D)), D < 0, and the sizes
+        # they reach before the cutoff stops them
+        reasons = {(c[0], c[1]): c[4] for c in _records(outdir / "verified.tsv")
+                   if c[3] == "UNDETERMINED"}
+        assert reasons == {
+            pair: f"orbit size {size} exceeded cutoff 1000000"
+            for pair, size in COMPLEX_SURVIVOR_SIZES.items()}
         summary = json.loads((outdir / "summary.json").read_text())
         assert (summary["verified_count"], summary["undetermined_count"]) == (10, 8)
         assert len(_records(outdir / "survivors.tsv")) == 18
@@ -331,6 +351,22 @@ class TestConfig:
         assert cfg.digest() == want
         assert calls == [_digest_text(cfg).encode()]
 
+    @pytest.mark.parametrize("argv", [
+        ["preper", "--sigmas=2,-8", "--preper-cutoff", "0"],
+        ["preper", "--sigmas=2,-8", "--preper-step-budget", "0"],
+        ["verify", "--sigmas", "2,-8", "--cutoff", "0"],
+        ["pipeline", "--budget", "0", "--outdir", "{tmp}/out"]])
+    def test_bounds_are_usage_errors(self, argv, tmp_path, capsys, monkeypatch):
+        # rejected before any work: the pipeline never reaches the sieve
+        def no_sieve():
+            raise AssertionError("the sieve was loaded")
+
+        monkeypatch.setattr(cli, "_load_sievedb", no_sieve)
+        rc = main([a.format(tmp=tmp_path) for a in argv])
+        assert rc == EXIT_USAGE
+        assert "invalid-input" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(h1=0).validate()
@@ -348,6 +384,14 @@ class TestConfig:
                     RunConfig(prime_list=())):
             with pytest.raises(ValueError, match="at least one prime"):
                 cfg.validate()
+        for field in ("budget", "cutoff", "preper_height_bound",
+                      "preper_step_budget"):
+            for value in (0, -1):
+                with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+                    RunConfig(**{field: value}).validate()
+        with pytest.raises(ValueError, match="preper_cutoff must be >= preper_height_bound"):
+            RunConfig(preper_height_bound=120, preper_cutoff=119).validate()
+        RunConfig(preper_height_bound=120, preper_cutoff=120).validate()
         with pytest.raises(ValueError):
             first_odd_primes(-5)
 

@@ -9,18 +9,18 @@ from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
     FactorizationError,
-    QuadFieldElement,
+    QuadPoint,
     Rat,
     divisors,
     enumerate_rationals,
     height,
     is_prime,
-    parse_point,
+    point_sort_key,
     primes_up_to,
     squarefree_part,
 )
 
-from oracles import field_conjugate
+from oracles import Surd
 
 nonzero_ints = st.integers(-200, 200).filter(lambda x: x != 0)
 small_rats = st.builds(Rat, st.integers(-60, 60), nonzero_ints)
@@ -147,60 +147,56 @@ class TestEnumerateRationals:
 
 
 # ----------------------------------------------------------------------
-# quadratic field elements
+# quadratic points, and the tests' own field arithmetic
 # ----------------------------------------------------------------------
 
-class TestQuadFieldElement:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadFieldElement(1, 1, 4)     # not squarefree
-        with pytest.raises(ValueError):
-            QuadFieldElement(1, 1, 1)
-        with pytest.raises(ValueError):
-            QuadFieldElement(1, 1, 0)
-        with pytest.raises(ArithmeticError):
-            QuadFieldElement(INFINITY, 1, 2)
+class TestQuadPoint:
+    def test_text(self):
+        # a/c and b/c in lowest terms, as the verifier's artifacts print them
+        assert str(QuadPoint(-3, -1, 1, 5)) == "-3-1*sqrt(5)"
+        assert str(QuadPoint(-1, 1, 2, 5)) == "-1/2+1/2*sqrt(5)"
+        assert str(QuadPoint(0, -1, 1, 2)) == "0-1*sqrt(2)"
+        assert str(QuadPoint(9, -4, 6, -3)) == "3/2-2/3*sqrt(-3)"
 
+    def test_sort_key(self):
+        # rationals, then quadratic points by D, a/c and b/c, then infinity
+        pts = [INFINITY, QuadPoint(1, 1, 1, 2), QuadPoint(-1, 1, 2, -3),
+               QuadPoint(1, -1, 1, 2), Rat(7), QuadPoint(0, 1, 1, 2)]
+        assert sorted(pts, key=point_sort_key) == [
+            Rat(7), QuadPoint(-1, 1, 2, -3), QuadPoint(0, 1, 1, 2),
+            QuadPoint(1, -1, 1, 2), QuadPoint(1, 1, 1, 2), INFINITY]
+
+
+class TestSurd:
     def test_rational_collapse(self):
-        a = QuadFieldElement(Rat(-3), Rat(1), 5)
-        b = field_conjugate(a)
-        prod = a * b
-        assert isinstance(prod, ExtendedRational)
-        assert prod == 4          # (-3)^2 - 5
-        assert a + b == -6
-
-    def test_b_zero_equals_rational(self):
-        e = QuadFieldElement(Rat(7, 2), Rat(0), 5)
-        assert e == Rat(7, 2)
-        assert hash(e) == hash(Rat(7, 2))
+        a = Surd.of(QuadPoint(-3, 1, 1, 5), 5)
+        assert (a * a.conjugate()).point() == Rat(4)    # (-3)^2 - 5
+        assert (a + a.conjugate()).point() == Rat(-6)
 
     def test_division(self):
-        x = QuadFieldElement(Rat(1), Rat(1), 2)      # 1 + sqrt2
-        y = x / x
-        assert y == 1
-        inv = 1 / x                                   # sqrt2 - 1
-        assert inv == QuadFieldElement(Rat(-1), Rat(1), 2)
+        x = Surd(Fraction(1), Fraction(1), 2)            # 1 + sqrt2
+        assert (x / x).point() == Rat(1)
+        assert (Surd.of(1, 2) / x).point() == QuadPoint(-1, 1, 1, 2)  # sqrt2 - 1
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError):
-            QuadFieldElement(0, 1, 2) + QuadFieldElement(0, 1, 3)
-
-    def test_str_round_trip(self):
-        for e in (QuadFieldElement(Rat(-3), Rat(-1), 5),
-                  QuadFieldElement(Rat(0), Rat(1), 2),
-                  QuadFieldElement(Rat(-1, 2), Rat(1, 2), 5)):
-            assert parse_point(str(e)) == e
+            Surd(Fraction(0), Fraction(1), 2) + Surd(Fraction(0), Fraction(1), 3)
 
     @given(small_rats, small_rats, small_rats, small_rats,
            st.sampled_from([2, 3, 5, 7, 13, -1, -3]))
     @settings(max_examples=60)
     def test_norm_identity(self, a, b, c, d, D):
-        x = QuadFieldElement(a, b, D)
-        y = QuadFieldElement(c, d, D)
-        assert x * field_conjugate(x) == a * a - b * b * D
+        x = Surd.of(a, D) + Surd.of(b, D) * Surd(Fraction(0), Fraction(1), D)
+        y = Surd.of(c, D) + Surd.of(d, D) * Surd(Fraction(0), Fraction(1), D)
+        assert (x * x.conjugate()).point() == a * a - b * b * D
         # conjugation is a ring homomorphism
-        assert field_conjugate(x + y) == field_conjugate(x) + field_conjugate(y)
-        assert field_conjugate(x * y) == field_conjugate(x) * field_conjugate(y)
+        assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        # a QuadPoint is canonical: gcd(a, b, c) = 1 and c > 0
+        if not b.is_zero():
+            pt = x.point()
+            assert gcd(pt.a, pt.b, pt.c) == 1 and pt.c > 0
+            assert Surd.of(pt, D) == x
 
 
 def test_squarefree_part():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quadpcf.cli import TEN_SIGMA_PAIRS
-from quadpcf.exact_arith import INFINITY, QuadFieldElement, Rat
+from quadpcf.exact_arith import INFINITY, QuadPoint, Rat
 from quadpcf.pcfverify import critical_orbit_portrait, point_size
 from quadpcf.preper import FunctionalGraph
 from quadpcf.projmap import NormalizedQuadMap
@@ -54,12 +54,12 @@ class TestPortraits:
 
     def test_sqrt2_orbits(self):
         st = critical_orbit_portrait(NormalizedQuadMap.from_sigmas(-2, 2))
-        s2 = lambda a, b: QuadFieldElement(Rat(a[0], a[1]), Rat(b[0], b[1]), 2)
+        s2 = lambda a, b: QuadPoint(a, b, 1, 2)
         expected = {
-            (s2((-2, 1), (-1, 1)), s2((0, 1), (-1, 1)), 2),
-            (s2((-2, 1), (1, 1)), s2((0, 1), (1, 1)), 2),
-            (s2((0, 1), (-1, 1)), INFINITY, 1),
-            (s2((0, 1), (1, 1)), INFINITY, 1),
+            (s2(-2, -1), s2(0, -1), 2),
+            (s2(-2, 1), s2(0, 1), 2),
+            (s2(0, -1), INFINITY, 1),
+            (s2(0, 1), INFINITY, 1),
             (INFINITY, Rat(-2), 1), (Rat(-2), Rat(-2), 1)}
         assert set(st.portrait.edges()) == expected
 
@@ -145,7 +145,10 @@ class TestPointSize:
     def test_values(self):
         assert point_size(INFINITY) == 1
         assert point_size(Rat(-10, 3)) == 10
-        assert point_size(QuadFieldElement(Rat(1, 7), Rat(22), 5)) == 22
+        assert point_size(QuadPoint(1, 154, 7, 5)) == 22
+        # the heights of a/c and b/c in lowest terms, a = 0 counting 1
+        assert point_size(QuadPoint(-9, 4, 6, -3)) == 3
+        assert point_size(QuadPoint(0, -1, 1, 2)) == 1
 
 
 class TestDotOutput:

@@ -23,7 +23,6 @@ from quadpcf.preper import (
     rational_preperiodic_graph,
     sq_twist_map,
     totient,
-    type_of,
 )
 from quadpcf.projmap import NormalizedQuadMap
 
@@ -110,7 +109,7 @@ class TestFunctionalGraph:
     def test_type_of_absent_point(self):
         g = FunctionalGraph({Rat(0): Rat(0)})
         with pytest.raises(KeyError):
-            type_of(g, Rat(9))
+            g.type_of(Rat(9))
 
     def test_components(self):
         g = FunctionalGraph({Rat(0): Rat(0), Rat(1): Rat(0),

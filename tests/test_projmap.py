@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import (
     INFINITY,
-    QuadFieldElement,
+    ExtendedRational,
+    QuadPoint,
     Rat,
 )
 from quadpcf.ffdyn import FpMap, family_forms, form_resultant
@@ -17,6 +18,7 @@ from quadpcf.projmap import DegenerateMapError, NormalizedQuadMap
 
 from oracles import (
     MobiusTransform,
+    Surd,
     UnsupportedFieldError,
     conjugate,
     field_conjugate,
@@ -28,6 +30,8 @@ small_sigmas = st.builds(Rat, st.integers(-8, 8), st.integers(1, 4))
 COEFF = st.integers(-12, 12)
 # leading coefficients are often 0, so that infinity is fixed or critical
 FORM = st.tuples(st.one_of(st.just(0), COEFF), COEFF, COEFF)
+# squarefree D of both signs: real and imaginary quadratic fields
+SQUAREFREE = st.sampled_from([-15, -7, -3, -2, -1, 2, 3, 5, 6, 7, 10, 13])
 
 
 def fraction_image(F, G, z):
@@ -38,6 +42,12 @@ def fraction_image(F, G, z):
         f = (F[0] * z + F[1]) * z + F[2]
         g = (G[0] * z + G[1]) * z + G[2]
     return None if g == 0 else Fraction(f) / g
+
+
+def minimal_form(pt):
+    """The integer form whose roots are (a +- b sqrt(D)) / c."""
+    a, b, c, D = pt
+    return (c * c, -2 * a * c, a * a - D * b * b)
 
 
 def rational_roots(form):
@@ -124,8 +134,7 @@ class TestCriticalPoints:
     def test_conjugate_quadratic_pair(self):
         crit = NormalizedQuadMap.from_sigmas(-2, 0).critical_point_data()
         assert not crit.rational
-        assert crit.points == (QuadFieldElement(Rat(-3), Rat(1), 5),
-                       QuadFieldElement(Rat(-3), Rat(-1), 5))
+        assert crit.points == (QuadPoint(-3, 1, 1, 5), QuadPoint(-3, -1, 1, 5))
 
     def test_complex_pair(self):
         # (4, -3) has wronskian 10z^2 + 10: the critical points are +-i
@@ -135,8 +144,7 @@ class TestCriticalPoints:
         assert data.points is None and not data.rational
         crit = m.critical_point_data()
         assert not crit.rational
-        assert crit.points == (QuadFieldElement(Rat(0), Rat(1), -1),
-                               QuadFieldElement(Rat(0), Rat(-1), -1))
+        assert crit.points == (QuadPoint(0, 1, 1, -1), QuadPoint(0, -1, 1, -1))
 
     def test_critical_value_single_fiber(self):
         # each critical value has exactly one preimage (ramification 2)
@@ -148,14 +156,15 @@ class TestCriticalPoints:
             for gamma in pts:
                 v = m.apply(gamma)
                 # the quadratic F - v*G must have a double root (disc == 0)
-                if isinstance(v, type(INFINITY)) and v.is_infinity():
-                    a, b, c = Rat(g2), Rat(g1), Rat(g0)
+                if v is INFINITY:
+                    a, b, c = g2, g1, g0
                 else:
-                    a = f2 - v * g2
-                    b = f1 - v * g1
-                    c = f0 - v * g0
+                    v = Surd.of(v, 0)
+                    a = v * -g2 + f2
+                    b = v * -g1 + f1
+                    c = v * -g0 + f0
                 disc = b * b - a * c * 4
-                assert disc == 0, (str(m), str(gamma))
+                assert not disc, (str(m), str(gamma))
 
 
 class TestMultipliers:
@@ -181,7 +190,7 @@ class TestMultipliers:
     def test_golden_ratio_multipliers(self):
         m = NormalizedQuadMap((1, 0, -1), (0, 0, 1))   # z^2 - 1
         vals = fixed_point_multipliers(m).values
-        quad = [v for v in vals if isinstance(v, QuadFieldElement)]
+        quad = [v for v in vals if isinstance(v, QuadPoint)]
         assert len(quad) == 2 and quad[0].D == 5
         assert quad[0] == field_conjugate(quad[1])
         e1, e2, _ = fixed_point_multipliers(m).elementary_symmetric()
@@ -197,7 +206,7 @@ class TestMultipliers:
     def test_complex_multiplier_pair(self):
         m = NormalizedQuadMap.from_sigmas(Rat(-10, 3), Rat(20, 3))
         vals = fixed_point_multipliers(m).values
-        quad = [v for v in vals if isinstance(v, QuadFieldElement)]
+        quad = [v for v in vals if isinstance(v, QuadPoint)]
         assert len(quad) == 2 and quad[0].D == -3
 
 
@@ -257,8 +266,8 @@ class TestApply:
 
     def test_quadratic_point_value(self):
         m = NormalizedQuadMap.from_sigmas(-2, 0)
-        gamma = QuadFieldElement(Rat(-3), Rat(-1), 5)
-        assert m.apply(gamma) == QuadFieldElement(Rat(-1, 2), Rat(-1, 2), 5)
+        gamma = QuadPoint(-3, -1, 1, 5)
+        assert m.apply(gamma) == QuadPoint(-1, -1, 2, 5)
 
     def test_infinity_handling(self):
         m = NormalizedQuadMap.from_sigmas(-6, 8)   # G = -z^2 - 4z
@@ -283,6 +292,41 @@ class TestApply:
             got = m.apply(pt)
             assert (got.num, got.den) == (expected.num, expected.den)
             assert (got is INFINITY) == (image is None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(F=FORM, G=FORM, D=SQUAREFREE, q=st.integers(-6, 6),
+           abc=st.tuples(st.integers(-10 ** 4, 10 ** 4),
+                         st.integers(-10 ** 4, 10 ** 4).filter(bool),
+                         st.integers(1, 10 ** 3)))
+    def test_quadratic_step_equals_surd_oracle(self, F, G, D, q, abc):
+        a, b, c = abc
+        z = Surd(Fraction(a, c), Fraction(b, c), D)
+        pt = z.point()
+        M = minimal_form(pt)
+        # the forms as drawn; G = M, a pole at z; and F = M + q G, whose
+        # image of z collapses to q in Q wherever G(z) != 0
+        collapse = tuple(x + q * y for x, y in zip(M, G))
+        for F1, G1 in ((F, G), (F, M), (collapse, G)):
+            if form_resultant(F1, G1) == 0:
+                continue
+            m = NormalizedQuadMap(F1, G1)
+            f = (z * F1[0] + F1[1]) * z + F1[2]
+            g = (z * G1[0] + G1[1]) * z + G1[2]
+            expected = INFINITY if not g else (f / g).point()
+            got = m.quad_step(pt)
+            assert type(got) is type(expected) and got == expected
+            if G1 == M:
+                assert got is INFINITY
+            elif F1 == collapse and g:
+                assert got == Rat(q)
+        # with b = 0 the formula is the rational step, infinity included
+        if form_resultant(F, G) != 0:
+            m = NormalizedQuadMap(F, G)
+            g = gcd(a, c)
+            for x, y in ((a // g, c // g), (1, 0)):
+                got = m.quad_step(QuadPoint(x, 0, y, D))
+                want = ExtendedRational.from_pair(*m.step(x, y))
+                assert (got.num, got.den) == (want.num, want.den)
 
     def test_degenerate_pair_raises(self):
         # F = x * y and G = y^2 share the root infinity
@@ -310,13 +354,15 @@ class TestConjugation:
                 assert conjugate(m, f).sigma_invariants() == (s1, s2)
 
     def test_critical_points_transform(self):
+        # rational, real quadratic and complex critical points
         rng = random.Random(11)
-        m = NormalizedQuadMap.from_sigmas(2, -8)
-        pts = m.critical_point_data().points
-        for _ in range(4):
-            f = random_mobius(rng)
-            conj_pts = conjugate(m, f).critical_point_data().points
-            assert set(conj_pts) == {f(p) for p in pts}
+        for s1, s2 in ((2, -8), (-2, 0), (4, -3)):
+            m = NormalizedQuadMap.from_sigmas(s1, s2)
+            pts = m.critical_point_data().points
+            for _ in range(4):
+                f = random_mobius(rng)
+                conj_pts = conjugate(m, f).critical_point_data().points
+                assert set(conj_pts) == {f(p) for p in pts}
 
     def test_rational_mobius_entries_cleared(self):
         f = MobiusTransform(Rat(1, 2), 0, 0, 1)

@@ -65,6 +65,13 @@ MUTANTS = (
         ("tests/test_projmap.py::TestApply::test_integer_step_equals_fraction_oracle",),
     ),
     Mutant(
+        "quadratic step's norm adds D * v1^2",
+        "projmap.py",
+        "n = v0 * v0 - D * v1 * v1",
+        "n = v0 * v0 + D * v1 * v1",
+        ("tests/test_projmap.py::TestApply::test_quadratic_step_equals_surd_oracle",),
+    ),
+    Mutant(
         "one coefficient of the sigma2 numerator changed",
         "projmap.py",
         "12 * f0 * g2 * g2",
