@@ -1,12 +1,13 @@
 """Exact scalars: rationals, and the points of P^1 over quadratic fields.
 
-Provides big-integer rationals with a distinguished point at infinity
-(the projective point (1 : 0)), quadratic points (a + b*sqrt(D)) / c held
-as four integers with squarefree D (values only: projmap steps them with
-integer arithmetic), the multiplicative height H(p/q) = max(|p|, q),
-height-ordered enumeration of the rationals, and the small number theory
-the package needs: primes, divisors, and squarefree parts by trial
-division, Miller-Rabin and Pollard's rho.
+Provides rationals as reduced integer pairs with a distinguished point at
+infinity (the projective point (1 : 0)), quadratic points
+(a + b*sqrt(D)) / c held as four integers with squarefree D (both are
+values only: projmap steps them with integer arithmetic), the
+multiplicative height H(p/q) = max(|p|, q), height-ordered enumeration of
+the rationals, and the small number theory the package needs: primes,
+divisors, and squarefree parts by trial division, Miller-Rabin and
+Pollard's rho.
 
 Everything here is immutable and all operations are pure.
 """
@@ -29,14 +30,16 @@ _RHO_STEPS = 1 << 18
 # ----------------------------------------------------------------------
 
 class ExtendedRational:
-    """A rational number num/den in lowest terms, or the point at infinity.
+    """A point of P^1(Q) as a reduced integer pair: num/den in lowest
+    terms, or the point at infinity.
 
     Finite values satisfy den >= 1 and gcd(|num|, den) == 1; zero is 0/1.
     Infinity is the single module-level object INFINITY, stored as (1, 0);
-    it compares equal only to itself and rejects field arithmetic.
+    it compares equal only to itself.  A zero denominator of a nonzero
+    numerator gives INFINITY; 0/0 raises.
 
-    Division by zero of a nonzero value yields INFINITY (the projective
-    convention); 0/0 raises.
+    This is a value type with parse, print and equality only: the exact
+    layer computes on the integers num and den.
     """
 
     __slots__ = ("num", "den")
@@ -73,90 +76,8 @@ class ExtendedRational:
     def is_zero(self) -> bool:
         return self.num == 0 and self.den != 0
 
-    def _require_finite(self):
-        if self.den == 0:
-            raise ArithmeticError("arithmetic with the point at infinity")
-
     def __bool__(self) -> bool:
         return self.num != 0
-
-    # -- arithmetic (finite values only) --------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtendedRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExtendedRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._require_finite()
-        o._require_finite()
-        return ExtendedRational(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        self._require_finite()
-        return ExtendedRational(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._require_finite()
-        o._require_finite()
-        return ExtendedRational(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._require_finite()
-        o._require_finite()
-        if o.num == 0:
-            if self.num == 0:
-                raise ZeroDivisionError("0/0 is not a point of P^1")
-            return INFINITY
-        return ExtendedRational(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int):
-        self._require_finite()
-        if not isinstance(k, int):
-            return NotImplemented
-        if k >= 0:
-            return ExtendedRational(self.num ** k, self.den ** k)
-        if self.num == 0:
-            return INFINITY
-        return ExtendedRational(self.den ** (-k), self.num ** (-k))
-
-    def __abs__(self):
-        self._require_finite()
-        return ExtendedRational(abs(self.num), self.den)
 
     # -- comparison / hashing -------------------------------------------
 
@@ -175,35 +96,6 @@ class ExtendedRational:
         if self.den == 1:
             return hash(self.num)
         return hash((self.num, self.den))
-
-    def __lt__(self, other):
-        # INFINITY sorts above every finite value
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == 0:
-            return False
-        if o.den == 0:
-            return True
-        return self.num * o.den < o.num * self.den
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self == o or self < o
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o < self
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o <= self
 
     # -- text ------------------------------------------------------------
 
@@ -247,13 +139,6 @@ Rat = ExtendedRational  # short alias used throughout the package
 RationalLike = Union[ExtendedRational, int, Fraction]
 
 
-def _as_rat(x: RationalLike) -> ExtendedRational:
-    r = ExtendedRational._coerce(x)
-    if r is None:
-        raise TypeError(f"not a rational value: {x!r}")
-    return r
-
-
 # ----------------------------------------------------------------------
 # heights and enumeration
 # ----------------------------------------------------------------------
@@ -263,7 +148,7 @@ HeightValue = int
 
 def height(x: RationalLike) -> HeightValue:
     """Multiplicative height max(|num|, den) of a reduced rational; 1 at infinity."""
-    r = _as_rat(x)
+    r = Rat(x)
     if r.den == 0:
         return 1
     return max(abs(r.num), r.den)

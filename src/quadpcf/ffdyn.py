@@ -172,8 +172,8 @@ class FpMap:
 
 def family_forms(b, c, d=1):
     """Milnor's normal form [2x^2 + bxy + by^2] / [-x^2 + (4 - b)xy + cy^2]
-    at (b / d, c / d) as forms (F, G) times d, elementwise on ints,
-    rationals and int64 arrays; the constant coefficients stay scalars."""
+    at (b / d, c / d) as forms (F, G) times d, elementwise on ints and
+    int64 arrays; the constant coefficients stay scalars."""
     return (2 * d, b, b), (-d, 4 * d - b, c)
 
 

@@ -9,6 +9,7 @@ points for the two power maps via exponent dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
@@ -16,7 +17,6 @@ from quadpcf.exact_arith import (
     ExtendedRational,
     Rat,
     RationalLike,
-    _as_rat,
     enumerate_pairs,
     point_sort_key,
 )
@@ -266,20 +266,24 @@ class StructureClass:
     graph: FunctionalGraph
 
 
+def _parameter(x: RationalLike, name: str, nonzero: bool = True) -> ExtendedRational:
+    """x as a finite rational, nonzero unless nonzero=False."""
+    x = Rat(x)
+    if x.is_infinity():
+        raise ValueError(f"{name} must be finite")
+    if nonzero and x.is_zero():
+        raise ValueError(f"{name} must be nonzero")
+    return x
+
+
 def sq_twist_map(b: RationalLike) -> NormalizedQuadMap:
     """The twist z/2 + b/z of the squaring map, as (z^2 + 2b) / (2z)."""
-    b = _as_rat(b)
-    if b.is_zero():
-        raise ValueError("b must be nonzero")
-    return NormalizedQuadMap((Rat(1), Rat(0), b + b), (Rat(0), Rat(2), Rat(0)))
+    b = _parameter(b, "b")
+    return NormalizedQuadMap((b.den, 0, 2 * b.num), (0, 2 * b.den, 0))
 
 
-def _is_rational_square(x: ExtendedRational) -> bool:
-    """Membership in (Q^x)^2: positive, with square numerator and
-    denominator in lowest terms; no factorization needed."""
-    if x.is_infinity() or x <= 0:
-        return False
-    return isqrt(x.num) ** 2 == x.num and isqrt(x.den) ** 2 == x.den
+def _is_square(n: int) -> bool:
+    return n > 0 and isqrt(n) ** 2 == n
 
 
 _SQ_CLASS_REPS = {
@@ -291,33 +295,30 @@ _SQ_CLASS_REPS = {
                   Rat(-1, 2)),
 }
 
-_sq_catalog_cache: Dict[str, StructureClass] = {}
 
-
+@cache
 def _sq_class(class_id: str) -> StructureClass:
-    if class_id not in _sq_catalog_cache:
-        desc, rep_b = _SQ_CLASS_REPS[class_id]
-        rep = sq_twist_map(rep_b)
-        _sq_catalog_cache[class_id] = StructureClass(
-            id=class_id, description=desc, representative=rep,
-            graph=rational_preperiodic_graph(rep))
-    return _sq_catalog_cache[class_id]
+    desc, rep_b = _SQ_CLASS_REPS[class_id]
+    rep = sq_twist_map(rep_b)
+    return StructureClass(id=class_id, description=desc, representative=rep,
+                          graph=rational_preperiodic_graph(rep))
 
 
 def classify_psi1_twist(b: RationalLike) -> StructureClass:
     """Catalog class of the twist z/2 + b/z, decided by square-class tests.
 
     2b a square puts b in the fixed-point class, -6b in the 2-cycle class,
-    -2b in the tail class; otherwise the structure is the generic one.  The
+    -2b in the tail class; otherwise the structure is the generic one.  For
+    b = n / d in lowest terms, m * b is a rational square exactly when the
+    integer m * n * d is a square, so no factorization is needed.  The
     three conditions are mutually exclusive (their pairwise ratios -3, -1,
     3 are non-squares), which is asserted at runtime.
     """
-    b = _as_rat(b)
-    if b.is_zero():
-        raise ValueError("b must be nonzero")
+    b = _parameter(b, "b")
+    nd = b.num * b.den
     hits = [cid for cid, mult in (
         ("sq-fixed", 2), ("sq-2cycle", -6), ("sq-type12", -2),
-    ) if _is_rational_square(b * mult)]
+    ) if _is_square(mult * nd)]
     assert len(hits) <= 1, f"square classes overlap for b={b}: {hits}"
     return _sq_class(hits[0] if hits else "sq-generic")
 
@@ -328,68 +329,54 @@ def classify_psi1_twist(b: RationalLike) -> StructureClass:
 
 def invsq_twist_from_t(t: RationalLike) -> NormalizedQuadMap:
     """The twist t/z^2 (these are exactly the twists with a rational 2-cycle)."""
-    t = _as_rat(t)
-    if t.is_zero():
-        raise ValueError("t must be nonzero")
-    return NormalizedQuadMap((Rat(0), Rat(0), t), (Rat(1), Rat(0), Rat(0)))
+    t = _parameter(t, "t")
+    return NormalizedQuadMap((0, 0, t.num), (t.den, 0, 0))
 
 
 def invsq_twist_from_dk(d: RationalLike, k: RationalLike) -> NormalizedQuadMap:
-    """Normal-form twist (k z^2 - 2 d z + d k) / (z^2 - 2 k z + d)."""
-    d = _as_rat(d)
-    k = _as_rat(k)
-    if d.is_zero():
-        raise ValueError("d must be nonzero")
-    if k * k == d:
+    """Normal-form twist (k z^2 - 2 d z + d k) / (z^2 - 2 k z + d), times
+    the common denominator of d and k."""
+    d = _parameter(d, "d")
+    k = _parameter(k, "k", nonzero=False)
+    if k.num * k.num * d.den == d.num * k.den * k.den:
         raise ValueError("k^2 must differ from d")
-    return NormalizedQuadMap((k, -(d + d), d * k), (Rat(1), -(k + k), d))
+    return NormalizedQuadMap((k.num * d.den, -2 * d.num * k.den, d.num * k.num),
+                             (k.den * d.den, -2 * k.num * d.den, d.num * k.den))
 
 
 _INVSQ_SIGMAS = (Rat(-6), Rat(12))
 
-_INVSQ_CLASS_REPS: Dict[str, Tuple[str, NormalizedQuadMap]] = {}
+# class id -> (description, representative), in the catalog's order
+_INVSQ_CLASS_REPS: Dict[str, Tuple[str, NormalizedQuadMap]] = {
+    "invsq-2cycle-fixed": (
+        "rational 2-cycle plus a fixed point with its tail",
+        invsq_twist_from_t(1)),
+    "invsq-2cycle": (
+        "rational 2-cycle and nothing else",
+        invsq_twist_from_t(2)),
+    "invsq-empty": (
+        "no rational preperiodic points",
+        invsq_twist_from_dk(2, 1)),
+    "invsq-fixed": (
+        "one rational fixed point with its tail",
+        invsq_twist_from_dk(2, 0)),
+    "invsq-fixed-type12": (
+        "fixed point, tail point, and two second-level tail points",
+        NormalizedQuadMap((-1, 2, 1), (1, 2, -1))),
+    "invsq-three-fixed": (
+        "three rational fixed points, each with one tail point",
+        NormalizedQuadMap((-1, 2, 0), (0, 2, -1))),
+    "invsq-3cycle": (
+        "rational 3-cycle with one tail point each",
+        NormalizedQuadMap((0, 2, -1), (1, 0, -1))),
+}
 
 
-def _invsq_reps() -> Dict[str, Tuple[str, NormalizedQuadMap]]:
-    if not _INVSQ_CLASS_REPS:
-        _INVSQ_CLASS_REPS.update({
-            "invsq-2cycle-fixed": (
-                "rational 2-cycle plus a fixed point with its tail",
-                invsq_twist_from_t(1)),
-            "invsq-2cycle": (
-                "rational 2-cycle and nothing else",
-                invsq_twist_from_t(2)),
-            "invsq-empty": (
-                "no rational preperiodic points",
-                invsq_twist_from_dk(2, 1)),
-            "invsq-fixed": (
-                "one rational fixed point with its tail",
-                invsq_twist_from_dk(2, 0)),
-            "invsq-fixed-type12": (
-                "fixed point, tail point, and two second-level tail points",
-                NormalizedQuadMap((-1, 2, 1), (1, 2, -1))),
-            "invsq-three-fixed": (
-                "three rational fixed points, each with one tail point",
-                NormalizedQuadMap((-1, 2, 0), (0, 2, -1))),
-            "invsq-3cycle": (
-                "rational 3-cycle with one tail point each",
-                NormalizedQuadMap((0, 2, -1), (1, 0, -1))),
-        })
-    return _INVSQ_CLASS_REPS
-
-
-_invsq_catalog_cache: Dict[str, StructureClass] = {}
-
-
-def invsq_catalog() -> List[StructureClass]:
-    out = []
-    for cid, (desc, rep) in _invsq_reps().items():
-        if cid not in _invsq_catalog_cache:
-            _invsq_catalog_cache[cid] = StructureClass(
-                id=cid, description=desc, representative=rep,
-                graph=rational_preperiodic_graph(rep))
-        out.append(_invsq_catalog_cache[cid])
-    return out
+@cache
+def invsq_catalog() -> Tuple[StructureClass, ...]:
+    return tuple(StructureClass(id=cid, description=desc, representative=rep,
+                                graph=rational_preperiodic_graph(rep))
+                 for cid, (desc, rep) in _INVSQ_CLASS_REPS.items())
 
 
 def classify_psi2_map(phi: Optional[NormalizedQuadMap] = None, *,
@@ -477,7 +464,7 @@ class RootOfUnityPoint:
 
     def degree(self) -> int:
         if self.kind == self.ROOT_KIND:
-            return int(totient(self.order))
+            return totient(self.order)
         return 1
 
     def sort_key(self):
@@ -529,9 +516,7 @@ def power_map_low_degree_preperiodic(variant: str, max_degree: int) -> List[Func
     for order in range(1, scan_bound):
         if totient(order) <= max_degree:
             for j in range(order):
-                if order == 1 or gcd(j, order) == 1:
-                    if order == 1 and j != 0:
-                        continue
+                if gcd(j, order) == 1:
                     points.append(RootOfUnityPoint.root(order, j))
     succ = {pt: _power_step(pt, variant) for pt in points}
     return FunctionalGraph(succ).components()

@@ -2,11 +2,12 @@
 
 A map is a pair of integer-coefficient binary quadratic forms (F, G),
 content-normalized with a fixed sign convention, acting as
-z -> F(z, 1) / G(z, 1) on the affine chart.  This module builds the
-standard normal form from the sigma-invariants, computes the resultant,
-the Wronskian critical points and the sigma-invariants, and evaluates
-maps at exact points with one integer step for each kind of point:
-step for P^1(Q) and quad_step for P^1(Q(sqrt(D))) outside it.
+z -> F(z, 1) / G(z, 1) on the affine chart; every constructor builds
+integer forms.  This module builds the standard normal form from the
+sigma-invariants, computes the resultant, the Wronskian critical points
+and the sigma-invariants, and evaluates maps at exact points with one
+integer step for each kind of point: step for P^1(Q) and quad_step for
+P^1(Q(sqrt(D))) outside it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from quadpcf.exact_arith import (
     QuadPoint,
     Rat,
     RationalLike,
-    _as_rat,
     squarefree_part,
 )
 from quadpcf.ffdyn import family_bc, family_forms, form_resultant, wronskian
@@ -40,16 +40,10 @@ FormCoeffs = Tuple[int, int, int]
 
 
 def _normalize_forms(fc, gc):
-    """Clear denominators, divide by content, fix the sign convention."""
+    """Divide integer forms by their content and fix the sign convention."""
     ints = (*fc, *gc)
     if not all(type(x) is int for x in ints):
-        vals = [_as_rat(x) for x in ints]
-        for v in vals:
-            v._require_finite()
-        lcm = 1
-        for v in vals:
-            lcm = lcm * v.den // gcd(lcm, v.den)
-        ints = [v.num * (lcm // v.den) for v in vals]
+        raise TypeError(f"form coefficients must be ints, got {fc!r}/{gc!r}")
     g = gcd(*ints)
     if g == 0:
         raise DegenerateMapError("all six coefficients vanish")
@@ -81,11 +75,18 @@ class NormalizedQuadMap:
     def from_sigmas(s1: RationalLike, s2: RationalLike) -> "NormalizedQuadMap":
         """Normal-form map with fixed-point multiplier invariants (s1, s2).
 
-        Degenerate pairs are representable; callers detect them through a
-        vanishing resultant.
+        For s1 = n1 / d1 and s2 = n2 / d2 these are Milnor's forms
+        (Experiment. Math. 2, 1993) over the common denominator d1 * d2,
+        the formula sievedb applies to arrays.  Degenerate pairs are
+        representable; callers detect them through a vanishing resultant.
         """
-        s1, s2 = _as_rat(s1), _as_rat(s2)
-        return NormalizedQuadMap(*family_forms(*family_bc(s1, s2)), sigmas=(s1, s2))
+        s1, s2 = Rat(s1), Rat(s2)
+        n1, d1, n2, d2 = s1.num, s1.den, s2.num, s2.den
+        dd = d1 * d2
+        if dd == 0:
+            raise ValueError("sigma-invariants must be finite")
+        return NormalizedQuadMap(*family_forms(*family_bc(n1 * d2, n2 * d1, dd), dd),
+                                 sigmas=(s1, s2))
 
     @staticmethod
     def from_str(text: str) -> "NormalizedQuadMap":

@@ -31,8 +31,6 @@ from quadpcf.exact_arith import (
     PointValue,
     QuadPoint,
     Rat,
-    RationalLike,
-    _as_rat,
     divisors,
     squarefree_part,
 )
@@ -66,7 +64,8 @@ class Surd:
         if isinstance(v, QuadPoint):
             return Surd(Fraction(v.a, v.c), Fraction(v.b, v.c), v.D)
         if isinstance(v, ExtendedRational):
-            v._require_finite()
+            if v.is_infinity():
+                raise ValueError("infinity is not an element of a field")
             v = Fraction(v.num, v.den)
         return Surd(Fraction(v), Fraction(0), d)
 
@@ -166,24 +165,17 @@ def poly_resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
 # ----------------------------------------------------------------------
 
 class MobiusTransform:
-    """z -> (a z + b) / (c z + d) with integer entries and ad - bc != 0."""
+    """z -> (a z + b) / (c z + d) with integer entries and ad - bc != 0;
+    int or Fraction entries are scaled to coprime integers."""
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, d: RationalLike):
-        vals = [_as_rat(v) for v in (a, b, c, d)]
-        for v in vals:
-            v._require_finite()
-        lcm = 1
-        for v in vals:
-            lcm = lcm * v.den // gcd(lcm, v.den)
-        ints = [v.num * (lcm // v.den) for v in vals]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        self.a, self.b, self.c, self.d = ints
+    def __init__(self, a, b, c, d):
+        vals = [Fraction(v) for v in (a, b, c, d)]
+        den = lcm(*(v.denominator for v in vals))
+        ints = [int(v * den) for v in vals]
+        g = gcd(*ints) or 1
+        self.a, self.b, self.c, self.d = (x // g for x in ints)
         if self.det() == 0:
             raise ValueError("Moebius transform needs nonzero determinant")
 

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +25,7 @@ from oracles import Surd
 
 nonzero_ints = st.integers(-200, 200).filter(lambda x: x != 0)
 small_rats = st.builds(Rat, st.integers(-60, 60), nonzero_ints)
-nonzero_rats = small_rats.filter(lambda r: not r.is_zero())
+small_fractions = st.builds(Fraction, st.integers(-60, 60), nonzero_ints)
 
 
 # ----------------------------------------------------------------------
@@ -48,28 +49,14 @@ class TestExtendedRational:
         assert INFINITY != 10 ** 9
         assert INFINITY.is_infinity()
 
-    def test_arithmetic(self):
-        assert Rat(1, 2) + Rat(1, 3) == Rat(5, 6)
-        assert Rat(1, 2) * 4 == 2
-        assert Rat(3, 4) - 1 == Rat(-1, 4)
-        assert Rat(5) / Rat(10) == Rat(1, 2)
-        assert Rat(2) ** -2 == Rat(1, 4)
-        assert -Rat(1, 3) == Rat(-1, 3)
-
-    def test_division_by_zero_is_projective(self):
-        assert Rat(3) / Rat(0) is INFINITY
-        with pytest.raises(ZeroDivisionError):
-            Rat(0) / Rat(0)
-
-    def test_infinity_rejects_field_ops(self):
-        with pytest.raises(ArithmeticError):
-            INFINITY + 1
-        with pytest.raises(ArithmeticError):
-            Rat(2) * INFINITY
-
-    def test_ordering(self):
-        assert Rat(1, 3) < Rat(1, 2) < 1 < INFINITY
-        assert sorted([Rat(1), Rat(-1, 2), Rat(3, 4)]) == [Rat(-1, 2), Rat(3, 4), Rat(1)]
+    def test_value_type_without_arithmetic_or_order(self):
+        # the exact layer computes on num and den; point_sort_key orders points
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.pow, operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(Rat(1, 2), 2)
+        with pytest.raises(TypeError):
+            -Rat(1, 3)
 
     def test_text_round_trip(self):
         for text in ("-10/3", "7", "0", "inf", "1/2"):
@@ -103,7 +90,7 @@ class TestHeight:
     @given(small_rats, small_rats)
     @settings(max_examples=80)
     def test_multiplicativity_bound(self, x, y):
-        assert height(x * y) <= height(x) * height(y)
+        assert height(Rat(x.num * y.num, x.den * y.den)) <= height(x) * height(y)
 
 
 def brute_force_rationals(h):
@@ -182,7 +169,7 @@ class TestSurd:
         with pytest.raises(ValueError):
             Surd(Fraction(0), Fraction(1), 2) + Surd(Fraction(0), Fraction(1), 3)
 
-    @given(small_rats, small_rats, small_rats, small_rats,
+    @given(small_fractions, small_fractions, small_fractions, small_fractions,
            st.sampled_from([2, 3, 5, 7, 13, -1, -3]))
     @settings(max_examples=60)
     def test_norm_identity(self, a, b, c, d, D):
@@ -193,7 +180,7 @@ class TestSurd:
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
         # a QuadPoint is canonical: gcd(a, b, c) = 1 and c > 0
-        if not b.is_zero():
+        if b:
             pt = x.point()
             assert gcd(pt.a, pt.b, pt.c) == 1 and pt.c > 0
             assert Surd.of(pt, D) == x

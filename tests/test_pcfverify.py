@@ -88,7 +88,7 @@ class TestUndetermined:
 
     def test_is_pcf_never_claims_non_pcf(self):
         st = critical_orbit_portrait(NormalizedQuadMap.from_sigmas(2, -12))
-        assert not st.verified and "cutoff" in st.reason or "budget" in st.reason
+        assert not st.verified and ("cutoff" in st.reason or "budget" in st.reason)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

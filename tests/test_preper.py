@@ -197,8 +197,11 @@ class TestRationalPreperiodicGraph:
 class TestSqTwists:
     def test_map_construction(self):
         assert sq_twist_map(Rat(1, 2)) == NormalizedQuadMap((2, 0, 2), (0, 4, 0))
-        with pytest.raises(ValueError):
-            sq_twist_map(0)
+        for b in (0, INFINITY):
+            with pytest.raises(ValueError):
+                sq_twist_map(b)
+            with pytest.raises(ValueError):
+                classify_psi1_twist(b)
 
     def test_representatives(self):
         assert classify_psi1_twist(Rat(1)).id == "sq-generic"
@@ -232,8 +235,8 @@ class TestSqTwists:
     @given(nonzero_small, st.integers(1, 9), st.integers(1, 9))
     @settings(max_examples=60, deadline=None)
     def test_invariance_up_to_squares(self, b, pnum, pden):
-        c = Rat(pnum, pden)
-        assert classify_psi1_twist(b).id == classify_psi1_twist(b * c * c).id
+        scaled = Rat(b.num * pnum * pnum, b.den * pden * pden)
+        assert classify_psi1_twist(b).id == classify_psi1_twist(scaled).id
 
     @given(nonzero_small)
     @settings(max_examples=60, deadline=None)
@@ -262,12 +265,15 @@ class TestInvsqTwists:
         assert classify_psi2_map(t=Rat(3)).id == "invsq-2cycle"
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            invsq_twist_from_t(0)
-        with pytest.raises(ValueError):
-            invsq_twist_from_dk(0, 1)
-        with pytest.raises(ValueError):
-            invsq_twist_from_dk(4, 2)       # k^2 == d
+        for t in (0, INFINITY):
+            with pytest.raises(ValueError):
+                invsq_twist_from_t(t)
+        for d, k in ((0, 1), (INFINITY, 1), (2, INFINITY)):
+            with pytest.raises(ValueError):
+                invsq_twist_from_dk(d, k)
+        for d, k in ((4, 2), (Rat(9, 4), Rat(-3, 2))):
+            with pytest.raises(ValueError, match="k\\^2 must differ"):
+                invsq_twist_from_dk(d, k)
         with pytest.raises(ValueError):
             classify_psi2_map(t=Rat(1), d=Rat(2), k=Rat(0))
         with pytest.raises(ValueError):

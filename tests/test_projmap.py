@@ -14,6 +14,7 @@ from quadpcf.exact_arith import (
     Rat,
 )
 from quadpcf.ffdyn import FpMap, family_forms, form_resultant
+from quadpcf.preper import invsq_twist_from_dk, invsq_twist_from_t, sq_twist_map
 from quadpcf.projmap import DegenerateMapError, NormalizedQuadMap
 
 from oracles import (
@@ -27,6 +28,14 @@ from oracles import (
 
 nonzero = st.integers(-40, 40).filter(lambda x: x != 0)
 small_sigmas = st.builds(Rat, st.integers(-8, 8), st.integers(1, 4))
+# pairs of heights up to 10^30 whose numerators share one factor and whose
+# denominators another, so that cross-denominator products and contents
+# are exercised
+FACTOR = st.integers(1, 10 ** 10)
+shared_factor_pairs = st.builds(
+    lambda g, h, n1, d1, n2, d2: (Rat(n1 * g, d1 * h), Rat(n2 * g, d2 * h)),
+    FACTOR, FACTOR, st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20),
+    st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20))
 COEFF = st.integers(-12, 12)
 # leading coefficients are often 0, so that infinity is fixed or critical
 FORM = st.tuples(st.one_of(st.just(0), COEFF), COEFF, COEFF)
@@ -73,9 +82,11 @@ class TestNormalization:
         m = NormalizedQuadMap((-2, 0, -4), (0, -6, -2))
         assert m.F == (1, 0, 2) and m.G == (0, 3, 1)
 
-    def test_rational_coefficients_cleared(self):
-        m = NormalizedQuadMap((Rat(1, 2), 0, 0), (0, 0, Rat(1, 3)))
-        assert m.F == (3, 0, 0) and m.G == (0, 0, 2)
+    def test_non_integer_coefficients_rejected(self):
+        # every constructor builds integer forms
+        for bad in (Rat(1, 2), Fraction(1, 2), 1.0, True):
+            with pytest.raises(TypeError):
+                NormalizedQuadMap((bad, 0, 0), (0, 0, 1))
 
     def test_all_zero_rejected(self):
         with pytest.raises(Exception):
@@ -106,6 +117,11 @@ class TestFromSigmas:
     def test_provenance(self):
         m = NormalizedQuadMap.from_sigmas(2, -8)
         assert m.sigmas == (Rat(2), Rat(-8))
+
+    def test_infinite_sigma_rejected(self):
+        for pair in ((INFINITY, 2), (2, INFINITY)):
+            with pytest.raises(ValueError, match="finite"):
+                NormalizedQuadMap.from_sigmas(*pair)
 
 
 class TestResultant:
@@ -244,13 +260,34 @@ class TestSigmaInvariants:
         e1, e2, _ = fixed_point_multipliers(m).elementary_symmetric()
         assert m.sigma_invariants() == (e1, e2)
 
-    @given(small_sigmas, small_sigmas)
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, s1, s2):
+    @given(st.one_of(st.tuples(small_sigmas, small_sigmas), shared_factor_pairs))
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip(self, pair):
+        s1, s2 = pair
         m = NormalizedQuadMap.from_sigmas(s1, s2)
         if m.resultant() == 0:
             return
         assert m.sigma_invariants() == (s1, s2)
+
+    @given(shared_factor_pairs)
+    @settings(max_examples=80, deadline=None)
+    def test_twists_have_the_power_map_sigmas(self, pair):
+        # the twists of z^2 share its sigmas (2, 0) and those of 1/z^2 its
+        # (-6, 12), however the forms are built; the image of one point pins
+        # down the parameter
+        x, y = pair
+        assume(not x.is_zero())
+        fx = Fraction(x.num, x.den)
+        phi = sq_twist_map(x)
+        assert phi.sigma_invariants() == (2, 0)
+        assert phi.apply(Rat(1)) == Fraction(1, 2) + fx
+        phi = invsq_twist_from_t(x)
+        assert phi.sigma_invariants() == (-6, 12)
+        assert phi.apply(Rat(1)) == x
+        assume(Fraction(y.num, y.den) ** 2 != fx)
+        phi = invsq_twist_from_dk(x, y)
+        assert phi.sigma_invariants() == (-6, 12)
+        assert phi.apply(INFINITY) == y
 
     def test_round_trip_on_the_ten(self):
         for s1, s2 in TEN_SIGMA_PAIRS:
@@ -365,7 +402,7 @@ class TestConjugation:
                 assert set(conj_pts) == {f(p) for p in pts}
 
     def test_rational_mobius_entries_cleared(self):
-        f = MobiusTransform(Rat(1, 2), 0, 0, 1)
+        f = MobiusTransform(Fraction(1, 2), 0, 0, 1)
         assert (f.a, f.b, f.c, f.d) == (1, 0, 0, 2)
 
     def test_degenerate_mobius_rejected(self):

@@ -142,6 +142,22 @@ MUTANTS = (
         ("tests/test_pcfverify.py::TestUndetermined::test_budget_boundary",),
     ),
     Mutant(
+        "normal form drops a cross-denominator factor",
+        "projmap.py",
+        "family_bc(n1 * d2, n2 * d1, dd)",
+        "family_bc(n1, n2 * d1, dd)",
+        ("tests/test_projmap.py::TestSigmaInvariants::test_round_trip",
+         "tests/test_projmap.py::TestFromSigmas::test_fractional_pair"),
+    ),
+    Mutant(
+        "twist of z^2 drops the 2 on b's numerator",
+        "preper.py",
+        "(b.den, 0, 2 * b.num)",
+        "(b.den, 0, b.num)",
+        ("tests/test_projmap.py::TestSigmaInvariants::test_twists_have_the_power_map_sigmas",
+         "tests/test_preper.py::TestSqTwists::test_map_construction"),
+    ),
+    Mutant(
         "complex critical points come back without points",
         "projmap.py",
         "        if not need_points:\n",
