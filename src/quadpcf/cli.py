@@ -20,7 +20,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from quadpcf import pcfverify, preper
-from quadpcf.exact_arith import ExtendedRational, Rat, first_odd_primes, validate_primes
+from quadpcf.exact_arith import (
+    ExtendedRational,
+    Rat,
+    first_odd_primes,
+    odd_primes_up_to,
+    validate_primes,
+)
 from quadpcf.ffdyn import LANE_PRIME_LIMIT, MAX_HEIGHT_PRODUCT
 from quadpcf.preper import CatalogMatchError
 from quadpcf.projmap import NormalizedQuadMap
@@ -88,11 +94,18 @@ class RunConfig:
             raise ValueError("height bounds must be >= 1")
         if self.h1 * self.h2 > MAX_HEIGHT_PRODUCT:
             raise ValueError(f"height bounds need h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
-        if self.primes_count < 1 or not self.primes():
+        if self.primes_count < 1 or self.prime_list is not None and not self.prime_list:
             raise ValueError("the sieve needs at least one prime")
-        # the period rule is unsound for a composite modulus, so a composite
-        # would let the sieve drop a PCF pair without any error
-        validate_primes(self.primes(), LANE_PRIME_LIMIT, "the lane sieve")
+        if self.prime_list is not None:
+            # the period rule is unsound for a composite modulus, so a
+            # composite would let the sieve drop a PCF pair without any error
+            validate_primes(self.prime_list, LANE_PRIME_LIMIT, "the sieve")
+        else:
+            # first_odd_primes gives primes; only their count needs a bound
+            most = len(odd_primes_up_to(LANE_PRIME_LIMIT))
+            if self.primes_count > most:
+                raise ValueError(f"primes_count {self.primes_count} is too large: the "
+                                 f"sieve takes the {most} odd primes below {LANE_PRIME_LIMIT}")
         for name in ("budget", "cutoff", "preper_height_bound", "preper_step_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

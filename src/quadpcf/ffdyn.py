@@ -3,10 +3,11 @@
 Orbits of points under a degree-2 map of P^1(F_p) are finite, so a single
 pass with a visited-index table splits them exactly into tail + cycle.
 The cycle multiplier (product of chart-correct local derivatives along the
-cycle) and its multiplicative order turn a mod-p cycle length m into the
-admissible set {m} or {m, m*r} of global periods.  The normal-form family,
-its key and the wronskian and resultant of two forms, which projmap and
-sievedb share, are defined here once.
+cycle) and its multiplicative order r turn a mod-p cycle length m into the
+admissible set of global periods: {m} for a zero multiplier, else {m, m*r},
+and at p = 3 also 3*m*r.  The normal-form family, its key and the
+wronskian and resultant of two forms, which projmap and sievedb share, are
+defined here once.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from typing import FrozenSet, Optional, Tuple, Union
 from quadpcf.exact_arith import divisors
 
 PeriodSet = FrozenSet[int]
+# the most periods possible_periods admits for one point
+PERIOD_SLOTS = 3
 
-# bounds of the lane sieve (sievedb), kept here, free of numpy, so that the
-# command line validates its configuration without loading the sieve.
-# The kernel evaluates forms reduced mod p by Horner's rule, so its largest
-# int64 values are products of three residues, below 2^60
-LANE_PRIME_LIMIT = 1 << 20
+# bounds of the lane sieve and its reference database (sievedb), kept here,
+# free of numpy, so that the command line validates its configuration
+# without loading the sieve.  The paper's largest prime is 739; below 2^11
+# the kernel's Horner products of three residues stay below 2^33
+LANE_PRIME_LIMIT = 1 << 11
 # a pair's integral normal form has coefficients of at most 4 * h1 * h2 <=
 # 2^14, so its wronskian discriminant, the largest per-pair int64 value of
 # the lane sieve, is below 2^61
@@ -293,11 +296,17 @@ def mult_order(lam: int, p: int) -> int:
 
 
 def possible_periods(o: OrbitData) -> PeriodSet:
-    """Admissible exact global periods for a point reducing into this cycle.
+    """Admissible exact global periods for a point of P^1(Q), or of a
+    quadratic field in which p does not ramify, reducing into this cycle.
 
-    Superattracting cycles pin the period to m; otherwise the period is m
-    or m*r (the p^e branch never contributes for odd p over Q).
+    By Morton and Silverman (IMRN 1994) the period is m, m*r or m*r*p^e
+    with e >= 1, and m alone for a zero multiplier.  Zieve's bound
+    p^(e - 1) <= 2v / (p - 1), v the ramification index of p, leaves with
+    v = 1 only p = 3 and e = 1: z^2 - 29/16 has the 3-cycle -1/4, -7/4, 5/4
+    and reduces mod 3 to a fixed point with multiplier 1.
     """
-    if o.lam == 0 or o.r == 1:
+    if o.lam == 0:
         return frozenset((o.m,))
+    if o.p == 3:
+        return frozenset((o.m, o.m * o.r, 3 * o.m * o.r))
     return frozenset((o.m, o.m * o.r))

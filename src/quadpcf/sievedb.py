@@ -2,15 +2,16 @@
 
 A map (F, G) mod an odd prime p has, when it has degree 2 and both
 critical points are F_p-rational, an admissible global-period set for each
-critical point.  One vectorised kernel, period_entries, computes these for
-arrays of integer forms, evaluating them as FpMap does; scalar
-ffdyn.orbit_data is its oracle.  It walks both critical points of every
-row together and finds each cycle by Brent's method, whose loop also
-carries the cycle multiplier.  p is one prime for all rows or one prime
-per row: the inverse, square-root and discrete-log tables it reads are
-concatenated over the primes and indexed through each row's offset.  The
-sieve passes it the normal forms ffdyn.family_forms(b, c) of its keys
-(b, c) in F_p^2.
+critical point: PERIOD_SLOTS periods at p = 3 and two elsewhere, by the
+rule of ffdyn.possible_periods.  One vectorised kernel, period_entries,
+computes these for arrays of integer forms, evaluating them as FpMap
+does; scalar ffdyn.orbit_data is its oracle.  It walks both critical
+points of every row together and finds each cycle by Brent's method,
+whose loop also carries the cycle multiplier.  p is one prime for all
+rows or one prime per row: the inverse, square-root and discrete-log
+tables it reads are concatenated over the primes and indexed through each
+row's offset.  The sieve passes it the normal forms
+ffdyn.family_forms(b, c) of its keys (b, c) in F_p^2.
 
 sieve() enumerates sigma-pairs up to height bounds and intersects the
 per-critical-point period sets across good primes in numpy lanes, taking
@@ -21,23 +22,21 @@ primes kill most pairs.  Lanes go through a prime in batches of up to
 their keys (b, c), reads their sets from one table over all p^2 keys when
 p is small and a full batch reaches it, else runs the kernel on the
 distinct keys only, intersects the running sets as arrays and drops the
-dead lanes.  A prime's all-key table, costly to rebuild, lives until no
-lane can reach the prime any more.  Every other per-prime context, the
-ModTables and the sigmas' residues, costs O(p) to build, next to the
-kernel work of a batch at p, and lives only for that batch's step: a run
-holds one such context at a time, beside the small primes' tables.  Once
-few lanes are left, one kernel call over the distinct (prime, key) rows
-of all of them and all the primes still ahead replaces the steps.  Only
-the survivors are turned into NormalizedQuadMap objects, from their
-integer normal forms.
+dead lanes.  The ModTables of all the primes are built once per run.  A
+prime's all-key table, costly to rebuild, lives until no lane can reach
+the prime any more; the sigmas' residues mod any other prime live for one
+step.  Once few lanes are left, one kernel call over the distinct
+(prime, key) rows of all of them and all the primes still ahead replaces
+the steps.  Only the survivors are turned into NormalizedQuadMap objects,
+from their integer normal forms.
 
-The database holds the kernel's three arrays over all p^2 keys of each
-prime, row b * p + c for the key (b, c).  Nothing on the search path, and
-no command, reads it; examine_pair and the check functions run the same
-sieve one pair at a time against it, as the reference the tests and the
-benchmark's traced replay compare with.  On disk a database is a sequence
-of .npy records: the prime list, then each prime's three arrays.  Content
-is deterministic for a given prime list.
+The database holds the kernel's three arrays over all p^2 keys of each of
+the sieve's primes, row b * p + c for the key (b, c).  Nothing on the
+search path, and no command, reads it; examine_pair and the check
+functions run the same sieve one pair at a time against it, as the
+reference the tests and the benchmark's traced replay compare with.  On
+disk a database is a sequence of .npy records: the prime list, then each
+prime's three arrays.  Content is deterministic for a given prime list.
 """
 
 from __future__ import annotations
@@ -58,22 +57,17 @@ from quadpcf.exact_arith import (
 from quadpcf.ffdyn import (
     LANE_PRIME_LIMIT,
     MAX_HEIGHT_PRODUCT,
+    PERIOD_SLOTS,
     PeriodSet,
     format_fp_point,
 )
 from quadpcf.projmap import NormalizedQuadMap
 
-# the database keeps 49 bytes for each of the p^2 keys of a prime, so this
-# bound (below 4.2 M keys, about 200 MB) caps the memory of one prime
-DB_PRIME_LIMIT = 1 << 11
 # lanes a sieve step handles at once; bounds the memory of a run
 LANE_BUDGET = 1 << 12
 # the most keys (b, c) of one prime that the sieve runs the kernel over at
 # once, in a table that every batch of lanes at the prime reads
 TABLE_KEYS = 1 << 14
-# a bound (primes times the largest of them) on the entries of the modular
-# tables of one tail call, 16 bytes each
-TAIL_TABLE_ENTRIES = 1 << 17
 
 
 class DbError(Exception):
@@ -256,6 +250,17 @@ def _vector_cycles(p, C, z0, inv, base):
     return length, mult
 
 
+def _cycle_sets(p, C, z0, tables, base):
+    """The admissible period sets of the cycles that the lanes' orbits from
+    z0 reach, as (lanes, PERIOD_SLOTS), in period_entries' layout; the
+    arguments are _vector_cycles', with tables in place of inv."""
+    m, mult = _vector_cycles(p, C, z0, tables.inv, base)
+    # the multiplier's order; 0, superattracting, reads as order 1
+    r = (p - 1) // np.gcd(tables.log[base + mult], p - 1)
+    return np.stack((m, np.where(r > 1, m * r, 0),
+                     np.where((p == 3) & (mult != 0), 3 * m * r, 0)), axis=1)
+
+
 def period_entries(p, F, G, tables=None):
     """Critical points and admissible period sets of the maps (F, G) mod p,
     by the rule of ffdyn.possible_periods; a coefficient is a vector with
@@ -265,9 +270,11 @@ def period_entries(p, F, G, tables=None):
 
     present marks the rows of degree 2 whose two critical points lie in
     P^1(F_p); for them points holds the points ascending (infinity = p
-    last) and periods holds (m1, mr1, m2, mr2): the set of each point is
-    {m}, or {m, mr} when the cycle multiplier has order r > 1 and
-    mr = m * r.  Other rows are zero.
+    last) and periods holds PERIOD_SLOTS entries per point, the first
+    point's first: m, then m * r where the cycle multiplier has order
+    r > 1, then 3 * m * r where p = 3 and the multiplier is nonzero, each
+    0 where absent.  Other rows are zero.  m <= p + 1 and r < p, so below
+    LANE_PRIME_LIMIT every period is below 2^22, and periods is int32.
     """
     tables = _mod_tables(p) if tables is None else tables
     inv, base = tables.inv, tables.base(p)
@@ -297,17 +304,12 @@ def period_entries(p, F, G, tables=None):
     # the two critical points of row i walk together, as lanes i and k + i
     k = len(sel)
     both = np.arange(2 * k) % k
-    p, base = _rows(p, both), _rows(base, both)
-    m, mult = _vector_cycles(p, np.concatenate((C, C), axis=-1),
-                             np.concatenate((lo, hi)), inv, base)
-    # the multiplier's order; 0, superattracting, reads as order 1, which
-    # like it leaves the set {m}
-    r = (p - 1) // np.gcd(tables.log[base + mult], p - 1)
-    mr = np.where(r > 1, m * r, 0)
+    sets = _cycle_sets(_rows(p, both), np.concatenate((C, C), axis=-1),
+                       np.concatenate((lo, hi)), tables, _rows(base, both))
     points = np.zeros((n, 2), dtype=np.int64)
     points[sel, 0], points[sel, 1] = lo, hi
-    periods = np.zeros((n, 4), dtype=np.int64)
-    periods[sel] = np.stack((m[:k], mr[:k], m[k:], mr[k:]), axis=1)
+    periods = np.zeros((n, 2 * PERIOD_SLOTS), dtype=np.int32)
+    periods[sel] = np.concatenate((sets[:k], sets[k:]), axis=1)
     return present, points, periods
 
 
@@ -318,7 +320,7 @@ def period_entries(p, F, G, tables=None):
 # per prime: the dtype and row shape of period_entries' present, points and
 # periods arrays
 _ARRAY_LAYOUT = ((np.dtype(bool), ()), (np.dtype(np.int64), (2,)),
-                 (np.dtype(np.int64), (4,)))
+                 (np.dtype(np.int32), (2 * PERIOD_SLOTS,)))
 
 
 class Database:
@@ -338,10 +340,9 @@ class Database:
         k = b % p * p + c % p
         if not present[k]:
             return ABSENT
-        m1, mr1, m2, mr2 = periods[k].tolist()
+        sets = periods[k].reshape(2, PERIOD_SLOTS).tolist()
         return DbEntry(p=p, points=tuple(points[k].tolist()),
-                       period_sets=(frozenset((m1, mr1)) - {0},
-                                    frozenset((m2, mr2)) - {0}))
+                       period_sets=tuple(frozenset(x) - {0} for x in sets))
 
     def entry_count(self, p: int) -> int:
         return int(self._arrays(p)[0].sum())
@@ -375,7 +376,7 @@ class Database:
                 if primes.ndim != 1 or primes.dtype.kind != "i":
                     raise ValueError("the prime list is not a vector of integers")
                 # checked before any block is read
-                primes = validate_primes(primes.tolist(), DB_PRIME_LIMIT,
+                primes = validate_primes(primes.tolist(), LANE_PRIME_LIMIT,
                                          "the reference database")
                 arrays = {p: tuple(_read_block(fh, p, dtype, row)
                                    for dtype, row in _ARRAY_LAYOUT)
@@ -398,7 +399,7 @@ def _read_block(fh, p: int, dtype: np.dtype, row: tuple) -> np.ndarray:
 def build_db(primes: Sequence[int], path: Optional[str] = None) -> Database:
     """Build the database for the given odd primes, in list order: the
     kernel's arrays over all p^2 keys of each; saved to path if given."""
-    primes = validate_primes(primes, DB_PRIME_LIMIT, "the reference database")
+    primes = validate_primes(primes, LANE_PRIME_LIMIT, "the reference database")
     db = Database({
         p: period_entries(p, *ffdyn.family_forms(*np.divmod(np.arange(p * p), p)))
         for p in primes})
@@ -575,9 +576,9 @@ def examine_pair(s1: ExtendedRational, s2: ExtendedRational,
 #   gamma     (2, 2, lanes): rational critical point k as (N, M) = gamma[k],
 #             N/M in lowest terms and infinity as 1/0; zero for irrational
 #             lanes
-#   run       (2, 2, lanes): running period sets, two slots per critical
-#             point (irrational lanes use run[0] only): 0 is an empty slot,
-#             -1 not yet constrained
+#   run       (2, PERIOD_SLOTS, lanes), int32 as the periods: running
+#             period sets, one per critical point (irrational lanes use
+#             run[0] only): 0 is an empty slot, -1 not yet constrained
 #   used      primes that gave modular evidence
 
 
@@ -636,7 +637,7 @@ def _prepare_lanes(sig, start: int, stop: int):
     gamma[..., r] = pts
     return {"s1": i.astype(np.int32), "s2": j.astype(np.int32), "res": res,
             "rational": rational, "gamma": gamma,
-            "run": np.full((2, 2, len(i)), -1, dtype=np.int64),
+            "run": np.full((2, PERIOD_SLOTS, len(i)), -1, dtype=np.int32),
             "used": np.zeros(len(i), dtype=np.int32)}
 
 
@@ -649,19 +650,21 @@ def _reduce(num, den, p, tables, pole):
 
 def _lane_table(entries):
     """period_entries' arrays in the lanes' layout: the periods as
-    (2, 2, rows), then the set that conjugate irrational critical points
-    share, the meet of the two stored sets, as (2, rows)."""
+    (2, PERIOD_SLOTS, rows), then the set that conjugate irrational critical
+    points share, the meet of the two stored sets, as (PERIOD_SLOTS, rows)."""
     present, points, periods = entries
-    periods = np.ascontiguousarray(periods.T).reshape(2, 2, -1)
+    periods = np.ascontiguousarray(periods.T).reshape(2, PERIOD_SLOTS, -1)
     return present, points, periods, _meet(periods[0], periods[1])
 
 
 def _meet(x, n):
-    """Two-slot sets x, slots on the axis before the lanes, intersected with
-    the nonzero elements of the sets n; a set whose first slot is -1 is
+    """Sets x, slots on the axis before the lanes, intersected with the
+    nonzero elements of the sets n; a set whose first slot is -1 is
     unconstrained."""
-    hit = (x == n[..., :1, :]) | (x == n[..., 1:, :])
-    return np.where(x[..., :1, :] < 0, n, np.where(hit, x, 0))
+    hit = x == n[..., :1, :]
+    for k in range(1, PERIOD_SLOTS):
+        hit |= x == n[..., k:k + 1, :]
+    return np.where(x[..., :1, :] < 0, n, x * hit)
 
 
 def _first(p, mask) -> int:
@@ -675,11 +678,11 @@ def _key_sets(p, good, x1, x2, rational, gamma, tables, table=None):
     take them per pair: the rows marked good are at a good prime, x1 and x2
     are the residues of their sigmas (_reduce), rational and gamma their
     lanes' fields.  Returns the indices ri of the irrational rows that
-    meet a set, with the set, as (2, len(ri)), then the indices r of the
-    rational rows with their two sets, as (2, 2, len(r)).  table is
-    _lane_table over all p^2 keys of a scalar p, row x1 * p + x2 for the
-    key family_bc(x1, x2), or None to run the kernel on the rows' distinct
-    (prime, key) pairs."""
+    meet a set, with the set, as (PERIOD_SLOTS, len(ri)), then the indices
+    r of the rational rows with their two sets, as (2, PERIOD_SLOTS,
+    len(r)).  table is _lane_table over all p^2 keys of a scalar p, row
+    x1 * p + x2 for the key family_bc(x1, x2), or None to run the kernel on
+    the rows' distinct (prime, key) pairs."""
     # den(sigma) divides the resultant: test_sievedb's test_denominator_prime_safety
     bad_den = good & ((x1 < 0) | (x2 < 0))
     if bad_den.any():
@@ -742,10 +745,10 @@ def _sieve_step(p: int, lanes, tables, res1, res2, table):
     return lanes if alive.all() else _take(lanes, np.flatnonzero(alive))
 
 
-def _sieve_tail(lanes, start, primes: Tuple[int, ...], sig):
+def _sieve_tail(lanes, start, primes: Tuple[int, ...], sig, tables):
     """The lanes still alive after the primes, lane i having passed
     primes[:start[i]] already, by one kernel call over the distinct
-    (prime, key) rows of all lanes and primes.
+    (prime, key) rows of all lanes and primes, reading tables.
 
     A lane's running set ends as the meet of it with its sets at every
     prime, in any order: its own set if constrained, else its first
@@ -754,7 +757,6 @@ def _sieve_tail(lanes, start, primes: Tuple[int, ...], sig):
     and their evidence counts are the same.
     """
     ps = np.array(primes, dtype=np.int64)
-    tables = _mod_tables(ps)
     num1, den1, num2, den2 = sig
     ahead = np.arange(len(ps)) >= start[:, None]      # (lanes, primes)
     i, j = np.nonzero(ahead & (lanes["res"][:, None] % ps != 0))
@@ -765,9 +767,9 @@ def _sieve_tail(lanes, start, primes: Tuple[int, ...], sig):
         _reduce(num2[s2], den2[s2], p, tables, -1), lanes["rational"][i],
         lanes["gamma"][..., i], tables)
     # ev (2, lanes, primes) marks the evidence of each critical point, n
-    # (2, 2, lanes, primes) holds its sets
+    # (2, PERIOD_SLOTS, lanes, primes) holds its sets
     ev = np.zeros((2, *ahead.shape), dtype=bool)
-    n = np.zeros((2, 2, *ahead.shape), dtype=np.int64)
+    n = np.zeros((2, PERIOD_SLOTS, *ahead.shape), dtype=np.int32)
     ev[0, i[ri], j[ri]] = True
     n[0][:, i[ri], j[ri]] = shared
     ev[:, i[r], j[r]] = True
@@ -775,7 +777,9 @@ def _sieve_tail(lanes, start, primes: Tuple[int, ...], sig):
     run = lanes["run"]
     seed = np.take_along_axis(n, ev.argmax(axis=-1)[:, None, :, None], axis=-1)[..., 0]
     run = np.where((run[:, :1] < 0) & ev.any(axis=-1)[:, None], seed, run)
-    hit = (run[..., None] == n[:, :1]) | (run[..., None] == n[:, 1:])
+    hit = run[..., None] == n[:, :1]
+    for k in range(1, PERIOD_SLOTS):
+        hit |= run[..., None] == n[:, k:k + 1]
     run = np.where((hit | ~ev[:, None]).all(axis=-1), run, 0)
     lanes = dict(lanes, run=run, used=lanes["used"] + ev[0].sum(axis=-1, dtype=np.int32))
     return _take(lanes, np.flatnonzero((run != 0).any(axis=1).all(axis=0)))
@@ -789,13 +793,14 @@ def _lane_sieve(sig, primes: Tuple[int, ...]):
     ascending.  The lanes waiting at a prime are stepped together once
     there are LANE_BUDGET of them, and the rest after the last pair is
     prepared.  Once the lanes still alive times the primes still ahead fit
-    in LANE_BUDGET, and the primes ahead times the largest of them, which
-    bounds the size of _mod_tables over them, in TAIL_TABLE_ENTRIES, one
-    _sieve_tail call takes the lanes through all of those primes.  When
-    LANE_BUDGET lanes reach a prime p together, p^2 being at most
+    in LANE_BUDGET, one _sieve_tail call takes the lanes through all of
+    those primes.  All read one _mod_tables over all the primes, 16 bytes
+    per unit of their sum (4.6 MB for every prime below LANE_PRIME_LIMIT).
+    When LANE_BUDGET lanes reach a prime p together, p^2 being at most
     TABLE_KEYS, the kernel runs once over all p^2 keys and every batch at p
-    reads that table; it is the only per-prime context kept between steps.
+    reads that table until no lane can reach p; other steps keep nothing.
     """
+    tables = _mod_tables(primes)
     contexts = {}
     waiting: List[list] = [[] for _ in range(len(primes) + 1)]
 
@@ -805,16 +810,15 @@ def _lane_sieve(sig, primes: Tuple[int, ...]):
         waiting[k] = []
         context = contexts.get(p)
         if context is None:
-            tables = _mod_tables(p)
             table = None
             if len(batch["res"]) >= LANE_BUDGET and p * p <= TABLE_KEYS:
                 table = _lane_table(period_entries(p, *ffdyn.family_forms(
                     *ffdyn.family_bc(*np.divmod(np.arange(p * p), p))), tables))
-            context = (tables, _reduce(sig[0], sig[1], p, tables, -1),
+            context = (_reduce(sig[0], sig[1], p, tables, -1),
                        _reduce(sig[2], sig[3], p, tables, -1), table)
             if table is not None:
                 contexts[p] = context
-        waiting[k + 1].append(_sieve_step(p, batch, *context))
+        waiting[k + 1].append(_sieve_step(p, batch, tables, *context))
 
     total = len(sig[0]) * len(sig[2])
     for t in range(0, total, LANE_BUDGET):
@@ -828,12 +832,11 @@ def _lane_sieve(sig, primes: Tuple[int, ...]):
         rest = [(j, x) for j in range(len(primes) - 1, k - 1, -1) for x in waiting[j]]
         alive = sum(len(x["res"]) for _, x in rest)
         ahead = len(primes) - k
-        if (alive * ahead <= LANE_BUDGET
-                and ahead * max(primes[k:]) <= TAIL_TABLE_ENTRIES):
+        if alive * ahead <= LANE_BUDGET:
             if alive:
                 start = np.concatenate([np.full(len(x["res"]), j - k) for j, x in rest])
                 waiting[-1].append(_sieve_tail(
-                    _concat([x for _, x in rest]), start, primes[k:], sig))
+                    _concat([x for _, x in rest]), start, primes[k:], sig, tables))
             break
         if waiting[k]:
             step(k)

@@ -12,7 +12,8 @@ route something the package computes directly:
   the Moebius action on quadratic points and the integer step
   NormalizedQuadMap.quad_step;
 - the period-set tables of one prime by plain loops over ffdyn's scalar
-  orbit splitter, against sievedb.period_entries.
+  orbit splitter, against sievedb.period_entries, and the reference
+  database's lookup by the same splitter, key by key.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from quadpcf.exact_arith import (
     divisors,
     squarefree_part,
 )
-from quadpcf.ffdyn import FpMap
+from quadpcf.ffdyn import PERIOD_SLOTS, FpMap
 from quadpcf.projmap import FormCoeffs, NormalizedQuadMap
+from quadpcf.sievedb import ABSENT, DbEntry
 
 
 class UnsupportedFieldError(ValueError):
@@ -392,12 +394,25 @@ def _rational_roots(coeffs):
 # period sets of one prime, by plain loops
 # ----------------------------------------------------------------------
 
+def scalar_slots(fmap: FpMap, pt: int):
+    """possible_periods of the orbit of pt in period_entries' layout of one
+    point: m, m * r and 3 * m * r, each 0 where the set lacks it or an
+    earlier slot holds it."""
+    o = ffdyn.orbit_data(fmap, pt)
+    per = ffdyn.possible_periods(o)
+    r = o.r or 1
+    cand = (o.m, o.m * r, 3 * o.m * r)
+    slots = [x if x in per and x not in cand[:j] else 0 for j, x in enumerate(cand)]
+    assert set(slots) - {0} == per, (o, per)
+    return slots
+
+
 def scalar_period_entries(p: int):
     """Reference for period_entries over all p^2 keys, row b * p + c: plain
     loops with the scalar orbit splitter."""
     present = np.zeros(p * p, dtype=bool)
     points = np.zeros((p * p, 2), dtype=np.int64)
-    periods = np.zeros((p * p, 4), dtype=np.int64)
+    periods = np.zeros((p * p, 2 * PERIOD_SLOTS), dtype=np.int64)
     for b in range(p):
         for c in range(p):
             F, G = ffdyn.family_forms(b, c)
@@ -410,8 +425,27 @@ def scalar_period_entries(p: int):
             k = b * p + c
             present[k] = True
             points[k] = crit
-            for i, pt in enumerate(crit):
-                # the set is {m} or {m, m * r}; a missing m * r is stored as 0
-                per = sorted(ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt)))
-                periods[k, 2 * i:2 * i + 2] = (per + [0])[:2]
+            periods[k] = [x for pt in crit for x in scalar_slots(fmap, pt)]
     return present, points, periods
+
+
+class ScalarDatabase:
+    """The reference database's lookup by the scalar orbit splitter, one
+    key at a time and memoised, so it covers any prime the sieve takes
+    without the p^2 keys of build_db."""
+
+    def __init__(self):
+        self.memo = {}
+
+    def lookup(self, p: int, b: int, c: int):
+        key = (p, b % p, c % p)
+        if key not in self.memo:
+            F, G = ffdyn.family_forms(*key[1:])
+            crit = None
+            if ffdyn.form_resultant(F, G) % p:
+                fmap = FpMap(p, F, G)
+                crit = fmap.critical_point_indices()
+            self.memo[key] = ABSENT if crit is None else DbEntry(
+                p=p, points=crit, period_sets=tuple(
+                    ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt)) for pt in crit))
+        return self.memo[key]

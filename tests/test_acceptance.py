@@ -20,7 +20,7 @@ from quadpcf.exact_arith import (
     first_odd_primes,
     odd_primes_up_to,
 )
-from quadpcf.ffdyn import family_forms
+from quadpcf.ffdyn import PERIOD_SLOTS, family_forms
 from quadpcf.pcfverify import critical_orbit_portrait
 from quadpcf.preper import (
     INVERSE_SQUARE,
@@ -280,8 +280,8 @@ def test_criterion_7_local_global_suite():
         for k, ((s1, s2), _, orbits) in enumerate(good):
             assert present[k], f"absent entry at good prime {p} for ({s1},{s2})"
             for gamma, n in orbits:
-                slot = 2 * list(points[k]).index(reduce_rational_point(gamma, p))
-                per = set(periods[k, slot:slot + 2].tolist()) - {0}
+                slot = PERIOD_SLOTS * list(points[k]).index(reduce_rational_point(gamma, p))
+                per = set(periods[k, slot:slot + PERIOD_SLOTS].tolist()) - {0}
                 checks += 1
                 assert n in per, (f"period {n} of gamma={gamma} for ({s1},{s2}) "
                                   f"not in {sorted(per)} at p={p}")

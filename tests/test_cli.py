@@ -21,6 +21,7 @@ from quadpcf.cli import (
     main,
 )
 from quadpcf.exact_arith import first_odd_primes, height
+from quadpcf.ffdyn import LANE_PRIME_LIMIT
 
 
 def _records(path):
@@ -28,9 +29,12 @@ def _records(path):
             if l and not l.startswith("#")]
 
 
-# at (10, 20) with 20 primes: the survivors with complex critical points,
-# and the orbit size at which the verifier gives up on each
+# at (10, 20) with 20 primes: the survivors with irrational critical points,
+# and the orbit size at which the verifier gives up on each.  (-6/5, -5/13)
+# keeps the set {6} from two evidence primes, 6 = 3 * m * r coming from
+# the period rule at p = 3
 COMPLEX_SURVIVOR_SIZES = {
+    ("-6/5", "-5/13"): 1613202032,
     ("6", "18/13"): 3588083,
     ("-7", "-3/11"): 177562671,
     ("-7/6", "19/15"): 289168647,
@@ -91,7 +95,7 @@ class TestPipeline:
         assert len(runs[0][1]) > 10
 
     def test_paper_box_with_few_primes(self, tmp_path, capsys):
-        # 20 primes leave complex-critical survivors beside the ten maps;
+        # 20 primes leave irrational-critical survivors beside the ten maps;
         # the verifier lists them as UNDETERMINED and the run still succeeds
         outdir = tmp_path / "run"
         rc = main(["pipeline", "--h1", "10", "--h2", "20", "--primes", "20",
@@ -100,7 +104,7 @@ class TestPipeline:
         verified = {(c[0], c[1]): c[3] for c in _records(outdir / "verified.tsv")}
         pcf = {(str(s1), str(s2)) for s1, s2 in TEN_SIGMA_PAIRS}
         assert {k for k, v in verified.items() if v == "VERIFIED_PCF"} == pcf
-        # the complex survivors' orbits in Q(sqrt(D)), D < 0, and the sizes
+        # the other survivors' orbits in Q(sqrt(D)), and the sizes
         # they reach before the cutoff stops them
         reasons = {(c[0], c[1]): c[4] for c in _records(outdir / "verified.tsv")
                    if c[3] == "UNDETERMINED"}
@@ -108,8 +112,8 @@ class TestPipeline:
             pair: f"orbit size {size} exceeded cutoff 1000000"
             for pair, size in COMPLEX_SURVIVOR_SIZES.items()}
         summary = json.loads((outdir / "summary.json").read_text())
-        assert (summary["verified_count"], summary["undetermined_count"]) == (10, 8)
-        assert len(_records(outdir / "survivors.tsv")) == 18
+        assert (summary["verified_count"], summary["undetermined_count"]) == (10, 9)
+        assert len(_records(outdir / "survivors.tsv")) == 19
 
     @given(h1=st.integers(1, 3), h2=st.integers(1, 3),
            primes=st.sets(st.sampled_from(first_odd_primes(12)), min_size=1))
@@ -149,6 +153,18 @@ class TestPipeline:
                    "--prime-list", "3,9,15,25", "--outdir", str(outdir)])
         assert rc == EXIT_USAGE
         assert "need odd primes, got 9" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("primes, error", [
+        (["--prime-list", "3,2053"], "prime 2053 is too large for the sieve (limit 2048)"),
+        (["--primes", "309"], "primes_count 309 is too large"),
+        (["--primes", "308", "--prime-list", "3,9"], "need odd primes, got 9")])
+    def test_primes_beyond_the_bound_rejected(self, tmp_path, capsys, primes, error):
+        # the sieve takes the 308 odd primes below 2^11, and nothing else
+        outdir = tmp_path / "out"
+        rc = main(["pipeline", "--h1", "1", "--h2", "1", *primes, "--outdir", str(outdir)])
+        assert rc == EXIT_USAGE
+        assert error in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("primes", [["--primes", "-5"], ["--primes", "0"],
@@ -279,7 +295,8 @@ class TestCatalog:
 configs = st.builds(
     RunConfig,
     primes_count=st.integers(1, 40),
-    prime_list=st.none() | st.lists(st.integers(3, 1 << 20), max_size=6).map(tuple),
+    prime_list=st.none() | st.lists(st.integers(3, LANE_PRIME_LIMIT - 1),
+                                    max_size=6).map(tuple),
     h1=st.integers(1, 64), h2=st.integers(1, 64),
     budget=st.integers(1, 10 ** 7), cutoff=st.integers(1, 10 ** 12),
     preper_height_bound=st.integers(1, 500),
@@ -378,6 +395,12 @@ class TestConfig:
             RunConfig(prime_list=(3, 9)).validate()
         with pytest.raises(ValueError, match="too large"):
             RunConfig(prime_list=(3, 1048583)).validate()
+        with pytest.raises(ValueError, match="too large"):
+            RunConfig(prime_list=(3, 2053)).validate()
+        with pytest.raises(ValueError, match="too large"):
+            RunConfig(primes_count=309).validate()
+        assert RunConfig(primes_count=308).primes()[-1] == 2039
+        RunConfig(primes_count=308).validate()
         with pytest.raises(ValueError, match="h1 \\* h2"):
             RunConfig(h1=64, h2=65).validate()
         for cfg in (RunConfig(primes_count=0), RunConfig(primes_count=-5),

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from quadpcf import sievedb
+from quadpcf.exact_arith import Rat, _factorize, odd_primes_up_to
 from quadpcf.ffdyn import (
     FpMap,
     FpPoint,
@@ -15,6 +18,7 @@ from quadpcf.ffdyn import (
     mult_order,
     orbit_data,
     possible_periods,
+    wronskian,
 )
 from quadpcf.projmap import NormalizedQuadMap
 
@@ -192,6 +196,95 @@ class TestPossiblePeriods:
     def test_invariant_enforced(self):
         with pytest.raises(AssertionError):
             OrbitData(p=7, tail=0, m=1, lam=0, r=3)
+
+    def test_p3(self):
+        # at p = 3 the period may also be 3 * m * r, unless the cycle is
+        # superattracting
+        assert possible_periods(OrbitData(p=3, tail=0, m=2, lam=0, r=None)) == {2}
+        assert possible_periods(OrbitData(p=3, tail=0, m=2, lam=1, r=1)) == {2, 6}
+        assert possible_periods(OrbitData(p=3, tail=0, m=2, lam=2, r=2)) == {2, 4, 12}
+
+
+def _cycle_of(family, t):
+    """c and the rational cycle of exact period family of z^2 + c:
+    Poonen's parametrisations of the fixed points and 2-cycles (Math. Z.
+    228, 1998), and Walde and Russo's of the 3-cycles (Amer. Math. Monthly
+    101, 1994), at the parameter t; the cycle is walked exactly."""
+    if family == 1:
+        c, x = t - t * t, t
+    elif family == 2:
+        c, x = -Fraction(3, 4) - t * t, t - Fraction(1, 2)
+    else:
+        d = 2 * t * (t + 1)
+        c = -(t ** 6 + 2 * t ** 5 + 4 * t ** 4 + 8 * t ** 3 + 9 * t ** 2 + 4 * t + 1) / (d * d)
+        x = (t ** 3 + 2 * t ** 2 + t + 1) / d
+    cycle = [x]
+    while cycle[-1] ** 2 + c != x:
+        cycle.append(cycle[-1] ** 2 + c)
+        assert len(cycle) <= family
+    return c, cycle
+
+
+class TestPeriodRuleAtThree:
+    def test_counterexample(self):
+        # z^2 - 29/16 has the 3-cycle -1/4 -> -7/4 -> 5/4 (Walde and Russo's
+        # t = 1); mod 3 it is z^2 + 1, and all three points reduce to its
+        # fixed point 2, of multiplier 1
+        c, cycle = _cycle_of(3, Fraction(1))
+        assert c == Fraction(-29, 16) and sorted(cycle) == [-Fraction(7, 4), -Fraction(1, 4),
+                                                           Fraction(5, 4)]
+        o = orbit_data(FpMap(3, (16, 0, -29), (0, 0, 16)), 2)
+        assert (o.m, o.lam, o.r) == (1, 1, 1)
+        assert possible_periods(o) == {1, 3}
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from([1, 2, 3]),
+           t=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)))
+    @example(family=3, t=Fraction(1))
+    def test_rational_cycles_of_z2_plus_c(self, family, t):
+        # Morton and Silverman: at every good odd prime the exact period of
+        # a rational periodic point is in the set of its reduction, and the
+        # kernel, walking the same orbits, gives the same set
+        assume(family == 1 or t != 0)
+        assume(family != 3 or t != -1)
+        c, cycle = _cycle_of(family, t)
+        assert len(cycle) == family
+        F, G = (c.denominator, 0, c.numerator), (0, 0, c.denominator)
+        rows, want = [], []
+        for p in odd_primes_up_to(200):
+            if form_resultant(F, G) % p == 0:
+                continue
+            fmap = FpMap(p, F, G)
+            for x in cycle:
+                z = p if x.denominator % p == 0 else x.numerator * pow(x.denominator, -1, p) % p
+                rows.append((p, z))
+                want.append(possible_periods(orbit_data(fmap, z)))
+                assert family in want[-1], (p, x)
+        ps, zs = (np.array(col) for col in zip(*rows))
+        tables = sievedb._mod_tables(ps)
+        # C[d] holds the coefficients of z^(2 - d) of F, G and W mod each p
+        C = np.array([[[f[d] % q for q in ps.tolist()] for f in (F, G, wronskian(F, G))]
+                      for d in range(3)])
+        sets = sievedb._cycle_sets(ps, C, zs, tables, tables.base(ps))
+        assert [set(row) - {0} for row in sets.tolist()] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(Rat, st.integers(-40, 40), st.integers(1, 40)),
+           st.builds(Rat, st.integers(-40, 40), st.integers(1, 40)))
+    def test_ramified_primes_are_bad(self, s1, s2):
+        # the rule needs p unramified in the critical points' field
+        # Q(sqrt(D)); D is the squarefree part of the wronskian
+        # discriminant, 4 * resultant, so an odd prime dividing D divides
+        # the resultant, and the sieve skips it as bad
+        phi = NormalizedQuadMap.from_sigmas(s1, s2)
+        res = phi.resultant()
+        assume(res != 0)
+        crit = phi.critical_point_data()
+        assume(not crit.rational)
+        w2, w1, w0 = phi.wronskian()
+        assert w1 * w1 - 4 * w2 * w0 == 4 * res
+        for q in _factorize(abs(crit.points[0].D)):
+            assert q == 2 or res % q == 0, q
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

@@ -1,6 +1,7 @@
 import random
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,14 @@ from hypothesis import strategies as st
 
 from quadpcf import ffdyn, sievedb
 from quadpcf.cli import TEN_SIGMA_PAIRS
-from quadpcf.exact_arith import INFINITY, Rat, enumerate_rationals, first_odd_primes
-from quadpcf.ffdyn import FpMap, family_forms, form_resultant
+from quadpcf.exact_arith import (
+    INFINITY,
+    Rat,
+    enumerate_rationals,
+    first_odd_primes,
+    odd_primes_up_to,
+)
+from quadpcf.ffdyn import LANE_PRIME_LIMIT, PERIOD_SLOTS, FpMap, family_forms, form_resultant
 from quadpcf.projmap import NormalizedQuadMap
 from quadpcf.sievedb import (
     ABSENT,
@@ -150,7 +157,7 @@ class TestBuild:
             assert tuple(points[0]) == tuple(crit)
             for k, pt in enumerate(crit):
                 o = ffdyn.orbit_data(fmap, pt)
-                got = set(periods[0, 2 * k:2 * k + 2].tolist()) - {0}
+                got = set(periods[0, PERIOD_SLOTS * k:PERIOD_SLOTS * (k + 1)].tolist()) - {0}
                 assert got == ffdyn.possible_periods(o)
             checked += 1
 
@@ -167,6 +174,9 @@ class TestBuild:
         # any array is allocated
         with pytest.raises(ValueError, match="too large"):
             build_db([3, 65537])
+        # the sieve's bound, 2^11: 2053 is the first prime above it
+        with pytest.raises(ValueError, match="too large"):
+            build_db([3, 2053])
 
 
 class TestLookup:
@@ -301,9 +311,9 @@ def tail_primes(monkeypatch):
     calls = []
     tail = sievedb._sieve_tail
 
-    def spy(lanes, start, primes, sig):
+    def spy(lanes, start, primes, *rest):
         calls.append(tuple(primes))
-        return tail(lanes, start, primes, sig)
+        return tail(lanes, start, primes, *rest)
 
     monkeypatch.setattr(sievedb, "_sieve_tail", spy)
     return calls
@@ -364,6 +374,22 @@ class TestSieve:
         got = [c.tsv_line() for c in sieve(h1, h2, primes)]
         assert got == [c.tsv_line() for c in reference_sieve(h1, h2, primes)]
 
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(h1=st.integers(1, 2), h2=st.integers(1, 4),
+           primes=st.lists(st.sampled_from(odd_primes_up_to(LANE_PRIME_LIMIT)),
+                           unique=True, min_size=1, max_size=6),
+           budget=st.sampled_from([1 << 4, sievedb.LANE_BUDGET]))
+    @example(h1=2, h2=4, primes=[2039, 743, 3], budget=1 << 4)
+    def test_equals_reference_on_every_prime(self, scalar_db, h1, h2, primes, budget):
+        # every prime the sieve takes, up to 2039, against the reference's
+        # lookup computed key by key; batches of 16 lanes make the sieve
+        # step through large primes as well as take them in its tail
+        with mock.patch.object(sievedb, "LANE_BUDGET", budget):
+            got = [c.tsv_line() for c in sieve(h1, h2, primes)]
+        want = reference_sieve(h1, h2, primes, scalar_db)
+        assert got == [c.tsv_line() for c in want]
+
     @settings(max_examples=25, deadline=None)
     @given(h1=st.integers(1, 3), h2=st.integers(1, 3),
            primes=st.lists(st.sampled_from(first_odd_primes(12)), unique=True,
@@ -402,32 +428,46 @@ class TestSieve:
         assert tail_primes == []
         assert got == [c.tsv_line() for c in reference_sieve(5, 10, [3, 5])]
 
-    def test_contexts_live_only_while_lanes_wait(self, monkeypatch):
+    def test_tables_built_once_and_released(self, monkeypatch):
         # with batches of 128 lanes, 2,001 pairs step through every prime
-        # while pairs are still being prepared; 3 and 5 get all-key tables,
-        # and of the table-less primes' ModTables at most one is alive at a
-        # step: each is rebuilt for every batch at its prime
+        # while pairs are still being prepared.  One _mod_tables call serves
+        # the whole run; 3 and 5 get all-key tables, each built once, kept
+        # while pairs are prepared and released once no lane can reach it
+        primes = [3, 5, 131, 137, 139, 149]
+        want = [c.tsv_line() for c in reference_sieve(4, 8, primes)]
         monkeypatch.setattr(sievedb, "LANE_BUDGET", 1 << 7)
         mod_tables, sieve_step = sievedb._mod_tables, sievedb._sieve_step
-        built, alive_at_step = [], []
+        prepare = sievedb._prepare_lanes
+        built, refs, steps, prepared = [], {}, [], []
 
         def tables_spy(primes):
-            tables = mod_tables(primes)
-            if np.ndim(primes) == 0 and primes * primes > sievedb.TABLE_KEYS:
-                built.append((primes, weakref.ref(tables.inv)))
-            return tables
+            built.append(tuple(primes))
+            return mod_tables(primes)
 
-        def step_spy(*args):
-            alive_at_step.append(sum(ref() is not None for _, ref in built))
-            return sieve_step(*args)
+        def prepare_spy(sig, start, stop):
+            prepared.append(stop == len(sig[0]) * len(sig[2]))
+            return prepare(sig, start, stop)
+
+        def step_spy(p, lanes, tables, res1, res2, table):
+            if table is not None:
+                # the same table at every step at p
+                assert refs.setdefault(p, weakref.ref(table[0]))() is table[0]
+            alive = {q for q, ref in refs.items() if ref() is not None}
+            steps.append((p, prepared[-1], alive))
+            return sieve_step(p, lanes, tables, res1, res2, table)
 
         monkeypatch.setattr(sievedb, "_mod_tables", tables_spy)
+        monkeypatch.setattr(sievedb, "_prepare_lanes", prepare_spy)
         monkeypatch.setattr(sievedb, "_sieve_step", step_spy)
-        primes = [3, 5, 131, 137, 139, 149]
         got = [c.tsv_line() for c in sieve(4, 8, primes)]
-        assert max(alive_at_step) == 1
-        assert len(built) > len({p for p, _ in built}) == 4
-        assert got == [c.tsv_line() for c in reference_sieve(4, 8, primes)]
+        assert built == [tuple(primes)]
+        assert set(refs) == {3, 5}
+        # steps past 5, while pairs are still prepared and after the last
+        early = [alive for p, done, alive in steps if p > 5 and not done]
+        late = [alive for p, done, alive in steps if p > 5 and done]
+        assert early and all(alive == {3, 5} for alive in early)
+        assert late and all(alive == set() for alive in late)
+        assert got == want
 
     def test_beyond_the_paper_box(self):
         # the paper proves the list complete: an eleventh survivor at any
@@ -451,6 +491,8 @@ class TestSieve:
         # both checks come before anything is enumerated or allocated
         with pytest.raises(ValueError, match="too large"):
             sieve(1, 1, [3, 1048583])          # the first prime above 2^20
+        with pytest.raises(ValueError, match="too large"):
+            sieve(1, 1, [3, 2053])             # the first prime above 2^11
         with pytest.raises(ValueError, match="int64"):
             sieve(64, 65, [3])
         with pytest.raises(ValueError, match="need odd primes"):
@@ -490,8 +532,17 @@ class TestPeriodEntries:
                 continue
             assert tuple(points[k]) == crit
             for i, pt in enumerate(crit):
-                got = set(periods[k, 2 * i:2 * i + 2].tolist()) - {0}
+                got = set(periods[k, PERIOD_SLOTS * i:PERIOD_SLOTS * (i + 1)].tolist()) - {0}
                 assert got == ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt))
+
+    def test_p3_counterexample(self):
+        # z^2 - 29/16, which has a rational 3-cycle: mod 3 its critical
+        # point 0 falls into the fixed point 2, of multiplier 1, so its set
+        # is {1, 3}; infinity is a superattracting fixed point
+        F, G = ((np.array([x]) for x in form) for form in ((16, 0, -29), (0, 0, 16)))
+        present, points, periods = period_entries(3, F, G)
+        assert present.tolist() == [True] and points.tolist() == [[0, 3]]
+        assert periods.tolist() == [[1, 0, 3, 1, 0, 0]]
 
     @settings(max_examples=60, deadline=None,
               phases=[ph for ph in Phase if ph is not Phase.shrink])
@@ -523,9 +574,9 @@ class TestPeriodEntries:
                 assert not points[k].any() and not periods[k].any()
                 continue
             assert tuple(points[k]) == entry.points
-            m1, mr1, m2, mr2 = periods[k]
-            assert entry.period_sets == (frozenset({m1, mr1} - {0}),
-                                         frozenset({m2, mr2} - {0}))
+            first, second = periods[k].reshape(2, PERIOD_SLOTS).tolist()
+            assert entry.period_sets == (frozenset(first) - {0},
+                                         frozenset(second) - {0})
 
 
 class TestReductionHelpers:

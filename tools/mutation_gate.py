@@ -88,10 +88,31 @@ MUTANTS = (
          "tests/test_sievedb.py::TestBuild::test_fast_equals_scalar[7]"),
     ),
     Mutant(
+        "period rule drops the p = 3 branch",
+        "ffdyn.py",
+        "    if o.p == 3:\n",
+        "    if False:\n",
+        ("tests/test_ffdyn.py::TestPossiblePeriods::test_p3",
+         "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_counterexample",
+         "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_rational_cycles_of_z2_plus_c",
+         "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle"),
+    ),
+    Mutant(
+        "kernel drops the p = 3 slot",
+        "sievedb.py",
+        "np.where((p == 3) & (mult != 0), 3 * m * r, 0)",
+        "np.where((p == 3) & (mult != 0), 0, 0)",
+        ("tests/test_sievedb.py::TestPeriodEntries::test_p3_counterexample",
+         "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",
+         "tests/test_sievedb.py::TestBuild::test_fast_equals_scalar[3]",
+         "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_rational_cycles_of_z2_plus_c"),
+    ),
+    Mutant(
         "lane sets ignore their second slot",
         "sievedb.py",
-        "    hit = (x == n[..., :1, :]) | (x == n[..., 1:, :])\n",
-        "    hit = (x == n[..., :1, :]) | (x == n[..., 1:, :])\n    hit[..., 1, :] = True\n",
+        "    return np.where(x[..., :1, :] < 0, n, x * hit)\n",
+        "    hit[..., 1, :] = True\n"
+        "    return np.where(x[..., :1, :] < 0, n, x * hit)\n",
         ("tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box",),
     ),
     Mutant(
@@ -118,11 +139,11 @@ MUTANTS = (
          "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
     ),
     Mutant(
-        "every per-prime context outlives its step",
+        "all-key tables outlive their prime",
         "sievedb.py",
-        "            if table is not None:\n                contexts[p] = context\n",
-        "            contexts[p] = context\n",
-        ("tests/test_sievedb.py::TestSieve::test_contexts_live_only_while_lanes_wait",),
+        "        contexts.pop(primes[k], None)  # no lane reaches prime k any more\n",
+        "",
+        ("tests/test_sievedb.py::TestSieve::test_tables_built_once_and_released",),
     ),
     Mutant(
         "the tail skips its last prime",
