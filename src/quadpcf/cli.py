@@ -6,14 +6,14 @@ every artifact embeds a digest of the configuration that produced it.
 
 sieve and pipeline compute every period set they need on the fly, in one
 process; no command builds, reads or writes a database or a cache.  Only
-they load the sieve, and numpy with it.
+they load the sieve, quadpcf.lanesieve, which is plain Python: no command
+loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -32,7 +32,7 @@ from quadpcf.preper import CatalogMatchError
 from quadpcf.projmap import NormalizedQuadMap
 
 if TYPE_CHECKING:
-    from quadpcf import sievedb
+    from quadpcf.lanesieve import SieveCandidate
 
 CONFIG_VERSION = 1
 
@@ -171,33 +171,24 @@ def _parse_map_arg(args) -> NormalizedQuadMap:
 
 @dataclass
 class PipelineResult:
-    survivors: List[sievedb.SieveCandidate]
+    survivors: List[SieveCandidate]
     statuses: List[pcfverify.PcfStatus]
 
 
-def _load_sievedb():
-    """The sieve module, and numpy with it.  The sieve does no linear
-    algebra, so numpy's BLAS starts one thread, not a pool, unless the
-    user set OPENBLAS_NUM_THREADS."""
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from quadpcf import sievedb
-    return sievedb
-
-
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    sievedb = _load_sievedb()
-    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes())
+    from quadpcf import lanesieve
+    survivors = lanesieve.sieve(cfg.h1, cfg.h2, cfg.primes())
     statuses = [pcfverify.critical_orbit_portrait(c.phi, cfg.budget, cfg.cutoff)
                 for c in survivors]
     return PipelineResult(survivors, statuses)
 
 
 def write_survivors_tsv(path: Path, cfg: RunConfig,
-                        survivors: Sequence[sievedb.SieveCandidate]) -> None:
-    from quadpcf import sievedb
+                        survivors: Sequence[SieveCandidate]) -> None:
+    from quadpcf import lanesieve
     with open(path, "w") as fh:
         fh.write(f"# quadpcf sieve survivors\n# config-digest: {cfg.digest()}\n")
-        fh.write("# " + sievedb.SieveCandidate.tsv_header() + "\n")
+        fh.write("# " + lanesieve.SieveCandidate.tsv_header() + "\n")
         for c in survivors:
             fh.write(c.tsv_line() + "\n")
 
@@ -245,15 +236,15 @@ def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
 # ----------------------------------------------------------------------
 
 def _cmd_sieve(args) -> int:
-    sievedb = _load_sievedb()
     cfg = _config_from_args(args)
-    survivors = sievedb.sieve(cfg.h1, cfg.h2, cfg.primes())
+    from quadpcf import lanesieve
+    survivors = lanesieve.sieve(cfg.h1, cfg.h2, cfg.primes())
     out = Path(args.out) if args.out else None
     if out:
         write_survivors_tsv(out, cfg, survivors)
         print(f"{len(survivors)} survivors written to {out}")
     else:
-        print("# " + sievedb.SieveCandidate.tsv_header())
+        print("# " + lanesieve.SieveCandidate.tsv_header())
         for c in survivors:
             print(c.tsv_line())
     return EXIT_OK

@@ -5,30 +5,35 @@ pass with a visited-index table splits them exactly into tail + cycle.
 The cycle multiplier (product of chart-correct local derivatives along the
 cycle) and its multiplicative order r turn a mod-p cycle length m into the
 admissible set of global periods: {m} for a zero multiplier, else {m, m*r},
-and at p = 3 also 3*m*r.  The normal-form family, its key and the
-wronskian and resultant of two forms, which projmap and sievedb share, are
-defined here once.
+and at p = 3 also 3*m*r.  One table-driven walk does this for orbit_data
+and for critical_periods, which the sieve takes its period sets from: it
+reads the inverse, square-root and discrete-log tables of p, built once
+per prime, and walks both critical points through one visited table.  The
+normal-form family, its key and the wronskian and resultant of two forms,
+which projmap and the sieves share, are defined here once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple, Union
+from functools import lru_cache
+from math import gcd
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
-from quadpcf.exact_arith import divisors
+from quadpcf.exact_arith import _factorize
 
 PeriodSet = FrozenSet[int]
 # the most periods possible_periods admits for one point
 PERIOD_SLOTS = 3
 
-# bounds of the lane sieve and its reference database (sievedb), kept here,
-# free of numpy, so that the command line validates its configuration
-# without loading the sieve.  The paper's largest prime is 739; below 2^11
-# the kernel's Horner products of three residues stay below 2^33
+# the sieves' prime bound, kept here so that the command line validates its
+# configuration without loading a sieve.  The paper's largest prime is
+# 739.  Below 2^11 the reference kernel's (sievedb) Horner products of
+# three residues stay below 2^33 in int64, and its database holds p^2 keys
+# per prime
 LANE_PRIME_LIMIT = 1 << 11
-# a pair's integral normal form has coefficients of at most 4 * h1 * h2 <=
-# 2^14, so its wronskian discriminant, the largest per-pair int64 value of
-# the lane sieve, is below 2^61
+# h1 * h2 bounds the size of a run: a box holds about 1.5 * (h1 * h2)^2
+# sigma-pairs, 25 million at the bound
 MAX_HEIGHT_PRODUCT = 1 << 12
 
 
@@ -116,28 +121,6 @@ class FpMap:
     def apply(self, pt: FpPoint) -> FpPoint:
         return FpPoint.from_index(self.step_index(pt.index(self.p)), self.p)
 
-    def derivative_factor(self, z: int) -> int:
-        """Local derivative at z (index encoding) in consistent charts.
-
-        Finite points use the affine chart, infinity uses w = 1/z; the
-        product of these factors along a cycle is the cycle multiplier.
-        """
-        p = self.p
-        f2, f1, f0 = self.F
-        g2, g1, g0 = self.G
-        w2, w1, w0 = self.wronskian()
-        if z == p:
-            if g2 == 0:
-                # infinity maps to infinity
-                return (w2 * pow(f2 * f2 % p, p - 2, p)) % p
-            return (-w2 * pow(g2 * g2 % p, p - 2, p)) % p
-        n_val = ((w2 * z + w1) * z + w0) % p
-        den = ((g2 * z + g1) * z + g0) % p
-        if den == 0:
-            f_val = ((f2 * z + f1) * z + f0) % p
-            return (-n_val * pow(f_val * f_val % p, p - 2, p)) % p
-        return (n_val * pow(den * den % p, p - 2, p)) % p
-
     def critical_point_indices(self) -> Optional[Tuple[int, int]]:
         """Roots of the wronskian in P^1(F_p), or None when irreducible.
 
@@ -207,34 +190,50 @@ def form_resultant(F, G):
 
 
 def _sqrt_mod(a: int, p: int) -> Optional[int]:
-    """Square root mod an odd prime by direct table-free search for small p,
-    Tonelli-Shanks otherwise."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+    """A square root of a mod an odd prime p, or None, from p's tables."""
+    s = prime_tables(p).sqrt[a % p]
+    return None if s < 0 else s
+
+
+# ----------------------------------------------------------------------
+# tables of a prime
+# ----------------------------------------------------------------------
+
+class PrimeTables(NamedTuple):
+    """Inverses, square roots and discrete logs to a primitive root mod p,
+    indexed by residue: a non-square's root is -1, and 0 has inverse, root
+    and log 0."""
+
+    inv: Tuple[int, ...]
+    sqrt: Tuple[int, ...]
+    log: Tuple[int, ...]
+
+
+def _primitive_root(p: int) -> int:
+    factors = _factorize(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+@lru_cache(maxsize=None)
+def prime_tables(p: int) -> PrimeTables:
+    """The tables of an odd prime p, built once per process, from the powers
+    of a primitive root g: g^t has inverse g^(p - 1 - t) and log t, and
+    g^(2u) the roots +-g^u, of which the smaller is kept."""
+    g = _primitive_root(p)
+    pw = [1] * (p - 1)
+    for t in range(1, p - 1):
+        pw[t] = pw[t - 1] * g % p
+    inv, sqrt, log = [0] * p, [-1] * p, [0] * p
+    sqrt[0] = 0
+    for t, x in enumerate(pw):
+        inv[x] = pw[-t]
+        log[x] = t
+    for u in range((p - 1) // 2):
+        sqrt[pw[2 * u]] = min(pw[u], p - pw[u])
+    return PrimeTables(tuple(inv), tuple(sqrt), tuple(log))
 
 
 # ----------------------------------------------------------------------
@@ -265,34 +264,71 @@ class OrbitData:
         return self.lam == 0
 
 
+def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[Optional[int], int, int]]:
+    """(tail, m, lam) of the orbit of each start under the map (F, G) mod
+    p, with wronskian W, all reduced mod p, and the inverse table inv.
+
+    All walks share one visited table.  A walk that reaches a point of an
+    earlier one stops there and takes that walk's cycle, with tail None.
+    The multiplier is the product of the derivative factors W(z) / G(z)^2
+    along the cycle, in the chart 1/z at a pole and at infinity.
+    """
+    f2, f1, f0 = F
+    g2, g1, g0 = G
+    w2, w1, w0 = W
+    inf_img = f2 * inv[g2] % p if g2 else p
+    pos = [-1] * (p + 1)   # visited point -> its position
+    order = []             # the visited points in order
+    firsts, out = [], []
+    for z in starts:
+        first = len(order)
+        firsts.append(first)
+        while pos[z] < 0:
+            pos[z] = len(order)
+            order.append(z)
+            if z == p:
+                z = inf_img
+            else:
+                g = ((g2 * z + g1) * z + g0) % p
+                z = ((f2 * z + f1) * z + f0) * inv[g] % p if g else p
+        at = pos[z]
+        if at < first:
+            k = len(out) - 1
+            while firsts[k] > at:
+                k -= 1
+            out.append((None, *out[k][1:]))
+            continue
+        lam = 1
+        for z in order[at:]:
+            if z == p:
+                # in the chart 1/z: W's leading coefficient over f2^2 or -g2^2
+                lam = lam * w2 * (-inv[g2] ** 2 if g2 else inv[f2] ** 2) % p
+                continue
+            w = (w2 * z + w1) * z + w0
+            g = ((g2 * z + g1) * z + g0) % p
+            if g:
+                lam = lam * w * inv[g] ** 2 % p
+            else:
+                lam = -lam * w * inv[((f2 * z + f1) * z + f0) % p] ** 2 % p
+        out.append((at - first, len(order) - at, lam))
+    return out
+
+
 def orbit_data(fmap: FpMap, start: Union[FpPoint, int]) -> OrbitData:
     """Exact tail/cycle split of the forward orbit, with cycle multiplier."""
     p = fmap.p
     z = start.index(p) if isinstance(start, FpPoint) else int(start)
-    seen = {}
-    seq = []
-    while z not in seen:
-        seen[z] = len(seq)
-        seq.append(z)
-        z = fmap.step_index(z)
-    tail = seen[z]
-    m = len(seq) - tail
-    lam = 1
-    for w in seq[tail:]:
-        lam = lam * fmap.derivative_factor(w) % p
-    r = mult_order(lam, p) if lam != 0 else None
-    return OrbitData(p=p, tail=tail, m=m, lam=lam, r=r)
+    ((tail, m, lam),) = _walk(p, fmap.F, fmap.G, fmap.wronskian(), (z,),
+                              prime_tables(p).inv)
+    return OrbitData(p=p, tail=tail, m=m, lam=lam, r=mult_order(lam, p) if lam else None)
 
 
 def mult_order(lam: int, p: int) -> int:
-    """Least r >= 1 with lam^r = 1 in F_p^x."""
+    """Least r >= 1 with lam^r = 1 in F_p^x: (p - 1) / gcd(log lam, p - 1)."""
     lam %= p
     if lam == 0:
         raise ValueError("zero has no multiplicative order")
-    for d in divisors(p - 1):
-        if pow(lam, d, p) == 1:
-            return d
-    raise AssertionError("unreachable: order divides p - 1")
+    return (p - 1) // gcd(prime_tables(p).log[lam], p - 1)
 
 
 def possible_periods(o: OrbitData) -> PeriodSet:
@@ -305,8 +341,48 @@ def possible_periods(o: OrbitData) -> PeriodSet:
     v = 1 only p = 3 and e = 1: z^2 - 29/16 has the 3-cycle -1/4, -7/4, 5/4
     and reduces mod 3 to a fixed point with multiplier 1.
     """
-    if o.lam == 0:
-        return frozenset((o.m,))
-    if o.p == 3:
-        return frozenset((o.m, o.m * o.r, 3 * o.m * o.r))
-    return frozenset((o.m, o.m * o.r))
+    return _period_rule(o.p, o.m, o.r)
+
+
+def _period_rule(p: int, m: int, r: Optional[int]) -> PeriodSet:
+    """possible_periods of a cycle of length m whose multiplier has order
+    r, None for a zero multiplier."""
+    if r is None:
+        return frozenset((m,))
+    if p == 3:
+        return frozenset((m, m * r, 3 * m * r))
+    return frozenset((m, m * r))
+
+
+def critical_periods(p: int, F, G):
+    """The critical points of the map (F, G) mod an odd prime p with
+    possible_periods of each: None where the map drops degree mod p, () where
+    its critical points are not in P^1(F_p), else ((z1, set1), (z2, set2))
+    with the points ascending, infinity (= p) last."""
+    F = F[0] % p, F[1] % p, F[2] % p
+    G = G[0] % p, G[1] % p, G[2] % p
+    w2, w1, w0 = wronskian(F, G)
+    W = w2, w1, w0 = w2 % p, w1 % p, w0 % p
+    # the wronskian discriminant is 4 * resultant
+    disc = (w1 * w1 - 4 * w2 * w0) % p
+    if disc == 0:
+        return None
+    inv, sqrt, _ = prime_tables(p)
+    if w2 == 0:
+        z1, z2 = -w0 * inv[w1] % p, p
+    else:
+        s = sqrt[disc]
+        if s < 0:
+            return ()
+        i = inv[2 * w2 % p]
+        z1, z2 = (s - w1) * i % p, (-s - w1) * i % p
+        if z1 > z2:
+            z1, z2 = z2, z1
+    (_, m1, lam1), (_, m2, lam2) = _walk(p, F, G, W, (z1, z2), inv)
+    return (z1, _cycle_periods(p, m1, lam1)), (z2, _cycle_periods(p, m2, lam2))
+
+
+@lru_cache(maxsize=1 << 12)
+def _cycle_periods(p: int, m: int, lam: int) -> PeriodSet:
+    """possible_periods of a cycle of length m and multiplier lam mod p."""
+    return _period_rule(p, m, mult_order(lam, p) if lam else None)

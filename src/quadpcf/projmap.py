@@ -77,7 +77,7 @@ class NormalizedQuadMap:
 
         For s1 = n1 / d1 and s2 = n2 / d2 these are Milnor's forms
         (Experiment. Math. 2, 1993) over the common denominator d1 * d2,
-        the formula sievedb applies to arrays.  Degenerate pairs are
+        the formula the sieve applies to each lane.  Degenerate pairs are
         representable; callers detect them through a vanishing resultant.
         """
         s1, s2 = Rat(s1), Rat(s2)
@@ -87,6 +87,17 @@ class NormalizedQuadMap:
             raise ValueError("sigma-invariants must be finite")
         return NormalizedQuadMap(*family_forms(*family_bc(n1 * d2, n2 * d1, dd), dd),
                                  sigmas=(s1, s2))
+
+    @staticmethod
+    def from_normal_forms(f_coeffs: FormCoeffs, g_coeffs: FormCoeffs,
+                          sigmas: Optional[Tuple[ExtendedRational, ExtendedRational]] = None,
+                          ) -> "NormalizedQuadMap":
+        """The map of integer forms already divided by their content and
+        with the sign convention, as tuples; trusted, so no gcd is
+        taken."""
+        self = object.__new__(NormalizedQuadMap)
+        self.F, self.G, self.sigmas = f_coeffs, g_coeffs, sigmas
+        return self
 
     @staticmethod
     def from_str(text: str) -> "NormalizedQuadMap":

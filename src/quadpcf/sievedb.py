@@ -1,4 +1,4 @@
-"""The multi-prime period sieve, and the per-prime database kept as its reference.
+"""The reference database of per-prime period sets, and its vectorised kernel.
 
 A map (F, G) mod an odd prime p has, when it has degree 2 and both
 critical points are F_p-rational, an admissible global-period set for each
@@ -9,31 +9,13 @@ does; scalar ffdyn.orbit_data is its oracle.  It walks both critical
 points of every row together and finds each cycle by Brent's method,
 whose loop also carries the cycle multiplier.  p is one prime for all
 rows or one prime per row: the inverse, square-root and discrete-log
-tables it reads are concatenated over the primes and indexed through each
-row's offset.  The sieve passes it the normal forms
-ffdyn.family_forms(b, c) of its keys (b, c) in F_p^2.
+tables it reads are ffdyn.prime_tables concatenated over the primes and
+indexed through each row's offset.
 
-sieve() enumerates sigma-pairs up to height bounds and intersects the
-per-critical-point period sets across good primes in numpy lanes, taking
-the primes in ascending order: a pair dies when its sets over all the
-primes have an empty intersection, whatever their order, and the small
-primes kill most pairs.  Lanes go through a prime in batches of up to
-2^12; for each batch it reduces the alive pairs' sigmas mod p, which fix
-their keys (b, c), reads their sets from one table over all p^2 keys when
-p is small and a full batch reaches it, else runs the kernel on the
-distinct keys only, intersects the running sets as arrays and drops the
-dead lanes.  The ModTables of all the primes are built once per run.  A
-prime's all-key table, costly to rebuild, lives until no lane can reach
-the prime any more; the sigmas' residues mod any other prime live for one
-step.  Once few lanes are left, one kernel call over the distinct
-(prime, key) rows of all of them and all the primes still ahead replaces
-the steps.  Only the survivors are turned into NormalizedQuadMap objects,
-from their integer normal forms.
-
-The database holds the kernel's three arrays over all p^2 keys of each of
-the sieve's primes, row b * p + c for the key (b, c).  Nothing on the
-search path, and no command, reads it; examine_pair and the check
-functions run the same sieve one pair at a time against it, as the
+The database holds the kernel's three arrays over all p^2 keys (b, c) of
+each prime, row b * p + c.  No command reads it, and the search runs in
+quadpcf.lanesieve without numpy; examine_pair and the check functions run
+the sieve's rule one pair at a time against the database, as the
 reference the tests and the benchmark's traced replay compare with.  On
 disk a database is a sequence of .npy records: the prime list, then each
 prime's three arrays.  Content is deterministic for a given prime list.
@@ -48,26 +30,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from quadpcf import ffdyn
-from quadpcf.exact_arith import (
-    ExtendedRational,
-    _factorize,
-    enumerate_rationals,
-    validate_primes,
-)
-from quadpcf.ffdyn import (
-    LANE_PRIME_LIMIT,
-    MAX_HEIGHT_PRODUCT,
-    PERIOD_SLOTS,
-    PeriodSet,
-    format_fp_point,
-)
+from quadpcf.exact_arith import ExtendedRational, validate_primes
+from quadpcf.ffdyn import LANE_PRIME_LIMIT, PERIOD_SLOTS, PeriodSet, format_fp_point
+# the search and its types, kept importable from here
+from quadpcf.lanesieve import DbConsistencyError, SieveCandidate, sieve  # noqa: F401
 from quadpcf.projmap import NormalizedQuadMap
-
-# lanes a sieve step handles at once; bounds the memory of a run
-LANE_BUDGET = 1 << 12
-# the most keys (b, c) of one prime that the sieve runs the kernel over at
-# once, in a table that every batch of lanes at the prime reads
-TABLE_KEYS = 1 << 14
 
 
 class DbError(Exception):
@@ -84,11 +51,6 @@ class DbFormatError(DbError):
 
 class UncoveredPrimeError(DbError):
     """A lookup asked for a prime the database was not built for."""
-
-
-class DbConsistencyError(DbError):
-    """A database or sieve step contradicts a build invariant (hard
-    internal error)."""
 
 
 class _Absent:
@@ -136,10 +98,8 @@ class DbEntry:
 # ----------------------------------------------------------------------
 
 class ModTables(NamedTuple):
-    """Inverse, square-root and discrete-log tables mod each of some primes,
-    concatenated: x mod primes[i] is at off[i] + x.  The logs are to a
-    primitive root; a non-square's root is -1, and 0 has inverse, root and
-    log 0."""
+    """The ffdyn.prime_tables of some primes, concatenated: x mod primes[i]
+    is at off[i] + x."""
 
     primes: np.ndarray
     off: np.ndarray
@@ -152,38 +112,16 @@ class ModTables(NamedTuple):
         return self.off[np.searchsorted(self.primes, p)]
 
 
-def _primitive_root(p: int) -> int:
-    factors = _factorize(p - 1)
-    g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
-        g += 1
-    return g
-
-
 def _mod_tables(primes) -> ModTables:
-    """ModTables of the primes, from the powers of a primitive root g of
-    each: g^t has inverse g^(p - 1 - t), log t, and is a square for even
-    t.  The roots and logs are never multiplied, so int32 holds them."""
-    # not np.unique, which loads numpy.ma, a megabyte the sieve never needs
-    primes = np.array(sorted(set(np.ravel(primes).tolist())), dtype=np.int64)
-    off = np.cumsum(primes) - primes
-    inv = np.zeros(int(primes.sum()), dtype=np.int64)
-    sq = np.zeros(len(inv), dtype=np.int32)
-    log = np.zeros(len(inv), dtype=np.int32)
-    for p, o in zip(primes.tolist(), off.tolist()):
-        g = _primitive_root(p)
-        pw = np.ones(p - 1, dtype=np.int64)    # pw[t] = g^t, by doubling
-        h = 1
-        while h < p - 1:
-            pw[h:2 * h] = pw[:min(h, p - 1 - h)] * g % p
-            g, h = g * g % p, 2 * h
-        at = o + pw
-        inv[at] = np.roll(pw[::-1], 1)
-        log[at] = np.arange(p - 1)
-        sq[at[1::2]] = -1
-        root = pw[:len(at[::2])]
-        sq[at[::2]] = np.minimum(root, p - root)
-    return ModTables(primes, off, inv, sq, log)
+    """ModTables of the primes.  The roots and logs are never multiplied,
+    so int32 holds them."""
+    # not np.unique, which loads numpy.ma, a megabyte the kernel never needs
+    primes = sorted(set(np.ravel(primes).tolist()))
+    tables = [ffdyn.prime_tables(p) for p in primes]
+    return ModTables(
+        np.array(primes, dtype=np.int64), np.cumsum([0] + primes[:-1], dtype=np.int64),
+        *(np.array([x for t in tables for x in t[k]], dtype=dtype)
+          for k, dtype in enumerate((np.int64, np.int32, np.int32))))
 
 
 def _rows(x, idx):
@@ -192,9 +130,10 @@ def _rows(x, idx):
 
 
 def _step(z, C, at_inf, p, inv, base):
-    """FpMap.step_index and FpMap.derivative_factor on each lane, from one
-    evaluation of F, G and W: C[d] holds their coefficients of z^(2 - d)
-    reduced mod p, at_inf the image and the derivative factor at infinity."""
+    """FpMap.step_index and the derivative factor W(z) / G(z)^2 (in the
+    chart 1/z at a pole) on each lane, from one evaluation of F, G and W:
+    C[d] holds their coefficients of z^(2 - d) reduced mod p, at_inf the
+    image and the derivative factor at infinity."""
     # infinity (= p) evaluates as 0 and is replaced below
     f, g, w = ((C[0] * z + C[1]) * z + C[2]) % p
     pole = g == 0                 # then f != 0, the resultant being nonzero
@@ -409,7 +348,7 @@ def build_db(primes: Sequence[int], path: Optional[str] = None) -> Database:
 
 
 # ----------------------------------------------------------------------
-# the sieve (Algorithms 2-4)
+# the sieve's rule, one pair at a time
 # ----------------------------------------------------------------------
 
 def _sigma_mod_p(s: ExtendedRational, p: int) -> int:
@@ -510,39 +449,6 @@ def check_irrational_periods_detailed(phi, primes, res, db) -> CheckResult:
     return CheckResult(True, (running,), used)
 
 
-@dataclass
-class SieveCandidate:
-    """A sigma-pair that survived every prime of the sieve."""
-
-    sigma1: ExtendedRational
-    sigma2: ExtendedRational
-    phi: NormalizedQuadMap
-    resultant: int
-    critical_rational: bool
-    period_sets: Tuple[Optional[PeriodSet], ...]
-    primes_used: int
-
-    @property
-    def no_modular_info(self) -> bool:
-        return self.primes_used == 0
-
-    def tsv_line(self) -> str:
-        sets = ";".join(
-            "unconstrained" if s is None else
-            "{" + ",".join(str(x) for x in sorted(s)) + "}"
-            for s in self.period_sets)
-        flag = "rational" if self.critical_rational else "irrational"
-        return "\t".join([
-            str(self.sigma1), str(self.sigma2), str(self.phi),
-            str(self.resultant), flag, sets, str(self.primes_used),
-        ])
-
-    @staticmethod
-    def tsv_header() -> str:
-        return "\t".join(["sigma1", "sigma2", "map", "resultant",
-                          "critical_points", "period_sets", "primes_used"])
-
-
 def examine_pair(s1: ExtendedRational, s2: ExtendedRational,
                  primes: Sequence[int], db: Database) -> Optional[SieveCandidate]:
     """Run one sigma-pair through the sieve; None if skipped or refuted."""
@@ -562,318 +468,3 @@ def examine_pair(s1: ExtendedRational, s2: ExtendedRational,
         sigma1=s1, sigma2=s2, phi=phi, resultant=res,
         critical_rational=crit.rational,
         period_sets=result.period_sets, primes_used=result.primes_used)
-
-
-# ----------------------------------------------------------------------
-# the lane sieve
-# ----------------------------------------------------------------------
-
-# A batch of lanes is a dict of arrays whose last axis runs over the
-# lanes, one per sigma-pair:
-#   s1, s2    positions in the sigma enumerations
-#   res       resultant of the integer normal form
-#   rational  both critical points in P^1(Q)
-#   gamma     (2, 2, lanes): rational critical point k as (N, M) = gamma[k],
-#             N/M in lowest terms and infinity as 1/0; zero for irrational
-#             lanes
-#   run       (2, PERIOD_SLOTS, lanes), int32 as the periods: running
-#             period sets, one per critical point (irrational lanes use
-#             run[0] only): 0 is an empty slot, -1 not yet constrained
-#   used      primes that gave modular evidence
-
-
-def _take(lanes, idx):
-    return {k: v.take(idx, axis=-1) for k, v in lanes.items()}
-
-
-def _concat(batches):
-    if len(batches) == 1:
-        return batches[0]
-    return {k: np.concatenate([x[k] for x in batches], axis=-1) for k in batches[0]}
-
-
-def _num_den(rationals):
-    return (np.array([x.num for x in rationals], dtype=np.int64),
-            np.array([x.den for x in rationals], dtype=np.int64))
-
-
-def _normal_forms(n1, d1, n2, d2):
-    """The forms (F, G) of NormalizedQuadMap.from_sigmas(n1 / d1, n2 / d2),
-    elementwise on int64 arrays of fractions in lowest terms: the normal
-    form over the common denominator d1 * d2, divided by the content of the
-    forms, gcd(d1 * d2, b, c) = gcd(d1 * d2, n1 * d2, n2 * d1) =
-    gcd(d1, d2); f2 > 0 already."""
-    dd = d1 * d2
-    b, c = ffdyn.family_bc(n1 * d2, n2 * d1, dd)
-    content = np.gcd(d1, d2)
-    return ffdyn.family_forms(b // content, c // content, dd // content)
-
-
-def _prepare_lanes(sig, start: int, stop: int):
-    """Lanes of the non-degenerate pairs at flat positions [start, stop),
-    position t being sigma1 number t // len(num2) and sigma2 number
-    t % len(num2), sig being (num1, den1, num2, den2); integer arithmetic
-    throughout (see MAX_HEIGHT_PRODUCT)."""
-    num1, den1, num2, den2 = sig
-    i, j = np.divmod(np.arange(start, stop, dtype=np.int64), len(num2))
-    F, G = _normal_forms(num1[i], den1[i], num2[j], den2[j])
-    res = ffdyn.form_resultant(F, G)   # equals NormalizedQuadMap.resultant()
-    keep = res != 0
-    i, j, res = i[keep], j[keep], res[keep]
-    w2, w1, w0 = (w[keep] for w in ffdyn.wronskian(F, G))
-    disc = 4 * res                 # nonzero, so the critical points differ
-    s = np.sqrt(np.maximum(disc, 0).astype(np.float64)).astype(np.int64)
-    s -= s * s > disc
-    s += (s + 1) * (s + 1) <= disc
-    rational = (w2 == 0) | (s * s == disc)
-    r = np.flatnonzero(rational)
-    lin, s, w2, w1, w0 = (x[r] for x in (w2 == 0, s, w2, w1, w0))
-    # N or M is nonzero: w1 != 0 where w2 = 0
-    pts = np.stack([np.where(lin, -w0, s - w1), np.where(lin, w1, 2 * w2),
-                    np.where(lin, 1, -s - w1), np.where(lin, 0, 2 * w2)]
-                   ).reshape(2, 2, -1)
-    pts //= np.gcd(pts[:, 0], pts[:, 1])[:, None]
-    gamma = np.zeros((2, 2, len(i)), dtype=np.int64)
-    gamma[..., r] = pts
-    return {"s1": i.astype(np.int32), "s2": j.astype(np.int32), "res": res,
-            "rational": rational, "gamma": gamma,
-            "run": np.full((2, PERIOD_SLOTS, len(i)), -1, dtype=np.int32),
-            "used": np.zeros(len(i), dtype=np.int32)}
-
-
-def _reduce(num, den, p, tables, pole):
-    """num / den mod p elementwise, pole where p divides den; p is a scalar
-    or one prime per entry."""
-    d = den % p
-    return np.where(d == 0, pole, num % p * tables.inv[tables.base(p) + d] % p)
-
-
-def _lane_table(entries):
-    """period_entries' arrays in the lanes' layout: the periods as
-    (2, PERIOD_SLOTS, rows), then the set that conjugate irrational critical
-    points share, the meet of the two stored sets, as (PERIOD_SLOTS, rows)."""
-    present, points, periods = entries
-    periods = np.ascontiguousarray(periods.T).reshape(2, PERIOD_SLOTS, -1)
-    return present, points, periods, _meet(periods[0], periods[1])
-
-
-def _meet(x, n):
-    """Sets x, slots on the axis before the lanes, intersected with the
-    nonzero elements of the sets n; a set whose first slot is -1 is
-    unconstrained."""
-    hit = x == n[..., :1, :]
-    for k in range(1, PERIOD_SLOTS):
-        hit |= x == n[..., k:k + 1, :]
-    return np.where(x[..., :1, :] < 0, n, x * hit)
-
-
-def _first(p, mask) -> int:
-    """The prime of the first row in mask, p being a scalar or one per row."""
-    return int(np.broadcast_to(p, mask.shape)[mask][0])
-
-
-def _key_sets(p, good, x1, x2, rational, gamma, tables, table=None):
-    """The period sets the rows meet at p, a scalar or one prime per row, as
-    check_rational_periods_detailed and check_irrational_periods_detailed
-    take them per pair: the rows marked good are at a good prime, x1 and x2
-    are the residues of their sigmas (_reduce), rational and gamma their
-    lanes' fields.  Returns the indices ri of the irrational rows that
-    meet a set, with the set, as (PERIOD_SLOTS, len(ri)), then the indices
-    r of the rational rows with their two sets, as (2, PERIOD_SLOTS,
-    len(r)).  table is _lane_table over all p^2 keys of a scalar p, row
-    x1 * p + x2 for the key family_bc(x1, x2), or None to run the kernel on
-    the rows' distinct (prime, key) pairs."""
-    # den(sigma) divides the resultant: test_sievedb's test_denominator_prime_safety
-    bad_den = good & ((x1 < 0) | (x2 < 0))
-    if bad_den.any():
-        raise DbConsistencyError(
-            f"sigma denominator divisible by good prime {_first(p, bad_den)}; "
-            "resultant guard failed")
-    # (x1, x2) -> family_bc(x1, x2) is a bijection of F_p^2, so a row's
-    # residues index its key; at a bad prime one may be -1, which take
-    # reads from the end, and the row goes unread
-    back = x1 * p + x2
-    del x1, x2  # a run's peak memory is reached in the first steps
-    if table is None:
-        # code a row by its residues and, in the low digits, its prime
-        primes = tables.primes
-        keys, back = np.unique(back * len(primes) + np.searchsorted(primes, p),
-                               return_inverse=True)
-        keys, kp = np.divmod(keys, len(primes))
-        kp = primes[kp] if np.ndim(p) else p
-        table = _lane_table(period_entries(
-            kp, *ffdyn.family_forms(*ffdyn.family_bc(*np.divmod(keys, kp))), tables))
-    present, points, periods, shared = table
-    # conjugate irrational points share one set: the meet of both stored sets
-    ri = np.flatnonzero(good & ~rational & present.take(back))
-    # each rational critical point meets the set of the point it reduces to
-    r = np.flatnonzero(good & rational)
-    kr, rp = back[r], _rows(p, r)
-    if not present[kr].all():
-        raise DbConsistencyError(
-            f"no F_{_first(rp, ~present[kr])}-rational critical points at a "
-            "good prime for a map with rational critical points")
-    gamma = gamma[..., r]
-    red = _reduce(gamma[:, 0], gamma[:, 1], rp, tables, rp)
-    pts = points[kr].T
-    first = red == pts[0]
-    stray = ~(first | (red == pts[1]))
-    if stray.any():
-        raise DbConsistencyError("a reduced critical point is not critical mod "
-                                 f"{_first(rp, stray.any(axis=0))}")
-    pr = periods[..., kr]
-    return (ri, shared.take(back[ri], axis=-1), r,
-            np.where(first[:, None], pr[:1], pr[1:]))
-
-
-def _sieve_step(p: int, lanes, tables, res1, res2, table):
-    """Meet the lanes' running sets with their period sets at p; the lanes
-    still alive.  res1 and res2 are the residues of the sigmas mod p."""
-    good = lanes["res"] % p != 0
-    if not good.any():
-        return lanes
-    ri, shared, r, sets = _key_sets(
-        p, good, res1.take(lanes["s1"]), res2.take(lanes["s2"]),
-        lanes["rational"], lanes["gamma"], tables, table)
-    # run and used are owned by this batch, so updated in place
-    run, used = lanes["run"], lanes["used"]
-    run[0][:, ri] = _meet(run[0][:, ri], shared)
-    run[..., r] = _meet(run[..., r], sets)
-    used[ri] += 1
-    used[r] += 1
-    alive = (run != 0).any(axis=1).all(axis=0)
-    return lanes if alive.all() else _take(lanes, np.flatnonzero(alive))
-
-
-def _sieve_tail(lanes, start, primes: Tuple[int, ...], sig, tables):
-    """The lanes still alive after the primes, lane i having passed
-    primes[:start[i]] already, by one kernel call over the distinct
-    (prime, key) rows of all lanes and primes, reading tables.
-
-    A lane's running set ends as the meet of it with its sets at every
-    prime, in any order: its own set if constrained, else its first
-    evidence's, keeping the values that every evidence holds.  That is
-    what _sieve_step, prime by prime, leaves, so the survivors, their sets
-    and their evidence counts are the same.
-    """
-    ps = np.array(primes, dtype=np.int64)
-    num1, den1, num2, den2 = sig
-    ahead = np.arange(len(ps)) >= start[:, None]      # (lanes, primes)
-    i, j = np.nonzero(ahead & (lanes["res"][:, None] % ps != 0))
-    p = ps[j]
-    s1, s2 = lanes["s1"][i], lanes["s2"][i]
-    ri, shared, r, sets = _key_sets(
-        p, np.ones(len(i), dtype=bool), _reduce(num1[s1], den1[s1], p, tables, -1),
-        _reduce(num2[s2], den2[s2], p, tables, -1), lanes["rational"][i],
-        lanes["gamma"][..., i], tables)
-    # ev (2, lanes, primes) marks the evidence of each critical point, n
-    # (2, PERIOD_SLOTS, lanes, primes) holds its sets
-    ev = np.zeros((2, *ahead.shape), dtype=bool)
-    n = np.zeros((2, PERIOD_SLOTS, *ahead.shape), dtype=np.int32)
-    ev[0, i[ri], j[ri]] = True
-    n[0][:, i[ri], j[ri]] = shared
-    ev[:, i[r], j[r]] = True
-    n[..., i[r], j[r]] = sets
-    run = lanes["run"]
-    seed = np.take_along_axis(n, ev.argmax(axis=-1)[:, None, :, None], axis=-1)[..., 0]
-    run = np.where((run[:, :1] < 0) & ev.any(axis=-1)[:, None], seed, run)
-    hit = run[..., None] == n[:, :1]
-    for k in range(1, PERIOD_SLOTS):
-        hit |= run[..., None] == n[:, k:k + 1]
-    run = np.where((hit | ~ev[:, None]).all(axis=-1), run, 0)
-    lanes = dict(lanes, run=run, used=lanes["used"] + ev[0].sum(axis=-1, dtype=np.int32))
-    return _take(lanes, np.flatnonzero((run != 0).any(axis=1).all(axis=0)))
-
-
-def _lane_sieve(sig, primes: Tuple[int, ...]):
-    """The lanes of all pairs that survive, in order, sig being the sigmas'
-    (num1, den1, num2, den2).
-
-    Lanes stream through the primes in the order given; sieve passes them
-    ascending.  The lanes waiting at a prime are stepped together once
-    there are LANE_BUDGET of them, and the rest after the last pair is
-    prepared.  Once the lanes still alive times the primes still ahead fit
-    in LANE_BUDGET, one _sieve_tail call takes the lanes through all of
-    those primes.  All read one _mod_tables over all the primes, 16 bytes
-    per unit of their sum (4.6 MB for every prime below LANE_PRIME_LIMIT).
-    When LANE_BUDGET lanes reach a prime p together, p^2 being at most
-    TABLE_KEYS, the kernel runs once over all p^2 keys and every batch at p
-    reads that table until no lane can reach p; other steps keep nothing.
-    """
-    tables = _mod_tables(primes)
-    contexts = {}
-    waiting: List[list] = [[] for _ in range(len(primes) + 1)]
-
-    def step(k):
-        p = primes[k]
-        batch = _concat(waiting[k])
-        waiting[k] = []
-        context = contexts.get(p)
-        if context is None:
-            table = None
-            if len(batch["res"]) >= LANE_BUDGET and p * p <= TABLE_KEYS:
-                table = _lane_table(period_entries(p, *ffdyn.family_forms(
-                    *ffdyn.family_bc(*np.divmod(np.arange(p * p), p))), tables))
-            context = (_reduce(sig[0], sig[1], p, tables, -1),
-                       _reduce(sig[2], sig[3], p, tables, -1), table)
-            if table is not None:
-                contexts[p] = context
-        waiting[k + 1].append(_sieve_step(p, batch, tables, *context))
-
-    total = len(sig[0]) * len(sig[2])
-    for t in range(0, total, LANE_BUDGET):
-        waiting[0].append(_prepare_lanes(sig, t, min(t + LANE_BUDGET, total)))
-        k = 0
-        while k < len(primes) and sum(len(x["res"]) for x in waiting[k]) >= LANE_BUDGET:
-            step(k)
-            k += 1
-    for k in range(len(primes)):
-        # deeper lanes come first in the pair order
-        rest = [(j, x) for j in range(len(primes) - 1, k - 1, -1) for x in waiting[j]]
-        alive = sum(len(x["res"]) for _, x in rest)
-        ahead = len(primes) - k
-        if alive * ahead <= LANE_BUDGET:
-            if alive:
-                start = np.concatenate([np.full(len(x["res"]), j - k) for j, x in rest])
-                waiting[-1].append(_sieve_tail(
-                    _concat([x for _, x in rest]), start, primes[k:], sig, tables))
-            break
-        if waiting[k]:
-            step(k)
-        contexts.pop(primes[k], None)  # no lane reaches prime k any more
-    return _concat(waiting[-1] or [_prepare_lanes(sig, 0, 0)])
-
-
-def _candidate(s1: ExtendedRational, s2: ExtendedRational, forms, res: int,
-               rational: bool, used: int, run) -> SieveCandidate:
-    sets = tuple(None if used == 0 else frozenset(x for x in pair if x > 0)
-                 for pair in run)
-    return SieveCandidate(
-        sigma1=s1, sigma2=s2, phi=NormalizedQuadMap(forms[:3], forms[3:], (s1, s2)),
-        resultant=res, critical_rational=rational,
-        period_sets=sets if rational else sets[:1], primes_used=used)
-
-
-def sieve(h1: int, h2: int, primes: Sequence[int]) -> List[SieveCandidate]:
-    """Find all possibly-PCF sigma-pairs with heights up to (h1, h2).
-
-    Survivors come in the order of enumerate_rationals (sigma1 outer) and
-    equal examine_pair's over a database of the same primes, in any order.
-    """
-    primes = validate_primes(primes, LANE_PRIME_LIMIT, "the lane sieve")
-    if h1 * h2 > MAX_HEIGHT_PRODUCT:
-        raise ValueError(f"heights ({h1}, {h2}) exceed the lane sieve's int64 "
-                         f"bound h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
-    sigma1_list = list(enumerate_rationals(h1))
-    sigma2_list = list(enumerate_rationals(h2))
-    sig = (*_num_den(sigma1_list), *_num_den(sigma2_list))
-    # a lane dies when its sets over all the primes have an empty
-    # intersection, whatever their order, and small primes kill most lanes
-    lanes = _lane_sieve(sig, tuple(sorted(primes)))
-    i, j = lanes["s1"], lanes["s2"]
-    F, G = _normal_forms(sig[0][i], sig[1][i], sig[2][j], sig[3][j])
-    forms = np.stack(np.broadcast_arrays(*F, *G), axis=1).tolist()
-    return [_candidate(sigma1_list[a], sigma2_list[b], *rest)
-            for a, b, *rest in zip(i.tolist(), j.tolist(), forms, lanes["res"].tolist(),
-                                   lanes["rational"].tolist(), lanes["used"].tolist(),
-                                   lanes["run"].transpose(2, 0, 1).tolist())]

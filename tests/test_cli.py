@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf import cli, exact_arith
+from quadpcf import cli, exact_arith, lanesieve
 from quadpcf.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -30,10 +29,10 @@ def _records(path):
 
 
 # at (10, 20) with 20 primes: the survivors with irrational critical points,
-# and the orbit size at which the verifier gives up on each.  (-6/5, -5/13)
-# keeps the set {6} from two evidence primes, 6 = 3 * m * r coming from
-# the period rule at p = 3
-COMPLEX_SURVIVOR_SIZES = {
+# real quadratic for seven of them, and the orbit size at which the verifier
+# gives up on each.  (-6/5, -5/13) keeps the set {6} from two evidence
+# primes, 6 = 3 * m * r coming from the period rule at p = 3
+IRRATIONAL_SURVIVOR_SIZES = {
     ("-6/5", "-5/13"): 1613202032,
     ("6", "18/13"): 3588083,
     ("-7", "-3/11"): 177562671,
@@ -110,7 +109,7 @@ class TestPipeline:
                    if c[3] == "UNDETERMINED"}
         assert reasons == {
             pair: f"orbit size {size} exceeded cutoff 1000000"
-            for pair, size in COMPLEX_SURVIVOR_SIZES.items()}
+            for pair, size in IRRATIONAL_SURVIVOR_SIZES.items()}
         summary = json.loads((outdir / "summary.json").read_text())
         assert (summary["verified_count"], summary["undetermined_count"]) == (10, 9)
         assert len(_records(outdir / "survivors.tsv")) == 19
@@ -375,10 +374,10 @@ class TestConfig:
         ["pipeline", "--budget", "0", "--outdir", "{tmp}/out"]])
     def test_bounds_are_usage_errors(self, argv, tmp_path, capsys, monkeypatch):
         # rejected before any work: the pipeline never reaches the sieve
-        def no_sieve():
-            raise AssertionError("the sieve was loaded")
+        def no_sieve(*args):
+            raise AssertionError("the sieve ran")
 
-        monkeypatch.setattr(cli, "_load_sievedb", no_sieve)
+        monkeypatch.setattr(lanesieve, "sieve", no_sieve)
         rc = main([a.format(tmp=tmp_path) for a in argv])
         assert rc == EXIT_USAGE
         assert "invalid-input" in capsys.readouterr().err
@@ -421,8 +420,9 @@ class TestConfig:
 
 def test_import_needs_no_sympy():
     # sympy is no dependency any more; it cost 37 MB and 0.4 s per process.
-    # numpy is loaded by sieve and pipeline only, and OpenSSL's _hashlib by
-    # no command: the config digest hashes with CPython's built-in SHA-256
+    # Importing the command line loads neither numpy, which only the tests
+    # and the reference database use, nor OpenSSL's _hashlib: the config
+    # digest hashes with CPython's built-in SHA-256
     for module in ("sympy", "numpy", "_hashlib"):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -431,12 +431,17 @@ def test_import_needs_no_sympy():
         assert proc.returncode == 0, (module, proc.stderr)
 
 
-def test_exact_commands_run_without_numpy():
-    # a None entry in sys.modules makes every import of numpy fail
+def test_exact_commands_run_without_numpy(tmp_path):
+    # a None entry in sys.modules makes every import of numpy fail; the
+    # search runs in plain Python too
     commands = [["catalog", "--json"], ["preper", "--sigmas=2,-8"],
                 ["verify", "--sigmas=2,-8;-6,8"], ["portrait", "--sigmas=-2,0"],
                 ["classify-twist", "--psi1-b=-3/2"],
-                ["classify-twist", "--psi2-dk", "2,1"]]
+                ["classify-twist", "--psi2-dk", "2,1"],
+                ["sieve", "--h1", "3", "--h2", "6", "--primes", "20",
+                 "--out", str(tmp_path / "s.tsv")],
+                ["pipeline", "--h1", "4", "--h2", "8", "--primes", "30",
+                 "--outdir", str(tmp_path / "run")]]
     code = ("import json, sys\n"
             "sys.modules['numpy'] = None\n"
             "from quadpcf import cli\n"
@@ -469,22 +474,6 @@ def test_digest_loads_no_openssl(argv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     tsv = tmp_path / ("survivors.tsv" if argv[0] == "pipeline" else "s.tsv")
     assert "# config-digest: " in tsv.read_text()
-
-
-@pytest.mark.parametrize("given, kept", [(None, "1"), ("4", "4")])
-def test_sieve_starts_no_blas_pool(given, kept):
-    # the sieve does no linear algebra: numpy's BLAS gets one thread unless
-    # the user chose otherwise
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if given is not None:
-        env["OPENBLAS_NUM_THREADS"] = given
-    code = ("import os, sys\n"
-            "from quadpcf import cli\n"
-            "assert cli.main(['sieve', '--h1', '1', '--h2', '1', '--primes', '3']) == 0\n"
-            "sys.stderr.write(os.environ['OPENBLAS_NUM_THREADS'])\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stderr == kept, proc.stderr
 
 
 def test_console_entry_point():

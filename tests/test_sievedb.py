@@ -1,14 +1,12 @@
 import random
-import weakref
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf import ffdyn, sievedb
+from quadpcf import ffdyn, lanesieve
 from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import (
     INFINITY,
@@ -305,20 +303,6 @@ class TestChecks:
             check_rational_periods_detailed(m, g1, g2, [7], m.resultant(), doctored)
 
 
-@pytest.fixture
-def tail_primes(monkeypatch):
-    """The primes of each tail call of the lane sieve, in order."""
-    calls = []
-    tail = sievedb._sieve_tail
-
-    def spy(lanes, start, primes, *rest):
-        calls.append(tuple(primes))
-        return tail(lanes, start, primes, *rest)
-
-    monkeypatch.setattr(sievedb, "_sieve_tail", spy)
-    return calls
-
-
 class TestSieve:
     def test_sub_bound_2_4(self, small_primes):
         got = {(c.sigma1, c.sigma2) for c in sieve(2, 4, small_primes)}
@@ -378,17 +362,45 @@ class TestSieve:
               suppress_health_check=[HealthCheck.too_slow])
     @given(h1=st.integers(1, 2), h2=st.integers(1, 4),
            primes=st.lists(st.sampled_from(odd_primes_up_to(LANE_PRIME_LIMIT)),
-                           unique=True, min_size=1, max_size=6),
-           budget=st.sampled_from([1 << 4, sievedb.LANE_BUDGET]))
-    @example(h1=2, h2=4, primes=[2039, 743, 3], budget=1 << 4)
-    def test_equals_reference_on_every_prime(self, scalar_db, h1, h2, primes, budget):
+                           unique=True, min_size=1, max_size=6))
+    @example(h1=2, h2=4, primes=[2039, 743, 3])
+    def test_equals_reference_on_every_prime(self, scalar_db, h1, h2, primes):
         # every prime the sieve takes, up to 2039, against the reference's
-        # lookup computed key by key; batches of 16 lanes make the sieve
-        # step through large primes as well as take them in its tail
-        with mock.patch.object(sievedb, "LANE_BUDGET", budget):
-            got = [c.tsv_line() for c in sieve(h1, h2, primes)]
+        # lookup computed key by key
+        got = [c.tsv_line() for c in sieve(h1, h2, primes)]
         want = reference_sieve(h1, h2, primes, scalar_db)
         assert got == [c.tsv_line() for c in want]
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(h1=st.integers(1, 6), h2=st.integers(1, 12),
+           primes=st.one_of(
+               st.lists(st.sampled_from(odd_primes_up_to(LANE_PRIME_LIMIT)),
+                        unique=True, min_size=1, max_size=8),
+               # none below the filter's bound: the exact pass takes every lane
+               st.lists(st.sampled_from([q for q in odd_primes_up_to(LANE_PRIME_LIMIT)
+                                         if q >= lanesieve.FILTER_BOUND]),
+                        unique=True, min_size=1, max_size=3),
+               st.sampled_from([[743], [2039]])))
+    @example(h1=3, h2=6, primes=[743])
+    @example(h1=2, h2=5, primes=[2039])
+    def test_equals_reference_on_random_boxes(self, scalar_db, h1, h2, primes):
+        # random boxes and prime lists, lone large primes and lists that
+        # leave the filter nothing to do included
+        got = [c.tsv_line() for c in sieve(h1, h2, primes)]
+        want = reference_sieve(h1, h2, primes, scalar_db)
+        assert got == [c.tsv_line() for c in want]
+
+    def test_many_rational_survivors(self, scalar_db):
+        # seven primes leave 485 pairs.  Five have rational critical
+        # points, and the filter's shared-set rule kills two of those: a
+        # kill stands only with a proof that the points are irrational
+        primes = first_odd_primes(7)
+        got = sieve(5, 9, primes)
+        assert len(got) == 485
+        assert sum(c.critical_rational for c in got) == 5
+        want = reference_sieve(5, 9, primes, scalar_db)
+        assert [c.tsv_line() for c in got] == [c.tsv_line() for c in want]
 
     @settings(max_examples=25, deadline=None)
     @given(h1=st.integers(1, 3), h2=st.integers(1, 3),
@@ -402,72 +414,15 @@ class TestSieve:
         got = [c.tsv_line() for c in reference_sieve(h1, h2, primes, db)]
         assert got == [c.tsv_line() for c in reference_sieve(h1, h2, sorted(primes), db)]
 
-    def test_equals_reference_on_a_larger_box(self, small_primes, tail_primes):
-        # 8,601 pairs, three batches of lanes, with every other prime of the
-        # 25 in a shuffled order; only the reference follows that order (the
-        # lane sieve sorts its primes), so the two kill pairs at different
-        # primes and must still agree.  The first primes step the batches,
-        # the last ones are the tail
+    def test_equals_reference_on_a_larger_box(self, small_primes):
+        # 8,601 pairs with every other prime of the 25 in a shuffled order;
+        # only the reference follows that order (the sieve sorts its
+        # primes), so the two kill pairs at different primes and must
+        # still agree
         primes = list(small_primes[::2])
         random.Random(5).shuffle(primes)
         got = [c.tsv_line() for c in sieve(6, 12, primes)]
         assert got == [c.tsv_line() for c in reference_sieve(6, 12, primes)]
-        (tail,) = tail_primes
-        assert 0 < len(tail) < len(primes) and tail == tuple(sorted(primes)[-len(tail):])
-
-    def test_tail_from_the_first_prime(self, small_primes, tail_primes):
-        # 161 pairs times 25 primes fit in one tail call
-        got = [c.tsv_line() for c in sieve(2, 4, small_primes)]
-        assert tail_primes == [tuple(small_primes)]
-        assert got == [c.tsv_line() for c in reference_sieve(2, 4, small_primes)]
-
-    def test_no_tail(self, tail_primes):
-        # 4,953 pairs: the batches step through both primes while the pairs
-        # are still being prepared, and no lane is left for a tail
-        got = [c.tsv_line() for c in sieve(5, 10, [3, 5])]
-        assert tail_primes == []
-        assert got == [c.tsv_line() for c in reference_sieve(5, 10, [3, 5])]
-
-    def test_tables_built_once_and_released(self, monkeypatch):
-        # with batches of 128 lanes, 2,001 pairs step through every prime
-        # while pairs are still being prepared.  One _mod_tables call serves
-        # the whole run; 3 and 5 get all-key tables, each built once, kept
-        # while pairs are prepared and released once no lane can reach it
-        primes = [3, 5, 131, 137, 139, 149]
-        want = [c.tsv_line() for c in reference_sieve(4, 8, primes)]
-        monkeypatch.setattr(sievedb, "LANE_BUDGET", 1 << 7)
-        mod_tables, sieve_step = sievedb._mod_tables, sievedb._sieve_step
-        prepare = sievedb._prepare_lanes
-        built, refs, steps, prepared = [], {}, [], []
-
-        def tables_spy(primes):
-            built.append(tuple(primes))
-            return mod_tables(primes)
-
-        def prepare_spy(sig, start, stop):
-            prepared.append(stop == len(sig[0]) * len(sig[2]))
-            return prepare(sig, start, stop)
-
-        def step_spy(p, lanes, tables, res1, res2, table):
-            if table is not None:
-                # the same table at every step at p
-                assert refs.setdefault(p, weakref.ref(table[0]))() is table[0]
-            alive = {q for q, ref in refs.items() if ref() is not None}
-            steps.append((p, prepared[-1], alive))
-            return sieve_step(p, lanes, tables, res1, res2, table)
-
-        monkeypatch.setattr(sievedb, "_mod_tables", tables_spy)
-        monkeypatch.setattr(sievedb, "_prepare_lanes", prepare_spy)
-        monkeypatch.setattr(sievedb, "_sieve_step", step_spy)
-        got = [c.tsv_line() for c in sieve(4, 8, primes)]
-        assert built == [tuple(primes)]
-        assert set(refs) == {3, 5}
-        # steps past 5, while pairs are still prepared and after the last
-        early = [alive for p, done, alive in steps if p > 5 and not done]
-        late = [alive for p, done, alive in steps if p > 5 and done]
-        assert early and all(alive == {3, 5} for alive in early)
-        assert late and all(alive == set() for alive in late)
-        assert got == want
 
     def test_beyond_the_paper_box(self):
         # the paper proves the list complete: an eleventh survivor at any
@@ -479,13 +434,41 @@ class TestSieve:
     @given(s1=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)),
            s2=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)))
     def test_integer_forms_equal_from_sigmas(self, s1, s2):
-        # the survivors' maps come from the lanes' integer normal form
-        F, G = sievedb._normal_forms(
-            *(np.array([x]) for x in (s1.num, s1.den, s2.num, s2.den)))
-        (forms,) = np.stack(np.broadcast_arrays(*F, *G), axis=1).tolist()
-        phi = NormalizedQuadMap(forms[:3], forms[3:], (s1, s2))
+        # the survivors' maps come from the sieve's integer normal form
+        # through the trusted constructor
+        F, G = lanesieve._normal_form(s1.num, s1.den, s2.num, s2.den)
+        phi = NormalizedQuadMap.from_normal_forms(F, G, (s1, s2))
         ref = NormalizedQuadMap.from_sigmas(s1, s2)
         assert (phi.F, phi.G, str(phi)) == (ref.F, ref.G, str(ref))
+
+    @settings(max_examples=200, deadline=None)
+    @given(s1=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)),
+           s2=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)))
+    def test_trusted_constructor_equals_normalizing(self, s1, s2):
+        # the forms are already content-free with f2 > 0: normalizing them
+        # again changes nothing
+        F, G = lanesieve._normal_form(s1.num, s1.den, s2.num, s2.den)
+        trusted = NormalizedQuadMap.from_normal_forms(F, G)
+        ref = NormalizedQuadMap(F, G)
+        assert (trusted.F, trusted.G) == (ref.F, ref.G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(s1=st.builds(Rat, st.integers(-60, 60), st.integers(1, 60)),
+           s2=st.builds(Rat, st.integers(-60, 60), st.integers(1, 60)),
+           p=st.sampled_from(odd_primes_up_to(200)))
+    @example(s1=Rat(-2, 3), s2=Rat(4, 3), p=3)
+    def test_residue_goodness_equals_resultant(self, s1, s2, p):
+        # res = lcm(d1, d2)^4 R(sigma), R's denominator dividing lcm^3, so
+        # the key of the residues is bad exactly when p divides res, and a
+        # denominator divisible by p makes p bad: the filter needs no
+        # resultant
+        res = NormalizedQuadMap.from_sigmas(s1, s2).resultant()
+        entries = lanesieve._Entries(p)
+        good = False
+        if s1.den % p and s2.den % p:
+            x1, x2 = (s.num * pow(s.den, -1, p) % p for s in (s1, s2))
+            good = entries[x1 * p + x2] is not lanesieve._BAD
+        assert good == (res % p != 0)
 
     def test_size_bounds(self):
         # both checks come before anything is enumerated or allocated
@@ -493,7 +476,7 @@ class TestSieve:
             sieve(1, 1, [3, 1048583])          # the first prime above 2^20
         with pytest.raises(ValueError, match="too large"):
             sieve(1, 1, [3, 2053])             # the first prime above 2^11
-        with pytest.raises(ValueError, match="int64"):
+        with pytest.raises(ValueError, match="size of a run"):
             sieve(64, 65, [3])
         with pytest.raises(ValueError, match="need odd primes"):
             sieve(1, 1, [3, 9])
@@ -514,10 +497,11 @@ class TestPeriodEntries:
     @given(p=st.sampled_from([3, 5, 7, 11, 13, 31, 101]),
            rows=st.lists(st.tuples(FORM, FORM), min_size=1, max_size=12))
     @example(p=3, rows=[((1, 0, 0), (0, 0, 1)), ((0, 1, 1), (1, 0, 2)),
-                        ((3, 1, 2), (6, 2, 1))])
+                        ((3, 1, 2), (6, 2, 1)), ((16, 0, -29), (0, 0, 16))])
     def test_forms_equal_scalar_oracle(self, p, rows):
         # the kernel on arbitrary integer forms, one map per row, against
-        # FpMap's critical points and possible_periods(orbit_data(...))
+        # FpMap's critical points and possible_periods(orbit_data(...)); the
+        # example's last row, z^2 - 29/16, needs the p = 3 slot
         F = tuple(np.array(c) for c in zip(*(f for f, _ in rows)))
         G = tuple(np.array(c) for c in zip(*(g for _, g in rows)))
         present, points, periods = period_entries(p, F, G)
@@ -601,6 +585,6 @@ class TestReductionHelpers:
     def test_denominator_prime_safety(self, s1, s2):
         # sigma_i = N_i / resultant with N_i integral, so each denominator
         # divides the resultant: a prime dividing one is bad, and the
-        # resultant guard in _sieve_step never fires
+        # sieve's exact pass never finds a pole at a good prime
         res = NormalizedQuadMap.from_sigmas(s1, s2).resultant()
         assert res % s1.den == 0 and res % s2.den == 0

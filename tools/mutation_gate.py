@@ -82,15 +82,15 @@ MUTANTS = (
     Mutant(
         "period rule drops m * r",
         "ffdyn.py",
-        "    return frozenset((o.m, o.m * o.r))\n",
-        "    return frozenset((o.m,))\n",
+        "    return frozenset((m, m * r))\n",
+        "    return frozenset((m,))\n",
         ("tests/test_ffdyn.py::TestPossiblePeriods::test_general",
          "tests/test_sievedb.py::TestBuild::test_fast_equals_scalar[7]"),
     ),
     Mutant(
         "period rule drops the p = 3 branch",
         "ffdyn.py",
-        "    if o.p == 3:\n",
+        "    if p == 3:\n",
         "    if False:\n",
         ("tests/test_ffdyn.py::TestPossiblePeriods::test_p3",
          "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_counterexample",
@@ -108,22 +108,6 @@ MUTANTS = (
          "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_rational_cycles_of_z2_plus_c"),
     ),
     Mutant(
-        "lane sets ignore their second slot",
-        "sievedb.py",
-        "    return np.where(x[..., :1, :] < 0, n, x * hit)\n",
-        "    hit[..., 1, :] = True\n"
-        "    return np.where(x[..., :1, :] < 0, n, x * hit)\n",
-        ("tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box",),
-    ),
-    Mutant(
-        "sieve steps only the bad lanes",
-        "sievedb.py",
-        '    good = lanes["res"] % p != 0\n',
-        '    good = lanes["res"] % p == 0\n',
-        ("tests/test_sievedb.py::TestSieve::test_no_tail",
-         "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
-    ),
-    Mutant(
         "multiplier product not reset when the tortoise moves",
         "sievedb.py",
         "            tort, prod = hare, 1\n",
@@ -131,27 +115,51 @@ MUTANTS = (
         ("tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",),
     ),
     Mutant(
-        "per-prime table indexed (x2, x1)",
-        "sievedb.py",
-        "family_bc(*np.divmod(np.arange(p * p), p))), tables)",
-        "family_bc(*np.divmod(np.arange(p * p), p)[::-1])), tables)",
-        ("tests/test_sievedb.py::TestSieve::test_no_tail",
+        "a pole residue read as a good prime",
+        "lanesieve.py",
+        "    return [n * inv[d % p] % p if d % p else -1 for n, d in pairs]",
+        "    return [n * inv[d % p] % p for n, d in pairs]",
+        ("tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",
          "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
     ),
     Mutant(
-        "all-key tables outlive their prime",
-        "sievedb.py",
-        "        contexts.pop(primes[k], None)  # no lane reaches prime k any more\n",
-        "",
-        ("tests/test_sievedb.py::TestSieve::test_tables_built_once_and_released",),
+        "a filter kill accepted without an irrationality proof",
+        "lanesieve.py",
+        "        dead &= ~proved\n",
+        "        dead = 0\n",
+        ("tests/test_sievedb.py::TestSieve::test_many_rational_survivors",),
     ),
     Mutant(
-        "the tail skips its last prime",
-        "sievedb.py",
-        "    ahead = np.arange(len(ps)) >= start[:, None]",
-        "    ahead = (np.arange(len(ps)) >= start[:, None]) & (np.arange(len(ps)) < len(ps) - 1)",
-        ("tests/test_sievedb.py::TestSieve::test_tail_from_the_first_prime",
+        "the second critical point always given the first one's set",
+        "lanesieve.py",
+        "            e = (z1, z2, s, t, s if s is t else s & t)",
+        "            e = (z1, z2, s, s, s)",
+        ("tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",
          "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
+    ),
+    Mutant(
+        "a table row indexed (x2, x1)",
+        "lanesieve.py",
+        "        x1, x2 = divmod(k, p)",
+        "        x2, x1 = divmod(k, p)",
+        ("tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",
+         "tests/test_sievedb.py::TestSieve::test_residue_goodness_equals_resultant"),
+    ),
+    Mutant(
+        "the exact pass skips its last prime",
+        "lanesieve.py",
+        "    for p, inv, entries in steps:",
+        "    for p, inv, entries in steps[:-1]:",
+        ("tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box",
+         "tests/test_sievedb.py::TestSieve::test_equals_reference_on_random_boxes"),
+    ),
+    Mutant(
+        "the trusted constructor gets forms with their content",
+        "lanesieve.py",
+        "    g = gcd(d1, d2)\n",
+        "    g = 1\n",
+        ("tests/test_sievedb.py::TestSieve::test_trusted_constructor_equals_normalizing",
+         "tests/test_sievedb.py::TestSieve::test_integer_forms_equal_from_sigmas"),
     ),
     Mutant(
         "verifier claims PCF when its budget runs out",
