@@ -6,8 +6,8 @@ every artifact embeds a digest of the configuration that produced it.
 
 sieve and pipeline compute every period set they need on the fly, in one
 process; no command builds, reads or writes a database or a cache.  Only
-they load the sieve, quadpcf.lanesieve, which is plain Python: no command
-loads numpy.
+they load the sieve, quadpcf.lanesieve, which is plain Python like the
+rest of the package.
 """
 
 from __future__ import annotations

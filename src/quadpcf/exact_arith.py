@@ -6,7 +6,7 @@ infinity (the projective point (1 : 0)), quadratic points
 values only: projmap steps them with integer arithmetic), the
 multiplicative height H(p/q) = max(|p|, q), height-ordered enumeration of
 the rationals, and the small number theory the package needs: primes,
-divisors, and squarefree parts by trial division, Miller-Rabin and
+factorisations and squarefree parts by trial division, Miller-Rabin and
 Pollard's rho.
 
 Everything here is immutable and all operations are pure.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Sequence, Tuple, Union
 
 # Miller-Rabin with these bases is exact below 3.3e24 (a strong
 # probable-prime test beyond)
@@ -312,14 +312,6 @@ def _factorize(n: int) -> Dict[int, int]:
             d = _split(m)
             todo += [d, m // d]
     return out
-
-
-def divisors(n: int) -> List[int]:
-    """Positive divisors of n >= 1, ascending."""
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def squarefree_part(n: int) -> Tuple[int, int]:

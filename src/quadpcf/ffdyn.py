@@ -6,11 +6,13 @@ The cycle multiplier (product of chart-correct local derivatives along the
 cycle) and its multiplicative order r turn a mod-p cycle length m into the
 admissible set of global periods: {m} for a zero multiplier, else {m, m*r},
 and at p = 3 also 3*m*r.  One table-driven walk does this for orbit_data
-and for critical_periods, which the sieve takes its period sets from: it
-reads the inverse, square-root and discrete-log tables of p, built once
-per prime, and walks both critical points through one visited table.  The
-normal-form family, its key and the wronskian and resultant of two forms,
-which projmap and the sieves share, are defined here once.
+and for critical_periods, which the sieve and the reference database
+take their period sets from: it reads the inverse, square-root and
+discrete-log tables of p, built once per prime, and walks both critical
+points through one visited table.  The tests check it against a
+plain-loop oracle that shares none of its code.  The normal-form family,
+its key and the wronskian and resultant of two forms, which projmap, the
+sieve and the reference database share, are defined here once.
 """
 
 from __future__ import annotations
@@ -18,66 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from quadpcf.exact_arith import _factorize
 
 PeriodSet = FrozenSet[int]
-# the most periods possible_periods admits for one point
-PERIOD_SLOTS = 3
 
 # the sieves' prime bound, kept here so that the command line validates its
 # configuration without loading a sieve.  The paper's largest prime is
-# 739.  Below 2^11 the reference kernel's (sievedb) Horner products of
-# three residues stay below 2^33 in int64, and its database holds p^2 keys
-# per prime
+# 739.  It bounds the work of one prime: the sieve builds tables of p
+# entries per prime, and the reference database (sievedb) walks all p^2
+# keys of each prime
 LANE_PRIME_LIMIT = 1 << 11
 # h1 * h2 bounds the size of a run: a box holds about 1.5 * (h1 * h2)^2
 # sigma-pairs, 25 million at the bound
 MAX_HEIGHT_PRODUCT = 1 << 12
-
-
-class FpPoint:
-    """A point of P^1(F_p), normalized to (x : 1) or (1 : 0).
-
-    The integer encoding used in tables is x for affine points and p for
-    the point at infinity.
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: int, y: int):
-        self.x = x
-        self.y = y
-
-    @staticmethod
-    def affine(v: int, p: int) -> "FpPoint":
-        return FpPoint(v % p, 1)
-
-    @staticmethod
-    def infinity() -> "FpPoint":
-        return FpPoint(1, 0)
-
-    def is_infinity(self) -> bool:
-        return self.y == 0
-
-    def index(self, p: int) -> int:
-        return p if self.y == 0 else self.x
-
-    @staticmethod
-    def from_index(i: int, p: int) -> "FpPoint":
-        return FpPoint.infinity() if i == p else FpPoint(i, 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, FpPoint):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __repr__(self):
-        return "inf" if self.y == 0 else str(self.x)
 
 
 def format_fp_point(index: int, p: int) -> str:
@@ -118,9 +75,6 @@ class FpMap:
             return p
         return (num * pow(den, p - 2, p)) % p
 
-    def apply(self, pt: FpPoint) -> FpPoint:
-        return FpPoint.from_index(self.step_index(pt.index(self.p)), self.p)
-
     def critical_point_indices(self) -> Optional[Tuple[int, int]]:
         """Roots of the wronskian in P^1(F_p), or None when irreducible.
 
@@ -158,8 +112,7 @@ class FpMap:
 
 def family_forms(b, c, d=1):
     """Milnor's normal form [2x^2 + bxy + by^2] / [-x^2 + (4 - b)xy + cy^2]
-    at (b / d, c / d) as forms (F, G) times d, elementwise on ints and
-    int64 arrays; the constant coefficients stay scalars."""
+    at (b / d, c / d) as integer forms (F, G) times d."""
     return (2 * d, b, b), (-d, 4 * d - b, c)
 
 
@@ -171,8 +124,8 @@ def family_bc(s1, s2, d=1):
 
 
 def wronskian(F, G):
-    """Coefficients (w2, w1, w0) of (F_x G_y - F_y G_x) / 2, elementwise on
-    ints or int64 arrays; its roots are the critical points."""
+    """Coefficients (w2, w1, w0) of (F_x G_y - F_y G_x) / 2 for integer
+    forms; its roots are the critical points."""
     f2, f1, f0 = F
     g2, g1, g0 = G
     return (f2 * g1 - f1 * g2, 2 * (f2 * g0 - f0 * g2), f1 * g0 - f0 * g1)
@@ -314,11 +267,11 @@ def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[Optional[int], int, int]]:
     return out
 
 
-def orbit_data(fmap: FpMap, start: Union[FpPoint, int]) -> OrbitData:
-    """Exact tail/cycle split of the forward orbit, with cycle multiplier."""
+def orbit_data(fmap: FpMap, start: int) -> OrbitData:
+    """Exact tail/cycle split of the forward orbit of the point with index
+    start (p for infinity), with cycle multiplier."""
     p = fmap.p
-    z = start.index(p) if isinstance(start, FpPoint) else int(start)
-    ((tail, m, lam),) = _walk(p, fmap.F, fmap.G, fmap.wronskian(), (z,),
+    ((tail, m, lam),) = _walk(p, fmap.F, fmap.G, fmap.wronskian(), (start,),
                               prime_tables(p).inv)
     return OrbitData(p=p, tail=tail, m=m, lam=lam, r=mult_order(lam, p) if lam else None)
 

@@ -285,9 +285,9 @@ def _exact(n1, d1, n2, d2, steps, killed):
 def sieve(h1: int, h2: int, primes: Sequence[int]) -> List[SieveCandidate]:
     """Find all possibly-PCF sigma-pairs with heights up to (h1, h2).
 
-    Survivors come in the order of enumerate_rationals (sigma1 outer) and
-    equal sievedb.examine_pair's over a database of the same primes, in any
-    order.
+    Survivors come in the order of enumerate_rationals (sigma1 outer).
+    They equal those of sievedb.examine_pair, which applies the same rule
+    one pair at a time to the period sets of the same primes in any order.
     """
     primes = validate_primes(primes, LANE_PRIME_LIMIT, "the sieve")
     if h1 * h2 > MAX_HEIGHT_PRODUCT:

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import Phase, settings
 
-from quadpcf.exact_arith import first_odd_primes
-from quadpcf.sievedb import build_db
+from quadpcf import ffdyn
+from quadpcf.exact_arith import first_odd_primes, odd_primes_up_to
+from quadpcf.sievedb import Database, build_db
 
 from oracles import ScalarDatabase
 
@@ -24,16 +25,36 @@ def small_db(small_primes):
     return build_db(small_primes)
 
 
+class _WalkedEntries(dict):
+    """The entries build_db stores for the prime p, each walked on its first
+    lookup."""
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, k):
+        e = self[k] = ffdyn.critical_periods(self.p, *ffdyn.family_forms(*divmod(k, self.p)))
+        return e
+
+
+@pytest.fixture(scope="session")
+def walked_db():
+    """build_db's database over every prime the sieve takes, without its
+    p^2 walks per prime: an entry is computed when it is first looked up."""
+    return Database({p: _WalkedEntries(p) for p in odd_primes_up_to(ffdyn.LANE_PRIME_LIMIT)})
+
+
 @pytest.fixture(scope="session")
 def scalar_db():
-    """The reference lookup for any prime the sieve takes, memoised over
-    the session."""
+    """The plain-loop oracle's lookup for any prime the sieve takes,
+    memoised over the session."""
     return ScalarDatabase()
 
 
 @pytest.fixture(scope="session")
-def small_db_file(small_primes, tmp_path_factory):
+def small_db_file(small_db, tmp_path_factory):
     """The same 25-prime database persisted to disk."""
     path = tmp_path_factory.mktemp("db") / "small.db"
-    build_db(small_primes, path=str(path))
+    small_db.save(str(path))
     return str(path)

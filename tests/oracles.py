@@ -11,19 +11,23 @@ route something the package computes directly:
 - arithmetic in Q(sqrt(d)) over pairs of Fractions, for the multipliers,
   the Moebius action on quadratic points and the integer step
   NormalizedQuadMap.quad_step;
-- the period-set tables of one prime by plain loops over ffdyn's scalar
-  orbit splitter, against sievedb.period_entries, and the reference
-  database's lookup by the same splitter, key by key.
+- the critical points and period sets of a map mod p by plain loops,
+  against ffdyn.critical_periods and the reference database built from
+  it: critical points by trying every point of P^1(F_p), orbits by
+  FpMap.step_index and a dict of visited points, multipliers as products
+  of chart derivatives of the dehomogenised forms with pow inverses, the
+  multiplier's order by repeated multiplication and Morton and
+  Silverman's rule written out.  None of it shares code with ffdyn's
+  walk, its tables or its period rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt, lcm
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from quadpcf import ffdyn
 from quadpcf.exact_arith import (
@@ -32,12 +36,12 @@ from quadpcf.exact_arith import (
     PointValue,
     QuadPoint,
     Rat,
-    divisors,
+    _factorize,
     squarefree_part,
 )
-from quadpcf.ffdyn import PERIOD_SLOTS, FpMap
+from quadpcf.ffdyn import FpMap
 from quadpcf.projmap import FormCoeffs, NormalizedQuadMap
-from quadpcf.sievedb import ABSENT, DbEntry
+from quadpcf.sievedb import DbEntry
 
 
 class UnsupportedFieldError(ValueError):
@@ -321,6 +325,14 @@ def _multiplier_at(phi: NormalizedQuadMap, alpha: Surd) -> PointValue:
     return (n_val / (g_val * g_val)).point()
 
 
+def divisors(n: int) -> List[int]:
+    """Positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for q, e in _factorize(n).items():
+        divs = [d * q ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
 def _rational_roots(coeffs):
     """Rational roots (with multiplicity) of an integer polynomial.
 
@@ -394,58 +406,127 @@ def _rational_roots(coeffs):
 # period sets of one prime, by plain loops
 # ----------------------------------------------------------------------
 
-def scalar_slots(fmap: FpMap, pt: int):
-    """possible_periods of the orbit of pt in period_entries' layout of one
-    point: m, m * r and 3 * m * r, each 0 where the set lacks it or an
-    earlier slot holds it."""
-    o = ffdyn.orbit_data(fmap, pt)
-    per = ffdyn.possible_periods(o)
-    r = o.r or 1
-    cand = (o.m, o.m * r, 3 * o.m * r)
-    slots = [x if x in per and x not in cand[:j] else 0 for j, x in enumerate(cand)]
-    assert set(slots) - {0} == per, (o, per)
-    return slots
+def _value_and_slope(form, z: int) -> Tuple[int, int]:
+    """Q(z) and Q'(z) of the dehomogenised form Q = q2 z^2 + q1 z + q0."""
+    q2, q1, q0 = form
+    return q2 * z * z + q1 * z + q0, 2 * q2 * z + q1
 
 
-def scalar_period_entries(p: int):
-    """Reference for period_entries over all p^2 keys, row b * p + c: plain
-    loops with the scalar orbit splitter."""
-    present = np.zeros(p * p, dtype=bool)
-    points = np.zeros((p * p, 2), dtype=np.int64)
-    periods = np.zeros((p * p, 2 * PERIOD_SLOTS), dtype=np.int64)
-    for b in range(p):
-        for c in range(p):
-            F, G = ffdyn.family_forms(b, c)
-            if ffdyn.form_resultant(F, G) % p == 0:
-                continue
-            fmap = FpMap(p, F, G)
-            crit = fmap.critical_point_indices()
-            if crit is None:
-                continue
-            k = b * p + c
-            present[k] = True
-            points[k] = crit
-            periods[k] = [x for pt in crit for x in scalar_slots(fmap, pt)]
-    return present, points, periods
+def _chart_derivative(p: int, F, G, z: int) -> int:
+    """The derivative mod p of the map z -> F(z) / G(z) at z in P^1(F_p)
+    (p is infinity), in the chart z at a finite point and 1/z at infinity,
+    on the source and on the target side alike, so that the product along
+    a cycle is its multiplier.  F and G must share no root mod p."""
+    if z == p:
+        # in w = 1/z the map is F~(w) / G~(w) with F~(w) = f2 + f1 w + f0 w^2,
+        # or G~(w) / F~(w) when infinity is fixed; the derivative at w = 0
+        (f2, f1, _), (g2, g1, _) = F, G
+        if g2 % p:
+            return (f1 * g2 - f2 * g1) * pow(g2, -2, p) % p
+        return (g1 * f2 - g2 * f1) * pow(f2, -2, p) % p
+    f, df = _value_and_slope(F, z)
+    g, dg = _value_and_slope(G, z)
+    if g % p:
+        return (df * g - f * dg) * pow(g, -2, p) % p
+    # a pole: in the chart 1/z of the target the map is G / F
+    return (dg * f - g * df) * pow(f, -2, p) % p
+
+
+def naive_cycle(p: int, F, G, z: int) -> List[int]:
+    """The cycle that the orbit of z under the map (F, G) mod p reaches,
+    from the point where the orbit enters it."""
+    fmap = FpMap(p, F, G)
+    seen, orbit = {}, []
+    while z not in seen:
+        seen[z] = len(orbit)
+        orbit.append(z)
+        z = fmap.step_index(z)
+    return orbit[seen[z]:]
+
+
+def naive_cycle_periods(p: int, F, G, cycle: Sequence[int]) -> FrozenSet[int]:
+    """The admissible global periods of a point whose reduction mod p lies
+    in this cycle of the map (F, G), by Morton and Silverman's rule."""
+    m = len(cycle)
+    lam = 1
+    for x in cycle:
+        lam = lam * _chart_derivative(p, F, G, x) % p
+    if lam == 0:
+        return frozenset({m})
+    # the order of lam, by repeated multiplication
+    r, power = 1, lam
+    while power != 1:
+        power = power * lam % p
+        r += 1
+    periods = {m, m * r}
+    if p == 3:
+        # Zieve's bound leaves a power of p in the period only at p = 3
+        periods.add(3 * m * r)
+    return frozenset(periods)
+
+
+def _resultant_mod(F, G, p: int) -> int:
+    """The Sylvester resultant of two quadratic forms mod p, by Gaussian
+    elimination over F_p."""
+    m = [[*F, 0], [0, *F], [*G, 0], [0, *G]]
+    det = 1
+    for col in range(4):
+        pivot = next((r for r in range(col, 4) if m[r][col] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col] % p
+        inv = pow(m[col][col], -1, p)
+        for r in range(col + 1, 4):
+            f = m[r][col] * inv
+            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
+    return det
+
+
+def naive_critical_periods(p: int, F, G):
+    """ffdyn.critical_periods by plain loops: None where the map drops
+    degree mod p (a Sylvester resultant divisible by p), () where no point
+    of P^1(F_p) is critical, else each of the two critical points,
+    ascending with infinity (= p) last, with the periods of the cycle its
+    orbit reaches.  The critical points are found by trying every point."""
+    F, G = tuple(x % p for x in F), tuple(x % p for x in G)
+    if _resultant_mod(F, G, p) == 0:
+        return None
+    # at a finite z the chart derivative is N = F'G - FG' times a unit,
+    # 1 / G^2 or, at a pole, -1 / F^2.  The z^3 terms of N cancel, so its
+    # values at -1, 0 and 1 give its coefficients, and it is tried at every z
+    n = {}
+    for z in (-1, 0, 1):
+        (f, df), (g, dg) = _value_and_slope(F, z), _value_and_slope(G, z)
+        n[z] = df * g - f * dg
+    n2, n1, n0 = ((n[1] + n[-1]) // 2 - n[0]) % p, (n[1] - n[-1]) // 2 % p, n[0] % p
+    # two distinct critical points, the wronskian's discriminant being
+    # 4 * resultant, both rational or neither: the search stops at the
+    # second, or at the first when infinity is the other
+    inf_critical = _chart_derivative(p, F, G, p) == 0
+    crit = list(islice((z for z in range(p) if ((n2 * z + n1) * z + n0) % p == 0),
+                       2 - inf_critical))
+    if inf_critical:
+        crit.append(p)
+    assert len(crit) in (0, 2), crit
+    return tuple((z, naive_cycle_periods(p, F, G, naive_cycle(p, F, G, z))) for z in crit)
 
 
 class ScalarDatabase:
-    """The reference database's lookup by the scalar orbit splitter, one
-    key at a time and memoised, so it covers any prime the sieve takes
-    without the p^2 keys of build_db."""
+    """sievedb.Database's lookup by naive_critical_periods, one key at a
+    time and memoised, so it covers any prime the sieve takes without the
+    p^2 keys of build_db."""
 
     def __init__(self):
         self.memo = {}
 
-    def lookup(self, p: int, b: int, c: int):
+    def lookup(self, p: int, b: int, c: int) -> Optional[DbEntry]:
         key = (p, b % p, c % p)
         if key not in self.memo:
-            F, G = ffdyn.family_forms(*key[1:])
-            crit = None
-            if ffdyn.form_resultant(F, G) % p:
-                fmap = FpMap(p, F, G)
-                crit = fmap.critical_point_indices()
-            self.memo[key] = ABSENT if crit is None else DbEntry(
-                p=p, points=crit, period_sets=tuple(
-                    ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt)) for pt in crit))
+            crit = naive_critical_periods(p, *ffdyn.family_forms(*key[1:]))
+            self.memo[key] = DbEntry(
+                p=p, points=tuple(z for z, _ in crit),
+                period_sets=tuple(s for _, s in crit)) if crit else None
         return self.memo[key]

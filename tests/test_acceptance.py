@@ -4,11 +4,10 @@ Expected values are frozen here: the ten sigma-pairs and their critical
 portraits, the ten rational preperiodic graphs of the simpler conjugate
 forms, the four + seven symmetry-locus structures, and the root-of-unity
 catalogs.  All are exact; there are no tolerances.  Criteria 7 and 8
-compute every period set they need over the odd primes up to 750 with the
-lane kernel, so the suite builds and reads no database.
+compute every period set they need over the odd primes up to 750 with
+ffdyn.critical_periods, the walk the sieve reads, so the suite builds and
+reads no database.
 """
-
-import numpy as np
 
 from quadpcf import sievedb
 from quadpcf.cli import TEN_SIGMA_PAIRS, main
@@ -20,7 +19,7 @@ from quadpcf.exact_arith import (
     first_odd_primes,
     odd_primes_up_to,
 )
-from quadpcf.ffdyn import PERIOD_SLOTS, family_forms
+from quadpcf.ffdyn import critical_periods, family_forms
 from quadpcf.pcfverify import critical_orbit_portrait
 from quadpcf.preper import (
     INVERSE_SQUARE,
@@ -32,7 +31,7 @@ from quadpcf.preper import (
     rational_preperiodic_graph,
 )
 from quadpcf.projmap import NormalizedQuadMap
-from quadpcf.sievedb import family_key, period_entries, reduce_rational_point
+from quadpcf.sievedb import family_key, reduce_rational_point
 
 PRIME_BOUND = 750
 
@@ -259,7 +258,7 @@ def _eventual_period(portrait, start) -> int:
 def test_criterion_7_local_global_suite():
     """Local-global soundness: for every verified map, rational critical
     point, and good odd prime p <= 750, the true eventual period is in the
-    admissible set the kernel computes.  Zero exceptions."""
+    admissible set critical_periods computes.  Zero exceptions."""
     # (sigmas, resultant, [(gamma, eventual period), ...]) of each map whose
     # critical points are rational
     maps = []
@@ -273,15 +272,13 @@ def test_criterion_7_local_global_suite():
                          [(g, _eventual_period(st.portrait, g)) for g in crit.points]))
     checks = 0
     for p in odd_primes_up_to(PRIME_BOUND):
-        good = [m for m in maps if m[1] % p != 0]
-        keys = [family_key(s1, s2, p) for (s1, s2), _, _ in good]
-        present, points, periods = period_entries(p, *family_forms(
-            np.array([b for b, _ in keys]), np.array([c for _, c in keys])))
-        for k, ((s1, s2), _, orbits) in enumerate(good):
-            assert present[k], f"absent entry at good prime {p} for ({s1},{s2})"
+        for (s1, s2), res, orbits in maps:
+            if res % p == 0:
+                continue
+            entry = critical_periods(p, *family_forms(*family_key(s1, s2, p)))
+            assert entry, f"absent entry at good prime {p} for ({s1},{s2})"
             for gamma, n in orbits:
-                slot = PERIOD_SLOTS * list(points[k]).index(reduce_rational_point(gamma, p))
-                per = set(periods[k, slot:slot + PERIOD_SLOTS].tolist()) - {0}
+                per = dict(entry)[reduce_rational_point(gamma, p)]
                 checks += 1
                 assert n in per, (f"period {n} of gamma={gamma} for ({s1},{s2}) "
                                   f"not in {sorted(per)} at p={p}")

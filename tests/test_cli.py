@@ -420,9 +420,9 @@ class TestConfig:
 
 def test_import_needs_no_sympy():
     # sympy is no dependency any more; it cost 37 MB and 0.4 s per process.
-    # Importing the command line loads neither numpy, which only the tests
-    # and the reference database use, nor OpenSSL's _hashlib: the config
-    # digest hashes with CPython's built-in SHA-256
+    # Importing the command line loads neither numpy, which the project no
+    # longer uses, nor OpenSSL's _hashlib: the config digest hashes with
+    # CPython's built-in SHA-256
     for module in ("sympy", "numpy", "_hashlib"):
         proc = subprocess.run(
             [sys.executable, "-c",

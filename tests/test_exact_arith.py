@@ -12,7 +12,6 @@ from quadpcf.exact_arith import (
     FactorizationError,
     QuadPoint,
     Rat,
-    divisors,
     enumerate_rationals,
     height,
     is_prime,
@@ -21,7 +20,7 @@ from quadpcf.exact_arith import (
     squarefree_part,
 )
 
-from oracles import Surd
+from oracles import Surd, divisors
 
 nonzero_ints = st.integers(-200, 200).filter(lambda x: x != 0)
 small_rats = st.builds(Rat, st.integers(-60, 60), nonzero_ints)

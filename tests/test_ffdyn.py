@@ -1,41 +1,27 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf import sievedb
 from quadpcf.exact_arith import Rat, _factorize, odd_primes_up_to
 from quadpcf.ffdyn import (
     FpMap,
-    FpPoint,
     OrbitData,
     _sqrt_mod,
+    critical_periods,
     family_forms,
     form_resultant,
     mult_order,
     orbit_data,
     possible_periods,
-    wronskian,
 )
 from quadpcf.projmap import NormalizedQuadMap
 
-from oracles import poly_resultant
+from oracles import naive_critical_periods, naive_cycle, naive_cycle_periods, poly_resultant
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
-
-
-class TestFpPoint:
-    def test_normalization_and_index(self):
-        p = 7
-        a = FpPoint.affine(10, p)
-        assert (a.x, a.y) == (3, 1) and a.index(p) == 3
-        inf = FpPoint.infinity()
-        assert inf.is_infinity() and inf.index(p) == p
-        assert FpPoint.from_index(7, 7) == inf
-        assert FpPoint.from_index(3, 7) == a
 
 
 class TestFpMap:
@@ -92,7 +78,7 @@ class TestOrbitData:
 
     def test_fixed_point_start(self):
         m = FpMap(7, *family_forms(0, 1))
-        o = orbit_data(m, FpPoint.affine(4, 7))
+        o = orbit_data(m, 4)
         assert o.tail == 0 and o.m == 1
 
     def test_termination_and_true_cycle(self):
@@ -243,30 +229,24 @@ class TestPeriodRuleAtThree:
     @example(family=3, t=Fraction(1))
     def test_rational_cycles_of_z2_plus_c(self, family, t):
         # Morton and Silverman: at every good odd prime the exact period of
-        # a rational periodic point is in the set of its reduction, and the
-        # kernel, walking the same orbits, gives the same set
+        # a rational periodic point is in the set of its reduction.  The
+        # plain-loop oracle gives the same sets, for the cycle's points and,
+        # against critical_periods, for the critical points 0 and infinity
         assume(family == 1 or t != 0)
         assume(family != 3 or t != -1)
         c, cycle = _cycle_of(family, t)
         assert len(cycle) == family
         F, G = (c.denominator, 0, c.numerator), (0, 0, c.denominator)
-        rows, want = [], []
         for p in odd_primes_up_to(200):
             if form_resultant(F, G) % p == 0:
                 continue
             fmap = FpMap(p, F, G)
             for x in cycle:
                 z = p if x.denominator % p == 0 else x.numerator * pow(x.denominator, -1, p) % p
-                rows.append((p, z))
-                want.append(possible_periods(orbit_data(fmap, z)))
-                assert family in want[-1], (p, x)
-        ps, zs = (np.array(col) for col in zip(*rows))
-        tables = sievedb._mod_tables(ps)
-        # C[d] holds the coefficients of z^(2 - d) of F, G and W mod each p
-        C = np.array([[[f[d] % q for q in ps.tolist()] for f in (F, G, wronskian(F, G))]
-                      for d in range(3)])
-        sets = sievedb._cycle_sets(ps, C, zs, tables, tables.base(ps))
-        assert [set(row) - {0} for row in sets.tolist()] == want
+                per = possible_periods(orbit_data(fmap, z))
+                assert family in per, (p, x)
+                assert per == naive_cycle_periods(p, F, G, naive_cycle(p, F, G, z)), (p, x)
+            assert critical_periods(p, F, G) == naive_critical_periods(p, F, G), p
 
     @settings(max_examples=200, deadline=None)
     @given(st.builds(Rat, st.integers(-40, 40), st.integers(1, 40)),
@@ -301,11 +281,6 @@ def test_sqrt_mod(p, data):
 FORMS = st.tuples(*[st.integers(-50, 50)] * 3)
 
 
-def _columns(*forms):
-    """The forms as one form with an int64 column per coefficient."""
-    return tuple(np.array(c, dtype=np.int64) for c in zip(*forms))
-
-
 @given(FORMS, FORMS, st.sampled_from(SMALL_PRIMES))
 @settings(max_examples=200, deadline=None)
 def test_resultant_equals_sylvester_determinant(F, G, p):
@@ -314,9 +289,7 @@ def test_resultant_equals_sylvester_determinant(F, G, p):
     m = NormalizedQuadMap(F, G)
     assert m.resultant() == poly_resultant(m.F, m.G)
     res = int(poly_resultant(F, G))
-    # elementwise on int64 columns too: rows (F, G), (G, F) and (F, F)
-    columns = form_resultant(_columns(F, G, F), _columns(G, F, F))
-    assert columns.tolist() == [res, res, 0]
+    assert (form_resultant(F, G), form_resultant(G, F), form_resultant(F, F)) == (res, res, 0)
     if res % p:
         assert FpMap(p, F, G).resultant() == res % p
     else:

@@ -1,9 +1,10 @@
 import random
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quadpcf import ffdyn, lanesieve
@@ -15,10 +16,9 @@ from quadpcf.exact_arith import (
     first_odd_primes,
     odd_primes_up_to,
 )
-from quadpcf.ffdyn import LANE_PRIME_LIMIT, PERIOD_SLOTS, FpMap, family_forms, form_resultant
+from quadpcf.ffdyn import LANE_PRIME_LIMIT, FpMap, family_forms, form_resultant
 from quadpcf.projmap import NormalizedQuadMap
 from quadpcf.sievedb import (
-    ABSENT,
     Database,
     DbConsistencyError,
     DbFormatError,
@@ -29,12 +29,11 @@ from quadpcf.sievedb import (
     check_rational_periods_detailed,
     examine_pair,
     family_key,
-    period_entries,
     reduce_rational_point,
     sieve,
 )
 
-from oracles import scalar_period_entries
+from oracles import naive_critical_periods
 
 
 # ----------------------------------------------------------------------
@@ -69,10 +68,9 @@ def brute_force_entries(p):
     return stored
 
 
-def reference_sieve(h1, h2, primes, db=None):
+def reference_sieve(h1, h2, primes, db):
     """The sieve one pair at a time, in the order of primes, against a
-    database of the same primes."""
-    db = build_db(primes) if db is None else db
+    database that covers them."""
     out = []
     for s1 in enumerate_rationals(h1):
         for s2 in enumerate_rationals(h2):
@@ -93,7 +91,7 @@ class TestBuild:
         assert small_db.entry_count(3) == len(brute)
         for (b, c), roots in brute.items():
             e = small_db.lookup(3, b, c)
-            assert e is not ABSENT
+            assert e is not None
             assert list(e.points) == roots
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -103,14 +101,14 @@ class TestBuild:
         for b in range(p):
             for c in range(p):
                 e = small_db.lookup(p, b, c)
-                assert (e is not ABSENT) == ((b, c) in brute)
+                assert (e is not None) == ((b, c) in brute)
 
     def test_stored_points_are_wronskian_roots(self, small_db):
         for p in (3, 5, 7, 11):
             for b in range(p):
                 for c in range(p):
                     e = small_db.lookup(p, b, c)
-                    if e is ABSENT:
+                    if e is None:
                         continue
                     w2, w1, w0 = FpMap(p, *family_forms(b, c)).wronskian()
                     for pt in e.points:
@@ -120,44 +118,37 @@ class TestBuild:
                             assert (w2 * pt * pt + w1 * pt + w0) % p == 0
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
-    def test_fast_equals_scalar(self, p):
-        a = scalar_period_entries(p)
-        b = build_db([p]).arrays[p]
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+    def test_fast_equals_scalar(self, small_db, scalar_db, p):
+        # every key of build_db against the plain-loop oracle's lookup
+        for b in range(p):
+            for c in range(p):
+                assert small_db.lookup(p, b, c) == scalar_db.lookup(p, b, c), (b, c)
 
-    def test_fast_equals_scalar_medium_prime(self):
-        a = scalar_period_entries(101)
-        b = build_db([101]).arrays[101]
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+    def test_fast_equals_scalar_medium_prime(self, small_db, scalar_db):
+        for b in range(101):
+            for c in range(101):
+                assert small_db.lookup(101, b, c) == scalar_db.lookup(101, b, c), (b, c)
+
+    def test_equals_scalar_database(self, scalar_db):
+        # one database over several primes, key by key
+        db = build_db([3, 5, 7])
+        for p in (3, 5, 7):
+            for b in range(p):
+                for c in range(p):
+                    assert db.lookup(p, b, c) == scalar_db.lookup(p, b, c), (p, b, c)
 
     def test_large_prime_spot_checks(self):
-        # the kernel at the largest odd prime up to 750 against the scalar
-        # orbit splitter, lane by lane on a deterministic sample
+        # critical_periods at the largest odd prime up to 750 against the
+        # plain-loop oracle, on a deterministic sample of keys with two
+        # critical points in P^1(F_p)
         p = 743
         rng = random.Random(p)
         checked = 0
         while checked < 40:
-            b, c = rng.randrange(p), rng.randrange(p)
-            fam_res = form_resultant(*family_forms(b, c)) % p
-            present, points, periods = period_entries(
-                p, *family_forms(np.array([b]), np.array([c])))
-            if fam_res == 0:
-                assert not present[0]
-                continue
-            fmap = FpMap(p, *family_forms(b, c))
-            crit = fmap.critical_point_indices()
-            if crit is None:
-                assert not present[0]
-                continue
-            assert present[0]
-            assert tuple(points[0]) == tuple(crit)
-            for k, pt in enumerate(crit):
-                o = ffdyn.orbit_data(fmap, pt)
-                got = set(periods[0, PERIOD_SLOTS * k:PERIOD_SLOTS * (k + 1)].tolist()) - {0}
-                assert got == ffdyn.possible_periods(o)
-            checked += 1
+            F, G = family_forms(rng.randrange(p), rng.randrange(p))
+            got = ffdyn.critical_periods(p, F, G)
+            assert got == naive_critical_periods(p, F, G)
+            checked += bool(got)
 
     def test_rejects_bad_primes(self):
         with pytest.raises(ValueError):
@@ -180,12 +171,12 @@ class TestBuild:
 class TestLookup:
     def test_absent_degree_drop(self, small_db):
         # family resultant vanishes at (0, 0) for every p
-        assert small_db.lookup(3, 0, 0) is ABSENT
+        assert small_db.lookup(3, 0, 0) is None
 
     def test_absent_irreducible_wronskian(self, small_db):
         # p=3, (b,c)=(1,1): wronskian z^2+1 is irreducible over F_3
         assert form_resultant(*family_forms(1, 1)) % 3 != 0
-        assert small_db.lookup(3, 1, 1) is ABSENT
+        assert small_db.lookup(3, 1, 1) is None
 
     def test_uncovered_prime_is_error_not_absent(self, small_db):
         with pytest.raises(UncoveredPrimeError):
@@ -233,14 +224,39 @@ class TestFileFormat:
         with pytest.raises(DbFormatError, match="trailing"):
             Database.load(str(bad))
 
-    def test_block_of_wrong_shape_rejected(self, tmp_path):
-        present, points, periods = build_db([3]).arrays[3]
-        bad = tmp_path / "shape.db"
-        with open(bad, "wb") as fh:
-            for arr in (np.array([3]), present, points[:, :1], periods):
-                np.save(fh, arr)
-        with pytest.raises(DbFormatError, match="shape"):
-            Database.load(str(bad))
+    def test_bad_prime_list_rejected(self, tmp_path):
+        # the prime list is checked as build_db checks it, before any key
+        # is walked
+        good = tmp_path / "good.db"
+        build_db([3], path=str(good))
+        header = good.read_bytes().partition(b"\n")[0]
+        bad = tmp_path / "bad.db"
+        for line, why in ((b"3 5 x", "invalid literal"), (b"3 9", "need odd primes"),
+                          (b"3 3", "distinct"), (b"3 2053", "too large")):
+            bad.write_bytes(header + b"\n" + line + b"\n")
+            with pytest.raises(DbFormatError, match=why):
+                Database.load(str(bad))
+
+
+def test_reference_runs_without_numpy(tmp_path):
+    # a None entry in sys.modules makes every import of numpy fail: the
+    # reference database and the tests' oracles run without it
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from oracles import ScalarDatabase\n"
+            "from quadpcf.cli import TEN_SIGMA_PAIRS\n"
+            "from quadpcf.sievedb import Database, build_db, examine_pair\n"
+            "build_db([3, 5, 7], sys.argv[2])\n"
+            "db = Database.load(sys.argv[2])\n"
+            "if db.lookup(7, 0, 1) != ScalarDatabase().lookup(7, 0, 1):\n"
+            "    sys.exit('the database and the oracle disagree')\n"
+            "if examine_pair(*TEN_SIGMA_PAIRS[0], [3, 5, 7], db) is None:\n"
+            "    sys.exit('a PCF pair refuted')\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent), str(tmp_path / "ref.db")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestChecks:
@@ -291,12 +307,11 @@ class TestChecks:
     def test_absent_at_good_prime_is_hard_error(self):
         # a doctored database missing the (7, 0, 1) entry contradicts the
         # build invariant for maps with rational critical points
-        present, points, periods = build_db([7]).arrays[7]
-        assert present[0 * 7 + 1]
-        present = present.copy()
-        present[0 * 7 + 1] = False
-        doctored = Database({7: (present, points, periods)})
-        assert doctored.lookup(7, 0, 1) is ABSENT
+        entries = list(build_db([7]).entries[7])
+        assert entries[0 * 7 + 1]
+        entries[0 * 7 + 1] = ()
+        doctored = Database({7: entries})
+        assert doctored.lookup(7, 0, 1) is None
         m = NormalizedQuadMap.from_sigmas(2, -8)
         g1, g2 = m.critical_point_data().points
         with pytest.raises(DbConsistencyError):
@@ -352,11 +367,11 @@ class TestSieve:
            primes=st.lists(st.sampled_from(first_odd_primes(20)[1:]),
                            unique=True, max_size=7),
            where=st.integers(0, 7))
-    def test_equals_reference_sieve(self, h1, h2, primes, where):
+    def test_equals_reference_sieve(self, small_db, h1, h2, primes, where):
         # the lane sieve against examine_pair over a database, line for line
         primes.insert(min(where, len(primes)), 3)
         got = [c.tsv_line() for c in sieve(h1, h2, primes)]
-        assert got == [c.tsv_line() for c in reference_sieve(h1, h2, primes)]
+        assert got == [c.tsv_line() for c in reference_sieve(h1, h2, primes, small_db)]
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -384,11 +399,14 @@ class TestSieve:
                st.sampled_from([[743], [2039]])))
     @example(h1=3, h2=6, primes=[743])
     @example(h1=2, h2=5, primes=[2039])
-    def test_equals_reference_on_random_boxes(self, scalar_db, h1, h2, primes):
+    def test_equals_reference_on_random_boxes(self, walked_db, h1, h2, primes):
         # random boxes and prime lists, lone large primes and lists that
-        # leave the filter nothing to do included
+        # leave the filter nothing to do included.  The reference reads
+        # build_db's entries, which TestPeriodEntries and the tests above
+        # hold to the plain-loop oracle: through the oracle the tens of
+        # thousands of keys these boxes look up would take seconds
         got = [c.tsv_line() for c in sieve(h1, h2, primes)]
-        want = reference_sieve(h1, h2, primes, scalar_db)
+        want = reference_sieve(h1, h2, primes, walked_db)
         assert got == [c.tsv_line() for c in want]
 
     def test_many_rational_survivors(self, scalar_db):
@@ -406,15 +424,14 @@ class TestSieve:
     @given(h1=st.integers(1, 3), h2=st.integers(1, 3),
            primes=st.lists(st.sampled_from(first_odd_primes(12)), unique=True,
                            min_size=1))
-    def test_prime_order_does_not_matter(self, h1, h2, primes):
+    def test_prime_order_does_not_matter(self, small_db, h1, h2, primes):
         # a pair dies exactly when its sets over all the primes have an
         # empty intersection, so the survivors, their sets and primes_used
         # do not depend on the order of the primes; sieve() sorts them
-        db = build_db(primes)
-        got = [c.tsv_line() for c in reference_sieve(h1, h2, primes, db)]
-        assert got == [c.tsv_line() for c in reference_sieve(h1, h2, sorted(primes), db)]
+        got = [c.tsv_line() for c in reference_sieve(h1, h2, primes, small_db)]
+        assert got == [c.tsv_line() for c in reference_sieve(h1, h2, sorted(primes), small_db)]
 
-    def test_equals_reference_on_a_larger_box(self, small_primes):
+    def test_equals_reference_on_a_larger_box(self, small_db, small_primes):
         # 8,601 pairs with every other prime of the 25 in a shuffled order;
         # only the reference follows that order (the sieve sorts its
         # primes), so the two kill pairs at different primes and must
@@ -422,7 +439,7 @@ class TestSieve:
         primes = list(small_primes[::2])
         random.Random(5).shuffle(primes)
         got = [c.tsv_line() for c in sieve(6, 12, primes)]
-        assert got == [c.tsv_line() for c in reference_sieve(6, 12, primes)]
+        assert got == [c.tsv_line() for c in reference_sieve(6, 12, primes, small_db)]
 
     def test_beyond_the_paper_box(self):
         # the paper proves the list complete: an eleventh survivor at any
@@ -490,77 +507,51 @@ FORM = st.tuples(st.one_of(st.just(0), COEFF), COEFF, COEFF)
 
 
 class TestPeriodEntries:
-    # no shrinking: each example runs up to twelve scalar orbit walks, so a
-    # kernel wrong only at a fixed infinity took minutes to shrink
-    @settings(max_examples=150, deadline=None,
-              phases=[ph for ph in Phase if ph is not Phase.shrink])
-    @given(p=st.sampled_from([3, 5, 7, 11, 13, 31, 101]),
-           rows=st.lists(st.tuples(FORM, FORM), min_size=1, max_size=12))
-    @example(p=3, rows=[((1, 0, 0), (0, 0, 1)), ((0, 1, 1), (1, 0, 2)),
-                        ((3, 1, 2), (6, 2, 1)), ((16, 0, -29), (0, 0, 16))])
-    def test_forms_equal_scalar_oracle(self, p, rows):
-        # the kernel on arbitrary integer forms, one map per row, against
-        # FpMap's critical points and possible_periods(orbit_data(...)); the
-        # example's last row, z^2 - 29/16, needs the p = 3 slot
-        F = tuple(np.array(c) for c in zip(*(f for f, _ in rows)))
-        G = tuple(np.array(c) for c in zip(*(g for _, g in rows)))
-        present, points, periods = period_entries(p, F, G)
-        for k, (f, g) in enumerate(rows):
-            crit = None
-            if form_resultant(f, g) % p:
-                fmap = FpMap(p, f, g)
-                crit = fmap.critical_point_indices()
-            assert bool(present[k]) == (crit is not None)
-            if crit is None:
-                assert not points[k].any() and not periods[k].any()
-                continue
-            assert tuple(points[k]) == crit
-            for i, pt in enumerate(crit):
-                got = set(periods[k, PERIOD_SLOTS * i:PERIOD_SLOTS * (i + 1)].tolist()) - {0}
-                assert got == ffdyn.possible_periods(ffdyn.orbit_data(fmap, pt))
+    """The entries build_db stores are ffdyn.critical_periods'; these check
+    that walk against the plain-loop oracle, which shares none of its
+    code."""
+
+    def test_every_key_of_small_primes(self):
+        for p in odd_primes_up_to(31):
+            for b in range(p):
+                for c in range(p):
+                    F, G = family_forms(b, c)
+                    assert ffdyn.critical_periods(p, F, G) == naive_critical_periods(p, F, G), \
+                        (p, b, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from(odd_primes_up_to(LANE_PRIME_LIMIT)),
+           b=st.integers(0, LANE_PRIME_LIMIT), c=st.integers(0, LANE_PRIME_LIMIT))
+    @example(p=2039, b=5, c=7)
+    def test_random_family_keys(self, p, b, c):
+        # every prime the sieve takes, up to 2039
+        F, G = family_forms(b % p, c % p)
+        assert ffdyn.critical_periods(p, F, G) == naive_critical_periods(p, F, G)
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 11, 13, 31, 101]), F=FORM, G=FORM)
+    @example(p=3, F=(1, 0, 0), G=(0, 0, 1))           # z^2: infinity fixed
+    @example(p=3, F=(0, 1, 1), G=(1, 0, 2))           # infinity critical
+    @example(p=3, F=(3, 1, 2), G=(6, 2, 1))           # drops degree mod 3
+    @example(p=3, F=(16, 0, -29), G=(0, 0, 16))       # the p = 3 slot
+    def test_forms_equal_scalar_oracle(self, p, F, G):
+        # arbitrary integer forms, also where the map drops degree mod p
+        assert ffdyn.critical_periods(p, F, G) == naive_critical_periods(p, F, G)
 
     def test_p3_counterexample(self):
         # z^2 - 29/16, which has a rational 3-cycle: mod 3 its critical
         # point 0 falls into the fixed point 2, of multiplier 1, so its set
         # is {1, 3}; infinity is a superattracting fixed point
-        F, G = ((np.array([x]) for x in form) for form in ((16, 0, -29), (0, 0, 16)))
-        present, points, periods = period_entries(3, F, G)
-        assert present.tolist() == [True] and points.tolist() == [[0, 3]]
-        assert periods.tolist() == [[1, 0, 3, 1, 0, 0]]
-
-    @settings(max_examples=60, deadline=None,
-              phases=[ph for ph in Phase if ph is not Phase.shrink])
-    @given(rows=st.lists(st.tuples(st.sampled_from(first_odd_primes(40)), FORM, FORM),
-                         min_size=1, max_size=30))
-    def test_prime_per_row_equals_per_prime_calls(self, rows):
-        # one call with a prime per row against one call per prime
-        p = np.array([q for q, _, _ in rows])
-        F = tuple(np.array(c) for c in zip(*(f for _, f, _ in rows)))
-        G = tuple(np.array(c) for c in zip(*(g for _, _, g in rows)))
-        got = period_entries(p, F, G)
-        for q in set(p.tolist()):
-            at = np.flatnonzero(p == q)
-            want = period_entries(q, [x[at] for x in F], [x[at] for x in G])
-            for x, y in zip(got, want):
-                assert np.array_equal(x[at], y)
+        got = ffdyn.critical_periods(3, (16, 0, -29), (0, 0, 16))
+        assert got == ((0, {1, 3}), (3, {1}))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101])
-    def test_random_keys_equal_lookup(self, p):
-        db = Database({p: scalar_period_entries(p)})
+    def test_random_keys_equal_lookup(self, small_db, scalar_db, p):
+        # unreduced keys, negative ones included, against the oracle's lookup
         rng = random.Random(p)
-        keys = [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
-        present, points, periods = period_entries(p, *family_forms(
-            np.array([b for b, _ in keys]), np.array([c for _, c in keys])))
-        for k, (b, c) in enumerate(keys):
-            entry = db.lookup(p, b, c)
-            assert bool(present[k]) == (entry is not ABSENT)
-            if entry is ABSENT:
-                assert not points[k].any() and not periods[k].any()
-                continue
-            assert tuple(points[k]) == entry.points
-            first, second = periods[k].reshape(2, PERIOD_SLOTS).tolist()
-            assert entry.period_sets == (frozenset(first) - {0},
-                                         frozenset(second) - {0})
+        for _ in range(200):
+            b, c = rng.randrange(-3 * p, 3 * p), rng.randrange(-3 * p, 3 * p)
+            assert small_db.lookup(p, b, c) == scalar_db.lookup(p, b, c), (b, c)
 
 
 class TestReductionHelpers:

@@ -44,11 +44,12 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "kernel maps a fixed infinity to 0",
-        "sievedb.py",
-        "np.where(g2 == 0, p, f2 * inv[base + g2] % p)",
-        "np.where(g2 == 0, 0, f2 * inv[base + g2] % p)",
-        ("tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",),
+        "the walk maps a fixed infinity to 0",
+        "ffdyn.py",
+        "inf_img = f2 * inv[g2] % p if g2 else p",
+        "inf_img = f2 * inv[g2] % p if g2 else 0",
+        ("tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",
+         "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_rational_cycles_of_z2_plus_c"),
     ),
     Mutant(
         "preperiodic search cuts off at the size bound itself",
@@ -85,7 +86,7 @@ MUTANTS = (
         "    return frozenset((m, m * r))\n",
         "    return frozenset((m,))\n",
         ("tests/test_ffdyn.py::TestPossiblePeriods::test_general",
-         "tests/test_sievedb.py::TestBuild::test_fast_equals_scalar[7]"),
+         "tests/test_sievedb.py::TestPeriodEntries::test_every_key_of_small_primes"),
     ),
     Mutant(
         "period rule drops the p = 3 branch",
@@ -95,24 +96,23 @@ MUTANTS = (
         ("tests/test_ffdyn.py::TestPossiblePeriods::test_p3",
          "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_counterexample",
          "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_rational_cycles_of_z2_plus_c",
+         "tests/test_sievedb.py::TestPeriodEntries::test_p3_counterexample"),
+    ),
+    Mutant(
+        "the walk's chart at infinity drops the sign of -1 / g2^2",
+        "ffdyn.py",
+        "(-inv[g2] ** 2 if g2",
+        "(inv[g2] ** 2 if g2",
+        ("tests/test_sievedb.py::TestPeriodEntries::test_every_key_of_small_primes",
          "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle"),
     ),
     Mutant(
-        "kernel drops the p = 3 slot",
-        "sievedb.py",
-        "np.where((p == 3) & (mult != 0), 3 * m * r, 0)",
-        "np.where((p == 3) & (mult != 0), 0, 0)",
-        ("tests/test_sievedb.py::TestPeriodEntries::test_p3_counterexample",
-         "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",
-         "tests/test_sievedb.py::TestBuild::test_fast_equals_scalar[3]",
-         "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_rational_cycles_of_z2_plus_c"),
-    ),
-    Mutant(
-        "multiplier product not reset when the tortoise moves",
-        "sievedb.py",
-        "            tort, prod = hare, 1\n",
-        "            tort = hare\n",
-        ("tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",),
+        "the walk's derivative at a pole drops its sign",
+        "ffdyn.py",
+        "lam = -lam * w * inv[",
+        "lam = lam * w * inv[",
+        ("tests/test_sievedb.py::TestPeriodEntries::test_every_key_of_small_primes",
+         "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle"),
     ),
     Mutant(
         "a pole residue read as a good prime",
