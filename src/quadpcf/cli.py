@@ -118,6 +118,8 @@ class RunConfig:
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a config file holds one JSON object")
     version = data.pop("config_version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
@@ -125,8 +127,18 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if key == "outdir":
+            ok = isinstance(value, str)
+        elif key == "prime_list":
+            # validate_primes checks the entries
+            ok = value is None or isinstance(value, list)
+        else:
+            ok = type(value) is int
+        if not ok:
+            raise ValueError(f"config key {key} has a value of the wrong type: {value!r}")
     if data.get("prime_list") is not None:
-        data["prime_list"] = tuple(int(p) for p in data["prime_list"])
+        data["prime_list"] = tuple(data["prime_list"])
     return data
 
 

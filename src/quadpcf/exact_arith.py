@@ -238,8 +238,12 @@ def first_odd_primes(count: int) -> Tuple[int, ...]:
 
 
 def validate_primes(primes: Sequence[int], limit: int, what: str) -> Tuple[int, ...]:
-    """The primes as ints; ValueError unless distinct odd primes below limit."""
-    primes = tuple(int(p) for p in primes)
+    """The primes as a tuple; ValueError unless distinct odd primes below
+    limit, each an int (not a bool)."""
+    primes = tuple(primes)
+    for p in primes:
+        if type(p) is not int:
+            raise ValueError(f"need integer primes, got {p!r}")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     for p in primes:

@@ -1,15 +1,13 @@
-"""Dynamics of quadratic maps over prime fields F_p.
+"""Dynamics of quadratic maps over prime fields F_p: the sieve's kernel.
 
-Orbits of points under a degree-2 map of P^1(F_p) are finite, so a single
-pass with a visited-index table splits them exactly into tail + cycle.
-The cycle multiplier (product of chart-correct local derivatives along the
-cycle) and its multiplicative order r turn a mod-p cycle length m into the
-admissible set of global periods: {m} for a zero multiplier, else {m, m*r},
-and at p = 3 also 3*m*r.  One table-driven walk does this for orbit_data
-and for critical_periods, which the sieve and the reference database
-take their period sets from: it reads the inverse, square-root and
-discrete-log tables of p, built once per prime, and walks both critical
-points through one visited table.  The tests check it against a
+critical_periods gives the critical points of a map mod p with the
+admissible global periods of each.  One table-driven walk follows both
+critical points through one visited table until each orbit closes up, and
+takes the cycle's length m and multiplier, the product of chart-correct
+local derivatives along the cycle.  With r the multiplier's order, the
+admissible set is {m} for a zero multiplier, else {m, m*r}, and at p = 3
+also 3*m*r.  The walk reads the inverse, square-root and discrete-log
+tables of p, built once per prime.  The tests check it against a
 plain-loop oracle that shares none of its code.  The normal-form family,
 its key and the wronskian and resultant of two forms, which projmap, the
 sieve and the reference database share, are defined here once.
@@ -17,10 +15,9 @@ sieve and the reference database share, are defined here once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 from quadpcf.exact_arith import _factorize
 
@@ -35,79 +32,6 @@ LANE_PRIME_LIMIT = 1 << 11
 # h1 * h2 bounds the size of a run: a box holds about 1.5 * (h1 * h2)^2
 # sigma-pairs, 25 million at the bound
 MAX_HEIGHT_PRODUCT = 1 << 12
-
-
-def format_fp_point(index: int, p: int) -> str:
-    return "inf" if index == p else str(index)
-
-
-class FpMap:
-    """A degree-2 map of P^1 over F_p, as two binary quadratic forms mod p."""
-
-    __slots__ = ("p", "F", "G")
-
-    def __init__(self, p: int, f_coeffs, g_coeffs):
-        self.p = p
-        self.F = tuple(int(x) % p for x in f_coeffs)
-        self.G = tuple(int(x) % p for x in g_coeffs)
-        if self.resultant() == 0:
-            raise ValueError(f"map [{self.F}]/[{self.G}] drops degree mod {p}")
-
-    def resultant(self) -> int:
-        return form_resultant(self.F, self.G) % self.p
-
-    def wronskian(self) -> Tuple[int, int, int]:
-        return tuple(w % self.p for w in wronskian(self.F, self.G))
-
-    # -- evaluation by integer index (p encodes infinity) -------------------
-
-    def step_index(self, z: int) -> int:
-        p = self.p
-        f2, f1, f0 = self.F
-        g2, g1, g0 = self.G
-        if z == p:
-            if g2 == 0:
-                return p
-            return (f2 * pow(g2, p - 2, p)) % p
-        num = ((f2 * z + f1) * z + f0) % p
-        den = ((g2 * z + g1) * z + g0) % p
-        if den == 0:
-            return p
-        return (num * pow(den, p - 2, p)) % p
-
-    def critical_point_indices(self) -> Optional[Tuple[int, int]]:
-        """Roots of the wronskian in P^1(F_p), or None when irreducible.
-
-        Sorted ascending with infinity (= p) last.  The two are distinct:
-        the wronskian discriminant is 4 * resultant, which is nonzero for a
-        degree-2 map in odd characteristic.
-        """
-        p = self.p
-        w2, w1, w0 = self.wronskian()
-        if w2 == 0:
-            if w1 == 0:
-                raise ValueError("wronskian degenerate for a degree-2 map")
-            aff = (-w0 * pow(w1, p - 2, p)) % p
-            return (aff, p)
-        disc = (w1 * w1 - 4 * w2 * w0) % p
-        s = _sqrt_mod(disc, p)
-        if s is None:
-            return None
-        inv2w2 = pow(2 * w2 % p, p - 2, p)
-        r1 = ((-w1 + s) * inv2w2) % p
-        r2 = ((-w1 - s) * inv2w2) % p
-        return tuple(sorted((r1, r2)))
-
-    def __repr__(self):
-        return f"FpMap(p={self.p}, {list(self.F)}/{list(self.G)})"
-
-    def __eq__(self, other):
-        if not isinstance(other, FpMap):
-            return NotImplemented
-        return self.p == other.p and self.F == other.F and self.G == other.G
-
-    def __hash__(self):
-        return hash((self.p, self.F, self.G))
 
 
 def family_forms(b, c, d=1):
@@ -140,12 +64,6 @@ def form_resultant(F, G):
     w2, w1, w0 = wronskian(F, G)
     h = w1 // 2
     return h * h - w2 * w0
-
-
-def _sqrt_mod(a: int, p: int) -> Optional[int]:
-    """A square root of a mod an odd prime p, or None, from p's tables."""
-    s = prime_tables(p).sqrt[a % p]
-    return None if s < 0 else s
 
 
 # ----------------------------------------------------------------------
@@ -193,36 +111,13 @@ def prime_tables(p: int) -> PrimeTables:
 # orbits
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitData:
-    """Tail length, cycle length m, cycle multiplier, and its order r.
-
-    r is None exactly when the multiplier is zero (superattracting cycle);
-    in F_p^x every nonzero multiplier has finite order, so r is never an
-    "infinite" marker here.
-    """
-
-    p: int
-    tail: int
-    m: int
-    lam: int
-    r: Optional[int]
-
-    def __post_init__(self):
-        assert self.tail + self.m <= self.p + 2
-        assert (self.lam == 0) == (self.r is None)
-
-    @property
-    def superattracting(self) -> bool:
-        return self.lam == 0
-
-
-def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[Optional[int], int, int]]:
-    """(tail, m, lam) of the orbit of each start under the map (F, G) mod
-    p, with wronskian W, all reduced mod p, and the inverse table inv.
+def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[int, int]]:
+    """The length m and multiplier lam of the cycle that the orbit of each
+    start reaches under the map (F, G) mod p, with wronskian W, all reduced
+    mod p, and the inverse table inv.
 
     All walks share one visited table.  A walk that reaches a point of an
-    earlier one stops there and takes that walk's cycle, with tail None.
+    earlier one stops there and takes that walk's cycle.
     The multiplier is the product of the derivative factors W(z) / G(z)^2
     along the cycle, in the chart 1/z at a pole and at infinity.
     """
@@ -249,7 +144,7 @@ def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[Optional[int], int, int]]:
             k = len(out) - 1
             while firsts[k] > at:
                 k -= 1
-            out.append((None, *out[k][1:]))
+            out.append(out[k])
             continue
         lam = 1
         for z in order[at:]:
@@ -263,17 +158,8 @@ def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[Optional[int], int, int]]:
                 lam = lam * w * inv[g] ** 2 % p
             else:
                 lam = -lam * w * inv[((f2 * z + f1) * z + f0) % p] ** 2 % p
-        out.append((at - first, len(order) - at, lam))
+        out.append((len(order) - at, lam))
     return out
-
-
-def orbit_data(fmap: FpMap, start: int) -> OrbitData:
-    """Exact tail/cycle split of the forward orbit of the point with index
-    start (p for infinity), with cycle multiplier."""
-    p = fmap.p
-    ((tail, m, lam),) = _walk(p, fmap.F, fmap.G, fmap.wronskian(), (start,),
-                              prime_tables(p).inv)
-    return OrbitData(p=p, tail=tail, m=m, lam=lam, r=mult_order(lam, p) if lam else None)
 
 
 def mult_order(lam: int, p: int) -> int:
@@ -284,34 +170,32 @@ def mult_order(lam: int, p: int) -> int:
     return (p - 1) // gcd(prime_tables(p).log[lam], p - 1)
 
 
-def possible_periods(o: OrbitData) -> PeriodSet:
-    """Admissible exact global periods for a point of P^1(Q), or of a
-    quadratic field in which p does not ramify, reducing into this cycle.
+@lru_cache(maxsize=1 << 12)
+def _cycle_periods(p: int, m: int, lam: int) -> PeriodSet:
+    """The admissible exact global periods of a point of P^1(Q), or of a
+    quadratic field in which p does not ramify, whose reduction mod p lies
+    in a cycle of length m and multiplier lam.
 
     By Morton and Silverman (IMRN 1994) the period is m, m*r or m*r*p^e
-    with e >= 1, and m alone for a zero multiplier.  Zieve's bound
-    p^(e - 1) <= 2v / (p - 1), v the ramification index of p, leaves with
-    v = 1 only p = 3 and e = 1: z^2 - 29/16 has the 3-cycle -1/4, -7/4, 5/4
-    and reduces mod 3 to a fixed point with multiplier 1.
+    with e >= 1, r the order of lam, and m alone for a zero multiplier.
+    Zieve's bound p^(e - 1) <= 2v / (p - 1), v the ramification index of
+    p, leaves with v = 1 only p = 3 and e = 1: z^2 - 29/16 has the 3-cycle
+    -1/4, -7/4, 5/4 and reduces mod 3 to a fixed point with multiplier 1.
     """
-    return _period_rule(o.p, o.m, o.r)
-
-
-def _period_rule(p: int, m: int, r: Optional[int]) -> PeriodSet:
-    """possible_periods of a cycle of length m whose multiplier has order
-    r, None for a zero multiplier."""
-    if r is None:
+    if not lam:
         return frozenset((m,))
+    r = mult_order(lam, p)
     if p == 3:
         return frozenset((m, m * r, 3 * m * r))
     return frozenset((m, m * r))
 
 
 def critical_periods(p: int, F, G):
-    """The critical points of the map (F, G) mod an odd prime p with
-    possible_periods of each: None where the map drops degree mod p, () where
-    its critical points are not in P^1(F_p), else ((z1, set1), (z2, set2))
-    with the points ascending, infinity (= p) last."""
+    """The entry of the map (F, G) mod an odd prime p: None where the map
+    drops degree mod p, () where its critical points are not in P^1(F_p),
+    else (z1, z2, set1, set2, shared), the points ascending with infinity
+    (= p) last, the admissible periods of each and shared = set1 & set2,
+    the set of conjugate irrational critical points reducing to them."""
     F = F[0] % p, F[1] % p, F[2] % p
     G = G[0] % p, G[1] % p, G[2] % p
     w2, w1, w0 = wronskian(F, G)
@@ -331,11 +215,6 @@ def critical_periods(p: int, F, G):
         z1, z2 = (s - w1) * i % p, (-s - w1) * i % p
         if z1 > z2:
             z1, z2 = z2, z1
-    (_, m1, lam1), (_, m2, lam2) = _walk(p, F, G, W, (z1, z2), inv)
-    return (z1, _cycle_periods(p, m1, lam1)), (z2, _cycle_periods(p, m2, lam2))
-
-
-@lru_cache(maxsize=1 << 12)
-def _cycle_periods(p: int, m: int, lam: int) -> PeriodSet:
-    """possible_periods of a cycle of length m and multiplier lam mod p."""
-    return _period_rule(p, m, mult_order(lam, p) if lam else None)
+    (m1, lam1), (m2, lam2) = _walk(p, F, G, W, (z1, z2), inv)
+    s1, s2 = _cycle_periods(p, m1, lam1), _cycle_periods(p, m2, lam2)
+    return z1, z2, s1, s2, s1 if s1 is s2 else s1 & s2

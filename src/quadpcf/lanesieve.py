@@ -5,7 +5,8 @@ period sets stay non-empty: each rational critical point meets the set of
 the point it reduces to, and conjugate irrational points share one set,
 the meet of their two sets, as sievedb's check_*_periods_detailed do pair
 by pair.  The sets of the key (b, c) = ffdyn.family_bc(x1, x2) of sigma
-residues (x1, x2) come from ffdyn.critical_periods on first use.
+residues (x1, x2) come from ffdyn.critical_periods on first use, kept
+as the entry it returns, the one the reference database stores.
 
 sieve() takes the sigma1 values as rows and the sigma2 values as the bits
 of one Python int.  At each prime below FILTER_BOUND the filter groups a
@@ -37,11 +38,6 @@ from quadpcf.projmap import NormalizedQuadMap
 # 64, about one lane in a thousand is left at (10, 20)
 FILTER_BOUND = 64
 
-# a key's entry when the map drops degree mod p, or when its critical
-# points are not in P^1(F_p); otherwise the points with their sets and the
-# shared set, (z1, z2, set1, set2, set1 & set2)
-_BAD, _ABSENT = "bad", "absent"
-
 
 class DbConsistencyError(Exception):
     """A sieve step or the reference database contradicts a build invariant
@@ -59,10 +55,6 @@ class SieveCandidate:
     critical_rational: bool
     period_sets: Tuple[Optional[PeriodSet], ...]
     primes_used: int
-
-    @property
-    def no_modular_info(self) -> bool:
-        return self.primes_used == 0
 
     def tsv_line(self) -> str:
         sets = ";".join(
@@ -82,8 +74,10 @@ class SieveCandidate:
 
 
 class _Entries(dict):
-    """The entries of one prime's keys, computed on first use: the key
-    family_bc(x1, x2) at x1 * p + x2."""
+    """The entries of one prime's keys, ffdyn.critical_periods of the key
+    family_bc(x1, x2) at x1 * p + x2, computed on first use: None at a bad
+    prime, () without critical points in P^1(F_p), else (z1, z2, set1,
+    set2, shared)."""
 
     def __init__(self, p: int):
         super().__init__()
@@ -93,15 +87,8 @@ class _Entries(dict):
     def __missing__(self, k: int):
         p = self.p
         x1, x2 = divmod(k, p)
-        crit = ffdyn.critical_periods(p, *ffdyn.family_forms(*ffdyn.family_bc(x1, x2)))
-        if crit is None:
-            e = _BAD
-        elif not crit:
-            e = _ABSENT
-        else:
-            (z1, s), (z2, t) = crit
-            e = (z1, z2, s, t, s if s is t else s & t)
-        self[k] = e
+        e = self[k] = ffdyn.critical_periods(
+            p, *ffdyn.family_forms(*ffdyn.family_bc(x1, x2)))
         return e
 
 
@@ -149,12 +136,12 @@ class _FilterPrime:
         meets, ev, proved = {}, 0, 0
         for x2, k in groups:
             e = entries[base + x2]
-            if e is _ABSENT:
-                proved |= k
-            elif e is not _BAD:
+            if e:
                 ev |= k
                 for t in e[4]:
                     meets[t] = meets.get(t, 0) | k
+            elif e is not None:
+                proved |= k
         if lanes is None:
             self.rows[x1] = meets, ev, proved
         return meets, ev, proved
@@ -244,16 +231,16 @@ def _exact(n1, d1, n2, d2, steps, killed):
     used = 0
     for p, inv, entries in steps:
         good = res % p != 0
-        key = _BAD
+        key = None
         if d1 % p and d2 % p:
             key = entries[n1 * inv[d1 % p] % p * p + n2 * inv[d2 % p] % p]
-        if good != (key is not _BAD):
+        if good != (key is not None):
             raise DbConsistencyError(
                 f"the key's goodness at {p} disagrees with the resultant {res}")
         if not good:
             continue
         if rational:
-            if key is _ABSENT:
+            if not key:
                 raise DbConsistencyError(
                     f"no F_{p}-rational critical points at a good prime for a "
                     "map with rational critical points")
@@ -271,7 +258,7 @@ def _exact(n1, d1, n2, d2, steps, killed):
                 if not per:
                     return None
                 runs[at] = per
-        elif key is not _ABSENT:
+        elif key:
             per = key[4] if runs[0] is None else runs[0] & key[4]
             if not per:
                 return None

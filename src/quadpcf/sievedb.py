@@ -2,12 +2,14 @@
 
 A map (F, G) mod an odd prime p has, when it has degree 2 and both
 critical points are F_p-rational, an admissible global-period set for each
-critical point, by the rule of ffdyn.possible_periods.  The database holds
-ffdyn.critical_periods of the normal form at every key (b, c) of each
-prime, at index b * p + c.  No command reads it: the search runs in
-quadpcf.lanesieve, and examine_pair and the check functions run the
-sieve's rule one pair at a time against the database, as the reference
-the tests and the benchmark's traced replay compare with.  On disk a
+critical point.  The database holds the entry ffdyn.critical_periods
+gives the normal form at every key (b, c) of each prime, at index
+b * p + c, and lookup hands it out unchanged: (z1, z2, set1, set2,
+shared), or None for a key without two F_p-rational critical points.
+No command reads it: the search runs in quadpcf.lanesieve, and
+examine_pair and the check functions run the sieve's rule one pair at a
+time against the database, as the reference the tests and the
+benchmark's traced replay compare with.  On disk a
 database is a versioned header line and its prime list, and loading it
 rebuilds the entries, which depend on the prime list alone.
 """
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from quadpcf import ffdyn
 from quadpcf.exact_arith import ExtendedRational, validate_primes
-from quadpcf.ffdyn import LANE_PRIME_LIMIT, PeriodSet, format_fp_point
+from quadpcf.ffdyn import LANE_PRIME_LIMIT, PeriodSet
 # the search and its types, kept importable from here
 from quadpcf.lanesieve import DbConsistencyError, SieveCandidate, sieve  # noqa: F401
 from quadpcf.projmap import NormalizedQuadMap
@@ -42,28 +44,6 @@ class UncoveredPrimeError(DbError):
     """A lookup asked for a prime the database was not built for."""
 
 
-@dataclass(frozen=True)
-class DbEntry:
-    """The two critical points of one reduced map with their admissible
-    period sets.
-
-    Points use the integer index encoding (p for infinity), ascending.  They
-    are distinct, because the wronskian discriminant is 4 * resultant != 0.
-    """
-
-    p: int
-    points: Tuple[int, int]
-    period_sets: Tuple[PeriodSet, PeriodSet]
-
-    def periods_for(self, point_index: int) -> PeriodSet:
-        for pt, per in zip(self.points, self.period_sets):
-            if pt == point_index:
-                return per
-        raise DbConsistencyError(
-            f"point {format_fp_point(point_index, self.p)} not among stored "
-            f"critical points {self.points} (p={self.p})")
-
-
 # ----------------------------------------------------------------------
 # the reference database
 # ----------------------------------------------------------------------
@@ -73,8 +53,8 @@ _HEADER = b"quadpcf reference database, version 2\n"
 
 
 class Database:
-    """Mapping (p, b, c) -> DbEntry over the critical_periods of every key
-    of each prime, read-only once built."""
+    """Mapping (p, b, c) -> the critical_periods entry of the key, over
+    every key of each prime, read-only once built."""
 
     def __init__(self, entries: Dict[int, list]):
         self.entries = entries
@@ -82,14 +62,10 @@ class Database:
 
     # -- queries ----------------------------------------------------------
 
-    def lookup(self, p: int, b: int, c: int) -> Optional[DbEntry]:
-        """DbEntry, or None for keys without two F_p-rational critical
-        points."""
-        e = self._entries(p)[b % p * p + c % p]
-        if not e:
-            return None
-        (z1, s1), (z2, s2) = e
-        return DbEntry(p=p, points=(z1, z2), period_sets=(s1, s2))
+    def lookup(self, p: int, b: int, c: int) -> Optional[tuple]:
+        """(z1, z2, set1, set2, shared), or None for keys without two
+        F_p-rational critical points."""
+        return self._entries(p)[b % p * p + c % p] or None
 
     def entry_count(self, p: int) -> int:
         return sum(map(bool, self._entries(p)))
@@ -177,10 +153,6 @@ class CheckResult:
     primes_used: int
     killed_by: Optional[int] = None
 
-    @property
-    def no_modular_info(self) -> bool:
-        return self.primes_used == 0
-
 
 def _sigmas_of(phi: NormalizedQuadMap):
     if phi.sigmas is not None:
@@ -211,9 +183,17 @@ def check_rational_periods_detailed(phi, gamma1, gamma2, primes, res, db) -> Che
                 f"entry absent at good prime {p} for map with rational critical "
                 f"points (key b={b}, c={c}); database and build invariant disagree")
         used += 1
+        z1, z2, set1, set2, _ = entry
         for i, gamma in enumerate((gamma1, gamma2)):
             reduced = reduce_rational_point(gamma, p)
-            per = entry.periods_for(reduced)
+            if reduced == z1:
+                per = set1
+            elif reduced == z2:
+                per = set2
+            else:
+                raise DbConsistencyError(
+                    f"point {reduced} not among the stored critical points "
+                    f"({z1}, {z2}) mod {p}")
             running[i] = per if running[i] is None else running[i] & per
             if not running[i]:
                 return CheckResult(False, tuple(running), used, killed_by=p)
@@ -240,8 +220,7 @@ def check_irrational_periods_detailed(phi, primes, res, db) -> CheckResult:
         if entry is None:
             continue
         used += 1
-        inter = entry.period_sets[0] & entry.period_sets[1]
-        running = inter if running is None else running & inter
+        running = entry[4] if running is None else running & entry[4]
         if not running:
             return CheckResult(False, (running,), used, killed_by=p)
     return CheckResult(True, (running,), used)

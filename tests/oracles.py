@@ -13,12 +13,13 @@ route something the package computes directly:
   NormalizedQuadMap.quad_step;
 - the critical points and period sets of a map mod p by plain loops,
   against ffdyn.critical_periods and the reference database built from
-  it: critical points by trying every point of P^1(F_p), orbits by
-  FpMap.step_index and a dict of visited points, multipliers as products
-  of chart derivatives of the dehomogenised forms with pow inverses, the
-  multiplier's order by repeated multiplication and Morton and
-  Silverman's rule written out.  None of it shares code with ffdyn's
-  walk, its tables or its period rule.
+  it: critical points by trying every point of P^1(F_p), orbits by a
+  projective step with pow inverses and a dict of visited points,
+  multipliers as products of chart derivatives of the dehomogenised forms,
+  the multiplier's order by repeated multiplication and Morton and
+  Silverman's rule written out.  Of ffdyn it imports only the normal-form
+  family, and nothing of sievedb, so it shares no code with ffdyn's walk,
+  its tables or its period rule (test_ffdyn.py checks the imports).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from itertools import islice
 from math import gcd, isqrt, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from quadpcf import ffdyn
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
@@ -39,9 +39,8 @@ from quadpcf.exact_arith import (
     _factorize,
     squarefree_part,
 )
-from quadpcf.ffdyn import FpMap
+from quadpcf.ffdyn import family_forms
 from quadpcf.projmap import FormCoeffs, NormalizedQuadMap
-from quadpcf.sievedb import DbEntry
 
 
 class UnsupportedFieldError(ValueError):
@@ -432,25 +431,42 @@ def _chart_derivative(p: int, F, G, z: int) -> int:
     return (dg * f - g * df) * pow(f, -2, p) % p
 
 
+def naive_step(p: int, F, G, z: int) -> int:
+    """The image of z in P^1(F_p) (p is infinity) under the map (F, G) mod
+    p: the forms at the projective point (z : 1), or (1 : 0) at infinity,
+    which they must not both vanish at."""
+    x, y = (1, 0) if z == p else (z, 1)
+    u = (F[0] * x * x + F[1] * x * y + F[2] * y * y) % p
+    v = (G[0] * x * x + G[1] * x * y + G[2] * y * y) % p
+    assert u or v, f"the forms share the root {z} mod {p}"
+    return u * pow(v, -1, p) % p if v else p
+
+
 def naive_cycle(p: int, F, G, z: int) -> List[int]:
     """The cycle that the orbit of z under the map (F, G) mod p reaches,
     from the point where the orbit enters it."""
-    fmap = FpMap(p, F, G)
     seen, orbit = {}, []
     while z not in seen:
         seen[z] = len(orbit)
         orbit.append(z)
-        z = fmap.step_index(z)
+        z = naive_step(p, F, G, z)
     return orbit[seen[z]:]
+
+
+def naive_multiplier(p: int, F, G, cycle: Sequence[int]) -> int:
+    """The multiplier mod p of a cycle of the map (F, G): the product of
+    the chart derivatives along it."""
+    lam = 1
+    for x in cycle:
+        lam = lam * _chart_derivative(p, F, G, x) % p
+    return lam
 
 
 def naive_cycle_periods(p: int, F, G, cycle: Sequence[int]) -> FrozenSet[int]:
     """The admissible global periods of a point whose reduction mod p lies
     in this cycle of the map (F, G), by Morton and Silverman's rule."""
     m = len(cycle)
-    lam = 1
-    for x in cycle:
-        lam = lam * _chart_derivative(p, F, G, x) % p
+    lam = naive_multiplier(p, F, G, cycle)
     if lam == 0:
         return frozenset({m})
     # the order of lam, by repeated multiplication
@@ -488,9 +504,10 @@ def _resultant_mod(F, G, p: int) -> int:
 def naive_critical_periods(p: int, F, G):
     """ffdyn.critical_periods by plain loops: None where the map drops
     degree mod p (a Sylvester resultant divisible by p), () where no point
-    of P^1(F_p) is critical, else each of the two critical points,
-    ascending with infinity (= p) last, with the periods of the cycle its
-    orbit reaches.  The critical points are found by trying every point."""
+    of P^1(F_p) is critical, else (z1, z2, set1, set2, set1 & set2), the
+    two critical points ascending with infinity (= p) last and the periods
+    of the cycle the orbit of each reaches.  The critical points are found
+    by trying every point."""
     F, G = tuple(x % p for x in F), tuple(x % p for x in G)
     if _resultant_mod(F, G, p) == 0:
         return None
@@ -511,7 +528,10 @@ def naive_critical_periods(p: int, F, G):
     if inf_critical:
         crit.append(p)
     assert len(crit) in (0, 2), crit
-    return tuple((z, naive_cycle_periods(p, F, G, naive_cycle(p, F, G, z))) for z in crit)
+    if not crit:
+        return ()
+    s1, s2 = (naive_cycle_periods(p, F, G, naive_cycle(p, F, G, z)) for z in crit)
+    return (*crit, s1, s2, s1 & s2)
 
 
 class ScalarDatabase:
@@ -522,11 +542,8 @@ class ScalarDatabase:
     def __init__(self):
         self.memo = {}
 
-    def lookup(self, p: int, b: int, c: int) -> Optional[DbEntry]:
+    def lookup(self, p: int, b: int, c: int) -> Optional[tuple]:
         key = (p, b % p, c % p)
         if key not in self.memo:
-            crit = naive_critical_periods(p, *ffdyn.family_forms(*key[1:]))
-            self.memo[key] = DbEntry(
-                p=p, points=tuple(z for z, _ in crit),
-                period_sets=tuple(s for _, s in crit)) if crit else None
+            self.memo[key] = naive_critical_periods(p, *family_forms(*key[1:])) or None
         return self.memo[key]

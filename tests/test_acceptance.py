@@ -277,8 +277,9 @@ def test_criterion_7_local_global_suite():
                 continue
             entry = critical_periods(p, *family_forms(*family_key(s1, s2, p)))
             assert entry, f"absent entry at good prime {p} for ({s1},{s2})"
+            z1, z2, set1, set2, _ = entry
             for gamma, n in orbits:
-                per = dict(entry)[reduce_rational_point(gamma, p)]
+                per = {z1: set1, z2: set2}[reduce_rational_point(gamma, p)]
                 checks += 1
                 assert n in per, (f"period {n} of gamma={gamma} for ({s1},{s2}) "
                                   f"not in {sorted(per)} at p={p}")

@@ -338,6 +338,16 @@ class TestConfig:
         rc = main(["sieve", "--config", str(cfg_path)])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("body", [
+        {"h1": 3.5}, {"budget": "64"}, {"prime_list": [3.9, 5]}, {"h1": True}, [1]])
+    def test_value_of_wrong_type_rejected(self, body, tmp_path, capsys):
+        # neither a traceback nor a silent int(): 3.9 is not the prime 3
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(body))
+        rc = main(["sieve", "--config", str(cfg_path)])
+        assert rc == EXIT_USAGE
+        assert "invalid-input" in capsys.readouterr().err
+
     def test_digest_stability(self):
         a = RunConfig(h1=2, h2=4)
         b = RunConfig(h1=2, h2=4)

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,118 +9,126 @@ from hypothesis import strategies as st
 
 from quadpcf.exact_arith import Rat, _factorize, odd_primes_up_to
 from quadpcf.ffdyn import (
-    FpMap,
-    OrbitData,
-    _sqrt_mod,
+    _cycle_periods,
+    _walk,
     critical_periods,
     family_forms,
     form_resultant,
     mult_order,
-    orbit_data,
-    possible_periods,
+    prime_tables,
+    wronskian,
 )
 from quadpcf.projmap import NormalizedQuadMap
 
-from oracles import naive_critical_periods, naive_cycle, naive_cycle_periods, poly_resultant
+from oracles import (
+    naive_critical_periods,
+    naive_cycle,
+    naive_cycle_periods,
+    naive_multiplier,
+    naive_step,
+    poly_resultant,
+)
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+FORMS = st.tuples(*[st.integers(-50, 50)] * 3)
+
+
+def _reduce(p, F, G):
+    return tuple(x % p for x in F), tuple(x % p for x in G)
 
 
 class TestFpMap:
+    """A quadratic map mod p: its steps, its critical points and their
+    period sets."""
+
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            FpMap(7, (1, 0, 0), (2, 0, 0))
+        # the forms share the root 0, so the map drops degree mod p
+        assert critical_periods(7, (1, 0, 0), (2, 0, 0)) is None
 
     def test_family_form(self):
-        m = FpMap(7, *family_forms(0, 1))
-        assert m.F == (2, 0, 0) and m.G == (6, 4, 1)
+        F, G = family_forms(0, 1)
+        assert (F, G) == ((2, 0, 0), (-1, 4, 1))
+        assert _reduce(7, F, G) == ((2, 0, 0), (6, 4, 1))
 
     def test_step_values(self):
-        m = FpMap(7, *family_forms(0, 1))
-        assert m.step_index(3) == 1
-        assert m.step_index(1) == 4
-        assert m.step_index(4) == 4
-        assert m.step_index(7) == 5       # infinity -> -2
-        z2 = FpMap(7, (1, 0, 0), (0, 0, 1))
-        assert z2.step_index(7) == 7      # infinity fixed for z^2
+        # the oracle's step, which the walk is held to
+        F, G = family_forms(0, 1)
+        assert [naive_step(7, F, G, z) for z in (3, 1, 4)] == [1, 4, 4]
+        assert naive_step(7, F, G, 7) == 5                      # infinity -> -2
+        assert naive_step(7, (1, 0, 0), (0, 0, 1), 7) == 7      # infinity fixed for z^2
 
     def test_critical_points_match_brute_force(self):
         rng = random.Random(3)
         for p in SMALL_PRIMES:
             for _ in range(30):
                 b, c = rng.randrange(p), rng.randrange(p)
-                if form_resultant(*family_forms(b, c)) % p == 0:
+                F, G = family_forms(b, c)
+                if form_resultant(F, G) % p == 0:
                     continue
-                m = FpMap(p, *family_forms(b, c))
-                w2, w1, w0 = m.wronskian()
-                brute = sorted(
-                    z for z in range(p) if (w2 * z * z + w1 * z + w0) % p == 0)
-                if w2 % p == 0:
+                w2, w1, w0 = (w % p for w in wronskian(F, G))
+                brute = [z for z in range(p) if (w2 * z * z + w1 * z + w0) % p == 0]
+                if w2 == 0:
                     brute.append(p)
-                got = m.critical_point_indices()
-                if got is None:
-                    assert brute == []
-                else:
-                    assert list(got) == brute
+                got = critical_periods(p, F, G)
+                assert list(got[:2]) == brute, (p, b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.sampled_from((3, 5, 7, 11, 13)), F=FORMS, G=FORMS,
+           mat=st.tuples(*[st.integers(0, 12)] * 4))
+    @example(p=7, F=(2, 0, 0), G=(-1, 4, 1), mat=(0, 1, 1, 0))    # swaps 0 and infinity
+    @example(p=3, F=(16, 0, -29), G=(0, 0, 16), mat=(1, 1, 0, 1))
+    def test_conjugation_invariance(self, p, F, G, mat):
+        # conjugating by a Moebius map M over F_p moves the critical points
+        # to their images under M and keeps the cycles they reach, with
+        # their lengths and multipliers: the same sets at the images
+        a, b, c, d = mat
+        assume((a * d - b * c) % p)
+        got = critical_periods(p, F, G)
+        conj = critical_periods(p, *_conjugate_fp(p, F, G, mat))
+        if not got:
+            assert conj == got
+            return
+        z1, z2, s1, s2, shared = got
+        w1, w2, t1, t2, conj_shared = conj
+        assert {_mobius_fp(p, mat, z1): s1, _mobius_fp(p, mat, z2): s2} == {w1: t1, w2: t2}
+        assert conj_shared == shared
 
 
 class TestOrbitData:
+    """The walk's cycle length and multiplier from any start."""
+
     def test_spec_example_tail(self):
-        m = FpMap(7, *family_forms(0, 1))
-        o = orbit_data(m, 3)
-        assert (o.tail, o.m, o.lam, o.r) == (2, 1, 4, 3)
-        assert possible_periods(o) == frozenset({1, 3})
+        # 3 -> 1 -> 4, a fixed point of multiplier 4, of order 3 mod 7
+        assert _orbit(7, *family_forms(0, 1), 3) == (1, 4)
+        assert _cycle_periods(7, 1, 4) == frozenset({1, 3})
 
     def test_spec_example_superattracting(self):
-        m = FpMap(7, *family_forms(0, 1))
-        o = orbit_data(m, 0)
-        assert (o.tail, o.m, o.lam) == (0, 1, 0)
-        assert o.superattracting and o.r is None
-        assert possible_periods(o) == frozenset({1})
+        assert _orbit(7, *family_forms(0, 1), 0) == (1, 0)
+        assert _cycle_periods(7, 1, 0) == frozenset({1})
 
     def test_fixed_point_start(self):
-        m = FpMap(7, *family_forms(0, 1))
-        o = orbit_data(m, 4)
-        assert o.tail == 0 and o.m == 1
+        assert _orbit(7, *family_forms(0, 1), 4)[0] == 1
 
     def test_termination_and_true_cycle(self):
         rng = random.Random(5)
         for p in SMALL_PRIMES:
             for _ in range(25):
                 b, c = rng.randrange(p), rng.randrange(p)
-                if form_resultant(*family_forms(b, c)) % p == 0:
+                F, G = family_forms(b, c)
+                if form_resultant(F, G) % p == 0:
                     continue
-                m = FpMap(p, *family_forms(b, c))
                 start = rng.randrange(p + 1)
-                o = orbit_data(m, start)
-                assert o.tail + o.m <= p + 2
-                z = start
-                for _ in range(o.tail):
-                    z = m.step_index(z)
-                w = z
-                for _ in range(o.m):
-                    w = m.step_index(w)
-                assert w == z, "reported cycle is not genuinely periodic"
+                m, lam = _orbit(p, F, G, start)
+                cycle = naive_cycle(p, F, G, start)
+                assert (m, lam) == (len(cycle), naive_multiplier(p, F, G, cycle)), (p, b, c)
 
-    def test_multiplier_conjugation_invariance(self):
-        # conjugating over F_p permutes cycles but keeps their multipliers
-        rng = random.Random(9)
-        for p in (7, 11, 13):
-            for _ in range(10):
-                b, c = rng.randrange(p), rng.randrange(p)
-                if form_resultant(*family_forms(b, c)) % p == 0:
-                    continue
-                m = FpMap(p, *family_forms(b, c))
-                while True:
-                    a_, b_, c_, d_ = (rng.randrange(p) for _ in range(4))
-                    if (a_ * d_ - b_ * c_) % p != 0:
-                        break
-                conj = _conjugate_fp(m, (a_, b_, c_, d_))
-                start = rng.randrange(p + 1)
-                o1 = orbit_data(m, start)
-                o2 = orbit_data(conj, _mobius_fp(p, (a_, b_, c_, d_), start))
-                assert o1.m == o2.m
-                assert o1.lam == o2.lam
+
+def _orbit(p, F, G, start):
+    """(m, lam) of the walk from start under the map (F, G) mod p."""
+    F, G = _reduce(p, F, G)
+    W = tuple(w % p for w in wronskian(F, G))
+    ((m, lam),) = _walk(p, F, G, W, (start,), prime_tables(p).inv)
+    return m, lam
 
 
 def _mobius_fp(p, mat, z):
@@ -137,14 +147,13 @@ def _subst(form, u, v, w, t, p):
             (q2 * v * v + q1 * v * t + q0 * t * t) % p)
 
 
-def _conjugate_fp(m, mat):
+def _conjugate_fp(p, F, G, mat):
+    """The forms of M o (F, G) o M^-1 mod p for M = [[a, b], [c, d]]."""
     a, b, c, d = mat
-    p = m.p
-    h1 = _subst(m.F, d, -b, -c, a, p)
-    h2 = _subst(m.G, d, -b, -c, a, p)
-    new_f = tuple((a * x + b * y) % p for x, y in zip(h1, h2))
-    new_g = tuple((c * x + d * y) % p for x, y in zip(h1, h2))
-    return FpMap(p, new_f, new_g)
+    h1 = _subst(F, d, -b, -c, a, p)
+    h2 = _subst(G, d, -b, -c, a, p)
+    return (tuple((a * x + b * y) % p for x, y in zip(h1, h2)),
+            tuple((c * x + d * y) % p for x, y in zip(h1, h2)))
 
 
 class TestMultOrder:
@@ -167,28 +176,24 @@ class TestMultOrder:
 
 
 class TestPossiblePeriods:
+    """The period rule of a cycle of length m and multiplier lam."""
+
     def test_collapse_when_r_is_one(self):
-        o = OrbitData(p=11, tail=0, m=2, lam=1, r=1)
-        assert possible_periods(o) == frozenset({2})
+        assert _cycle_periods(11, 2, 1) == frozenset({2})
 
     def test_superattracting(self):
-        o = OrbitData(p=11, tail=0, m=3, lam=0, r=None)
-        assert possible_periods(o) == frozenset({3})
+        assert _cycle_periods(11, 3, 0) == frozenset({3})
 
     def test_general(self):
-        o = OrbitData(p=7, tail=2, m=1, lam=4, r=3)
-        assert possible_periods(o) == frozenset({1, 3})
-
-    def test_invariant_enforced(self):
-        with pytest.raises(AssertionError):
-            OrbitData(p=7, tail=0, m=1, lam=0, r=3)
+        # 4 has order 3 mod 7
+        assert _cycle_periods(7, 1, 4) == frozenset({1, 3})
 
     def test_p3(self):
         # at p = 3 the period may also be 3 * m * r, unless the cycle is
         # superattracting
-        assert possible_periods(OrbitData(p=3, tail=0, m=2, lam=0, r=None)) == {2}
-        assert possible_periods(OrbitData(p=3, tail=0, m=2, lam=1, r=1)) == {2, 6}
-        assert possible_periods(OrbitData(p=3, tail=0, m=2, lam=2, r=2)) == {2, 4, 12}
+        assert _cycle_periods(3, 2, 0) == {2}
+        assert _cycle_periods(3, 2, 1) == {2, 6}
+        assert _cycle_periods(3, 2, 2) == {2, 4, 12}
 
 
 def _cycle_of(family, t):
@@ -215,13 +220,18 @@ class TestPeriodRuleAtThree:
     def test_counterexample(self):
         # z^2 - 29/16 has the 3-cycle -1/4 -> -7/4 -> 5/4 (Walde and Russo's
         # t = 1); mod 3 it is z^2 + 1, and all three points reduce to its
-        # fixed point 2, of multiplier 1
+        # fixed point 2, of multiplier 1.  The critical point 0 falls into
+        # it; infinity is a superattracting fixed point
         c, cycle = _cycle_of(3, Fraction(1))
         assert c == Fraction(-29, 16) and sorted(cycle) == [-Fraction(7, 4), -Fraction(1, 4),
                                                            Fraction(5, 4)]
-        o = orbit_data(FpMap(3, (16, 0, -29), (0, 0, 16)), 2)
-        assert (o.m, o.lam, o.r) == (1, 1, 1)
-        assert possible_periods(o) == {1, 3}
+        assert {x.numerator * pow(x.denominator, -1, 3) % 3 for x in cycle} == {2}
+        F, G = (16, 0, -29), (0, 0, 16)
+        fixed = naive_cycle(3, F, G, 2)
+        lam = naive_multiplier(3, F, G, fixed)
+        assert (fixed, lam) == ([2], 1)
+        assert _cycle_periods(3, len(fixed), lam) == {1, 3}
+        assert critical_periods(3, F, G) == (0, 3, {1, 3}, {1}, {1})
 
     @settings(max_examples=150, deadline=None)
     @given(family=st.sampled_from([1, 2, 3]),
@@ -229,9 +239,10 @@ class TestPeriodRuleAtThree:
     @example(family=3, t=Fraction(1))
     def test_rational_cycles_of_z2_plus_c(self, family, t):
         # Morton and Silverman: at every good odd prime the exact period of
-        # a rational periodic point is in the set of its reduction.  The
-        # plain-loop oracle gives the same sets, for the cycle's points and,
-        # against critical_periods, for the critical points 0 and infinity
+        # a rational periodic point is in the set of its reduction's
+        # cycle.  The plain-loop oracle gives the same sets, for the
+        # cycle's points and, against critical_periods, for the critical
+        # points 0 and infinity
         assume(family == 1 or t != 0)
         assume(family != 3 or t != -1)
         c, cycle = _cycle_of(family, t)
@@ -240,12 +251,12 @@ class TestPeriodRuleAtThree:
         for p in odd_primes_up_to(200):
             if form_resultant(F, G) % p == 0:
                 continue
-            fmap = FpMap(p, F, G)
             for x in cycle:
                 z = p if x.denominator % p == 0 else x.numerator * pow(x.denominator, -1, p) % p
-                per = possible_periods(orbit_data(fmap, z))
+                cyc = naive_cycle(p, F, G, z)
+                per = _cycle_periods(p, len(cyc), naive_multiplier(p, F, G, cyc))
                 assert family in per, (p, x)
-                assert per == naive_cycle_periods(p, F, G, naive_cycle(p, F, G, z)), (p, x)
+                assert per == naive_cycle_periods(p, F, G, cyc), (p, x)
             assert critical_periods(p, F, G) == naive_critical_periods(p, F, G), p
 
     @settings(max_examples=200, deadline=None)
@@ -271,14 +282,11 @@ class TestPeriodRuleAtThree:
 @settings(max_examples=60, deadline=None)
 def test_sqrt_mod(p, data):
     a = data.draw(st.integers(0, p - 1))
-    s = _sqrt_mod(a, p)
-    if s is None:
+    s = prime_tables(p).sqrt[a]
+    if s < 0:
         assert all((x * x) % p != a for x in range(p))
     else:
         assert (s * s) % p == a
-
-
-FORMS = st.tuples(*[st.integers(-50, 50)] * 3)
 
 
 @given(FORMS, FORMS, st.sampled_from(SMALL_PRIMES))
@@ -290,8 +298,23 @@ def test_resultant_equals_sylvester_determinant(F, G, p):
     assert m.resultant() == poly_resultant(m.F, m.G)
     res = int(poly_resultant(F, G))
     assert (form_resultant(F, G), form_resultant(G, F), form_resultant(F, F)) == (res, res, 0)
-    if res % p:
-        assert FpMap(p, F, G).resultant() == res % p
-    else:
-        with pytest.raises(ValueError):
-            FpMap(p, F, G)
+    # the map drops degree mod p exactly where p divides the resultant
+    assert (critical_periods(p, F, G) is None) == (res % p == 0)
+
+
+def test_oracle_shares_no_mod_p_code():
+    # the oracle takes only the normal-form family from ffdyn and nothing
+    # from sievedb, so that it shares no code with the walk it checks
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert not alias.name.startswith(("quadpcf.ffdyn", "quadpcf.sievedb")), \
+                    alias.name
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert node.module != "quadpcf.sievedb", names
+            if node.module == "quadpcf.ffdyn":
+                assert names <= {"family_forms"}, names
+            if node.module == "quadpcf":
+                assert not names & {"ffdyn", "sievedb"}, names

@@ -16,7 +16,7 @@ from quadpcf.exact_arith import (
     first_odd_primes,
     odd_primes_up_to,
 )
-from quadpcf.ffdyn import LANE_PRIME_LIMIT, FpMap, family_forms, form_resultant
+from quadpcf.ffdyn import LANE_PRIME_LIMIT, family_forms, form_resultant, wronskian
 from quadpcf.projmap import NormalizedQuadMap
 from quadpcf.sievedb import (
     Database,
@@ -82,9 +82,8 @@ def reference_sieve(h1, h2, primes, db):
 
 class TestBuild:
     def test_spec_entry_p7(self, small_db):
-        e = small_db.lookup(7, 0, 1)
-        assert e.points == (0, 3)
-        assert e.period_sets == (frozenset({1}), frozenset({1, 3}))
+        assert small_db.lookup(7, 0, 1) == (0, 3, frozenset({1}), frozenset({1, 3}),
+                                            frozenset({1}))
 
     def test_p3_count_matches_brute_force(self, small_db):
         brute = brute_force_entries(3)
@@ -92,7 +91,7 @@ class TestBuild:
         for (b, c), roots in brute.items():
             e = small_db.lookup(3, b, c)
             assert e is not None
-            assert list(e.points) == roots
+            assert list(e[:2]) == roots
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_membership_matches_brute_force(self, small_db, p):
@@ -110,8 +109,8 @@ class TestBuild:
                     e = small_db.lookup(p, b, c)
                     if e is None:
                         continue
-                    w2, w1, w0 = FpMap(p, *family_forms(b, c)).wronskian()
-                    for pt in e.points:
+                    w2, w1, w0 = (w % p for w in wronskian(*family_forms(b, c)))
+                    for pt in e[:2]:
                         if pt == p:
                             assert w2 == 0
                         else:
@@ -183,16 +182,19 @@ class TestLookup:
             small_db.lookup(1009, 0, 1)
 
     def test_periods_for_missing_point(self, small_db):
-        e = small_db.lookup(7, 0, 1)
-        with pytest.raises(DbConsistencyError):
-            e.periods_for(5)
+        # (2, -8) reduces to the key (0, 1) mod 7, whose critical points are
+        # 0 and 3: a point reducing to 5 contradicts the entry
+        m = NormalizedQuadMap.from_sigmas(2, -8)
+        g1, _ = m.critical_point_data().points
+        with pytest.raises(DbConsistencyError, match="not among"):
+            check_rational_periods_detailed(m, g1, Rat(5), [7], m.resultant(), small_db)
 
 
 class TestFileFormat:
     def test_round_trip(self, small_db_file, small_primes):
         db = Database.load(small_db_file)
         assert db.primes == tuple(small_primes)
-        assert db.lookup(7, 0, 1).points == (0, 3)
+        assert db.lookup(7, 0, 1)[:2] == (0, 3)
 
     def test_save_is_deterministic(self, tmp_path):
         a = tmp_path / "a.db"
@@ -297,7 +299,7 @@ class TestChecks:
         primes = [3, 7, 13]
         assert all(res % p for p in primes)
         r = check_irrational_periods_detailed(m, primes, res, small_db)
-        assert r.ok and r.no_modular_info and r.primes_used == 0
+        assert r.ok and r.period_sets == (None,) and r.primes_used == 0
 
     def test_zero_resultant_rejected(self, small_db):
         m = NormalizedQuadMap.from_sigmas(2, 0)
@@ -484,7 +486,7 @@ class TestSieve:
         good = False
         if s1.den % p and s2.den % p:
             x1, x2 = (s.num * pow(s.den, -1, p) % p for s in (s1, s2))
-            good = entries[x1 * p + x2] is not lanesieve._BAD
+            good = entries[x1 * p + x2] is not None
         assert good == (res % p != 0)
 
     def test_size_bounds(self):
@@ -543,7 +545,7 @@ class TestPeriodEntries:
         # point 0 falls into the fixed point 2, of multiplier 1, so its set
         # is {1, 3}; infinity is a superattracting fixed point
         got = ffdyn.critical_periods(3, (16, 0, -29), (0, 0, 16))
-        assert got == ((0, {1, 3}), (3, {1}))
+        assert got == (0, 3, {1, 3}, {1}, {1})
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 101])
     def test_random_keys_equal_lookup(self, small_db, scalar_db, p):
@@ -565,10 +567,10 @@ class TestReductionHelpers:
         s1, s2 = Rat(-2, 3), Rat(4, 3)
         b, c = family_key(s1, s2, 7)
         m = NormalizedQuadMap.from_sigmas(s1, s2)
-        fm = FpMap(7, m.F, m.G)
-        fam = FpMap(7, *family_forms(b, c))
-        scale = fm.F[0] * pow(fam.F[0], 5, 7) % 7
-        assert all(x == y * scale % 7 for x, y in zip(fm.F + fm.G, fam.F + fam.G))
+        fm = tuple(x % 7 for x in m.F + m.G)
+        fam = tuple(x % 7 for x in sum(family_forms(b, c), ()))
+        scale = fm[0] * pow(fam[0], 5, 7) % 7
+        assert all(x == y * scale % 7 for x, y in zip(fm, fam))
 
     @settings(max_examples=300, deadline=None)
     @given(st.builds(Rat, st.integers(-60, 60), st.integers(1, 60)),

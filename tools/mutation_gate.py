@@ -104,7 +104,8 @@ MUTANTS = (
         "(-inv[g2] ** 2 if g2",
         "(inv[g2] ** 2 if g2",
         ("tests/test_sievedb.py::TestPeriodEntries::test_every_key_of_small_primes",
-         "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle"),
+         "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",
+         "tests/test_ffdyn.py::TestFpMap::test_conjugation_invariance"),
     ),
     Mutant(
         "the walk's derivative at a pole drops its sign",
@@ -112,7 +113,8 @@ MUTANTS = (
         "lam = -lam * w * inv[",
         "lam = lam * w * inv[",
         ("tests/test_sievedb.py::TestPeriodEntries::test_every_key_of_small_primes",
-         "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle"),
+         "tests/test_sievedb.py::TestPeriodEntries::test_forms_equal_scalar_oracle",
+         "tests/test_ffdyn.py::TestFpMap::test_conjugation_invariance"),
     ),
     Mutant(
         "a pole residue read as a good prime",
@@ -131,11 +133,11 @@ MUTANTS = (
     ),
     Mutant(
         "the second critical point always given the first one's set",
-        "lanesieve.py",
-        "            e = (z1, z2, s, t, s if s is t else s & t)",
-        "            e = (z1, z2, s, s, s)",
-        ("tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",
-         "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
+        "ffdyn.py",
+        "    return z1, z2, s1, s2, s1 if s1 is s2 else s1 & s2",
+        "    return z1, z2, s1, s1, s1",
+        ("tests/test_sievedb.py::TestPeriodEntries::test_every_key_of_small_primes",
+         "tests/test_ffdyn.py::TestPeriodRuleAtThree::test_counterexample"),
     ),
     Mutant(
         "a table row indexed (x2, x1)",
