@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from quadpcf import pcfverify, preper
 from quadpcf.exact_arith import (
@@ -56,8 +55,7 @@ def _sha256():
     return sha256
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     primes_count: int = 130
     prime_list: Optional[Tuple[int, ...]] = None
     h1: int = 10
@@ -81,7 +79,7 @@ class RunConfig:
         are, so it stays out of the digest and artifacts are byte-identical
         across directories.
         """
-        body = dict(asdict(self), config_version=CONFIG_VERSION)
+        body = dict(self._asdict(), config_version=CONFIG_VERSION)
         body.pop("outdir")
         body["primes"] = list(self.primes())
         body.pop("prime_list")
@@ -123,7 +121,7 @@ def _load_config_file(path: str) -> dict:
     version = data.pop("config_version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config version {version}")
-    allowed = set(RunConfig.__dataclass_fields__)
+    allowed = set(RunConfig._fields)
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -145,7 +143,7 @@ def _load_config_file(path: str) -> dict:
 def _config_from_args(args) -> RunConfig:
     base = RunConfig()
     if getattr(args, "config", None):
-        base = replace(base, **_load_config_file(args.config))
+        base = base._replace(**_load_config_file(args.config))
     updates = {}
     mapping = [
         ("primes", "primes_count"), ("h1", "h1"), ("h2", "h2"),
@@ -162,7 +160,7 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "prime_list", None) is not None:
         updates["prime_list"] = tuple(
             int(x) for x in args.prime_list.split(",") if x.strip())
-    cfg = replace(base, **updates)
+    cfg = base._replace(**updates)
     cfg.validate()
     return cfg
 
@@ -181,8 +179,7 @@ def _parse_map_arg(args) -> NormalizedQuadMap:
 # pipeline pieces shared by subcommands and the benchmark's traced replay
 # ----------------------------------------------------------------------
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     survivors: List[SieveCandidate]
     statuses: List[pcfverify.PcfStatus]
 

@@ -14,9 +14,11 @@ Everything here is immutable and all operations are pure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import Dict, Iterator, NamedTuple, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, Sequence, Tuple, Union
+
+if TYPE_CHECKING:
+    from numbers import Rational
 
 # Miller-Rabin with these bases is exact below 3.3e24 (a strong
 # probable-prime test beyond)
@@ -44,12 +46,12 @@ class ExtendedRational:
 
     __slots__ = ("num", "den")
 
-    def __new__(cls, num: Union[int, Fraction, "ExtendedRational"] = 0, den: int = 1):
+    def __new__(cls, num: RationalLike = 0, den: int = 1):
         if isinstance(num, ExtendedRational):
             if den != 1:
                 raise ValueError("cannot rescale an ExtendedRational in the constructor")
             return num
-        if isinstance(num, Fraction):
+        if not isinstance(num, int) and _is_rational(num):
             num, den = num.numerator, num.denominator * den
         if not isinstance(num, int) or not isinstance(den, int):
             raise TypeError(f"need integers, got {num!r}/{den!r}")
@@ -86,7 +88,7 @@ class ExtendedRational:
             return self.num == other.num and self.den == other.den
         if isinstance(other, int):
             return self.den == 1 and self.num == other
-        if isinstance(other, Fraction):
+        if _is_rational(other):
             return self.den != 0 and self.num == other.numerator and self.den == other.denominator
         return NotImplemented
 
@@ -130,13 +132,22 @@ class ExtendedRational:
         return ExtendedRational(int(text))
 
 
+def _is_rational(x) -> bool:
+    """Whether x is a numbers.Rational, whose numerator and denominator
+    are in lowest terms with a positive denominator.  Callers test for int
+    first, so the module numbers loads only for other values."""
+    from numbers import Rational
+    return isinstance(x, Rational)
+
+
 INFINITY = object.__new__(ExtendedRational)
 INFINITY.num = 1
 INFINITY.den = 0
 
 Rat = ExtendedRational  # short alias used throughout the package
 
-RationalLike = Union[ExtendedRational, int, Fraction]
+# any numbers.Rational converts exactly too
+RationalLike = Union[ExtendedRational, int, "Rational"]
 
 
 # ----------------------------------------------------------------------
@@ -359,12 +370,30 @@ class QuadPoint(NamedTuple):
 PointValue = Union[ExtendedRational, QuadPoint]
 
 
+class _Ratio:
+    """n / d with d > 0 as a sort key, ordered by its value: equality and
+    order cross-multiply, so the fraction need not be in lowest terms.
+    Tuples of keys compare with == before <."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.d = d
+
+    def __eq__(self, other):
+        return self.n * other.d == other.n * self.d
+
+    def __lt__(self, other):
+        return self.n * other.d < other.n * self.d
+
+
 def point_sort_key(pt: PointValue):
     """Total order on exact points: rationals first, then quadratic, inf last."""
     if isinstance(pt, ExtendedRational):
         if pt.is_infinity():
             return (2,)
-        return (0, Fraction(pt.num, pt.den))
+        return (0, _Ratio(pt.num, pt.den))
     if isinstance(pt, QuadPoint):
-        return (1, pt.D, Fraction(pt.a, pt.c), Fraction(pt.b, pt.c))
+        return (1, pt.D, _Ratio(pt.a, pt.c), _Ratio(pt.b, pt.c))
     raise TypeError(f"not a point value: {pt!r}")

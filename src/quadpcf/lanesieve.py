@@ -25,9 +25,8 @@ their evidence counts come from it alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from quadpcf import ffdyn
 from quadpcf.exact_arith import ExtendedRational, enumerate_pairs, validate_primes
@@ -44,8 +43,7 @@ class DbConsistencyError(Exception):
     (hard internal error)."""
 
 
-@dataclass
-class SieveCandidate:
+class SieveCandidate(NamedTuple):
     """A sigma-pair that survived every prime of the sieve."""
 
     sigma1: ExtendedRational

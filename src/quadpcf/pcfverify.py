@@ -15,9 +15,8 @@ non-PCF verdict (refutation is the sieve's job).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from quadpcf.exact_arith import (
     ExtendedRational,
@@ -43,12 +42,12 @@ def point_size(pt: PointValue) -> int:
     return max(max(abs(a), c) // gcd(a, c), max(abs(b), c) // gcd(b, c))
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(NamedTuple):
     """Directed graph of the critical orbits with ramification labels.
 
     Every vertex has out-degree one; edges labeled 2 start exactly at the
-    two critical points.
+    two critical points.  Two portraits are equal when their edges and
+    their sets of critical points are.
     """
 
     successor: Dict[PointValue, PointValue]
@@ -84,15 +83,19 @@ class Portrait:
         return (self.successor == other.successor
                 and set(self.critical) == set(other.critical))
 
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
-@dataclass(frozen=True)
-class PcfStatus:
+
+class PcfStatus(NamedTuple):
     verified: bool
     portrait: Optional[Portrait]
     iterations_used: int
     max_size_seen: int
     reason: str = ""
 
+    # a tuple of five fields is always true; a status is true when verified
     def __bool__(self):
         return self.verified
 

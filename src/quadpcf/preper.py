@@ -8,7 +8,6 @@ points for the two power maps via exponent dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
 from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
@@ -208,16 +207,41 @@ def rational_preperiodic_graph(phi: NormalizedQuadMap,
 
     The search runs on reduced integer pairs (x, y), infinity being (1, 0),
     through NormalizedQuadMap.step; the size of a pair is max(|x|, y).
+    Most candidates leave at the first step: a start whose image is past
+    size_cutoff, is not the start itself and has no fate yet is divergent
+    with its image, and that image is computed inline, without a walk.
     """
+    if step_budget < 1:
+        raise ValueError("step_budget must be positive")
     if phi.resultant() == 0:
         raise ValueError("degenerate map (resultant 0)")
     step = phi.step
+    (f2, f1, f0), (g2, g1, g0) = phi.F, phi.G
     fate: Dict[Tuple[int, int], bool] = {}
     succ: Dict[Tuple[int, int], Tuple[int, int]] = {}
     unresolved: List[Tuple[int, int]] = []
     for start in [(1, 0), *enumerate_pairs(height_bound)]:
         if start in fate:
             continue
+        # the first image as step gives it, where G does not vanish: an
+        # image at infinity has size 1, within any cutoff
+        x, y = start
+        xx, xy, yy = x * x, x * y, y * y
+        v = g2 * xx + g1 * xy + g0 * yy
+        if v:
+            u = f2 * xx + f1 * xy + f0 * yy
+            if v < 0:
+                u, v = -u, -v
+            g = gcd(u, v)
+            u //= g
+            v //= g
+            if v > size_cutoff or abs(u) > size_cutoff:
+                nxt = (u, v)
+                # the walk would look the image up and test for a repeat
+                # before the cutoff, and record its fate too
+                if nxt != start and nxt not in fate:
+                    fate[start] = fate[nxt] = False
+                    continue
         path = [start]
         local = {start}
         verdict: Optional[bool] = None
@@ -255,8 +279,7 @@ def rational_preperiodic_graph(phi: NormalizedQuadMap,
 # twists of z^2
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructureClass:
+class StructureClass(NamedTuple):
     """One catalog entry: a named preperiodic structure with its reference
     graph (computed from the class representative)."""
 

@@ -12,9 +12,8 @@ P^1(Q(sqrt(D))) outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from quadpcf.exact_arith import (
     INFINITY,
@@ -258,7 +257,6 @@ class NormalizedQuadMap:
         return Rat(n1, res), Rat(n2, res)
 
 
-@dataclass(frozen=True)
-class CriticalPoints:
+class CriticalPoints(NamedTuple):
     points: Optional[Tuple[PointValue, PointValue]]
     rational: bool

@@ -17,8 +17,7 @@ rebuilds the entries, which depend on the prime list alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from quadpcf import ffdyn
 from quadpcf.exact_arith import ExtendedRational, validate_primes
@@ -146,8 +145,7 @@ def reduce_rational_point(x: ExtendedRational, p: int) -> int:
     return x.num * pow(x.den, p - 2, p) % p
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     period_sets: Optional[Tuple[Optional[PeriodSet], ...]]
     primes_used: int

@@ -19,7 +19,9 @@ route something the package computes directly:
   the multiplier's order by repeated multiplication and Morton and
   Silverman's rule written out.  Of ffdyn it imports only the normal-form
   family, and nothing of sievedb, so it shares no code with ffdyn's walk,
-  its tables or its period rule (test_ffdyn.py checks the imports).
+  its tables or its period rule (test_ffdyn.py checks the imports);
+- the bounded rational preperiodic search on Fraction points, against
+  preper.rational_preperiodic_graph and its integer steps.
 """
 
 from __future__ import annotations
@@ -547,3 +549,59 @@ class ScalarDatabase:
         if key not in self.memo:
             self.memo[key] = naive_critical_periods(p, *family_forms(*key[1:])) or None
         return self.memo[key]
+
+
+# ----------------------------------------------------------------------
+# the bounded rational preperiodic search over Fraction
+# ----------------------------------------------------------------------
+
+def reference_search(F, G, height_bound, step_budget, size_cutoff):
+    """The bounded search on Fraction points, None standing for infinity:
+    the successor dict and the unresolved candidates of
+    rational_preperiodic_graph, computed without its integer step."""
+    def image(z):
+        if z is None:
+            f, g = F[0], G[0]
+        else:
+            f = (F[0] * z + F[1]) * z + F[2]
+            g = (G[0] * z + G[1]) * z + G[2]
+        return None if g == 0 else Fraction(f) / g
+
+    def size(z):
+        return 1 if z is None else max(abs(z.numerator), z.denominator)
+
+    # candidates by (height, denominator, numerator)
+    rationals = {Fraction(a, b) for b in range(1, height_bound + 1)
+                 for a in range(-height_bound, height_bound + 1)}
+    fate, succ, unresolved = {}, {}, []
+    for start in [None, *sorted(rationals, key=lambda z: (size(z), z.denominator,
+                                                          z.numerator))]:
+        if start in fate:
+            continue
+        path, local, verdict, cur = [start], {start}, None, start
+        for _ in range(step_budget):
+            nxt = succ[cur] if cur in succ else image(cur)
+            if nxt in fate:
+                path.append(nxt)
+                verdict = fate[nxt]
+                break
+            if nxt in local:
+                path.append(nxt)
+                verdict = True
+                break
+            if size(nxt) > size_cutoff:
+                path.append(nxt)
+                verdict = False
+                break
+            path.append(nxt)
+            local.add(nxt)
+            cur = nxt
+        if verdict is None:
+            unresolved.append(start)
+            continue
+        if verdict:
+            for a, b in zip(path, path[1:]):
+                succ[a] = b
+        for v in path:
+            fate[v] = verdict
+    return {v: w for v, w in succ.items() if fate.get(v)}, unresolved

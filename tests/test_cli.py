@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf import cli, exact_arith, lanesieve
+from quadpcf import cli, exact_arith, lanesieve, pcfverify
 from quadpcf.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -19,8 +19,9 @@ from quadpcf.cli import (
     RunConfig,
     main,
 )
-from quadpcf.exact_arith import first_odd_primes, height
+from quadpcf.exact_arith import Rat, first_odd_primes, height
 from quadpcf.ffdyn import LANE_PRIME_LIMIT
+from quadpcf.projmap import NormalizedQuadMap
 
 
 def _records(path):
@@ -353,8 +354,11 @@ class TestConfig:
         b = RunConfig(h1=2, h2=4)
         c = RunConfig(h1=2, h2=5)
         assert a.digest() == b.digest() != c.digest()
-        # the default configuration's digest on CPython 3.10 to 3.13
+        # the default configuration's digest on CPython 3.10 to 3.13, and
+        # that of the benchmark's 40 primes
         assert RunConfig().digest() == "618edfa00efb4f9b"
+        assert RunConfig(primes_count=40).digest() == "45942cc69d7970cd"
+        assert RunConfig(prime_list=first_odd_primes(40)).digest() == "45942cc69d7970cd"
 
     @settings(max_examples=100, deadline=None)
     @given(configs)
@@ -439,6 +443,60 @@ def test_import_needs_no_sympy():
              f"import sys, quadpcf.cli; sys.exit({module!r} in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, (module, proc.stderr)
+
+
+def test_exact_commands_import_no_dataclasses_or_fractions():
+    # every command is one fresh process: dataclasses (with inspect, ast,
+    # dis and tokenize) cost it about 12 ms and fractions (with decimal)
+    # about 3 ms, so the records are NamedTuples and exact_arith orders
+    # points without fractions
+    code = ("import contextlib, io, sys\n"
+            "def check(after):\n"
+            "    loaded = [m for m in ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+            "              if m in sys.modules]\n"
+            "    if loaded:\n"
+            "        sys.exit(f'{loaded} loaded after {after}')\n"
+            "from quadpcf import cli\n"
+            "check('import quadpcf.cli')\n"
+            "for argv in (['catalog', '--json'],\n"
+            "             ['preper', '--sigmas=2,-4', '--preper-height-bound', '120']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        if cli.main(argv) != 0:\n"
+            "            sys.exit(f'{argv} failed')\n"
+            "    check(argv)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestRecords:
+    """The records are NamedTuples, built as the benchmark's traced replay
+    builds them."""
+
+    def test_unverified_status_is_false(self):
+        phi = NormalizedQuadMap.from_sigmas(Rat(2), Rat(-8))
+        assert pcfverify.critical_orbit_portrait(phi)
+        st = pcfverify.critical_orbit_portrait(phi, budget=1)
+        assert not st.verified and not st
+        assert not pcfverify.PcfStatus(False, None, 0, 1, reason="none")
+
+    def test_built_from_keywords(self, tmp_path):
+        primes = first_odd_primes(20)
+        cfg = RunConfig(h1=2, h2=4, prime_list=tuple(primes), outdir=str(tmp_path))
+        assert (cfg.h1, cfg.h2, cfg.primes(), cfg.budget) == (2, 4, primes, 64)
+        assert cfg.digest() == RunConfig(h1=2, h2=4, prime_list=primes).digest()
+        survivors = lanesieve.sieve(2, 4, primes)
+        c = survivors[0]
+        again = lanesieve.SieveCandidate(
+            sigma1=c.sigma1, sigma2=c.sigma2, phi=c.phi, resultant=c.resultant,
+            critical_rational=c.critical_rational, period_sets=c.period_sets,
+            primes_used=c.primes_used)
+        assert again == c and again.tsv_line() == c.tsv_line()
+        statuses = [pcfverify.critical_orbit_portrait(c.phi) for c in survivors]
+        result = cli.PipelineResult(survivors, statuses)
+        assert result.survivors is survivors and result.statuses is statuses
+        assert all(st.iterations_used >= 1 and st.max_size_seen >= 1 for st in statuses)
+        assert cli.pipeline_summary(cfg, result) == cli.pipeline_summary(
+            cfg, cli.run_pipeline(cfg))
 
 
 def test_exact_commands_run_without_numpy(tmp_path):

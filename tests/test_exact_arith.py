@@ -57,6 +57,18 @@ class TestExtendedRational:
         with pytest.raises(TypeError):
             -Rat(1, 3)
 
+    def test_other_rationals_convert_exactly(self):
+        # any numbers.Rational, read through its numerator and denominator
+        assert ExtendedRational(Fraction(3, 4)) == Rat(3, 4) == Fraction(3, 4)
+        assert Rat(Fraction(-3, 4), 6) == Rat(-1, 8)
+        assert Rat(Fraction(5)) == 5 and Rat(Fraction(5)).den == 1
+        assert INFINITY != Fraction(1) and Rat(1, 2) != Fraction(1, 3)
+        for bad in (0.5, "1/2", None):
+            with pytest.raises(TypeError):
+                Rat(bad)
+        with pytest.raises(TypeError):
+            Rat(1, Fraction(1, 2))
+
     def test_text_round_trip(self):
         for text in ("-10/3", "7", "0", "inf", "1/2"):
             assert str(ExtendedRational.from_str(text)) == text
@@ -151,6 +163,28 @@ class TestQuadPoint:
         assert sorted(pts, key=point_sort_key) == [
             Rat(7), QuadPoint(-1, 1, 2, -3), QuadPoint(0, 1, 1, 2),
             QuadPoint(1, -1, 1, 2), QuadPoint(1, 1, 1, 2), INFINITY]
+
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(
+        small_rats, st.just(INFINITY),
+        st.builds(QuadPoint, st.integers(-30, 30), nonzero_ints, st.integers(1, 30),
+                  st.sampled_from([-3, -1, 2, 3, 5]))), max_size=12))
+    def test_sort_key_orders_by_value(self, pts):
+        # the key compares a/c and b/c exactly, not in lowest terms: the
+        # order of Fraction values, ties included
+        def by_fraction(pt):
+            if isinstance(pt, QuadPoint):
+                return (1, pt.D, Fraction(pt.a, pt.c), Fraction(pt.b, pt.c))
+            return (2,) if pt is INFINITY else (0, Fraction(pt.num, pt.den))
+
+        assert sorted(pts, key=point_sort_key) == sorted(pts, key=by_fraction)
+        for x in pts[:4]:
+            for y in pts[:4]:
+                assert ((point_sort_key(x) == point_sort_key(y))
+                        == (by_fraction(x) == by_fraction(y)))
+                assert ((point_sort_key(x) < point_sort_key(y))
+                        == (by_fraction(x) < by_fraction(y)))
 
 
 class TestSurd:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadpcf.cli import TEN_SIGMA_PAIRS
@@ -26,62 +26,12 @@ from quadpcf.preper import (
 )
 from quadpcf.projmap import NormalizedQuadMap
 
+from oracles import reference_search
+
 nonzero_small = st.builds(Rat, st.integers(-30, 30).filter(bool),
                           st.integers(1, 12))
 COEFF = st.integers(-9, 9)
 FORM = st.tuples(st.one_of(st.just(0), COEFF), COEFF, COEFF)
-
-
-def reference_search(F, G, height_bound, step_budget, size_cutoff):
-    """The bounded search on Fraction points, None standing for infinity:
-    the successor dict and the unresolved candidates of
-    rational_preperiodic_graph, computed without its integer step."""
-    def image(z):
-        if z is None:
-            f, g = F[0], G[0]
-        else:
-            f = (F[0] * z + F[1]) * z + F[2]
-            g = (G[0] * z + G[1]) * z + G[2]
-        return None if g == 0 else Fraction(f) / g
-
-    def size(z):
-        return 1 if z is None else max(abs(z.numerator), z.denominator)
-
-    # candidates by (height, denominator, numerator)
-    rationals = {Fraction(a, b) for b in range(1, height_bound + 1)
-                 for a in range(-height_bound, height_bound + 1)}
-    fate, succ, unresolved = {}, {}, []
-    for start in [None, *sorted(rationals, key=lambda z: (size(z), z.denominator,
-                                                          z.numerator))]:
-        if start in fate:
-            continue
-        path, local, verdict, cur = [start], {start}, None, start
-        for _ in range(step_budget):
-            nxt = succ[cur] if cur in succ else image(cur)
-            if nxt in fate:
-                path.append(nxt)
-                verdict = fate[nxt]
-                break
-            if nxt in local:
-                path.append(nxt)
-                verdict = True
-                break
-            if size(nxt) > size_cutoff:
-                path.append(nxt)
-                verdict = False
-                break
-            path.append(nxt)
-            local.add(nxt)
-            cur = nxt
-        if verdict is None:
-            unresolved.append(start)
-            continue
-        if verdict:
-            for a, b in zip(path, path[1:]):
-                succ[a] = b
-        for v in path:
-            fate[v] = verdict
-    return {v: w for v, w in succ.items() if fate.get(v)}, unresolved
 
 
 def as_fraction(pt):
@@ -163,10 +113,48 @@ class TestRationalPreperiodicGraph:
         with pytest.raises(ValueError):
             rational_preperiodic_graph(NormalizedQuadMap.from_sigmas(2, 0))
 
+    def test_step_budget_below_one_rejected(self):
+        # a search allowed no step would settle nothing, or with the
+        # first-step exit settle candidates it was allowed no step for
+        phi = NormalizedQuadMap((1, 0, -2), (0, 0, 1))
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="step_budget must be positive"):
+                rational_preperiodic_graph(phi, step_budget=budget)
+
+    # below the height bound the cutoff meets searched candidates: the
+    # first-step exit must record its image's fate (1/2 would otherwise be
+    # walked as a start and found fixed), look the image's fate up (the
+    # fixed -2 takes 1/2 along) and test for a repeat (-1/2 is fixed)
+    # before it calls a start divergent
+    FIRST_STEP_CASES = (
+        ((1, 3, 0), (0, 3, 2), 3, 7, 1,
+         ["-3 -> 0", "-2/3 -> inf", "0 -> 0", "inf -> inf"]),
+        ((2, 1, 4), (-2, -2, -1), 3, 3, 1, ["-2 -> -2", "1/2 -> -2"]),
+        ((3, 1, -2), (4, -3, 1), 2, 4, 1, ["-1/2 -> -1/2", "1 -> 1"]),
+    )
+
+    @pytest.mark.parametrize("F, G, height_bound, step_budget, size_cutoff, edges",
+                             FIRST_STEP_CASES,
+                             ids=("image-fate-recorded", "image-fate-looked-up",
+                                  "repeat-tested"))
+    def test_first_step_exit_below_the_height_bound(self, F, G, height_bound,
+                                                    step_budget, size_cutoff, edges):
+        graph = rational_preperiodic_graph(NormalizedQuadMap(F, G), height_bound,
+                                           step_budget, size_cutoff)
+        assert graph.edge_lines() == edges
+        succ, unresolved = reference_search(F, G, height_bound, step_budget,
+                                            size_cutoff)
+        assert {as_fraction(v): as_fraction(w)
+                for v, w in graph.successor.items()} == succ
+        assert graph.unresolved == () and unresolved == []
+
     @settings(max_examples=200, deadline=None)
     @given(F=FORM, G=FORM, height_bound=st.integers(1, 8),
            step_budget=st.integers(1, 8),
            size_cutoff=st.one_of(st.integers(1, 60), st.integers(1, 10 ** 5)))
+    @example(F=(1, 3, 0), G=(0, 3, 2), height_bound=3, step_budget=7, size_cutoff=1)
+    @example(F=(2, 1, 4), G=(-2, -2, -1), height_bound=3, step_budget=3, size_cutoff=1)
+    @example(F=(3, 1, -2), G=(4, -3, 1), height_bound=2, step_budget=4, size_cutoff=1)
     def test_equals_fraction_reference(self, F, G, height_bound, step_budget,
                                        size_cutoff):
         assume(form_resultant(F, G) != 0)

@@ -536,6 +536,7 @@ class TestPeriodEntries:
     @example(p=3, F=(0, 1, 1), G=(1, 0, 2))           # infinity critical
     @example(p=3, F=(3, 1, 2), G=(6, 2, 1))           # drops degree mod 3
     @example(p=3, F=(16, 0, -29), G=(0, 0, 16))       # the p = 3 slot
+    @example(p=7, F=(-2, -2, -2), G=(-2, 1, 1))       # the chart's sign at infinity
     def test_forms_equal_scalar_oracle(self, p, F, G):
         # arbitrary integer forms, also where the map drops degree mod p
         assert ffdyn.critical_periods(p, F, G) == naive_critical_periods(p, F, G)

@@ -59,6 +59,24 @@ MUTANTS = (
         ("tests/test_preper.py::TestRationalPreperiodicGraph::test_equals_fraction_reference",),
     ),
     Mutant(
+        "the preperiodic search's first-step exit forgets its image's fate",
+        "preper.py",
+        "fate[start] = fate[nxt] = False",
+        "fate[start] = False",
+        ("tests/test_preper.py::TestRationalPreperiodicGraph::test_equals_fraction_reference",
+         "tests/test_preper.py::TestRationalPreperiodicGraph::"
+         "test_first_step_exit_below_the_height_bound[image-fate-recorded]"),
+    ),
+    Mutant(
+        "the first-step exit tests the cutoff before the image's fate and a repeat",
+        "preper.py",
+        "                if nxt != start and nxt not in fate:\n",
+        "                if True:\n",
+        ("tests/test_preper.py::TestRationalPreperiodicGraph::test_equals_fraction_reference",
+         "tests/test_preper.py::TestRationalPreperiodicGraph::"
+         "test_first_step_exit_below_the_height_bound[repeat-tested]"),
+    ),
+    Mutant(
         "integer step drops its sign fix",
         "projmap.py",
         "        if v < 0:\n            u, v = -u, -v\n",
