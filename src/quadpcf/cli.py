@@ -208,7 +208,7 @@ def write_verified_tsv(path: Path, cfg: RunConfig, result: PipelineResult) -> No
         fh.write("# sigma1\tsigma2\tmap\tstatus\tportrait\n")
         for cand, st in zip(result.survivors, result.statuses):
             if st.verified:
-                portrait = "; ".join(st.portrait.text_lines())
+                portrait = "; ".join(st.portrait.edge_lines())
                 status = "VERIFIED_PCF"
             else:
                 portrait = st.reason
@@ -287,7 +287,7 @@ def _cmd_verify(args) -> int:
         phi = NormalizedQuadMap.from_sigmas(s1, s2)
         st = pcfverify.critical_orbit_portrait(phi, cfg.budget, cfg.cutoff)
         if st.verified:
-            print(f"({s1},{s2})\tVERIFIED_PCF\t" + "; ".join(st.portrait.text_lines()))
+            print(f"({s1},{s2})\tVERIFIED_PCF\t" + "; ".join(st.portrait.edge_lines()))
         else:
             bad += 1
             print(f"({s1},{s2})\tUNDETERMINED\t{st.reason}")
@@ -319,10 +319,10 @@ def _cmd_portrait(args) -> int:
     if not st.verified:
         print(f"UNDETERMINED: {st.reason}")
         return EXIT_ERROR
-    for line in st.portrait.text_lines():
+    for line in st.portrait.edge_lines():
         print(line)
     if args.dot:
-        Path(args.dot).write_text(st.portrait.to_dot() + "\n")
+        Path(args.dot).write_text(st.portrait.to_dot("portrait") + "\n")
         print(f"# DOT written to {args.dot}")
     return EXIT_OK
 
@@ -341,7 +341,7 @@ def _cmd_preper(args) -> int:
     for pt in graph.unresolved:
         print(f"# unresolved candidate: {pt}")
     if args.dot:
-        Path(args.dot).write_text(graph.to_dot() + "\n")
+        Path(args.dot).write_text(graph.to_dot("preperiodic") + "\n")
         print(f"# DOT written to {args.dot}")
     return EXIT_OK
 
@@ -382,7 +382,7 @@ def _cmd_catalog(args) -> int:
         st = pcfverify.critical_orbit_portrait(phi)
         data["trivial_stabilizer_maps"].append({
             "sigma1": str(s1), "sigma2": str(s2), "map": str(phi),
-            "portrait": st.portrait.text_lines(),
+            "portrait": st.portrait.edge_lines(),
         })
     for b in ("1", "1/2", "-3/2", "-1/2"):
         cls = preper.classify_psi1_twist(ExtendedRational.from_str(b))

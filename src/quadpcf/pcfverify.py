@@ -1,29 +1,28 @@
 """Exact certification of post-critical finiteness.
 
-Iterates both critical orbits exactly until each revisits a previously
-seen value, then assembles the critical portrait: the functional graph of
-the union of the orbits, with ramification index 2 on the edges leaving
-the critical points.  The critical points are rational or a conjugate pair
-in one quadratic field Q(sqrt(D)), real or imaginary; the complex ones take
-the same path as the real ones.  Every step is one of projmap's integer
-steps, and a point's size and order are read off its integers.  Orbits
-that exceed the iteration budget or the size cutoff, and irrational
-critical points whose field cannot be found because the discriminant
-defeats factoring, come back as UNDETERMINED with diagnostics, never as a
-non-PCF verdict (refutation is the sieve's job).
+Walks both critical orbits exactly, with preper.orbit, the one walk the
+preperiodic search takes too, until each revisits a previously seen value,
+then returns the critical portrait: the preper.FunctionalGraph of the
+union of the orbits that carries the critical points, so the edges
+leaving them have ramification index 2.  The critical points are rational
+or a conjugate pair in one quadratic field Q(sqrt(D)), real or imaginary;
+the complex ones take the same path as the real ones.  Every step is one
+of projmap's integer steps, and a point's size and order are read off its
+integers.  Each image is tested for a repeat before the size cutoff, so an
+exact repeat always closes an orbit.  Orbits that exceed the iteration
+budget or the size cutoff, and irrational critical points whose field
+cannot be found because the discriminant defeats factoring, come back as
+UNDETERMINED with diagnostics, never as a non-PCF verdict (refutation is
+the sieve's job).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional
 
-from quadpcf.exact_arith import (
-    ExtendedRational,
-    FactorizationError,
-    PointValue,
-    point_sort_key,
-)
+from quadpcf.exact_arith import ExtendedRational, FactorizationError, PointValue
+from quadpcf.preper import BUDGET, CUTOFF, FunctionalGraph, orbit
 from quadpcf.projmap import NormalizedQuadMap
 
 DEFAULT_BUDGET = 64
@@ -42,55 +41,9 @@ def point_size(pt: PointValue) -> int:
     return max(max(abs(a), c) // gcd(a, c), max(abs(b), c) // gcd(b, c))
 
 
-class Portrait(NamedTuple):
-    """Directed graph of the critical orbits with ramification labels.
-
-    Every vertex has out-degree one; edges labeled 2 start exactly at the
-    two critical points.  Two portraits are equal when their edges and
-    their sets of critical points are.
-    """
-
-    successor: Dict[PointValue, PointValue]
-    critical: Tuple[PointValue, ...]
-
-    @property
-    def vertices(self) -> Tuple[PointValue, ...]:
-        return tuple(sorted(self.successor, key=point_sort_key))
-
-    def ramification(self, pt: PointValue) -> int:
-        return 2 if pt in set(self.critical) else 1
-
-    def edges(self) -> List[Tuple[PointValue, PointValue, int]]:
-        return [(p, q, self.ramification(p))
-                for p, q in sorted(self.successor.items(),
-                                   key=lambda kv: point_sort_key(kv[0]))]
-
-    def text_lines(self) -> List[str]:
-        return [f"{p} ->({r}) {q}" for p, q, r in self.edges()]
-
-    def to_dot(self, name: str = "portrait") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for p, q, r in self.edges():
-            lines.append(f'  "{p}" -> "{q}" [label="{r}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
-    def __eq__(self, other):
-        if not isinstance(other, Portrait):
-            return NotImplemented
-        return (self.successor == other.successor
-                and set(self.critical) == set(other.critical))
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-
 class PcfStatus(NamedTuple):
     verified: bool
-    portrait: Optional[Portrait]
+    portrait: Optional[FunctionalGraph]
     iterations_used: int
     max_size_seen: int
     reason: str = ""
@@ -105,8 +58,11 @@ def critical_orbit_portrait(phi: NormalizedQuadMap, budget: int = DEFAULT_BUDGET
     """Iterate both critical orbits exactly; VERIFIED_PCF or UNDETERMINED.
 
     Conjugate critical points generate conjugate orbits, so all values stay
-    inside a single Q(sqrt(D)).  A repeat against any previously seen exact
-    value closes an orbit; both orbits closing certifies the map.
+    inside a single Q(sqrt(D)).  Each orbit is one preper.orbit walk: a
+    repeat against any previously seen exact value closes it, and is tested
+    before the size cutoff; both orbits closing certifies the map, and the
+    portrait is the preper.FunctionalGraph of the orbits with the critical
+    points.  A critical point already on the other orbit costs no step.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -123,23 +79,16 @@ def critical_orbit_portrait(phi: NormalizedQuadMap, budget: int = DEFAULT_BUDGET
     iterations = 0
     max_size = 1
     for gamma in crit_points:
-        cur = gamma
-        steps = 0
-        max_size = max(max_size, point_size(cur))
-        while cur not in successor:
-            if steps >= budget:
-                return PcfStatus(False, None, iterations, max_size,
-                                 reason=f"budget {budget} exhausted before a repeat")
-            nxt = phi.apply(cur)
-            steps += 1
-            iterations += 1
-            size = point_size(nxt)
-            max_size = max(max_size, size)
-            if size > size_cutoff:
-                return PcfStatus(False, None, iterations, max_size,
-                                 reason=f"orbit size {size} exceeded cutoff {size_cutoff}")
-            successor[cur] = nxt
-            cur = nxt
-    portrait = Portrait(successor=successor, critical=tuple(crit_points))
+        path, end = orbit(phi.apply, gamma, successor, budget, point_size, size_cutoff)
+        iterations += len(path) - 1
+        max_size = max(max_size, *map(point_size, path))
+        if end is BUDGET:
+            return PcfStatus(False, None, iterations, max_size,
+                             reason=f"budget {budget} exhausted before a repeat")
+        if end is CUTOFF:
+            return PcfStatus(False, None, iterations, max_size,
+                             reason=f"orbit size {point_size(path[-1])} exceeded "
+                                    f"cutoff {size_cutoff}")
+        successor.update(zip(path, path[1:]))
+    portrait = FunctionalGraph(successor, critical=crit_points)
     return PcfStatus(True, portrait, iterations, max_size)
-

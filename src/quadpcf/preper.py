@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import gcd, isqrt
-from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from quadpcf.exact_arith import (
     ExtendedRational,
@@ -53,15 +53,22 @@ def vertex_sort_key(v):
 
 
 class FunctionalGraph:
-    """A finite set with one successor per element, closed under the map."""
+    """A finite set with one successor per element, closed under the map.
+
+    A critical portrait is such a graph that also carries its critical
+    points: the edges leaving them have ramification 2 and every other
+    edge 1, and its edge lines and DOT edges show the labels.  Two graphs
+    are equal when their successors and their sets of critical points are.
+    """
 
     def __init__(self, successor: Dict[Hashable, Hashable],
-                 unresolved: Tuple = ()):
+                 unresolved: Tuple = (), critical: Iterable = ()):
         for v, w in successor.items():
             if w not in successor:
                 raise ValueError(f"graph not closed: {v} -> {w} leaves the vertex set")
         self.successor = dict(successor)
         self.unresolved = tuple(unresolved)
+        self.critical = frozenset(critical)
         self._cycles: Optional[List[Tuple]] = None
 
     # -- basic views -------------------------------------------------------
@@ -79,20 +86,28 @@ class FunctionalGraph:
     def __eq__(self, other):
         if not isinstance(other, FunctionalGraph):
             return NotImplemented
-        return self.successor == other.successor
+        return self.successor == other.successor and self.critical == other.critical
+
+    def ramification(self, v) -> int:
+        return 2 if v in self.critical else 1
 
     def edges(self) -> List[Tuple]:
-        return sorted(self.successor.items(), key=lambda kv: vertex_sort_key(kv[0]))
+        """(source, target, ramification) triples, by source."""
+        return [(p, q, self.ramification(p)) for p, q in
+                sorted(self.successor.items(), key=lambda kv: vertex_sort_key(kv[0]))]
 
     def edge_lines(self) -> List[str]:
-        return [f"{p} -> {q}" for p, q in self.edges()]
+        if self.critical:
+            return [f"{p} ->({r}) {q}" for p, q, r in self.edges()]
+        return [f"{p} -> {q}" for p, q, _ in self.edges()]
 
-    def to_dot(self, name: str = "preperiodic") -> str:
+    def to_dot(self, name: str) -> str:
         lines = [f"digraph {name} {{"]
         for v in self.vertices:
             lines.append(f'  "{v}";')
-        for p, q in self.edges():
-            lines.append(f'  "{p}" -> "{q}";')
+        for p, q, r in self.edges():
+            label = f' [label="{r}"]' if self.critical else ""
+            lines.append(f'  "{p}" -> "{q}"{label};')
         lines.append("}")
         return "\n".join(lines)
 
@@ -161,9 +176,11 @@ class FunctionalGraph:
         return comps
 
     def canonical_form(self):
-        """Isomorphism invariant: per component, the cycle length together
-        with the minimal rotation of the tuple of canonical rooted-tree
-        encodings hanging off the cycle."""
+        """Isomorphism invariant that respects ramification: per component,
+        the cycle length together with the minimal rotation of the tuple of
+        canonical rooted-tree encodings hanging off the cycle, where a
+        vertex's encoding is its ramification and its children's sorted
+        encodings."""
         cyc_set = self.cycle_vertices()
         children: Dict[Hashable, List] = {v: [] for v in self.successor}
         for v, w in self.successor.items():
@@ -171,7 +188,7 @@ class FunctionalGraph:
                 children[w].append(v)
 
         def tree_enc(v):
-            return tuple(sorted(tree_enc(ch) for ch in children[v]))
+            return self.ramification(v), tuple(sorted(tree_enc(ch) for ch in children[v]))
 
         comps = []
         for cycle in self.cycles():
@@ -185,6 +202,45 @@ class FunctionalGraph:
 
 
 # ----------------------------------------------------------------------
+# the exact walk
+# ----------------------------------------------------------------------
+
+REPEAT, CUTOFF, BUDGET = "repeat", "cutoff", "budget"
+
+
+def orbit(step: Callable, start, known, budget: int, size: Callable,
+          cutoff: int) -> Tuple[List, str]:
+    """Walk the orbit of start under step; (path, end).
+
+    The path runs from start to the last image computed.  Each image is
+    tested in one order: it is a REPEAT when it is in known or on the path,
+    then a CUTOFF when its size is past cutoff, and then the budget-th image
+    ends the walk with BUDGET (budget >= 1).  A start in known is a REPEAT
+    after 0 steps.  The path's list and set are built only after the first
+    image passes its tests: most candidates of the preperiodic search end
+    at the first image, with one step and a two-point path.
+    """
+    if start in known:
+        return [start], REPEAT
+    nxt = step(start)
+    if nxt in known or nxt == start:
+        return [start, nxt], REPEAT
+    if size(nxt) > cutoff:
+        return [start, nxt], CUTOFF
+    path = [start, nxt]
+    seen = {start, nxt}
+    for _ in range(budget - 1):
+        nxt = step(nxt)
+        path.append(nxt)
+        if nxt in known or nxt in seen:
+            return path, REPEAT
+        if size(nxt) > cutoff:
+            return path, CUTOFF
+        seen.add(nxt)
+    return path, BUDGET
+
+
+# ----------------------------------------------------------------------
 # bounded rational preperiodic search
 # ----------------------------------------------------------------------
 
@@ -193,78 +249,42 @@ DEFAULT_STEP_BUDGET = 32
 DEFAULT_SIZE_CUTOFF = 10 ** 4
 
 
+def _pair_size(pt: Tuple[int, int]) -> int:
+    return max(abs(pt[0]), pt[1])
+
+
 def rational_preperiodic_graph(phi: NormalizedQuadMap,
                                height_bound: int = DEFAULT_HEIGHT_BOUND,
                                step_budget: int = DEFAULT_STEP_BUDGET,
                                size_cutoff: int = DEFAULT_SIZE_CUTOFF) -> FunctionalGraph:
     """Graph induced on the rational preperiodic points found by bounded search.
 
-    Every rational of height <= height_bound (plus infinity) is iterated up
-    to step_budget steps: an exact repeat classifies the whole trajectory
-    preperiodic, escaping past size_cutoff classifies it divergent.  The
-    returned graph is forward-closed; candidates the budget could not
-    resolve are reported on the .unresolved attribute.
+    Every rational of height <= height_bound (plus infinity) is walked by
+    orbit for up to step_budget steps: an exact repeat classifies the whole
+    trajectory preperiodic (or shares the fate of the point it meets),
+    escaping past size_cutoff classifies it divergent.  The returned graph
+    is forward-closed; candidates the budget could not resolve are reported
+    on the .unresolved attribute.
 
     The search runs on reduced integer pairs (x, y), infinity being (1, 0),
     through NormalizedQuadMap.step; the size of a pair is max(|x|, y).
-    Most candidates leave at the first step: a start whose image is past
-    size_cutoff, is not the start itself and has no fate yet is divergent
-    with its image, and that image is computed inline, without a walk.
     """
     if step_budget < 1:
         raise ValueError("step_budget must be positive")
     if phi.resultant() == 0:
         raise ValueError("degenerate map (resultant 0)")
     step = phi.step
-    (f2, f1, f0), (g2, g1, g0) = phi.F, phi.G
     fate: Dict[Tuple[int, int], bool] = {}
     succ: Dict[Tuple[int, int], Tuple[int, int]] = {}
     unresolved: List[Tuple[int, int]] = []
     for start in [(1, 0), *enumerate_pairs(height_bound)]:
-        if start in fate:
-            continue
-        # the first image as step gives it, where G does not vanish: an
-        # image at infinity has size 1, within any cutoff
-        x, y = start
-        xx, xy, yy = x * x, x * y, y * y
-        v = g2 * xx + g1 * xy + g0 * yy
-        if v:
-            u = f2 * xx + f1 * xy + f0 * yy
-            if v < 0:
-                u, v = -u, -v
-            g = gcd(u, v)
-            u //= g
-            v //= g
-            if v > size_cutoff or abs(u) > size_cutoff:
-                nxt = (u, v)
-                # the walk would look the image up and test for a repeat
-                # before the cutoff, and record its fate too
-                if nxt != start and nxt not in fate:
-                    fate[start] = fate[nxt] = False
-                    continue
-        path = [start]
-        local = {start}
-        verdict: Optional[bool] = None
-        cur = start
-        # every point on a path is still without a fate, so its image is
-        # computed, never looked up
-        for _ in range(step_budget):
-            nxt = step(*cur)
-            path.append(nxt)
-            if nxt in fate:
-                verdict = fate[nxt]
-                break
-            if nxt in local:
-                verdict = True
-                break
-            if max(abs(nxt[0]), nxt[1]) > size_cutoff:
-                verdict = False
-                break
-            local.add(nxt)
-            cur = nxt
-        if verdict is None:
+        path, end = orbit(step, start, fate, step_budget, _pair_size, size_cutoff)
+        if end is BUDGET:
             unresolved.append(start)
             continue
+        # a repeat meets the path itself, so the path is preperiodic, or
+        # its last point has a fate, which the whole path shares
+        verdict = end is REPEAT and fate.get(path[-1], True)
         if verdict:
             for a, b in zip(path, path[1:]):
                 succ[a] = b

@@ -135,10 +135,11 @@ class NormalizedQuadMap:
 
     # -- evaluation ------------------------------------------------------
 
-    def step(self, x: int, y: int) -> Tuple[int, int]:
-        """The image of a point (x : y) of P^1(Q) in lowest terms with
-        y >= 0, infinity being (1 : 0), as such a pair: (F(x, y) : G(x, y))
+    def step(self, pt: Tuple[int, int]) -> Tuple[int, int]:
+        """The image of a point (x, y) of P^1(Q) in lowest terms with
+        y >= 0, infinity being (1, 0), as such a pair: (F(x, y) : G(x, y))
         after one sign fix and one gcd."""
+        x, y = pt
         f2, f1, f0 = self.F
         g2, g1, g0 = self.G
         xx, xy, yy = x * x, x * y, y * y
@@ -193,7 +194,7 @@ class NormalizedQuadMap:
         if isinstance(pt, QuadPoint):
             return self.quad_step(pt)
         pt = Rat(pt)
-        return ExtendedRational.from_pair(*self.step(pt.num, pt.den))
+        return ExtendedRational.from_pair(*self.step((pt.num, pt.den)))
 
     # -- critical points ---------------------------------------------------
 

@@ -197,6 +197,28 @@ def test_criterion_4_preperiodic_graphs():
         assert len(g) <= 6, f"{text}: exceeds the six-point bound"
 
 
+def test_simpler_conjugate_forms_same_shape():
+    """Each conjugate form has one of the ten sigma-pairs, and its rational
+    preperiodic graph (at heights 16 and 120) and its critical portrait,
+    ramification labels included, are isomorphic to its normal form's."""
+    pairs = set()
+    for text in CONJUGATE_FORMS:
+        other = NormalizedQuadMap.from_str(text)
+        sigmas = other.sigma_invariants()
+        assert sigmas in TEN_SIGMA_PAIRS, f"{text}: sigma pair {sigmas}"
+        pairs.add(sigmas)
+        normal = NormalizedQuadMap.from_sigmas(*sigmas)
+        for height in (16, 120):
+            g1 = rational_preperiodic_graph(normal, height_bound=height)
+            g2 = rational_preperiodic_graph(other, height_bound=height)
+            assert not g1.unresolved and not g2.unresolved, (text, height)
+            assert g1.canonical_form() == g2.canonical_form(), (text, height)
+        p1 = critical_orbit_portrait(normal).portrait
+        p2 = critical_orbit_portrait(other).portrait
+        assert p1.canonical_form() == p2.canonical_form(), text
+    assert len(pairs) == len(CONJUGATE_FORMS)
+
+
 def test_criterion_5_symmetry_locus():
     """Symmetry locus: all four z^2-twist structures (plus square-class
     assignment of b = -6, -8) and all seven 1/z^2-twist structures."""

@@ -8,7 +8,10 @@ from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import INFINITY, Rat
 from quadpcf.ffdyn import form_resultant
 from quadpcf.preper import (
+    BUDGET,
+    CUTOFF,
     INVERSE_SQUARE,
+    REPEAT,
     SQUARE,
     CatalogMatchError,
     FunctionalGraph,
@@ -19,6 +22,7 @@ from quadpcf.preper import (
     invsq_catalog,
     invsq_twist_from_dk,
     invsq_twist_from_t,
+    orbit,
     power_map_low_degree_preperiodic,
     rational_preperiodic_graph,
     sq_twist_map,
@@ -74,6 +78,67 @@ class TestFunctionalGraph:
                              Rat(3): Rat(1)})
         assert a.is_isomorphic_to(b)
         assert not a.is_isomorphic_to(c)
+
+    def test_canonical_form_sees_ramification(self):
+        succ = {Rat(0): Rat(1), Rat(1): Rat(1)}
+        tail = FunctionalGraph(succ, critical=(Rat(0),))
+        fixed = FunctionalGraph(succ, critical=(Rat(1),))
+        assert tail != fixed
+        assert not tail.is_isomorphic_to(fixed)
+        assert (FunctionalGraph(tail.successor).canonical_form()
+                == FunctionalGraph(fixed.successor).canonical_form())
+        assert tail.is_isomorphic_to(FunctionalGraph({Rat(5): Rat(7), Rat(7): Rat(7)},
+                                                     critical=(Rat(5),)))
+
+    def test_labels_only_with_critical_points(self):
+        succ = {Rat(0): Rat(1), Rat(1): Rat(1)}
+        plain = FunctionalGraph(succ)
+        labeled = FunctionalGraph(succ, critical=(Rat(0),))
+        assert plain.edges() == [(Rat(0), Rat(1), 1), (Rat(1), Rat(1), 1)]
+        assert labeled.edges() == [(Rat(0), Rat(1), 2), (Rat(1), Rat(1), 1)]
+        assert plain.edge_lines() == ["0 -> 1", "1 -> 1"]
+        assert labeled.edge_lines() == ["0 ->(2) 1", "1 ->(1) 1"]
+        assert plain.to_dot("g") == 'digraph g {\n  "0";\n  "1";\n  "0" -> "1";\n  "1" -> "1";\n}'
+        assert labeled.to_dot("g") == ('digraph g {\n  "0";\n  "1";\n'
+                                       '  "0" -> "1" [label="2"];\n'
+                                       '  "1" -> "1" [label="1"];\n}')
+        assert plain == FunctionalGraph(dict(succ)) and plain != labeled
+
+
+# ----------------------------------------------------------------------
+# the exact walk
+# ----------------------------------------------------------------------
+
+def _double_mod_7(z):
+    return 2 * z % 7
+
+
+def _no_step(z):
+    raise AssertionError("a start in known takes no step")
+
+
+class TestOrbit:
+    """orbit on z -> 2z mod 7, whose cycle is 1 -> 2 -> 4 -> 1, with the
+    residue as its size."""
+
+    @pytest.mark.parametrize("start, known, budget, cutoff, path, end", (
+        (1, {}, 3, 10, [1, 2, 4, 1], REPEAT),    # a repeat at the last step
+        (1, {}, 2, 10, [1, 2, 4], BUDGET),
+        (1, {}, 3, 3, [1, 2, 4], CUTOFF),
+        (4, {}, 3, 3, [4, 1, 2, 4], REPEAT),     # the repeat is past the cutoff
+        (4, {}, 3, 0, [4, 1], CUTOFF),
+        (2, {4: False}, 3, 1, [2, 4], REPEAT),   # known before the cutoff
+        (3, {4: True}, 1, 10, [3, 6], BUDGET),
+        (3, {5: True}, 5, 10, [3, 6, 5], REPEAT),
+        (0, {}, 1, 0, [0, 0], REPEAT),           # a fixed start at the first image
+    ), ids=("repeat-at-the-budget", "budget", "cutoff", "repeat-past-the-cutoff",
+            "cutoff-at-the-first-image", "known-past-the-cutoff", "budget-of-one",
+            "known", "fixed-start"))
+    def test_ends(self, start, known, budget, cutoff, path, end):
+        assert orbit(_double_mod_7, start, known, budget, int, cutoff) == (path, end)
+
+    def test_start_in_known_takes_no_step(self):
+        assert orbit(_no_step, 5, {5: False}, 1, int, 0) == ([5], REPEAT)
 
 
 # ----------------------------------------------------------------------

@@ -362,7 +362,7 @@ class TestApply:
             g = gcd(a, c)
             for x, y in ((a // g, c // g), (1, 0)):
                 got = m.quad_step(QuadPoint(x, 0, y, D))
-                want = ExtendedRational.from_pair(*m.step(x, y))
+                want = ExtendedRational.from_pair(*m.step((x, y)))
                 assert (got.num, got.den) == (want.num, want.den)
 
     def test_degenerate_pair_raises(self):

@@ -54,27 +54,51 @@ MUTANTS = (
     Mutant(
         "preperiodic search cuts off at the size bound itself",
         "preper.py",
-        "if max(abs(nxt[0]), nxt[1]) > size_cutoff:",
-        "if max(abs(nxt[0]), nxt[1]) >= size_cutoff:",
+        "orbit(step, start, fate, step_budget, _pair_size, size_cutoff)",
+        "orbit(step, start, fate, step_budget, _pair_size, size_cutoff - 1)",
         ("tests/test_preper.py::TestRationalPreperiodicGraph::test_equals_fraction_reference",),
     ),
     Mutant(
-        "the preperiodic search's first-step exit forgets its image's fate",
+        "the exact walk's first-step exit drops its image, whose fate is then forgotten",
         "preper.py",
-        "fate[start] = fate[nxt] = False",
-        "fate[start] = False",
+        "        return [start, nxt], CUTOFF\n",
+        "        return [start], CUTOFF\n",
         ("tests/test_preper.py::TestRationalPreperiodicGraph::test_equals_fraction_reference",
          "tests/test_preper.py::TestRationalPreperiodicGraph::"
          "test_first_step_exit_below_the_height_bound[image-fate-recorded]"),
     ),
     Mutant(
-        "the first-step exit tests the cutoff before the image's fate and a repeat",
+        "the exact walk's first-step exit tests the cutoff before the image's fate and a repeat",
         "preper.py",
-        "                if nxt != start and nxt not in fate:\n",
-        "                if True:\n",
+        "    if nxt in known or nxt == start:\n"
+        "        return [start, nxt], REPEAT\n"
+        "    if size(nxt) > cutoff:\n"
+        "        return [start, nxt], CUTOFF\n",
+        "    if size(nxt) > cutoff:\n"
+        "        return [start, nxt], CUTOFF\n"
+        "    if nxt in known or nxt == start:\n"
+        "        return [start, nxt], REPEAT\n",
         ("tests/test_preper.py::TestRationalPreperiodicGraph::test_equals_fraction_reference",
          "tests/test_preper.py::TestRationalPreperiodicGraph::"
-         "test_first_step_exit_below_the_height_bound[repeat-tested]"),
+         "test_first_step_exit_below_the_height_bound[repeat-tested]",
+         "tests/test_pcfverify.py::TestRepeatBeforeCutoff::"
+         "test_repeat_past_the_cutoff_verifies[fixed]",
+         "tests/test_pcfverify.py::TestRepeatBeforeCutoff::test_through_the_cli"),
+    ),
+    Mutant(
+        "the exact walk tests the cutoff before the repeat after the first image",
+        "preper.py",
+        "        if nxt in known or nxt in seen:\n"
+        "            return path, REPEAT\n"
+        "        if size(nxt) > cutoff:\n"
+        "            return path, CUTOFF\n",
+        "        if size(nxt) > cutoff:\n"
+        "            return path, CUTOFF\n"
+        "        if nxt in known or nxt in seen:\n"
+        "            return path, REPEAT\n",
+        ("tests/test_pcfverify.py::TestRepeatBeforeCutoff::"
+         "test_repeat_past_the_cutoff_verifies[two-cycle]",
+         "tests/test_preper.py::TestOrbit::test_ends[repeat-past-the-cutoff]"),
     ),
     Mutant(
         "integer step drops its sign fix",
@@ -184,10 +208,10 @@ MUTANTS = (
     Mutant(
         "verifier claims PCF when its budget runs out",
         "pcfverify.py",
-        '                return PcfStatus(False, None, iterations, max_size,\n'
-        '                                 reason=f"budget',
-        '                return PcfStatus(True, None, iterations, max_size,\n'
-        '                                 reason=f"budget',
+        '            return PcfStatus(False, None, iterations, max_size,\n'
+        '                             reason=f"budget',
+        '            return PcfStatus(True, None, iterations, max_size,\n'
+        '                             reason=f"budget',
         ("tests/test_pcfverify.py::TestUndetermined::test_budget_boundary",),
     ),
     Mutant(
