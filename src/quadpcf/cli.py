@@ -272,10 +272,13 @@ def _cmd_verify(args) -> int:
         pairs = list(_iter_sigma_pairs(args.sigmas))
     elif args.infile:
         with open(args.infile) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 if line.startswith("#") or not line.strip():
                     continue
                 cols = line.rstrip("\n").split("\t")
+                if len(cols) < 2:
+                    raise ValueError(f"{args.infile} line {lineno}: "
+                                     "need sigma1 and sigma2 columns")
                 pairs.append((ExtendedRational.from_str(cols[0]),
                               ExtendedRational.from_str(cols[1])))
     else:

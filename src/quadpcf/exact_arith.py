@@ -2,12 +2,12 @@
 
 Provides rationals as reduced integer pairs with a distinguished point at
 infinity (the projective point (1 : 0)), quadratic points
-(a + b*sqrt(D)) / c held as four integers with squarefree D (both are
+(a + b*sqrt(D)) / c held as four integers with D not a square (both are
 values only: projmap steps them with integer arithmetic), the
 multiplicative height H(p/q) = max(|p|, q), height-ordered enumeration of
-the rationals, and the small number theory the package needs: primes,
-factorisations and squarefree parts by trial division, Miller-Rabin and
-Pollard's rho.
+the rationals, and the small number theory the package needs: primes by
+the sieve of Eratosthenes, and squarefree parts and small factorisations
+by trial division by the primes below 1000.
 
 Everything here is immutable and all operations are pure.
 """
@@ -19,12 +19,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, Sequence, Tuple, U
 
 if TYPE_CHECKING:
     from numbers import Rational
-
-# Miller-Rabin with these bases is exact below 3.3e24 (a strong
-# probable-prime test beyond)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Pollard's rho finds prime factors up to about 2^36 within this many steps
-_RHO_STEPS = 1 << 18
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +122,10 @@ class ExtendedRational:
             return INFINITY
         if "/" in text:
             a, b = text.split("/")
-            return ExtendedRational(int(a), int(b))
+            num, den = int(a), int(b)
+            if num == den == 0:
+                raise ValueError("0/0 is not a point of P^1")
+            return ExtendedRational(num, den)
         return ExtendedRational(int(text))
 
 
@@ -212,29 +209,6 @@ def primes_up_to(bound: int) -> Tuple[int, ...]:
 _SMALL_PRIMES = primes_up_to(999)
 
 
-def is_prime(n: int) -> bool:
-    """Miller-Rabin primality, exact below 3.3e24."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def odd_primes_up_to(bound: int) -> Tuple[int, ...]:
     return primes_up_to(bound)[1:]
 
@@ -257,87 +231,48 @@ def validate_primes(primes: Sequence[int], limit: int, what: str) -> Tuple[int, 
             raise ValueError(f"need integer primes, got {p!r}")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
+    odd_primes = set(odd_primes_up_to(limit - 1))
     for p in primes:
         if p >= limit:
             raise ValueError(f"prime {p} is too large for {what} (limit {limit})")
-        if p == 2 or not is_prime(p):
+        if p not in odd_primes:
             raise ValueError(f"need odd primes, got {p}")
     return primes
 
-def _iroot(m: int, k: int) -> int:
-    """floor(m^(1/k)) for m >= 1, by Newton's method from above."""
-    x = 1 << -(-m.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
 
-
-class FactorizationError(ValueError):
-    """Pollard's rho found no factor within its step budget."""
-
-
-def _split(n: int) -> int:
-    """A proper factor of a composite n that is no perfect power and has no
-    prime factor below 1000, by Pollard's rho.  Finding a prime factor p
-    takes about sqrt(p) steps, so give up with FactorizationError after
-    _RHO_STEPS rather than run on."""
-    steps, c = 0, 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            if steps == _RHO_STEPS:
-                raise FactorizationError(
-                    f"cannot factor {n}: no factor within {_RHO_STEPS} Pollard rho steps")
-            steps += 1
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(x - y, n)
-        if d != n:
-            return d
-        c += 1
-
-
-def _factorize(n: int) -> Dict[int, int]:
-    """Prime factorisation {p: e} of n >= 1."""
-    out: Dict[int, int] = {}
+def _trial_divide(n: int) -> Tuple[Dict[int, int], int]:
+    """The exponents {q: e} of the primes q below 1000 in n >= 1, and the
+    cofactor m left over: 1, a prime, or an integer with no prime factor
+    below 1000.  So a cofactor below 10^9 is 1, p, pq or p^2."""
+    exponents: Dict[int, int] = {}
     for q in _SMALL_PRIMES:
         if q * q > n:
             break
         while n % q == 0:
-            out[q] = out.get(q, 0) + 1
             n //= q
-    todo = [n] if n > 1 else []
-    while todo:
-        m = todo.pop()
-        # m has no prime factor below 1000, so below 1000^2 it is prime,
-        # and a k-th power only for 1000^k < m
-        if m < 1_000_000 or is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        for k in range(2, m.bit_length() // 9 + 1):
-            r = _iroot(m, k)
-            if r ** k == m:
-                todo += [r] * k
-                break
-        else:
-            d = _split(m)
-            todo += [d, m // d]
-    return out
+            exponents[q] = exponents.get(q, 0) + 1
+    return exponents, n
 
 
 def squarefree_part(n: int) -> Tuple[int, int]:
-    """Write n = s^2 * D with D squarefree (sign carried by D); returns (s, D)."""
+    """Write n = s^2 * D, the sign carried by D; returns (s, D).
+
+    No square of a prime below 1000 divides D.  The cofactor of trial
+    division goes into s when it is a square and into D whole otherwise,
+    so D is squarefree when that cofactor is below 10^9; beyond, D may keep
+    the square of a prime above 1000.  D is a square only when n is.
+    """
     if n == 0:
         return 0, 0
-    s, d = 1, 1 if n > 0 else -1
-    for p, e in _factorize(abs(n)).items():
-        s *= p ** (e // 2)
+    exponents, m = _trial_divide(abs(n))
+    r = isqrt(m)
+    s, d = (r, 1) if r * r == m else (1, m)
+    if n < 0:
+        d = -d
+    for q, e in exponents.items():
+        s *= q ** (e // 2)
         if e % 2:
-            d *= p
+            d *= q
     return s, d
 
 
@@ -348,11 +283,12 @@ def squarefree_part(n: int) -> Tuple[int, int]:
 class QuadPoint(NamedTuple):
     """The point (a + b*sqrt(D)) / c of P^1(Q(sqrt(D))) outside P^1(Q).
 
-    Integers with gcd(a, b, c) == 1, c > 0, b != 0 and D squarefree, not 0
-    or 1: D > 0 gives the real quadratic fields and D < 0 the imaginary
-    fields of complex critical points.  The form is canonical, so equality
-    and hashing are the tuple's, and c^2 z^2 - 2ac z + (a^2 - D b^2) is the
-    point's minimal polynomial.  NormalizedQuadMap.quad_step moves it.
+    Integers with gcd(a, b, c) == 1, c > 0, b != 0 and D not a square, as
+    squarefree_part writes it: D > 0 gives the real quadratic fields and
+    D < 0 the imaginary fields of complex critical points.  For a given D
+    the form is canonical, so equality and hashing are the tuple's, and
+    c^2 z^2 - 2ac z + (a^2 - D b^2) is the point's minimal polynomial.
+    NormalizedQuadMap.quad_step moves it, keeping D.
     """
 
     a: int

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 from typing import FrozenSet, List, NamedTuple, Tuple
 
-from quadpcf.exact_arith import _factorize
+from quadpcf.exact_arith import _trial_divide
 
 PeriodSet = FrozenSet[int]
 
@@ -81,7 +81,9 @@ class PrimeTables(NamedTuple):
 
 
 def _primitive_root(p: int) -> int:
-    factors = _factorize(p - 1)
+    # p - 1 < 1000^2, so the cofactor m is 1 or a prime
+    exponents, m = _trial_divide(p - 1)
+    factors = [*exponents, m] if m > 1 else [*exponents]
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
         g += 1

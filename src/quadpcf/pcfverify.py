@@ -10,10 +10,8 @@ the complex ones take the same path as the real ones.  Every step is one
 of projmap's integer steps, and a point's size and order are read off its
 integers.  Each image is tested for a repeat before the size cutoff, so an
 exact repeat always closes an orbit.  Orbits that exceed the iteration
-budget or the size cutoff, and irrational critical points whose field
-cannot be found because the discriminant defeats factoring, come back as
-UNDETERMINED with diagnostics, never as a non-PCF verdict (refutation is
-the sieve's job).
+budget or the size cutoff come back as UNDETERMINED with diagnostics, never
+as a non-PCF verdict (refutation is the sieve's job).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, NamedTuple, Optional
 
-from quadpcf.exact_arith import ExtendedRational, FactorizationError, PointValue
+from quadpcf.exact_arith import ExtendedRational, PointValue
 from quadpcf.preper import BUDGET, CUTOFF, FunctionalGraph, orbit
 from quadpcf.projmap import NormalizedQuadMap
 
@@ -68,13 +66,7 @@ def critical_orbit_portrait(phi: NormalizedQuadMap, budget: int = DEFAULT_BUDGET
         raise ValueError("budget must be positive")
     if phi.resultant() == 0:
         raise ValueError("degenerate map (resultant 0) cannot be verified")
-    try:
-        crit_points = phi.critical_point_data().points
-    except FactorizationError as e:
-        # irrational critical points live in Q(sqrt(D)), D the squarefree
-        # part of the discriminant; without D there is nothing to iterate
-        return PcfStatus(False, None, 0, 1,
-                         reason=f"cannot factor the wronskian discriminant ({e})")
+    crit_points = phi.critical_point_data().points
     successor: Dict[PointValue, PointValue] = {}
     iterations = 0
     max_size = 1

@@ -202,10 +202,10 @@ class NormalizedQuadMap:
         """The two critical points, the roots of the wronskian in P^1.
 
         Rational roots come back as ExtendedRationals.  Otherwise the
-        discriminant is s^2 * D with D squarefree and the roots are the
-        conjugate pair of QuadPoints in Q(sqrt(D)), real for D > 0 and
-        complex for D < 0.
-        With need_points=False the irrational case skips the factorization
+        discriminant is s^2 * D as exact_arith.squarefree_part writes it, D
+        not a square, and the roots are the conjugate pair of QuadPoints in
+        Q(sqrt(D)), real for D > 0 and complex for D < 0.
+        With need_points=False the irrational case skips the trial division
         that D needs; the sieve only dispatches on rationality.
         """
         w2, w1, w0 = self.wronskian()

@@ -38,7 +38,6 @@ from quadpcf.exact_arith import (
     PointValue,
     QuadPoint,
     Rat,
-    _factorize,
     squarefree_part,
 )
 from quadpcf.ffdyn import family_forms
@@ -327,11 +326,10 @@ def _multiplier_at(phi: NormalizedQuadMap, alpha: Surd) -> PointValue:
 
 
 def divisors(n: int) -> List[int]:
-    """Positive divisors of n >= 1, ascending."""
-    divs = [1]
-    for q, e in _factorize(n).items():
-        divs = [d * q ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    """Positive divisors of n >= 1, ascending, by trial division up to
+    sqrt(n)."""
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def _rational_roots(coeffs):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf import cli, exact_arith, lanesieve, pcfverify
+from quadpcf import cli, lanesieve, pcfverify
 from quadpcf.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -205,16 +205,35 @@ class TestVerify:
         assert rc != EXIT_OK
         assert "UNDETERMINED" in capsys.readouterr().out
 
-    def test_unfactorable_discriminant(self, capsys, monkeypatch):
+    def test_unfactorable_discriminant(self, capsys):
         # the wronskian discriminant of this pair,
-        # 4814988813760728630044503936230148203481, defeats Pollard's rho;
-        # a small step budget gets there fast.  The input is valid, so the
-        # map is UNDETERMINED, not an input error
-        monkeypatch.setattr(exact_arith, "_RHO_STEPS", 64)
+        # 4814988813760728630044503936230148203481, has two prime factors
+        # far above the range of trial division; D needs no factorisation,
+        # so the orbits are walked and grow past the cutoff
         rc = main(["verify", "--sigmas", "250412573173/888599,682777914928/66173"])
         assert rc == 1
-        assert "UNDETERMINED\tcannot factor the wronskian discriminant" in \
-            capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "UNDETERMINED\torbit size " in out
+        assert "exceeded cutoff 1000000" in out
+        assert "cannot factor" not in out
+
+    def test_row_without_sigma2_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "surv.tsv"
+        path.write_text("# sigma1\tsigma2\n2\n")
+        rc = main(["verify", "--in", str(path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid-input" in err and "line 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--sigmas", "0/0,1"],
+        ["portrait", "--sigmas", "0/0,1"],
+        ["classify-twist", "--psi1-b=0/0"]])
+    def test_zero_over_zero_is_input_error(self, argv, capsys):
+        # 0/0 is no point of P^1: an input error, not a traceback
+        rc = main(argv)
+        assert rc == EXIT_USAGE
+        assert "error: invalid-input: 0/0 is not a point of P^1" in capsys.readouterr().err
 
     def test_complex_critical_points(self, capsys):
         # the critical points of (3, 5/6) are a conjugate pair in an

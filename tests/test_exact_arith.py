@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from quadpcf.exact_arith import (
     INFINITY,
     ExtendedRational,
-    FactorizationError,
     QuadPoint,
     Rat,
     enumerate_rationals,
     height,
-    is_prime,
     point_sort_key,
     primes_up_to,
     squarefree_part,
+    validate_primes,
 )
 
 from oracles import Surd, divisors
@@ -232,24 +231,18 @@ def _is_prime_by_division(n):
 
 
 def test_is_prime_and_divisors_small():
-    for n in range(-3, 3000):
-        assert is_prime(n) == _is_prime_by_division(n), n
     assert primes_up_to(3000) == tuple(n for n in range(3001) if _is_prime_by_division(n))
     for n in range(1, 600):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
-def test_is_prime_large():
-    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 89 - 1)
-    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
-    assert not is_prime(3215031751)       # strong pseudoprime to bases 2, 3, 5, 7
-    assert not is_prime(1009 ** 2)
-
-
-def test_factorisation_gives_up_explicitly():
-    # two large primes: neither is within reach of Pollard's rho
-    with pytest.raises(FactorizationError, match="cannot factor"):
-        squarefree_part((2 ** 61 - 1) * (2 ** 89 - 1))
+def test_validate_primes_accepts_exactly_the_odd_primes_below_the_limit():
+    for n in range(-5, 2100):
+        if n % 2 and _is_prime_by_division(n) and n < 2048:
+            assert validate_primes([n], 2048, "the sieve") == (n,)
+        else:
+            with pytest.raises(ValueError, match="need odd primes|too large"):
+                validate_primes([n], 2048, "the sieve")
 
 
 @given(st.integers(1, 10 ** 4), st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 30]),
@@ -257,11 +250,22 @@ def test_factorisation_gives_up_explicitly():
        st.sampled_from([1, 1013, 1000003, 2 ** 61 - 1]), st.sampled_from([1, -1]))
 @settings(max_examples=80, deadline=None)
 def test_squarefree_part_with_large_factors(s, d, q1, q2, sign):
-    # s^2 * d * q1 * q2^2 with distinct primes q1, q2 above the range of
-    # trial division: q1 joins the squarefree part and q2 the square root
+    # s^2 * d * q1 * q2^2 with d squarefree and distinct primes q1, q2
+    # above the range of trial division, whose cofactor is
+    # big^2 * q1 * q2^2, big the prime factor of s above 1000 if any (one at
+    # most, as s <= 10^4)
     n = sign * s * s * d * q1 * q2 * q2
     got_s, got_d = squarefree_part(n)
-    core_s, core_d = squarefree_part(sign * s * s * d)
-    assert got_s == core_s * q2
-    assert got_d == core_d * q1
     assert got_s * got_s * got_d == n
+    assert all(got_d % (p * p) for p in primes_up_to(999))
+    big = s
+    for p in primes_up_to(999):
+        while big % p == 0:
+            big //= p
+    if q1 == 1:
+        # a square cofactor goes into s
+        assert (got_s, got_d) == (s * q2, sign * d)
+    else:
+        # any other cofactor goes into D whole; it is below 10^9 only as q1
+        # alone, and then D is squarefree
+        assert (got_s, got_d) == (s // big, sign * d * big * big * q1 * q2 * q2)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf.exact_arith import Rat, _factorize, odd_primes_up_to
+from quadpcf.exact_arith import Rat, odd_primes_up_to
 from quadpcf.ffdyn import (
+    LANE_PRIME_LIMIT,
     _cycle_periods,
     _walk,
     critical_periods,
@@ -21,6 +22,7 @@ from quadpcf.ffdyn import (
 from quadpcf.projmap import NormalizedQuadMap
 
 from oracles import (
+    divisors,
     naive_critical_periods,
     naive_cycle,
     naive_cycle_periods,
@@ -264,9 +266,9 @@ class TestPeriodRuleAtThree:
            st.builds(Rat, st.integers(-40, 40), st.integers(1, 40)))
     def test_ramified_primes_are_bad(self, s1, s2):
         # the rule needs p unramified in the critical points' field
-        # Q(sqrt(D)); D is the squarefree part of the wronskian
-        # discriminant, 4 * resultant, so an odd prime dividing D divides
-        # the resultant, and the sieve skips it as bad
+        # Q(sqrt(D)); D divides the wronskian discriminant, 4 * resultant,
+        # so every odd divisor of D divides the resultant, and the sieve
+        # skips an odd prime dividing D as bad
         phi = NormalizedQuadMap.from_sigmas(s1, s2)
         res = phi.resultant()
         assume(res != 0)
@@ -274,8 +276,16 @@ class TestPeriodRuleAtThree:
         assume(not crit.rational)
         w2, w1, w0 = phi.wronskian()
         assert w1 * w1 - 4 * w2 * w0 == 4 * res
-        for q in _factorize(abs(crit.points[0].D)):
-            assert q == 2 or res % q == 0, q
+        for q in divisors(abs(crit.points[0].D)):
+            assert q % 2 == 0 or res % q == 0, q
+
+
+def test_prime_tables_of_every_lane_prime():
+    # the log table is a bijection from F_p^x onto 0 .. p - 2 exactly when
+    # the tables are built from a primitive root
+    for p in odd_primes_up_to(LANE_PRIME_LIMIT):
+        log = prime_tables(p).log
+        assert sorted(log[1:]) == list(range(p - 1)), p
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

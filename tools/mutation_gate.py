@@ -246,6 +246,13 @@ MUTANTS = (
         '        body.pop("outdir")\n        body.pop("cutoff")\n',
         ("tests/test_cli.py::TestConfig::test_digest_equals_hashlib",),
     ),
+    Mutant(
+        "a square cofactor above the trial-division range stays in D",
+        "exact_arith.py",
+        "    s, d = (r, 1) if r * r == m else (1, m)\n",
+        "    s, d = (r, 1) if r * r == m < 1000 ** 2 else (1, m)\n",
+        ("tests/test_exact_arith.py::test_squarefree_part_with_large_factors",),
+    ),
 )
 
 
