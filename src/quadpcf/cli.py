@@ -4,16 +4,24 @@ Subcommands: sieve, verify, pipeline, portrait, preper, classify-twist,
 catalog.  All outputs are deterministic for a given configuration, and
 every artifact embeds a digest of the configuration that produced it.
 
+The flags are the only configuration.  FLAGS declares each flag once and
+COMMANDS names the flags of each subcommand; a flag that sets a RunConfig
+field has that field as its dest.  verify, portrait, preper and
+classify-twist take exactly one input, which the parser enforces.  Text
+from outside (rationals, sigma pairs, maps, prime lists, survivor rows)
+is read by _read, whose errors name their source:
+"error: invalid-input: --sigmas: ...".
+
 sieve and pipeline compute every period set they need on the fly, in one
 process; no command builds, reads or writes a database or a cache.  Only
 they load the sieve, quadpcf.lanesieve, which is plain Python like the
-rest of the package.
+rest of the package, and only the config digest, pipeline and catalog
+load json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
@@ -33,6 +41,8 @@ from quadpcf.projmap import NormalizedQuadMap
 if TYPE_CHECKING:
     from quadpcf.lanesieve import SieveCandidate
 
+# RunConfig.digest hashes this version, so every artifact's digest
+# depends on it
 CONFIG_VERSION = 1
 
 EXIT_OK = 0
@@ -79,6 +89,7 @@ class RunConfig(NamedTuple):
         are, so it stays out of the digest and artifacts are byte-identical
         across directories.
         """
+        import json
         body = dict(self._asdict(), config_version=CONFIG_VERSION)
         body.pop("outdir")
         body["primes"] = list(self.primes())
@@ -113,66 +124,52 @@ class RunConfig(NamedTuple):
             raise ValueError("preper_cutoff must be >= preper_height_bound")
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a config file holds one JSON object")
-    version = data.pop("config_version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ValueError(f"unsupported config version {version}")
-    allowed = set(RunConfig._fields)
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if key == "outdir":
-            ok = isinstance(value, str)
-        elif key == "prime_list":
-            # validate_primes checks the entries
-            ok = value is None or isinstance(value, list)
-        else:
-            ok = type(value) is int
-        if not ok:
-            raise ValueError(f"config key {key} has a value of the wrong type: {value!r}")
-    if data.get("prime_list") is not None:
-        data["prime_list"] = tuple(data["prime_list"])
-    return data
+def _malformed(text: str, source: str, what: str) -> str:
+    return f"{source}: {text.strip() or repr(text)} is not {what}"
+
+
+def _read(parse, text: str, source: str, what: str):
+    """parse(text), the one reader of text from outside the program.  Its
+    ValueError names the source and what the text should be, so none of
+    Python's own messages (int() literals, unpacking) reaches the user."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(_malformed(text, source, what)) from None
+
+
+def _rational(text: str, source: str) -> ExtendedRational:
+    return _read(ExtendedRational.from_str, text, source,
+                 "a point of P^1 (an integer, a fraction such as -3/2, or inf)")
+
+
+def _pair(text: str, source: str) -> Tuple[ExtendedRational, ExtendedRational]:
+    """Two rationals written "a,b", as --sigmas and --psi2-dk take them."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(_malformed(text, source, "a pair of rationals such as 2,-8"))
+    return _rational(parts[0], source), _rational(parts[1], source)
+
+
+def _input_map(args) -> NormalizedQuadMap:
+    """The map given by --map, else by --sigmas."""
+    if args.map is not None:
+        return _read(NormalizedQuadMap.from_str, args.map, "--map",
+                     "a quadratic map [f2,f1,f0]/[g2,g1,g0] with integer coefficients")
+    return NormalizedQuadMap.from_sigmas(*_pair(args.sigmas, "--sigmas"))
 
 
 def _config_from_args(args) -> RunConfig:
-    base = RunConfig()
-    if getattr(args, "config", None):
-        base = base._replace(**_load_config_file(args.config))
-    updates = {}
-    mapping = [
-        ("primes", "primes_count"), ("h1", "h1"), ("h2", "h2"),
-        ("budget", "budget"), ("cutoff", "cutoff"),
-        ("preper_height_bound", "preper_height_bound"),
-        ("preper_step_budget", "preper_step_budget"),
-        ("preper_cutoff", "preper_cutoff"),
-        ("outdir", "outdir"),
-    ]
-    for arg_name, field in mapping:
-        v = getattr(args, arg_name, None)
-        if v is not None:
-            updates[field] = v
-    if getattr(args, "prime_list", None) is not None:
-        updates["prime_list"] = tuple(
-            int(x) for x in args.prime_list.split(",") if x.strip())
-    cfg = base._replace(**updates)
+    """Every RunConfig field a flag set, the others at their defaults."""
+    given = {field: getattr(args, field) for field in RunConfig._fields
+             if getattr(args, field, None) is not None}
+    if "prime_list" in given:
+        given["prime_list"] = _read(
+            lambda text: tuple(int(x) for x in text.split(",") if x.strip()),
+            given["prime_list"], "--prime-list", "a comma-separated list of odd primes")
+    cfg = RunConfig(**given)
     cfg.validate()
     return cfg
-
-
-def _parse_map_arg(args) -> NormalizedQuadMap:
-    if getattr(args, "map", None):
-        return NormalizedQuadMap.from_str(args.map)
-    if getattr(args, "sigmas", None):
-        s1_text, s2_text = args.sigmas.split(",")
-        return NormalizedQuadMap.from_sigmas(
-            ExtendedRational.from_str(s1_text), ExtendedRational.from_str(s2_text))
-    raise ValueError("need --map or --sigmas")
 
 
 # ----------------------------------------------------------------------
@@ -202,19 +199,21 @@ def write_survivors_tsv(path: Path, cfg: RunConfig,
             fh.write(c.tsv_line() + "\n")
 
 
+def _verdict(st: pcfverify.PcfStatus) -> Tuple[str, str]:
+    """The status of a verification and its detail: the critical portrait's
+    edge lines joined by "; ", or why the map is undetermined."""
+    if st.verified:
+        return "VERIFIED_PCF", "; ".join(st.portrait.edge_lines())
+    return "UNDETERMINED", st.reason
+
+
 def write_verified_tsv(path: Path, cfg: RunConfig, result: PipelineResult) -> None:
     with open(path, "w") as fh:
         fh.write(f"# quadpcf verification\n# config-digest: {cfg.digest()}\n")
         fh.write("# sigma1\tsigma2\tmap\tstatus\tportrait\n")
         for cand, st in zip(result.survivors, result.statuses):
-            if st.verified:
-                portrait = "; ".join(st.portrait.edge_lines())
-                status = "VERIFIED_PCF"
-            else:
-                portrait = st.reason
-                status = "UNDETERMINED"
-            fh.write("\t".join([str(cand.sigma1), str(cand.sigma2),
-                                str(cand.phi), status, portrait]) + "\n")
+            fh.write("\t".join([str(cand.sigma1), str(cand.sigma2), str(cand.phi),
+                                *_verdict(st)]) + "\n")
 
 
 def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
@@ -231,7 +230,7 @@ def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
                 "resultant": c.resultant,
                 "critical_points": "rational" if c.critical_rational else "irrational",
                 "modular_evidence_primes": c.primes_used,
-                "status": "VERIFIED_PCF" if st.verified else "UNDETERMINED",
+                "status": _verdict(st)[0],
             }
             for c, st in zip(result.survivors, result.statuses)
         ],
@@ -259,45 +258,34 @@ def _cmd_sieve(args) -> int:
     return EXIT_OK
 
 
-def _iter_sigma_pairs(text: str):
-    for part in text.split(";"):
-        s1_text, s2_text = part.split(",")
-        yield (ExtendedRational.from_str(s1_text), ExtendedRational.from_str(s2_text))
-
-
 def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    pairs = []
-    if args.sigmas:
-        pairs = list(_iter_sigma_pairs(args.sigmas))
-    elif args.infile:
+    if args.sigmas is not None:
+        pairs = [_pair(part, "--sigmas") for part in args.sigmas.split(";")]
+    else:
+        pairs = []
         with open(args.infile) as fh:
             for lineno, line in enumerate(fh, 1):
                 if line.startswith("#") or not line.strip():
                     continue
+                source = f"{args.infile} line {lineno}"
                 cols = line.rstrip("\n").split("\t")
                 if len(cols) < 2:
-                    raise ValueError(f"{args.infile} line {lineno}: "
-                                     "need sigma1 and sigma2 columns")
-                pairs.append((ExtendedRational.from_str(cols[0]),
-                              ExtendedRational.from_str(cols[1])))
-    else:
-        raise ValueError("need --sigmas or --in")
+                    raise ValueError(f"{source}: need sigma1 and sigma2 columns")
+                pairs.append((_rational(cols[0], source), _rational(cols[1], source)))
     bad = 0
     print(f"# exact-iteration budget {cfg.budget}, size cutoff {cfg.cutoff} "
           "(artifact parameters; raise them for stubborn orbits)")
     for s1, s2 in pairs:
         phi = NormalizedQuadMap.from_sigmas(s1, s2)
         st = pcfverify.critical_orbit_portrait(phi, cfg.budget, cfg.cutoff)
-        if st.verified:
-            print(f"({s1},{s2})\tVERIFIED_PCF\t" + "; ".join(st.portrait.edge_lines()))
-        else:
-            bad += 1
-            print(f"({s1},{s2})\tUNDETERMINED\t{st.reason}")
+        bad += not st.verified
+        print(f"({s1},{s2})\t" + "\t".join(_verdict(st)))
     return EXIT_OK if bad == 0 else EXIT_ERROR
 
 
 def _cmd_pipeline(args) -> int:
+    import json
     cfg = _config_from_args(args)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -317,7 +305,7 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_portrait(args) -> int:
     cfg = _config_from_args(args)
-    phi = _parse_map_arg(args)
+    phi = _input_map(args)
     st = pcfverify.critical_orbit_portrait(phi, cfg.budget, cfg.cutoff)
     if not st.verified:
         print(f"UNDETERMINED: {st.reason}")
@@ -332,7 +320,7 @@ def _cmd_portrait(args) -> int:
 
 def _cmd_preper(args) -> int:
     cfg = _config_from_args(args)
-    phi = _parse_map_arg(args)
+    phi = _input_map(args)
     graph = preper.rational_preperiodic_graph(
         phi, cfg.preper_height_bound, cfg.preper_step_budget, cfg.preper_cutoff)
     print(f"# bounded search: heights <= {cfg.preper_height_bound}, "
@@ -350,19 +338,15 @@ def _cmd_preper(args) -> int:
 
 
 def _cmd_classify_twist(args) -> int:
-    given = [x for x in (args.psi1_b, args.psi2_t, args.psi2_dk, args.map) if x]
-    if len(given) != 1:
-        raise ValueError("give exactly one of --psi1-b, --psi2-t, --psi2-dk, --map")
-    if args.psi1_b:
-        cls = preper.classify_psi1_twist(ExtendedRational.from_str(args.psi1_b))
-    elif args.psi2_t:
-        cls = preper.classify_psi2_map(t=ExtendedRational.from_str(args.psi2_t))
-    elif args.psi2_dk:
-        d_text, k_text = args.psi2_dk.split(",")
-        cls = preper.classify_psi2_map(d=ExtendedRational.from_str(d_text),
-                                       k=ExtendedRational.from_str(k_text))
+    if args.psi1_b is not None:
+        cls = preper.classify_psi1_twist(_rational(args.psi1_b, "--psi1-b"))
+    elif args.psi2_t is not None:
+        cls = preper.classify_psi2_map(t=_rational(args.psi2_t, "--psi2-t"))
+    elif args.psi2_dk is not None:
+        d, k = _pair(args.psi2_dk, "--psi2-dk")
+        cls = preper.classify_psi2_map(d=d, k=k)
     else:
-        cls = preper.classify_psi2_map(NormalizedQuadMap.from_str(args.map))
+        cls = preper.classify_psi2_map(_input_map(args))
     print(f"{cls.id}\t{cls.description}")
     print(f"# representative: {cls.representative}")
     for line in cls.graph.edge_lines():
@@ -378,6 +362,7 @@ TEN_SIGMA_PAIRS: Tuple[Tuple[ExtendedRational, ExtendedRational], ...] = (
 
 
 def _cmd_catalog(args) -> int:
+    import json
     data = {"trivial_stabilizer_maps": [], "sq_twist_classes": [],
             "invsq_twist_classes": [], "power_map_components": {}}
     for s1, s2 in TEN_SIGMA_PAIRS:
@@ -433,12 +418,48 @@ def _cmd_catalog(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, primes: bool = True) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    if primes:
-        p.add_argument("--primes", type=int, help="number of odd primes (default 130)")
-        p.add_argument("--prime-list", dest="prime_list",
-                       help="explicit comma-separated odd primes")
+# each flag once, with its dest, type and help.  A flag that sets a
+# RunConfig field has that field as its dest, which is all
+# _config_from_args reads
+FLAGS = {
+    "--primes": dict(dest="primes_count", type=int,
+                     help="number of odd primes (default 130)"),
+    "--prime-list": dict(help="explicit comma-separated odd primes"),
+    "--h1": dict(type=int, help="height bound for sigma1"),
+    "--h2": dict(type=int, help="height bound for sigma2"),
+    "--budget": dict(type=int, help="exact-iteration budget"),
+    "--cutoff": dict(type=int, help="orbit size cutoff"),
+    "--preper-height-bound": dict(type=int, help="height bound of the searched points"),
+    "--preper-step-budget": dict(type=int, help="steps per searched orbit"),
+    "--preper-cutoff": dict(type=int, help="orbit size cutoff of the search"),
+    "--outdir": dict(help="artifact directory"),
+    "--out": dict(help="TSV output path (default: stdout)"),
+    "--dot": dict(help="write Graphviz DOT here"),
+    "--json": dict(action="store_true"),
+    "--sigmas": dict(help='sigma pair like "2,-8"; verify takes several, "2,-8;-6,4"'),
+    "--in": dict(dest="infile", help="survivors TSV from the sieve"),
+    "--map": dict(help='map as "[f2,f1,f0]/[g2,g1,g0]"'),
+    "--psi1-b": dict(help="b of the z^2 twist z/2 + b/z"),
+    "--psi2-t": dict(help="t of the 1/z^2 twist t/z^2"),
+    "--psi2-dk": dict(help='pair "d,k" of the 1/z^2 normal form'),
+}
+
+# name, handler, help, flags, and the inputs of which exactly one is given
+COMMANDS = (
+    ("sieve", _cmd_sieve, "run the height-bounded sigma-pair sieve",
+     "--primes --prime-list --h1 --h2 --out", ""),
+    ("verify", _cmd_verify, "exactly verify critical-orbit finiteness",
+     "--budget --cutoff", "--sigmas --in"),
+    ("pipeline", _cmd_pipeline, "sieve + verify, writing artifacts",
+     "--primes --prime-list --h1 --h2 --budget --cutoff --outdir", ""),
+    ("portrait", _cmd_portrait, "critical portrait of one map",
+     "--budget --cutoff --dot", "--map --sigmas"),
+    ("preper", _cmd_preper, "rational preperiodic graph of one map",
+     "--preper-height-bound --preper-step-budget --preper-cutoff --dot", "--map --sigmas"),
+    ("classify-twist", _cmd_classify_twist, "symmetry-locus structure class",
+     "", "--psi1-b --psi2-t --psi2-dk --map"),
+    ("catalog", _cmd_catalog, "print the computed structure catalogs", "--json", ""),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,61 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quadpcf",
         description="search, sieve and certification of quadratic PCF maps over Q")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sieve", help="run the height-bounded sigma-pair sieve")
-    _add_common(p)
-    p.add_argument("--h1", type=int, help="height bound for sigma1")
-    p.add_argument("--h2", type=int, help="height bound for sigma2")
-    p.add_argument("--out", help="TSV output path (default: stdout)")
-    p.set_defaults(func=_cmd_sieve)
-
-    p = sub.add_parser("verify", help="exactly verify critical-orbit finiteness")
-    _add_common(p, primes=False)
-    p.add_argument("--sigmas", help='pairs like "2,-8;-6,4"')
-    p.add_argument("--in", dest="infile", help="survivors TSV from the sieve")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--cutoff", type=int)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("pipeline", help="sieve + verify, writing artifacts")
-    _add_common(p)
-    p.add_argument("--h1", type=int)
-    p.add_argument("--h2", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--outdir", help="artifact directory")
-    p.set_defaults(func=_cmd_pipeline)
-
-    p = sub.add_parser("portrait", help="critical portrait of one map")
-    _add_common(p, primes=False)
-    p.add_argument("--map", help='map as "[f2,f1,f0]/[g2,g1,g0]"')
-    p.add_argument("--sigmas", help='sigma pair like "2,-8"')
-    p.add_argument("--budget", type=int)
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--dot", help="write Graphviz DOT here")
-    p.set_defaults(func=_cmd_portrait)
-
-    p = sub.add_parser("preper", help="rational preperiodic graph of one map")
-    _add_common(p, primes=False)
-    p.add_argument("--map", help='map as "[f2,f1,f0]/[g2,g1,g0]"')
-    p.add_argument("--sigmas", help='sigma pair like "2,-8"')
-    p.add_argument("--preper-height-bound", dest="preper_height_bound", type=int)
-    p.add_argument("--preper-step-budget", dest="preper_step_budget", type=int)
-    p.add_argument("--preper-cutoff", dest="preper_cutoff", type=int)
-    p.add_argument("--dot", help="write Graphviz DOT here")
-    p.set_defaults(func=_cmd_preper)
-
-    p = sub.add_parser("classify-twist", help="symmetry-locus structure class")
-    p.add_argument("--psi1-b", dest="psi1_b", help="b of the z^2 twist z/2 + b/z")
-    p.add_argument("--psi2-t", dest="psi2_t", help="t of the 1/z^2 twist t/z^2")
-    p.add_argument("--psi2-dk", dest="psi2_dk", help='pair "d,k" of the 1/z^2 normal form')
-    p.add_argument("--map", help="explicit map conjugate to 1/z^2")
-    p.set_defaults(func=_cmd_classify_twist)
-
-    p = sub.add_parser("catalog", help="print the computed structure catalogs")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_catalog)
-
+    for name, func, help_text, flags, inputs in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        if inputs:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag in inputs.split():
+                group.add_argument(flag, **FLAGS[flag])
     return ap
 
 

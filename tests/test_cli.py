@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -230,10 +232,13 @@ class TestVerify:
         ["portrait", "--sigmas", "0/0,1"],
         ["classify-twist", "--psi1-b=0/0"]])
     def test_zero_over_zero_is_input_error(self, argv, capsys):
-        # 0/0 is no point of P^1: an input error, not a traceback
+        # 0/0 is no point of P^1: an input error that names the argument,
+        # not a traceback
         rc = main(argv)
         assert rc == EXIT_USAGE
-        assert "error: invalid-input: 0/0 is not a point of P^1" in capsys.readouterr().err
+        flag = argv[1].split("=")[0]
+        assert (f"error: invalid-input: {flag}: 0/0 is not a point of P^1"
+                in capsys.readouterr().err)
 
     def test_complex_critical_points(self, capsys):
         # the critical points of (3, 5/6) are a conjugate pair in an
@@ -297,8 +302,10 @@ class TestClassifyTwist:
         assert rc == EXIT_USAGE
 
     def test_requires_exactly_one_input(self, capsys):
-        rc = main(["classify-twist", "--psi1-b", "1", "--psi2-t", "1"])
-        assert rc == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["classify-twist", "--psi1-b", "1", "--psi2-t", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "not allowed with argument --psi1-b" in capsys.readouterr().err
 
 
 class TestCatalog:
@@ -309,6 +316,45 @@ class TestCatalog:
         assert len(data["trivial_stabilizer_maps"]) == 10
         assert len(data["invsq_twist_classes"]) == 7
         assert len(data["sq_twist_classes"]) == 4
+
+
+class TestInput:
+    """Outside text is read by one parser, whose errors name the source;
+    each command takes exactly one input, as its parser states."""
+
+    @pytest.mark.parametrize("argv, source", [
+        (["verify", "--sigmas", "2"], "--sigmas"),
+        (["verify", "--sigmas", "1/2/3,1"], "--sigmas"),
+        (["verify", "--sigmas", "2,-8;"], "--sigmas"),
+        (["verify", "--in", "{tmp}/surv.tsv"], "{tmp}/surv.tsv line 2"),
+        (["classify-twist", "--psi2-dk", "2"], "--psi2-dk"),
+        (["portrait", "--map", "[1,0,-2]/[0,0,1]/[1]"], "--map"),
+        (["portrait", "--map", "[1,a,2]/[0,0,1]"], "--map"),
+        (["portrait", "--sigmas", ""], "--sigmas"),
+        (["sieve", "--prime-list", "3,x"], "--prime-list")],
+        ids=["one-sigma", "three-part-rational", "empty-pair", "tsv-row", "one-of-d-k",
+             "three-part-map", "letter-in-map", "empty-sigmas", "letter-in-primes"])
+    def test_malformed_text_names_its_source(self, argv, source, tmp_path, capsys):
+        # none of Python's own messages (int() literals, unpacking) leaks out
+        (tmp_path / "surv.tsv").write_text("# sigma1\tsigma2\n2\tx\n")
+        rc = main([a.format(tmp=tmp_path) for a in argv])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid-input: {source.format(tmp=tmp_path)}: "), err
+        assert "unpack" not in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--sigmas", "2,-8", "--in", "/nonexistent/surv.tsv"],
+        ["portrait", "--map", "[1,0,0]/[0,0,1]", "--sigmas", "2,-8"],
+        ["preper"],
+        ["classify-twist", "--psi2-dk", "2,1", "--map", "[0,2,-1]/[1,0,-1]"]])
+    def test_exactly_one_input(self, argv, capsys):
+        # a second input used to be ignored without a word
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err or "is required" in err
 
 
 configs = st.builds(
@@ -335,38 +381,47 @@ def _digest_text(cfg):
         "primes": list(cfg.primes())}, sort_keys=True, separators=(",", ":"))
 
 
-class TestConfig:
-    def test_config_file_and_override(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(
-            {"h1": 1, "h2": 1, "prime_list": [3, 5, 7, 11, 13]}))
-        rc = main(["sieve", "--config", str(cfg_path),
-                   "--h2", "2"])
-        assert rc == EXIT_OK
+# the one input each command needs, as the parser requires it
+INPUTS = {"sieve": [], "verify": ["--sigmas=2,-8"], "pipeline": [],
+          "portrait": ["--sigmas=2,-8"], "preper": ["--map", "[1,0,-2]/[0,0,1]"],
+          "classify-twist": ["--psi2-t", "1"], "catalog": []}
 
-    @pytest.mark.parametrize("command", ["catalog", "classify-twist"])
+
+class TestConfig:
+    @pytest.mark.parametrize("command", list(INPUTS))
     def test_commands_without_config_reject_it(self, command, capsys):
-        # catalog and classify-twist read no configuration
+        # no command reads a configuration file: the flags are the only configuration
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", "/nonexistent/x.json"])
+            main([command, *INPUTS[command], "--config", "/nonexistent/x.json"])
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --config" in capsys.readouterr().err
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"nope": 1}))
-        rc = main(["sieve", "--config", str(cfg_path)])
-        assert rc == EXIT_USAGE
-
-    @pytest.mark.parametrize("body", [
-        {"h1": 3.5}, {"budget": "64"}, {"prime_list": [3.9, 5]}, {"h1": True}, [1]])
-    def test_value_of_wrong_type_rejected(self, body, tmp_path, capsys):
-        # neither a traceback nor a silent int(): 3.9 is not the prime 3
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(body))
-        rc = main(["sieve", "--config", str(cfg_path)])
-        assert rc == EXIT_USAGE
-        assert "invalid-input" in capsys.readouterr().err
+    def test_every_run_flag_reaches_its_field(self):
+        # a flag that configures a run has its RunConfig field as dest; a
+        # drifted dest would drop the flag without a word
+        values = {"primes_count": 40, "prime_list": (3, 5, 7), "h1": 3, "h2": 7,
+                  "budget": 65, "cutoff": 999, "preper_height_bound": 50,
+                  "preper_step_budget": 77, "preper_cutoff": 5000, "outdir": "elsewhere"}
+        assert set(values) == set(RunConfig._fields)
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(commands) == set(INPUTS)
+        reached = set()
+        for command, sub in commands.items():
+            for action in sub._actions:
+                field = action.dest
+                if field not in values:
+                    continue
+                value = values[field]
+                assert value != getattr(RunConfig(), field)
+                text = ",".join(map(str, value)) if field == "prime_list" else str(value)
+                args = parser.parse_args(
+                    [command, *INPUTS[command], action.option_strings[0], text])
+                assert getattr(cli._config_from_args(args), field) == value, \
+                    (command, action.option_strings)
+                reached.add(field)
+        assert reached == set(RunConfig._fields)
 
     def test_digest_stability(self):
         a = RunConfig(h1=2, h2=4)
@@ -485,6 +540,35 @@ def test_exact_commands_import_no_dataclasses_or_fractions():
             "    check(argv)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_commands_import_no_json():
+    # json cost a fresh process about 3 ms; only the config digest,
+    # pipeline and catalog load it
+    code = ("import contextlib, io, sys\n"
+            "from quadpcf import cli\n"
+            "for argv in (['preper', '--sigmas=2,-4', '--preper-height-bound', '120'],\n"
+            "             ['classify-twist', '--psi2-dk', '2,1']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        if cli.main(argv) != 0:\n"
+            "            sys.exit(f'{argv} failed')\n"
+            "    if 'json' in sys.modules:\n"
+            "        sys.exit(f'json loaded after {argv}')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("quadpcf ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    assert (tmp_path / "run" / "summary.json").is_file()
+    assert (tmp_path / "z2m2.dot").is_file()
 
 
 class TestRecords:

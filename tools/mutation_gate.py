@@ -247,6 +247,31 @@ MUTANTS = (
         ("tests/test_cli.py::TestConfig::test_digest_equals_hashlib",),
     ),
     Mutant(
+        "the --primes flag's dest drifts from its RunConfig field",
+        "cli.py",
+        'dest="primes_count"',
+        'dest="primes"',
+        ("tests/test_cli.py::TestConfig::test_every_run_flag_reaches_its_field",),
+    ),
+    Mutant(
+        "the verdict renderer calls an unverified status VERIFIED_PCF",
+        "cli.py",
+        '    return "UNDETERMINED", st.reason\n',
+        '    return "VERIFIED_PCF", st.reason\n',
+        ("tests/test_cli.py::TestVerify::test_undetermined_exit",
+         "tests/test_cli.py::TestPipeline::test_paper_box_with_few_primes"),
+    ),
+    Mutant(
+        "the text reader drops the source from its message",
+        "cli.py",
+        'return f"{source}: {text.strip() or repr(text)} is not {what}"',
+        'return f"{text.strip() or repr(text)} is not {what}"',
+        ("tests/test_cli.py::TestInput::test_malformed_text_names_its_source[one-sigma]",
+         "tests/test_cli.py::TestInput::test_malformed_text_names_its_source[tsv-row]",
+         "tests/test_cli.py::TestInput::test_malformed_text_names_its_source[letter-in-map]",
+         "tests/test_cli.py::TestInput::test_malformed_text_names_its_source[letter-in-primes]"),
+    ),
+    Mutant(
         "a square cofactor above the trial-division range stays in D",
         "exact_arith.py",
         "    s, d = (r, 1) if r * r == m else (1, m)\n",
