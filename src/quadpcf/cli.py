@@ -9,8 +9,11 @@ COMMANDS names the flags of each subcommand; a flag that sets a RunConfig
 field has that field as its dest.  verify, portrait, preper and
 classify-twist take exactly one input, which the parser enforces.  Text
 from outside (rationals, sigma pairs, maps, prime lists, survivor rows)
-is read by _read, whose errors name their source:
-"error: invalid-input: --sigmas: ...".
+is read by _read, which also builds the map each input gives and checks
+that its resultant is nonzero, so a command has every map before it
+prints a line.  Its errors name their source:
+"error: invalid-input: --sigmas: 3,3: degenerate map (resultant 0)".
+A closed stdout ends a command with exit 1 and no message.
 
 sieve and pipeline compute every period set they need on the fly, in one
 process; no command builds, reads or writes a database or a cache.  Only
@@ -22,6 +25,7 @@ load json.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
@@ -124,39 +128,77 @@ class RunConfig(NamedTuple):
             raise ValueError("preper_cutoff must be >= preper_height_bound")
 
 
+class InputError(ValueError):
+    """Outside text that gives no valid input; the message names its
+    source, a flag or "<file> line <n>"."""
+
+
+_RATIONAL = "a point of P^1 (an integer, a fraction such as -3/2, or inf)"
+_PAIR = "a pair of rationals such as 2,-8"
+
+
 def _malformed(text: str, source: str, what: str) -> str:
     return f"{source}: {text.strip() or repr(text)} is not {what}"
 
 
-def _read(parse, text: str, source: str, what: str):
-    """parse(text), the one reader of text from outside the program.  Its
-    ValueError names the source and what the text should be, so none of
-    Python's own messages (int() literals, unpacking) reaches the user."""
+def _read(parse, text: str, source: str, what: str, build=None):
+    """build(parse(text)), the one reader of text from outside the program.
+    A ValueError of parse says what the text should be, so none of Python's
+    own messages (int() literals, unpacking) reaches the user; build makes
+    the map or the class a command takes, and its ValueError gives the
+    reason.  Both name the source."""
     try:
-        return parse(text)
+        value = parse(text)
+    except InputError:
+        raise
     except ValueError:
-        raise ValueError(_malformed(text, source, what)) from None
+        raise InputError(_malformed(text, source, what)) from None
+    try:
+        return value if build is None else build(value)
+    except ValueError as e:
+        raise InputError(f"{source}: {text.strip()}: {e}") from None
 
 
 def _rational(text: str, source: str) -> ExtendedRational:
-    return _read(ExtendedRational.from_str, text, source,
-                 "a point of P^1 (an integer, a fraction such as -3/2, or inf)")
+    return _read(ExtendedRational.from_str, text, source, _RATIONAL)
 
 
-def _pair(text: str, source: str) -> Tuple[ExtendedRational, ExtendedRational]:
-    """Two rationals written "a,b", as --sigmas and --psi2-dk take them."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(_malformed(text, source, "a pair of rationals such as 2,-8"))
-    return _rational(parts[0], source), _rational(parts[1], source)
+def _pair(text: str, source: str, sep: str = ","):
+    """The two rationals of "a,b", as --sigmas and --psi2-dk take them, or
+    the first two columns of a TSV row, split at tabs."""
+    a, b, *rest = text.split(sep)
+    if rest and sep == ",":
+        raise ValueError(text)
+    return _rational(a, source), _rational(b, source)
+
+
+def _degree_two(phi: NormalizedQuadMap) -> NormalizedQuadMap:
+    if phi.resultant() == 0:
+        raise ValueError("degenerate map (resultant 0)")
+    return phi
+
+
+def _sigma_map(text: str, source: str, sep: str = ",") -> NormalizedQuadMap:
+    """The normal-form map of a sigma pair, read as _pair reads it."""
+    what = _PAIR if sep == "," else "a row with sigma1 and sigma2 columns"
+    return _read(lambda t: _pair(t, source, sep), text, source, what,
+                 lambda s: _degree_two(NormalizedQuadMap.from_sigmas(*s)))
 
 
 def _input_map(args) -> NormalizedQuadMap:
-    """The map given by --map, else by --sigmas."""
+    """The map of the one map input given: --map or --sigmas, or the
+    twist of 1/z^2 of --psi2-t or --psi2-dk."""
     if args.map is not None:
         return _read(NormalizedQuadMap.from_str, args.map, "--map",
-                     "a quadratic map [f2,f1,f0]/[g2,g1,g0] with integer coefficients")
-    return NormalizedQuadMap.from_sigmas(*_pair(args.sigmas, "--sigmas"))
+                     "a quadratic map [f2,f1,f0]/[g2,g1,g0] with integer coefficients",
+                     _degree_two)
+    if getattr(args, "sigmas", None) is not None:
+        return _sigma_map(args.sigmas, "--sigmas")
+    if args.psi2_t is not None:
+        return _read(ExtendedRational.from_str, args.psi2_t, "--psi2-t", _RATIONAL,
+                     lambda t: _degree_two(preper.invsq_twist_from_t(t)))
+    return _read(lambda t: _pair(t, "--psi2-dk"), args.psi2_dk, "--psi2-dk", _PAIR,
+                 lambda dk: _degree_two(preper.invsq_twist_from_dk(*dk)))
 
 
 def _config_from_args(args) -> RunConfig:
@@ -261,26 +303,19 @@ def _cmd_sieve(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     if args.sigmas is not None:
-        pairs = [_pair(part, "--sigmas") for part in args.sigmas.split(";")]
+        maps = [_sigma_map(part, "--sigmas") for part in args.sigmas.split(";")]
     else:
-        pairs = []
         with open(args.infile) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.startswith("#") or not line.strip():
-                    continue
-                source = f"{args.infile} line {lineno}"
-                cols = line.rstrip("\n").split("\t")
-                if len(cols) < 2:
-                    raise ValueError(f"{source}: need sigma1 and sigma2 columns")
-                pairs.append((_rational(cols[0], source), _rational(cols[1], source)))
+            maps = [_sigma_map(line, f"{args.infile} line {lineno}", "\t")
+                    for lineno, line in enumerate(fh, 1)
+                    if line.strip() and not line.startswith("#")]
     bad = 0
     print(f"# exact-iteration budget {cfg.budget}, size cutoff {cfg.cutoff} "
           "(artifact parameters; raise them for stubborn orbits)")
-    for s1, s2 in pairs:
-        phi = NormalizedQuadMap.from_sigmas(s1, s2)
+    for phi in maps:
         st = pcfverify.critical_orbit_portrait(phi, cfg.budget, cfg.cutoff)
         bad += not st.verified
-        print(f"({s1},{s2})\t" + "\t".join(_verdict(st)))
+        print("({},{})\t".format(*phi.sigmas) + "\t".join(_verdict(st)))
     return EXIT_OK if bad == 0 else EXIT_ERROR
 
 
@@ -339,12 +374,8 @@ def _cmd_preper(args) -> int:
 
 def _cmd_classify_twist(args) -> int:
     if args.psi1_b is not None:
-        cls = preper.classify_psi1_twist(_rational(args.psi1_b, "--psi1-b"))
-    elif args.psi2_t is not None:
-        cls = preper.classify_psi2_map(t=_rational(args.psi2_t, "--psi2-t"))
-    elif args.psi2_dk is not None:
-        d, k = _pair(args.psi2_dk, "--psi2-dk")
-        cls = preper.classify_psi2_map(d=d, k=k)
+        cls = _read(ExtendedRational.from_str, args.psi1_b, "--psi1-b", _RATIONAL,
+                    preper.classify_psi1_twist)
     else:
         cls = preper.classify_psi2_map(_input_map(args))
     print(f"{cls.id}\t{cls.description}")
@@ -483,7 +514,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: Python's recipe points stdout at
+        # devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except CatalogMatchError as e:
         print(f"error: catalog-mismatch: {e}", file=sys.stderr)
         return EXIT_CATALOG_MISMATCH

@@ -31,7 +31,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from quadpcf import ffdyn
 from quadpcf.exact_arith import ExtendedRational, enumerate_pairs, validate_primes
 from quadpcf.ffdyn import LANE_PRIME_LIMIT, MAX_HEIGHT_PRODUCT, PeriodSet
-from quadpcf.projmap import NormalizedQuadMap
+from quadpcf.projmap import NormalizedQuadMap, normal_form
 
 # the filter takes the primes below this bound: by the time it reaches
 # 64, about one lane in a thousand is left at (10, 20)
@@ -190,17 +190,6 @@ def _filter(i: int, filt: List[_FilterPrime], alive: int) -> Tuple[int, int]:
     return alive, dead
 
 
-def _normal_form(n1: int, d1: int, n2: int, d2: int):
-    """The forms (F, G) of NormalizedQuadMap.from_sigmas(n1 / d1, n2 / d2),
-    fractions in lowest terms: the normal form over the common denominator
-    d1 * d2, divided by the content of the forms, gcd(d1 * d2, b, c) =
-    gcd(d1 * d2, n1 * d2, n2 * d1) = gcd(d1, d2); f2 > 0 already."""
-    g = gcd(d1, d2)
-    dd = d1 * d2
-    b, c = ffdyn.family_bc(n1 * d2, n2 * d1, dd)
-    return ffdyn.family_forms(b // g, c // g, dd // g)
-
-
 def _exact(n1, d1, n2, d2, steps, killed):
     """The lane's forms, resultant, rationality, running sets (None before
     any evidence) and evidence count after every prime, or None once it is
@@ -208,7 +197,7 @@ def _exact(n1, d1, n2, d2, steps, killed):
     steps holds each prime ascending with its inverses and entries; killed
     marks a lane the filter killed, refuted if its critical points are
     irrational."""
-    F, G = _normal_form(n1, d1, n2, d2)
+    F, G = normal_form(n1, d1, n2, d2)
     w2, w1, w0 = ffdyn.wronskian(F, G)
     h = w1 // 2
     res = h * h - w2 * w0          # ffdyn.form_resultant

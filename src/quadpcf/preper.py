@@ -4,6 +4,12 @@ Bounded search for the rational preperiodic graph of a map, classification
 of the twists of z^2 and 1/z^2 into their finitely many preperiodic
 structures, and the root-of-unity catalogs of low-degree preperiodic
 points for the two power maps via exponent dynamics.
+
+The eleven structure classes of the twists are one table, class id ->
+(description, representative map), and one cached builder searches each
+representative's graph once; classify_psi1_twist(b), classify_psi2_map(phi)
+and invsq_catalog() all read it.  A root-of-unity point is the tuple
+(kind, order, exp), which gives its equality, hash and order.
 """
 
 from __future__ import annotations
@@ -47,9 +53,7 @@ class TypeTag(NamedTuple):
 # ----------------------------------------------------------------------
 
 def vertex_sort_key(v):
-    if isinstance(v, RootOfUnityPoint):
-        return v.sort_key()
-    return point_sort_key(v)
+    return v if isinstance(v, RootOfUnityPoint) else point_sort_key(v)
 
 
 class FunctionalGraph:
@@ -296,7 +300,7 @@ def rational_preperiodic_graph(phi: NormalizedQuadMap,
 
 
 # ----------------------------------------------------------------------
-# twists of z^2
+# the symmetry-locus catalogs: twists of z^2 and 1/z^2
 # ----------------------------------------------------------------------
 
 class StructureClass(NamedTuple):
@@ -325,26 +329,55 @@ def sq_twist_map(b: RationalLike) -> NormalizedQuadMap:
     return NormalizedQuadMap((b.den, 0, 2 * b.num), (0, 2 * b.den, 0))
 
 
-def _is_square(n: int) -> bool:
-    return n > 0 and isqrt(n) ** 2 == n
+def invsq_twist_from_t(t: RationalLike) -> NormalizedQuadMap:
+    """The twist t/z^2 (these are exactly the twists with a rational 2-cycle)."""
+    t = _parameter(t, "t")
+    return NormalizedQuadMap((0, 0, t.num), (t.den, 0, 0))
 
 
-_SQ_CLASS_REPS = {
+def invsq_twist_from_dk(d: RationalLike, k: RationalLike) -> NormalizedQuadMap:
+    """Normal-form twist (k z^2 - 2 d z + d k) / (z^2 - 2 k z + d), times
+    the common denominator of d and k."""
+    d = _parameter(d, "d")
+    k = _parameter(k, "k", nonzero=False)
+    if k.num * k.num * d.den == d.num * k.den * k.den:
+        raise ValueError("k^2 must differ from d")
+    return NormalizedQuadMap((k.num * d.den, -2 * d.num * k.den, d.num * k.num),
+                             (k.den * d.den, -2 * k.num * d.den, d.num * k.den))
+
+
+# class id -> (description, representative): the four twists of z^2, then
+# the seven of 1/z^2, each in the catalog's order
+_CLASSES: Dict[str, Tuple[str, NormalizedQuadMap]] = {
     "sq-generic": ("no finite rational preperiodic points beyond 0 -> inf",
-                   Rat(1)),
-    "sq-fixed": ("two finite rational fixed points", Rat(1, 2)),
-    "sq-2cycle": ("a rational 2-cycle with one tail point each", Rat(-3, 2)),
+                   sq_twist_map(1)),
+    "sq-fixed": ("two finite rational fixed points", sq_twist_map(Rat(1, 2))),
+    "sq-2cycle": ("a rational 2-cycle with one tail point each", sq_twist_map(Rat(-3, 2))),
     "sq-type12": ("two rational points falling onto the tail of infinity",
-                  Rat(-1, 2)),
+                  sq_twist_map(Rat(-1, 2))),
+    "invsq-2cycle-fixed": ("rational 2-cycle plus a fixed point with its tail",
+                           invsq_twist_from_t(1)),
+    "invsq-2cycle": ("rational 2-cycle and nothing else", invsq_twist_from_t(2)),
+    "invsq-empty": ("no rational preperiodic points", invsq_twist_from_dk(2, 1)),
+    "invsq-fixed": ("one rational fixed point with its tail", invsq_twist_from_dk(2, 0)),
+    "invsq-fixed-type12": ("fixed point, tail point, and two second-level tail points",
+                           NormalizedQuadMap((-1, 2, 1), (1, 2, -1))),
+    "invsq-three-fixed": ("three rational fixed points, each with one tail point",
+                          NormalizedQuadMap((-1, 2, 0), (0, 2, -1))),
+    "invsq-3cycle": ("rational 3-cycle with one tail point each",
+                     NormalizedQuadMap((0, 2, -1), (1, 0, -1))),
 }
 
 
 @cache
-def _sq_class(class_id: str) -> StructureClass:
-    desc, rep_b = _SQ_CLASS_REPS[class_id]
-    rep = sq_twist_map(rep_b)
-    return StructureClass(id=class_id, description=desc, representative=rep,
-                          graph=rational_preperiodic_graph(rep))
+def _structure_class(class_id: str) -> StructureClass:
+    """The catalog class class_id, its graph searched from its representative."""
+    desc, rep = _CLASSES[class_id]
+    return StructureClass(class_id, desc, rep, rational_preperiodic_graph(rep))
+
+
+def _is_square(n: int) -> bool:
+    return n > 0 and isqrt(n) ** 2 == n
 
 
 def classify_psi1_twist(b: RationalLike) -> StructureClass:
@@ -363,96 +396,29 @@ def classify_psi1_twist(b: RationalLike) -> StructureClass:
         ("sq-fixed", 2), ("sq-2cycle", -6), ("sq-type12", -2),
     ) if _is_square(mult * nd)]
     assert len(hits) <= 1, f"square classes overlap for b={b}: {hits}"
-    return _sq_class(hits[0] if hits else "sq-generic")
+    return _structure_class(hits[0] if hits else "sq-generic")
 
 
-# ----------------------------------------------------------------------
-# twists of 1/z^2
-# ----------------------------------------------------------------------
-
-def invsq_twist_from_t(t: RationalLike) -> NormalizedQuadMap:
-    """The twist t/z^2 (these are exactly the twists with a rational 2-cycle)."""
-    t = _parameter(t, "t")
-    return NormalizedQuadMap((0, 0, t.num), (t.den, 0, 0))
-
-
-def invsq_twist_from_dk(d: RationalLike, k: RationalLike) -> NormalizedQuadMap:
-    """Normal-form twist (k z^2 - 2 d z + d k) / (z^2 - 2 k z + d), times
-    the common denominator of d and k."""
-    d = _parameter(d, "d")
-    k = _parameter(k, "k", nonzero=False)
-    if k.num * k.num * d.den == d.num * k.den * k.den:
-        raise ValueError("k^2 must differ from d")
-    return NormalizedQuadMap((k.num * d.den, -2 * d.num * k.den, d.num * k.num),
-                             (k.den * d.den, -2 * k.num * d.den, d.num * k.den))
+def invsq_catalog() -> Tuple[StructureClass, ...]:
+    """The seven classes of the twists of 1/z^2, in the catalog's order."""
+    return tuple(_structure_class(cid) for cid in _CLASSES if cid.startswith("invsq-"))
 
 
 _INVSQ_SIGMAS = (Rat(-6), Rat(12))
 
-# class id -> (description, representative), in the catalog's order
-_INVSQ_CLASS_REPS: Dict[str, Tuple[str, NormalizedQuadMap]] = {
-    "invsq-2cycle-fixed": (
-        "rational 2-cycle plus a fixed point with its tail",
-        invsq_twist_from_t(1)),
-    "invsq-2cycle": (
-        "rational 2-cycle and nothing else",
-        invsq_twist_from_t(2)),
-    "invsq-empty": (
-        "no rational preperiodic points",
-        invsq_twist_from_dk(2, 1)),
-    "invsq-fixed": (
-        "one rational fixed point with its tail",
-        invsq_twist_from_dk(2, 0)),
-    "invsq-fixed-type12": (
-        "fixed point, tail point, and two second-level tail points",
-        NormalizedQuadMap((-1, 2, 1), (1, 2, -1))),
-    "invsq-three-fixed": (
-        "three rational fixed points, each with one tail point",
-        NormalizedQuadMap((-1, 2, 0), (0, 2, -1))),
-    "invsq-3cycle": (
-        "rational 3-cycle with one tail point each",
-        NormalizedQuadMap((0, 2, -1), (1, 0, -1))),
-}
 
-
-@cache
-def invsq_catalog() -> Tuple[StructureClass, ...]:
-    return tuple(StructureClass(id=cid, description=desc, representative=rep,
-                                graph=rational_preperiodic_graph(rep))
-                 for cid, (desc, rep) in _INVSQ_CLASS_REPS.items())
-
-
-def classify_psi2_map(phi: Optional[NormalizedQuadMap] = None, *,
-                      t: Optional[RationalLike] = None,
-                      d: Optional[RationalLike] = None,
-                      k: Optional[RationalLike] = None,
-                      height_bound: int = DEFAULT_HEIGHT_BOUND,
-                      step_budget: int = DEFAULT_STEP_BUDGET) -> StructureClass:
+def classify_psi2_map(phi: NormalizedQuadMap) -> StructureClass:
     """Catalog class of a map conjugate to 1/z^2.
 
-    The map may be given directly, as the parameter t of t/z^2, or as the
-    pair (d, k) of the rational normal form.  The computed preperiodic
-    graph is matched against the seven reference structures up to
-    functional-graph isomorphism; failure to match any is a hard error
-    since the classification proves the list complete.
+    The map's preperiodic graph is matched against the seven reference
+    structures up to functional-graph isomorphism; failure to match any is
+    a hard error since the classification proves the list complete.
     """
-    modes = sum([phi is not None, t is not None, d is not None or k is not None])
-    if modes != 1:
-        raise ValueError("give exactly one of: a map, t, or the pair (d, k)")
-    if t is not None:
-        phi = invsq_twist_from_t(t)
-    elif d is not None or k is not None:
-        if d is None or k is None:
-            raise ValueError("the (d, k) form needs both d and k")
-        phi = invsq_twist_from_dk(d, k)
-    assert phi is not None
     if phi.sigma_invariants() != _INVSQ_SIGMAS:
         raise ValueError(
             f"map {phi} is not conjugate to 1/z^2 "
             f"(sigma invariants {phi.sigma_invariants()} != {_INVSQ_SIGMAS})")
-    graph = rational_preperiodic_graph(phi, height_bound=height_bound,
-                                       step_budget=step_budget)
-    form = graph.canonical_form()
+    form = rational_preperiodic_graph(phi).canonical_form()
     for cls in invsq_catalog():
         if cls.graph.canonical_form() == form:
             return cls
@@ -467,79 +433,52 @@ def classify_psi2_map(phi: Optional[NormalizedQuadMap] = None, *,
 
 SQUARE = "square"
 INVERSE_SQUARE = "inverse_square"
+_ZERO, _INF, _ROOT = "zero", "inf", "root"
 
 
-class RootOfUnityPoint:
+class RootOfUnityPoint(NamedTuple):
     """0, infinity, or the root of unity zeta_order^exp with gcd(exp, order)=1.
 
-    The stored order is the exact multiplicative order, so the algebraic
-    degree is totient(order).
+    Points compare, hash and sort as the tuples (kind, order, exp).  root()
+    reduces exp / order, so the stored order is the exact multiplicative
+    order and the algebraic degree is totient(order).
     """
 
-    __slots__ = ("kind", "order", "exp")
-
-    ZERO_KIND, INF_KIND, ROOT_KIND = "zero", "inf", "root"
-
-    def __init__(self, kind: str, order: int = 0, exp: int = 0):
-        self.kind = kind
-        if kind == self.ROOT_KIND:
-            if order < 1:
-                raise ValueError("order must be positive")
-            exp %= order
-            g = gcd(exp, order) if exp else order
-            self.order = order // g
-            self.exp = exp // g
-        else:
-            self.order = 0
-            self.exp = 0
+    kind: str
+    order: int = 0
+    exp: int = 0
 
     @staticmethod
     def zero() -> "RootOfUnityPoint":
-        return RootOfUnityPoint(RootOfUnityPoint.ZERO_KIND)
+        return RootOfUnityPoint(_ZERO)
 
     @staticmethod
     def inf() -> "RootOfUnityPoint":
-        return RootOfUnityPoint(RootOfUnityPoint.INF_KIND)
+        return RootOfUnityPoint(_INF)
 
     @staticmethod
     def root(order: int, exp: int) -> "RootOfUnityPoint":
-        return RootOfUnityPoint(RootOfUnityPoint.ROOT_KIND, order, exp)
+        if order < 1:
+            raise ValueError("order must be positive")
+        g = gcd(exp, order)
+        return RootOfUnityPoint(_ROOT, order=order // g, exp=exp % order // g)
 
     def degree(self) -> int:
-        if self.kind == self.ROOT_KIND:
-            return totient(self.order)
-        return 1
-
-    def sort_key(self):
-        return (3, self.kind, self.order, self.exp)
-
-    def __eq__(self, other):
-        if not isinstance(other, RootOfUnityPoint):
-            return NotImplemented
-        return (self.kind, self.order, self.exp) == (other.kind, other.order, other.exp)
-
-    def __hash__(self):
-        return hash((self.kind, self.order, self.exp))
+        return totient(self.order) if self.kind == _ROOT else 1
 
     def __repr__(self):
-        if self.kind == self.ZERO_KIND:
-            return "0"
-        if self.kind == self.INF_KIND:
-            return "inf"
-        if self.order == 1:
-            return "1"
-        if self.order == 2:
-            return "-1"
+        if self.kind != _ROOT:
+            return "0" if self.kind == _ZERO else "inf"
+        if self.order <= 2:
+            return "1" if self.order == 1 else "-1"
         return f"zeta{self.order}^{self.exp}"
 
 
 def _power_step(pt: RootOfUnityPoint, variant: str) -> RootOfUnityPoint:
-    if pt.kind == RootOfUnityPoint.ZERO_KIND:
-        return pt if variant == SQUARE else RootOfUnityPoint.inf()
-    if pt.kind == RootOfUnityPoint.INF_KIND:
-        return pt if variant == SQUARE else RootOfUnityPoint.zero()
+    if pt.kind != _ROOT:
+        return pt if variant == SQUARE else RootOfUnityPoint(_ZERO if pt.kind == _INF else _INF)
     mult = 2 if variant == SQUARE else -2
-    return RootOfUnityPoint.root(pt.order, (mult * pt.exp) % pt.order)
+    return RootOfUnityPoint.root(pt.order, mult * pt.exp)
 
 
 def power_map_low_degree_preperiodic(variant: str, max_degree: int) -> List[FunctionalGraph]:

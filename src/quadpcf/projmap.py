@@ -53,6 +53,19 @@ def _normalize_forms(fc, gc):
     return tuple(ints[:3]), tuple(ints[3:])
 
 
+def normal_form(n1: int, d1: int, n2: int, d2: int) -> Tuple[FormCoeffs, FormCoeffs]:
+    """The forms (F, G) of the sigma pair (n1 / d1, n2 / d2), fractions in
+    lowest terms: Milnor's normal form (Experiment. Math. 2, 1993) over the
+    common denominator d1 * d2, divided by the content of the forms,
+    gcd(d1 * d2, b, c) = gcd(d1 * d2, n1 * d2, n2 * d1) = gcd(d1, d2); f2 > 0
+    already.  NormalizedQuadMap.from_sigmas and the sieve's exact pass both
+    build their maps with it."""
+    g = gcd(d1, d2)
+    dd = d1 * d2
+    b, c = family_bc(n1 * d2, n2 * d1, dd)
+    return family_forms(b // g, c // g, dd // g)
+
+
 class NormalizedQuadMap:
     """Degree-2 rational map as content-normalized integer binary forms.
 
@@ -72,20 +85,15 @@ class NormalizedQuadMap:
 
     @staticmethod
     def from_sigmas(s1: RationalLike, s2: RationalLike) -> "NormalizedQuadMap":
-        """Normal-form map with fixed-point multiplier invariants (s1, s2).
-
-        For s1 = n1 / d1 and s2 = n2 / d2 these are Milnor's forms
-        (Experiment. Math. 2, 1993) over the common denominator d1 * d2,
-        the formula the sieve applies to each lane.  Degenerate pairs are
-        representable; callers detect them through a vanishing resultant.
+        """Normal-form map with fixed-point multiplier invariants (s1, s2),
+        the forms of normal_form.  Degenerate pairs are representable;
+        callers detect them through a vanishing resultant.
         """
         s1, s2 = Rat(s1), Rat(s2)
-        n1, d1, n2, d2 = s1.num, s1.den, s2.num, s2.den
-        dd = d1 * d2
-        if dd == 0:
+        if s1.den == 0 or s2.den == 0:
             raise ValueError("sigma-invariants must be finite")
-        return NormalizedQuadMap(*family_forms(*family_bc(n1 * d2, n2 * d1, dd), dd),
-                                 sigmas=(s1, s2))
+        return NormalizedQuadMap.from_normal_forms(
+            *normal_form(s1.num, s1.den, s2.num, s2.den), sigmas=(s1, s2))
 
     @staticmethod
     def from_normal_forms(f_coeffs: FormCoeffs, g_coeffs: FormCoeffs,

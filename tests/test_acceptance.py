@@ -27,6 +27,8 @@ from quadpcf.preper import (
     RootOfUnityPoint,
     classify_psi1_twist,
     classify_psi2_map,
+    invsq_twist_from_dk,
+    invsq_twist_from_t,
     power_map_low_degree_preperiodic,
     rational_preperiodic_graph,
 )
@@ -127,19 +129,19 @@ EXPECTED_SQ_TWISTS = {
     Rat(-1, 2): ("sq-type12", {Rat(0): I, I: I, Rat(1): Rat(0), Rat(-1): Rat(0)}),
 }
 
-# The seven psi2 classes: (input kwargs, class id, successor map).
+# The seven psi2 classes: (map, class id, successor map).
 EXPECTED_INVSQ = (
-    (dict(t=Rat(1)), "invsq-2cycle-fixed",
+    (invsq_twist_from_t(Rat(1)), "invsq-2cycle-fixed",
      {Rat(0): I, I: Rat(0), Rat(-1): Rat(1), Rat(1): Rat(1)}),
-    (dict(t=Rat(2)), "invsq-2cycle", {Rat(0): I, I: Rat(0)}),
-    (dict(d=Rat(2), k=Rat(1)), "invsq-empty", {}),
-    (dict(d=Rat(2), k=Rat(0)), "invsq-fixed", {Rat(0): Rat(0), I: Rat(0)}),
-    (dict(phi=NormalizedQuadMap((-1, 2, 1), (1, 2, -1))), "invsq-fixed-type12",
+    (invsq_twist_from_t(Rat(2)), "invsq-2cycle", {Rat(0): I, I: Rat(0)}),
+    (invsq_twist_from_dk(Rat(2), Rat(1)), "invsq-empty", {}),
+    (invsq_twist_from_dk(Rat(2), Rat(0)), "invsq-fixed", {Rat(0): Rat(0), I: Rat(0)}),
+    (NormalizedQuadMap((-1, 2, 1), (1, 2, -1)), "invsq-fixed-type12",
      {Rat(1): Rat(1), Rat(-1): Rat(1), Rat(0): Rat(-1), I: Rat(-1)}),
-    (dict(phi=NormalizedQuadMap((-1, 2, 0), (0, 2, -1))), "invsq-three-fixed",
+    (NormalizedQuadMap((-1, 2, 0), (0, 2, -1)), "invsq-three-fixed",
      {Rat(0): Rat(0), Rat(1): Rat(1), I: I, Rat(2): Rat(0),
       Rat(-1): Rat(1), Rat(1, 2): I}),
-    (dict(phi=NormalizedQuadMap((0, 2, -1), (1, 0, -1))), "invsq-3cycle",
+    (NormalizedQuadMap((0, 2, -1), (1, 0, -1)), "invsq-3cycle",
      {Rat(0): Rat(1), Rat(1): I, I: Rat(0), Rat(1, 2): Rat(0),
       Rat(2): Rat(1), Rat(-1): I}),
 )
@@ -230,11 +232,11 @@ def test_criterion_5_symmetry_locus():
         "b=-6 not assigned to the 2-cycle class"
     assert classify_psi1_twist(Rat(-8)).id == "sq-type12", \
         "b=-8 not assigned to the type-1_2 class"
-    for kwargs, class_id, expected in EXPECTED_INVSQ:
-        cls = classify_psi2_map(**kwargs)
-        assert cls.id == class_id, f"{kwargs}: class {cls.id} != {class_id}"
+    for phi, class_id, expected in EXPECTED_INVSQ:
+        cls = classify_psi2_map(phi)
+        assert cls.id == class_id, f"{phi}: class {cls.id} != {class_id}"
         assert cls.graph.successor == expected, \
-            f"{kwargs}: graph mismatch {cls.graph.edge_lines()}"
+            f"{phi}: graph mismatch {cls.graph.edge_lines()}"
 
 
 def test_criterion_6_root_of_unity_catalogs():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from quadpcf import cli, lanesieve, pcfverify
 from quadpcf.cli import (
+    EXIT_ERROR,
     EXIT_OK,
     EXIT_USAGE,
     TEN_SIGMA_PAIRS,
@@ -318,6 +319,28 @@ class TestCatalog:
         assert len(data["sq_twist_classes"]) == 4
 
 
+class TestFrozenBytes:
+    """The catalog bytes the benchmark gate freezes in
+    perfbench/expected.json: catalog --json and the preper output of each
+    of the ten maps at height 120, compared here too so that a change of
+    order or text fails in the suite."""
+
+    EXPECTED = json.loads((Path(__file__).resolve().parent.parent
+                           / "perfbench" / "expected.json").read_text())["catalog"]
+
+    def _sha256(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def test_catalog_json(self, capsys):
+        assert self._sha256(["catalog", "--json"], capsys) == self.EXPECTED["catalog.json"]
+
+    @pytest.mark.parametrize("s1, s2", TEN_SIGMA_PAIRS, ids=str)
+    def test_preper_at_height_120(self, s1, s2, capsys):
+        argv = ["preper", f"--sigmas={s1},{s2}", "--preper-height-bound", "120"]
+        assert self._sha256(argv, capsys) == self.EXPECTED["preper"][f"{s1},{s2}"]
+
+
 class TestInput:
     """Outside text is read by one parser, whose errors name the source;
     each command takes exactly one input, as its parser states."""
@@ -331,17 +354,54 @@ class TestInput:
         (["portrait", "--map", "[1,0,-2]/[0,0,1]/[1]"], "--map"),
         (["portrait", "--map", "[1,a,2]/[0,0,1]"], "--map"),
         (["portrait", "--sigmas", ""], "--sigmas"),
-        (["sieve", "--prime-list", "3,x"], "--prime-list")],
+        (["sieve", "--prime-list", "3,x"], "--prime-list"),
+        # text that reads but makes no map
+        (["verify", "--sigmas", "2,-8;inf,1"], "--sigmas"),
+        (["verify", "--in", "{tmp}/degenerate.tsv"], "{tmp}/degenerate.tsv line 3"),
+        (["portrait", "--sigmas", "inf,2"], "--sigmas"),
+        (["preper", "--sigmas=inf,2"], "--sigmas"),
+        (["portrait", "--sigmas", "3,3"], "--sigmas"),
+        (["preper", "--map", "[1,0,0]/[1,0,0]"], "--map"),
+        (["classify-twist", "--map", "[1,0,0]/[1,0,0]"], "--map"),
+        (["classify-twist", "--psi1-b", "0"], "--psi1-b"),
+        (["classify-twist", "--psi2-t", "0"], "--psi2-t"),
+        (["classify-twist", "--psi2-dk", "1,1"], "--psi2-dk")],
         ids=["one-sigma", "three-part-rational", "empty-pair", "tsv-row", "one-of-d-k",
-             "three-part-map", "letter-in-map", "empty-sigmas", "letter-in-primes"])
+             "three-part-map", "letter-in-map", "empty-sigmas", "letter-in-primes",
+             "infinite-sigma-after-a-valid-pair", "degenerate-tsv-row", "infinite-sigma",
+             "infinite-sigma-preper", "degenerate-sigmas", "degenerate-map",
+             "degenerate-map-to-classify", "zero-b", "zero-t", "k-squared-is-d"])
     def test_malformed_text_names_its_source(self, argv, source, tmp_path, capsys):
-        # none of Python's own messages (int() literals, unpacking) leaks out
+        # none of Python's own messages (int() literals, unpacking) leaks out,
+        # and every map is built before anything is printed
         (tmp_path / "surv.tsv").write_text("# sigma1\tsigma2\n2\tx\n")
+        (tmp_path / "degenerate.tsv").write_text("# sigma1\tsigma2\n2\t-8\n3\t3\n")
         rc = main([a.format(tmp=tmp_path) for a in argv])
         assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(f"error: invalid-input: {source.format(tmp=tmp_path)}: "), err
         assert "unpack" not in err and "invalid literal" not in err
+        assert out == ""
+
+    def test_closed_stdout_is_no_input_error(self, tmp_path, monkeypatch, capsys):
+        # a reader that quits before the command has written everything
+        # (quadpcf pipeline ... | true) closes the pipe; the command ends in
+        # exit 1 without an invalid-input line
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return fh.fileno()
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            rc = main(["catalog"])
+        assert rc == EXIT_ERROR
+        assert "invalid-input" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--sigmas", "2,-8", "--in", "/nonexistent/surv.tsv"],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from quadpcf import preper
 from quadpcf.cli import TEN_SIGMA_PAIRS
 from quadpcf.exact_arith import INFINITY, Rat
 from quadpcf.ffdyn import form_resultant
@@ -305,17 +306,17 @@ class TestSqTwists:
 
 class TestInvsqTwists:
     def test_input_forms(self):
-        assert classify_psi2_map(t=Rat(1)).id == "invsq-2cycle-fixed"
-        assert classify_psi2_map(t=Rat(2)).id == "invsq-2cycle"
-        assert classify_psi2_map(d=Rat(2), k=Rat(1)).id == "invsq-empty"
-        assert classify_psi2_map(d=Rat(2), k=Rat(0)).id == "invsq-fixed"
+        assert classify_psi2_map(invsq_twist_from_t(Rat(1))).id == "invsq-2cycle-fixed"
+        assert classify_psi2_map(invsq_twist_from_t(Rat(2))).id == "invsq-2cycle"
+        assert classify_psi2_map(invsq_twist_from_dk(Rat(2), Rat(1))).id == "invsq-empty"
+        assert classify_psi2_map(invsq_twist_from_dk(Rat(2), Rat(0))).id == "invsq-fixed"
         m7 = NormalizedQuadMap.from_str("[0,2,-1]/[1,0,-1]")
         assert classify_psi2_map(m7).id == "invsq-3cycle"
 
     def test_t_cube_gives_fixed_point_class(self):
-        assert classify_psi2_map(t=Rat(8)).id == "invsq-2cycle-fixed"
-        assert classify_psi2_map(t=Rat(27, 64)).id == "invsq-2cycle-fixed"
-        assert classify_psi2_map(t=Rat(3)).id == "invsq-2cycle"
+        for t, class_id in ((Rat(8), "invsq-2cycle-fixed"),
+                            (Rat(27, 64), "invsq-2cycle-fixed"), (Rat(3), "invsq-2cycle")):
+            assert classify_psi2_map(invsq_twist_from_t(t)).id == class_id
 
     def test_parameter_validation(self):
         for t in (0, INFINITY):
@@ -327,21 +328,22 @@ class TestInvsqTwists:
         for d, k in ((4, 2), (Rat(9, 4), Rat(-3, 2))):
             with pytest.raises(ValueError, match="k\\^2 must differ"):
                 invsq_twist_from_dk(d, k)
-        with pytest.raises(ValueError):
-            classify_psi2_map(t=Rat(1), d=Rat(2), k=Rat(0))
-        with pytest.raises(ValueError):
-            classify_psi2_map()
 
     def test_foreign_map_rejected(self):
         with pytest.raises(ValueError, match="not conjugate"):
             classify_psi2_map(NormalizedQuadMap((1, 0, -2), (0, 0, 1)))
 
-    def test_stunted_search_is_hard_failure(self):
+    def test_stunted_search_is_hard_failure(self, monkeypatch):
         # searching only up to height 1 finds the 3-cycle but just one of
-        # its three tails, a shape outside the catalog
+        # its three tails, a shape outside the catalog; the reference graphs
+        # are searched at the full height before the search is stunted
+        invsq_catalog()
+        search = preper.rational_preperiodic_graph
+        monkeypatch.setattr(preper, "rational_preperiodic_graph",
+                            lambda phi: search(phi, height_bound=1))
         m7 = NormalizedQuadMap.from_str("[0,2,-1]/[1,0,-1]")
         with pytest.raises(CatalogMatchError):
-            classify_psi2_map(m7, height_bound=1)
+            classify_psi2_map(m7)
 
     def test_catalog_is_complete_and_distinct(self):
         catalog = invsq_catalog()

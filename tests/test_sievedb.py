@@ -17,7 +17,7 @@ from quadpcf.exact_arith import (
     odd_primes_up_to,
 )
 from quadpcf.ffdyn import LANE_PRIME_LIMIT, family_forms, form_resultant, wronskian
-from quadpcf.projmap import NormalizedQuadMap
+from quadpcf.projmap import NormalizedQuadMap, normal_form
 from quadpcf.sievedb import (
     Database,
     DbConsistencyError,
@@ -455,7 +455,7 @@ class TestSieve:
     def test_integer_forms_equal_from_sigmas(self, s1, s2):
         # the survivors' maps come from the sieve's integer normal form
         # through the trusted constructor
-        F, G = lanesieve._normal_form(s1.num, s1.den, s2.num, s2.den)
+        F, G = normal_form(s1.num, s1.den, s2.num, s2.den)
         phi = NormalizedQuadMap.from_normal_forms(F, G, (s1, s2))
         ref = NormalizedQuadMap.from_sigmas(s1, s2)
         assert (phi.F, phi.G, str(phi)) == (ref.F, ref.G, str(ref))
@@ -466,7 +466,7 @@ class TestSieve:
     def test_trusted_constructor_equals_normalizing(self, s1, s2):
         # the forms are already content-free with f2 > 0: normalizing them
         # again changes nothing
-        F, G = lanesieve._normal_form(s1.num, s1.den, s2.num, s2.den)
+        F, G = normal_form(s1.num, s1.den, s2.num, s2.den)
         trusted = NormalizedQuadMap.from_normal_forms(F, G)
         ref = NormalizedQuadMap(F, G)
         assert (trusted.F, trusted.G) == (ref.F, ref.G)

@@ -4,9 +4,10 @@
 
 A mutant names a file under src/quadpcf, an exact old text, the new text
 that replaces it, and the test ids that must fail.  For each mutant the
-script copies src/, tests/ and pyproject.toml into a fresh temporary
-directory, applies the one edit there and runs only the named tests, so the
-checkout and its .hypothesis database are never touched.  Hypothesis runs
+script copies src/, tests/, pyproject.toml and perfbench/expected.json into
+a fresh temporary directory, applies the one edit there and runs only the
+named tests, so the checkout and its .hypothesis database are never
+touched.  Hypothesis runs
 under the "mutation" profile of tests/conftest.py, which reports a failing
 example without shrinking it.  The named tests first run once on an
 unmutated copy and must pass there.
@@ -199,11 +200,10 @@ MUTANTS = (
     ),
     Mutant(
         "the trusted constructor gets forms with their content",
-        "lanesieve.py",
+        "projmap.py",
         "    g = gcd(d1, d2)\n",
         "    g = 1\n",
-        ("tests/test_sievedb.py::TestSieve::test_trusted_constructor_equals_normalizing",
-         "tests/test_sievedb.py::TestSieve::test_integer_forms_equal_from_sigmas"),
+        ("tests/test_sievedb.py::TestSieve::test_trusted_constructor_equals_normalizing",),
     ),
     Mutant(
         "verifier claims PCF when its budget runs out",
@@ -272,6 +272,35 @@ MUTANTS = (
          "tests/test_cli.py::TestInput::test_malformed_text_names_its_source[letter-in-primes]"),
     ),
     Mutant(
+        "the root-of-unity points sort as (kind, exp, order)",
+        "preper.py",
+        "    kind: str\n    order: int = 0\n    exp: int = 0\n",
+        "    kind: str\n    exp: int = 0\n    order: int = 0\n",
+        ("tests/test_cli.py::TestFrozenBytes::test_catalog_json",),
+    ),
+    Mutant(
+        "the 1/z^2 classifier returns a class without comparing canonical forms",
+        "preper.py",
+        "        if cls.graph.canonical_form() == form:\n",
+        "        if cls.graph:\n",
+        ("tests/test_preper.py::TestInvsqTwists::test_input_forms",
+         "tests/test_acceptance.py::test_criterion_5_symmetry_locus"),
+    ),
+    Mutant(
+        "verify prints its header before it builds the maps",
+        "cli.py",
+        '    cfg = _config_from_args(args)\n'
+        '    if args.sigmas is not None:\n',
+        '    cfg = _config_from_args(args)\n'
+        '    print(f"# exact-iteration budget {cfg.budget}, size cutoff {cfg.cutoff} "\n'
+        '          "(artifact parameters; raise them for stubborn orbits)")\n'
+        '    if args.sigmas is not None:\n',
+        ("tests/test_cli.py::TestInput::test_malformed_text_names_its_source"
+         "[infinite-sigma-after-a-valid-pair]",
+         "tests/test_cli.py::TestInput::test_malformed_text_names_its_source"
+         "[degenerate-tsv-row]"),
+    ),
+    Mutant(
         "a square cofactor above the trial-division range stays in D",
         "exact_arith.py",
         "    s, d = (r, 1) if r * r == m else (1, m)\n",
@@ -285,6 +314,9 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
     shutil.copytree(ROOT / "src", dest / "src", ignore=ignore)
     shutil.copytree(ROOT / "tests", dest / "tests", ignore=ignore)
+    # the frozen catalog bytes that tests/test_cli.py compares with
+    (dest / "perfbench").mkdir()
+    shutil.copy2(ROOT / "perfbench" / "expected.json", dest / "perfbench" / "expected.json")
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
