@@ -6,12 +6,14 @@ every artifact embeds a digest of the configuration that produced it.
 
 The flags are the only configuration.  FLAGS declares each flag once and
 COMMANDS names the flags of each subcommand; a flag that sets a RunConfig
-field has that field as its dest.  verify, portrait, preper and
-classify-twist take exactly one input, which the parser enforces.  Text
-from outside (rationals, sigma pairs, maps, prime lists, survivor rows)
-is read by _read, which also builds the map each input gives and checks
-that its resultant is nonzero, so a command has every map before it
-prints a line.  Its errors name their source:
+field has that field as its dest.  The exact walks run at the fixed
+limits of pcfverify and preper, which the verify and preper headers
+print.  verify, portrait, preper and classify-twist take exactly one
+input, which the parser enforces.  Text from outside (rationals, sigma
+pairs, maps, prime lists, survivor rows) is read by _read, which also
+builds the map each input gives and checks that its resultant is
+nonzero, so a command has every map before it prints a line.  Its
+errors name their source:
 "error: invalid-input: --sigmas: 3,3: degenerate map (resultant 0)".
 A closed stdout ends a command with exit 1 and no message.
 
@@ -74,11 +76,7 @@ class RunConfig(NamedTuple):
     prime_list: Optional[Tuple[int, ...]] = None
     h1: int = 10
     h2: int = 20
-    budget: int = pcfverify.DEFAULT_BUDGET
-    cutoff: int = pcfverify.DEFAULT_SIZE_CUTOFF
     preper_height_bound: int = preper.DEFAULT_HEIGHT_BOUND
-    preper_step_budget: int = preper.DEFAULT_STEP_BUDGET
-    preper_cutoff: int = preper.DEFAULT_SIZE_CUTOFF
     outdir: str = "."
 
     def primes(self) -> Tuple[int, ...]:
@@ -91,10 +89,14 @@ class RunConfig(NamedTuple):
 
         The output directory affects where results appear, never what they
         are, so it stays out of the digest and artifacts are byte-identical
-        across directories.
+        across directories.  The exact walks' fixed limits shape
+        verified.tsv, so they are hashed with the fields.
         """
         import json
-        body = dict(self._asdict(), config_version=CONFIG_VERSION)
+        body = dict(self._asdict(), config_version=CONFIG_VERSION,
+                    budget=pcfverify.DEFAULT_BUDGET, cutoff=pcfverify.DEFAULT_SIZE_CUTOFF,
+                    preper_step_budget=preper.DEFAULT_STEP_BUDGET,
+                    preper_cutoff=preper.DEFAULT_SIZE_CUTOFF)
         body.pop("outdir")
         body["primes"] = list(self.primes())
         body.pop("prime_list")
@@ -119,13 +121,11 @@ class RunConfig(NamedTuple):
             if self.primes_count > most:
                 raise ValueError(f"primes_count {self.primes_count} is too large: the "
                                  f"sieve takes the {most} odd primes below {LANE_PRIME_LIMIT}")
-        for name in ("budget", "cutoff", "preper_height_bound", "preper_step_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        # below the height bound the cutoff would call searched preperiodic
-        # points divergent, and they would leave the graph without a word
-        if self.preper_cutoff < self.preper_height_bound:
-            raise ValueError("preper_cutoff must be >= preper_height_bound")
+        # above the search's size cutoff a searched preperiodic point would
+        # be called divergent, and it would leave the graph without a word
+        if not 1 <= self.preper_height_bound <= preper.DEFAULT_SIZE_CUTOFF:
+            raise ValueError(f"--preper-height-bound: {self.preper_height_bound} is not "
+                             f"in [1, {preper.DEFAULT_SIZE_CUTOFF}]")
 
 
 class InputError(ValueError):
@@ -178,27 +178,32 @@ def _degree_two(phi: NormalizedQuadMap) -> NormalizedQuadMap:
     return phi
 
 
-def _sigma_map(text: str, source: str, sep: str = ",") -> NormalizedQuadMap:
-    """The normal-form map of a sigma pair, read as _pair reads it."""
+def _same(phi: NormalizedQuadMap) -> NormalizedQuadMap:
+    return phi
+
+
+def _sigma_map(text: str, source: str, sep: str = ",", use=_same):
+    """use of the normal-form map of a sigma pair, read as _pair reads it."""
     what = _PAIR if sep == "," else "a row with sigma1 and sigma2 columns"
     return _read(lambda t: _pair(t, source, sep), text, source, what,
-                 lambda s: _degree_two(NormalizedQuadMap.from_sigmas(*s)))
+                 lambda s: use(_degree_two(NormalizedQuadMap.from_sigmas(*s))))
 
 
-def _input_map(args) -> NormalizedQuadMap:
-    """The map of the one map input given: --map or --sigmas, or the
-    twist of 1/z^2 of --psi2-t or --psi2-dk."""
+def _input_map(args, use=_same):
+    """use of the map of the one map input given: --map or --sigmas, or
+    the twist of 1/z^2 of --psi2-t or --psi2-dk.  use is applied in
+    _read's build, so its ValueError names the input too."""
     if args.map is not None:
         return _read(NormalizedQuadMap.from_str, args.map, "--map",
                      "a quadratic map [f2,f1,f0]/[g2,g1,g0] with integer coefficients",
-                     _degree_two)
+                     lambda phi: use(_degree_two(phi)))
     if getattr(args, "sigmas", None) is not None:
-        return _sigma_map(args.sigmas, "--sigmas")
+        return _sigma_map(args.sigmas, "--sigmas", use=use)
     if args.psi2_t is not None:
         return _read(ExtendedRational.from_str, args.psi2_t, "--psi2-t", _RATIONAL,
-                     lambda t: _degree_two(preper.invsq_twist_from_t(t)))
+                     lambda t: use(_degree_two(preper.invsq_twist_from_t(t))))
     return _read(lambda t: _pair(t, "--psi2-dk"), args.psi2_dk, "--psi2-dk", _PAIR,
-                 lambda dk: _degree_two(preper.invsq_twist_from_dk(*dk)))
+                 lambda dk: use(_degree_two(preper.invsq_twist_from_dk(*dk))))
 
 
 def _config_from_args(args) -> RunConfig:
@@ -226,8 +231,7 @@ class PipelineResult(NamedTuple):
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     from quadpcf import lanesieve
     survivors = lanesieve.sieve(cfg.h1, cfg.h2, cfg.primes())
-    statuses = [pcfverify.critical_orbit_portrait(c.phi, cfg.budget, cfg.cutoff)
-                for c in survivors]
+    statuses = [pcfverify.critical_orbit_portrait(c.phi) for c in survivors]
     return PipelineResult(survivors, statuses)
 
 
@@ -301,7 +305,6 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
     if args.sigmas is not None:
         maps = [_sigma_map(part, "--sigmas") for part in args.sigmas.split(";")]
     else:
@@ -310,10 +313,10 @@ def _cmd_verify(args) -> int:
                     for lineno, line in enumerate(fh, 1)
                     if line.strip() and not line.startswith("#")]
     bad = 0
-    print(f"# exact-iteration budget {cfg.budget}, size cutoff {cfg.cutoff} "
-          "(artifact parameters; raise them for stubborn orbits)")
+    print(f"# exact-iteration budget {pcfverify.DEFAULT_BUDGET}, "
+          f"size cutoff {pcfverify.DEFAULT_SIZE_CUTOFF} (artifact parameters)")
     for phi in maps:
-        st = pcfverify.critical_orbit_portrait(phi, cfg.budget, cfg.cutoff)
+        st = pcfverify.critical_orbit_portrait(phi)
         bad += not st.verified
         print("({},{})\t".format(*phi.sigmas) + "\t".join(_verdict(st)))
     return EXIT_OK if bad == 0 else EXIT_ERROR
@@ -339,9 +342,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_portrait(args) -> int:
-    cfg = _config_from_args(args)
-    phi = _input_map(args)
-    st = pcfverify.critical_orbit_portrait(phi, cfg.budget, cfg.cutoff)
+    st = pcfverify.critical_orbit_portrait(_input_map(args))
     if not st.verified:
         print(f"UNDETERMINED: {st.reason}")
         return EXIT_ERROR
@@ -356,10 +357,9 @@ def _cmd_portrait(args) -> int:
 def _cmd_preper(args) -> int:
     cfg = _config_from_args(args)
     phi = _input_map(args)
-    graph = preper.rational_preperiodic_graph(
-        phi, cfg.preper_height_bound, cfg.preper_step_budget, cfg.preper_cutoff)
+    graph = preper.rational_preperiodic_graph(phi, cfg.preper_height_bound)
     print(f"# bounded search: heights <= {cfg.preper_height_bound}, "
-          f"{cfg.preper_step_budget} steps, size cutoff {cfg.preper_cutoff}; "
+          f"{preper.DEFAULT_STEP_BUDGET} steps, size cutoff {preper.DEFAULT_SIZE_CUTOFF}; "
           "completeness beyond the known catalogs is heuristic")
     print(f"# {len(graph)} rational preperiodic points")
     for line in graph.edge_lines():
@@ -377,7 +377,7 @@ def _cmd_classify_twist(args) -> int:
         cls = _read(ExtendedRational.from_str, args.psi1_b, "--psi1-b", _RATIONAL,
                     preper.classify_psi1_twist)
     else:
-        cls = preper.classify_psi2_map(_input_map(args))
+        cls = _input_map(args, preper.classify_psi2_map)
     print(f"{cls.id}\t{cls.description}")
     print(f"# representative: {cls.representative}")
     for line in cls.graph.edge_lines():
@@ -458,11 +458,7 @@ FLAGS = {
     "--prime-list": dict(help="explicit comma-separated odd primes"),
     "--h1": dict(type=int, help="height bound for sigma1"),
     "--h2": dict(type=int, help="height bound for sigma2"),
-    "--budget": dict(type=int, help="exact-iteration budget"),
-    "--cutoff": dict(type=int, help="orbit size cutoff"),
     "--preper-height-bound": dict(type=int, help="height bound of the searched points"),
-    "--preper-step-budget": dict(type=int, help="steps per searched orbit"),
-    "--preper-cutoff": dict(type=int, help="orbit size cutoff of the search"),
     "--outdir": dict(help="artifact directory"),
     "--out": dict(help="TSV output path (default: stdout)"),
     "--dot": dict(help="write Graphviz DOT here"),
@@ -480,13 +476,13 @@ COMMANDS = (
     ("sieve", _cmd_sieve, "run the height-bounded sigma-pair sieve",
      "--primes --prime-list --h1 --h2 --out", ""),
     ("verify", _cmd_verify, "exactly verify critical-orbit finiteness",
-     "--budget --cutoff", "--sigmas --in"),
+     "", "--sigmas --in"),
     ("pipeline", _cmd_pipeline, "sieve + verify, writing artifacts",
-     "--primes --prime-list --h1 --h2 --budget --cutoff --outdir", ""),
+     "--primes --prime-list --h1 --h2 --outdir", ""),
     ("portrait", _cmd_portrait, "critical portrait of one map",
-     "--budget --cutoff --dot", "--map --sigmas"),
+     "--dot", "--map --sigmas"),
     ("preper", _cmd_preper, "rational preperiodic graph of one map",
-     "--preper-height-bound --preper-step-budget --preper-cutoff --dot", "--map --sigmas"),
+     "--preper-height-bound --dot", "--map --sigmas"),
     ("classify-twist", _cmd_classify_twist, "symmetry-locus structure class",
      "", "--psi1-b --psi2-t --psi2-dk --map"),
     ("catalog", _cmd_catalog, "print the computed structure catalogs", "--json", ""),

@@ -416,7 +416,7 @@ def classify_psi2_map(phi: NormalizedQuadMap) -> StructureClass:
     """
     if phi.sigma_invariants() != _INVSQ_SIGMAS:
         raise ValueError(
-            f"map {phi} is not conjugate to 1/z^2 "
+            f"not conjugate to 1/z^2 "
             f"(sigma invariants {phi.sigma_invariants()} != {_INVSQ_SIGMAS})")
     form = rational_preperiodic_graph(phi).canonical_form()
     for cls in invsq_catalog():

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadpcf import cli, lanesieve, pcfverify
+from quadpcf import cli, lanesieve, pcfverify, preper
 from quadpcf.cli import (
+    EXIT_CATALOG_MISMATCH,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_USAGE,
@@ -302,6 +303,19 @@ class TestClassifyTwist:
         rc = main(["classify-twist", "--map", "[1,0,-2]/[0,0,1]"])
         assert rc == EXIT_USAGE
 
+    def test_catalog_mismatch_exit(self, monkeypatch, capsys):
+        # a search stunted at height 1 finds the 3-cycle with one of its
+        # three tails, a shape outside the catalog, whose reference graphs
+        # are searched at the full height first; the mismatch is no input
+        # error, though the map is built and classified in the reader
+        preper.invsq_catalog()
+        search = preper.rational_preperiodic_graph
+        monkeypatch.setattr(preper, "rational_preperiodic_graph",
+                            lambda phi: search(phi, height_bound=1))
+        assert main(["classify-twist", "--map", "[0,2,-1]/[1,0,-1]"]) == EXIT_CATALOG_MISMATCH
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: catalog-mismatch: ")
+
     def test_requires_exactly_one_input(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify-twist", "--psi1-b", "1", "--psi2-t", "1"])
@@ -363,6 +377,7 @@ class TestInput:
         (["portrait", "--sigmas", "3,3"], "--sigmas"),
         (["preper", "--map", "[1,0,0]/[1,0,0]"], "--map"),
         (["classify-twist", "--map", "[1,0,0]/[1,0,0]"], "--map"),
+        (["classify-twist", "--map", "[1,0,-2]/[0,0,1]"], "--map"),
         (["classify-twist", "--psi1-b", "0"], "--psi1-b"),
         (["classify-twist", "--psi2-t", "0"], "--psi2-t"),
         (["classify-twist", "--psi2-dk", "1,1"], "--psi2-dk")],
@@ -370,7 +385,8 @@ class TestInput:
              "three-part-map", "letter-in-map", "empty-sigmas", "letter-in-primes",
              "infinite-sigma-after-a-valid-pair", "degenerate-tsv-row", "infinite-sigma",
              "infinite-sigma-preper", "degenerate-sigmas", "degenerate-map",
-             "degenerate-map-to-classify", "zero-b", "zero-t", "k-squared-is-d"])
+             "degenerate-map-to-classify", "map-not-conjugate-to-classify", "zero-b",
+             "zero-t", "k-squared-is-d"])
     def test_malformed_text_names_its_source(self, argv, source, tmp_path, capsys):
         # none of Python's own messages (int() literals, unpacking) leaks out,
         # and every map is built before anything is printed
@@ -423,21 +439,20 @@ configs = st.builds(
     prime_list=st.none() | st.lists(st.integers(3, LANE_PRIME_LIMIT - 1),
                                     max_size=6).map(tuple),
     h1=st.integers(1, 64), h2=st.integers(1, 64),
-    budget=st.integers(1, 10 ** 7), cutoff=st.integers(1, 10 ** 12),
     preper_height_bound=st.integers(1, 500),
-    preper_step_budget=st.integers(1, 10 ** 6),
-    preper_cutoff=st.integers(1, 10 ** 9),
     outdir=st.text(max_size=6))
 
 
 def _digest_text(cfg):
     """The text the config digest hashes, field by field: every semantic
-    field, the primes as a list, and no output directory."""
+    field, the primes as a list, no output directory, and the exact walks'
+    fixed limits (budget and cutoff of the verifier and of the preperiodic
+    search)."""
     return json.dumps({
-        "budget": cfg.budget, "config_version": 1, "cutoff": cfg.cutoff,
-        "h1": cfg.h1, "h2": cfg.h2, "preper_cutoff": cfg.preper_cutoff,
+        "budget": 64, "config_version": 1, "cutoff": 10 ** 6,
+        "h1": cfg.h1, "h2": cfg.h2, "preper_cutoff": 10 ** 4,
         "preper_height_bound": cfg.preper_height_bound,
-        "preper_step_budget": cfg.preper_step_budget,
+        "preper_step_budget": 32,
         "primes": list(cfg.primes())}, sort_keys=True, separators=(",", ":"))
 
 
@@ -456,12 +471,24 @@ class TestConfig:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        *((c, f) for c in ("verify", "pipeline", "portrait") for f in ("--budget", "--cutoff")),
+        ("preper", "--preper-step-budget"), ("preper", "--preper-cutoff")])
+    def test_walk_limits_are_no_flags(self, command, flag, tmp_path, monkeypatch, capsys):
+        # the exact walks run at the fixed limits of pcfverify and preper
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *INPUTS[command], flag, "65"])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} 65" in err
+        assert out == "" and not any(tmp_path.iterdir())
+
     def test_every_run_flag_reaches_its_field(self):
         # a flag that configures a run has its RunConfig field as dest; a
         # drifted dest would drop the flag without a word
         values = {"primes_count": 40, "prime_list": (3, 5, 7), "h1": 3, "h2": 7,
-                  "budget": 65, "cutoff": 999, "preper_height_bound": 50,
-                  "preper_step_budget": 77, "preper_cutoff": 5000, "outdir": "elsewhere"}
+                  "preper_height_bound": 50, "outdir": "elsewhere"}
         assert set(values) == set(RunConfig._fields)
         parser = cli.build_parser()
         commands = next(a for a in parser._actions
@@ -516,10 +543,10 @@ class TestConfig:
         assert calls == [_digest_text(cfg).encode()]
 
     @pytest.mark.parametrize("argv", [
-        ["preper", "--sigmas=2,-8", "--preper-cutoff", "0"],
-        ["preper", "--sigmas=2,-8", "--preper-step-budget", "0"],
-        ["verify", "--sigmas", "2,-8", "--cutoff", "0"],
-        ["pipeline", "--budget", "0", "--outdir", "{tmp}/out"]])
+        ["preper", "--sigmas=2,-8", "--preper-height-bound", "0"],
+        ["preper", "--sigmas=2,-8", "--preper-height-bound", "10001"],
+        ["pipeline", "--h1", "0", "--outdir", "{tmp}/out"],
+        ["pipeline", "--h1", "64", "--h2", "65", "--outdir", "{tmp}/out"]])
     def test_bounds_are_usage_errors(self, argv, tmp_path, capsys, monkeypatch):
         # rejected before any work: the pipeline never reaches the sieve
         def no_sieve(*args):
@@ -528,8 +555,17 @@ class TestConfig:
         monkeypatch.setattr(lanesieve, "sieve", no_sieve)
         rc = main([a.format(tmp=tmp_path) for a in argv])
         assert rc == EXIT_USAGE
-        assert "invalid-input" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert err.startswith("error: invalid-input: ") and out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bound", ["0", "10001"])
+    def test_preper_height_bound_names_its_flag(self, bound, capsys):
+        # past the search's size cutoff of 10^4 a searched point would be
+        # called divergent
+        assert main(["preper", "--sigmas=2,-8", "--preper-height-bound", bound]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: invalid-input: --preper-height-bound: {bound} is not in [1, 10000]\n")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -554,14 +590,11 @@ class TestConfig:
                     RunConfig(prime_list=())):
             with pytest.raises(ValueError, match="at least one prime"):
                 cfg.validate()
-        for field in ("budget", "cutoff", "preper_height_bound",
-                      "preper_step_budget"):
-            for value in (0, -1):
-                with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
-                    RunConfig(**{field: value}).validate()
-        with pytest.raises(ValueError, match="preper_cutoff must be >= preper_height_bound"):
-            RunConfig(preper_height_bound=120, preper_cutoff=119).validate()
-        RunConfig(preper_height_bound=120, preper_cutoff=120).validate()
+        for value in (0, -1, 10 ** 4 + 1):
+            with pytest.raises(ValueError, match="^--preper-height-bound: "):
+                RunConfig(preper_height_bound=value).validate()
+        RunConfig(preper_height_bound=1).validate()
+        RunConfig(preper_height_bound=10 ** 4).validate()
         with pytest.raises(ValueError):
             first_odd_primes(-5)
 
@@ -645,7 +678,7 @@ class TestRecords:
     def test_built_from_keywords(self, tmp_path):
         primes = first_odd_primes(20)
         cfg = RunConfig(h1=2, h2=4, prime_list=tuple(primes), outdir=str(tmp_path))
-        assert (cfg.h1, cfg.h2, cfg.primes(), cfg.budget) == (2, 4, primes, 64)
+        assert (cfg.h1, cfg.h2, cfg.primes(), cfg.preper_height_bound) == (2, 4, primes, 16)
         assert cfg.digest() == RunConfig(h1=2, h2=4, prime_list=primes).digest()
         survivors = lanesieve.sieve(2, 4, primes)
         c = survivors[0]

@@ -132,7 +132,7 @@ class TestRepeatBeforeCutoff:
         assert (st.iterations_used, st.max_size_seen) == (1, 10)
 
     def test_through_the_cli(self, capsys):
-        assert main(["portrait", "--cutoff", "5", "--map", "[1,-20,110]/[0,0,1]"]) == 0
+        assert main(["portrait", "--map", "[1,-20,110]/[0,0,1]"]) == 0
         assert capsys.readouterr().out == "10 ->(2) 10\ninf ->(2) inf\n"
 
 

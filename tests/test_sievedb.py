@@ -1,6 +1,8 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -452,13 +454,19 @@ class TestSieve:
     @settings(max_examples=200, deadline=None)
     @given(s1=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)),
            s2=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)))
-    def test_integer_forms_equal_from_sigmas(self, s1, s2):
-        # the survivors' maps come from the sieve's integer normal form
-        # through the trusted constructor
-        F, G = normal_form(s1.num, s1.den, s2.num, s2.den)
-        phi = NormalizedQuadMap.from_normal_forms(F, G, (s1, s2))
-        ref = NormalizedQuadMap.from_sigmas(s1, s2)
-        assert (phi.F, phi.G, str(phi)) == (ref.F, ref.G, str(ref))
+    def test_integer_forms_equal_milnor_over_fractions(self, s1, s2):
+        # the survivors' maps come from the sieve's integer normal form:
+        # Milnor's [2, b, b] / [-1, 4 - b, c] with b = 2 - sigma1 and
+        # c = 2 - sigma1 - sigma2, built over Fractions, its denominators
+        # cleared and its content divided out; 2 > 0 fixes the sign
+        b = 2 - Fraction(s1.num, s1.den)
+        c = b - Fraction(s2.num, s2.den)
+        coeffs = (Fraction(2), b, b, Fraction(-1), 4 - b, c)
+        den = lcm(*(x.denominator for x in coeffs))
+        ints = [int(x * den) for x in coeffs]
+        g = gcd(*ints)
+        ints = [x // g for x in ints]
+        assert normal_form(s1.num, s1.den, s2.num, s2.den) == (tuple(ints[:3]), tuple(ints[3:]))
 
     @settings(max_examples=200, deadline=None)
     @given(s1=st.builds(Rat, st.integers(-64, 64), st.integers(1, 64)),

@@ -83,8 +83,7 @@ MUTANTS = (
          "tests/test_preper.py::TestRationalPreperiodicGraph::"
          "test_first_step_exit_below_the_height_bound[repeat-tested]",
          "tests/test_pcfverify.py::TestRepeatBeforeCutoff::"
-         "test_repeat_past_the_cutoff_verifies[fixed]",
-         "tests/test_pcfverify.py::TestRepeatBeforeCutoff::test_through_the_cli"),
+         "test_repeat_past_the_cutoff_verifies[fixed]"),
     ),
     Mutant(
         "the exact walk tests the cutoff before the repeat after the first image",
@@ -203,7 +202,8 @@ MUTANTS = (
         "projmap.py",
         "    g = gcd(d1, d2)\n",
         "    g = 1\n",
-        ("tests/test_sievedb.py::TestSieve::test_trusted_constructor_equals_normalizing",),
+        ("tests/test_sievedb.py::TestSieve::test_trusted_constructor_equals_normalizing",
+         "tests/test_sievedb.py::TestSieve::test_integer_forms_equal_milnor_over_fractions"),
     ),
     Mutant(
         "verifier claims PCF when its budget runs out",
@@ -242,9 +242,10 @@ MUTANTS = (
     Mutant(
         "the config digest drops the verifier's cutoff",
         "cli.py",
-        '        body.pop("outdir")\n',
-        '        body.pop("outdir")\n        body.pop("cutoff")\n',
-        ("tests/test_cli.py::TestConfig::test_digest_equals_hashlib",),
+        " cutoff=pcfverify.DEFAULT_SIZE_CUTOFF,",
+        "",
+        ("tests/test_cli.py::TestConfig::test_digest_equals_hashlib",
+         "tests/test_cli.py::TestConfig::test_digest_stability"),
     ),
     Mutant(
         "the --primes flag's dest drifts from its RunConfig field",
@@ -289,16 +290,28 @@ MUTANTS = (
     Mutant(
         "verify prints its header before it builds the maps",
         "cli.py",
-        '    cfg = _config_from_args(args)\n'
-        '    if args.sigmas is not None:\n',
-        '    cfg = _config_from_args(args)\n'
-        '    print(f"# exact-iteration budget {cfg.budget}, size cutoff {cfg.cutoff} "\n'
-        '          "(artifact parameters; raise them for stubborn orbits)")\n'
-        '    if args.sigmas is not None:\n',
+        'def _cmd_verify(args) -> int:\n',
+        'def _cmd_verify(args) -> int:\n'
+        '    print("# exact-iteration budget and size cutoff (artifact parameters)")\n',
         ("tests/test_cli.py::TestInput::test_malformed_text_names_its_source"
          "[infinite-sigma-after-a-valid-pair]",
          "tests/test_cli.py::TestInput::test_malformed_text_names_its_source"
          "[degenerate-tsv-row]"),
+    ),
+    Mutant(
+        "classify-twist classifies the map outside the reader, so its error names no flag",
+        "cli.py",
+        "cls = _input_map(args, preper.classify_psi2_map)",
+        "cls = preper.classify_psi2_map(_input_map(args))",
+        ("tests/test_cli.py::TestInput::test_malformed_text_names_its_source"
+         "[map-not-conjugate-to-classify]",),
+    ),
+    Mutant(
+        "the preperiodic height bound may exceed the search's size cutoff",
+        "cli.py",
+        "if not 1 <= self.preper_height_bound <= preper.DEFAULT_SIZE_CUTOFF:",
+        "if not 1 <= self.preper_height_bound:",
+        ("tests/test_cli.py::TestConfig::test_bounds",),
     ),
     Mutant(
         "a square cofactor above the trial-division range stays in D",
