@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, NamedTuple, Optional
 
-from quadpcf.exact_arith import ExtendedRational, PointValue
+from quadpcf.exact_arith import ExtendedRational, PointValue, height
 from quadpcf.preper import BUDGET, CUTOFF, FunctionalGraph, orbit
 from quadpcf.projmap import NormalizedQuadMap
 
@@ -28,13 +28,11 @@ DEFAULT_SIZE_CUTOFF = 10 ** 6
 
 
 def point_size(pt: PointValue) -> int:
-    """Crude arithmetic size: the height for rationals, 1 at infinity, and
-    for (a + b*sqrt(D)) / c the larger height of a/c and b/c in lowest
-    terms."""
+    """Crude arithmetic size: exact_arith.height for rationals (1 at
+    infinity), and for (a + b*sqrt(D)) / c the larger height of a/c and b/c
+    in lowest terms."""
     if isinstance(pt, ExtendedRational):
-        if pt.is_infinity():
-            return 1
-        return max(abs(pt.num), pt.den)
+        return height(pt)
     a, b, c, _ = pt
     return max(max(abs(a), c) // gcd(a, c), max(abs(b), c) // gcd(b, c))
 

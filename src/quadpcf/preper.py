@@ -5,6 +5,11 @@ of the twists of z^2 and 1/z^2 into their finitely many preperiodic
 structures, and the root-of-unity catalogs of low-degree preperiodic
 points for the two power maps via exponent dynamics.
 
+Every such structure is a FunctionalGraph.  Each of its components holds
+exactly one cycle, so one cached pass, which places every vertex on the
+cycle it falls into at its number of steps to it, gives the cycles, the
+types m_n, the components and the canonical form.
+
 The eleven structure classes of the twists are one table, class id ->
 (description, representative map), and one cached builder searches each
 representative's graph once; classify_psi1_twist(b), classify_psi2_map(phi)
@@ -14,9 +19,9 @@ and invsq_catalog() all read it.  A root-of-unity point is the tuple
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, isqrt
-from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Tuple
 
 from quadpcf.exact_arith import (
     ExtendedRational,
@@ -73,7 +78,6 @@ class FunctionalGraph:
         self.successor = dict(successor)
         self.unresolved = tuple(unresolved)
         self.critical = frozenset(critical)
-        self._cycles: Optional[List[Tuple]] = None
 
     # -- basic views -------------------------------------------------------
 
@@ -115,66 +119,56 @@ class FunctionalGraph:
         lines.append("}")
         return "\n".join(lines)
 
-    # -- cycle structure -----------------------------------------------------
+    # -- structure ---------------------------------------------------------
 
-    def cycles(self) -> List[Tuple]:
-        """All cycles, each as a successor-ordered tuple starting at its
-        least vertex."""
-        if self._cycles is not None:
-            return self._cycles
-        color: Dict[Hashable, int] = {}
-        cycles = []
+    @cached_property
+    def _structure(self) -> Tuple[List[Tuple], Dict[Hashable, Tuple[Tuple, int]]]:
+        """(cycles, place) from one pass: each component holds one cycle, and
+        place maps every vertex to the cycle it falls into and its number of
+        steps to that cycle.  The pass walks from each vertex in vertices
+        order until it meets a placed vertex or closes a new cycle, which
+        starts at its least vertex."""
+        cycles: List[Tuple] = []
+        place: Dict[Hashable, Tuple[Tuple, int]] = {}
         for start in self.vertices:
-            if start in color:
-                continue
             path = []
             pos = {}
             cur = start
-            while cur not in color and cur not in pos:
+            while cur not in place and cur not in pos:
                 pos[cur] = len(path)
                 path.append(cur)
                 cur = self.successor[cur]
             if cur in pos:
-                cyc = tuple(path[pos[cur]:])
+                cyc = path[pos[cur]:]
+                del path[pos[cur]:]
                 k = min(range(len(cyc)), key=lambda i: vertex_sort_key(cyc[i]))
-                cycles.append(cyc[k:] + cyc[:k])
-            for v in path:
-                color[v] = 2
+                cyc = tuple(cyc[k:] + cyc[:k])
+                cycles.append(cyc)
+                for v in cyc:
+                    place[v] = (cyc, 0)
+            cyc, depth = place[cur]
+            for v in reversed(path):
+                depth += 1
+                place[v] = (cyc, depth)
         cycles.sort(key=lambda c: (len(c), [vertex_sort_key(v) for v in c]))
-        self._cycles = cycles
-        return cycles
+        return cycles, place
 
-    def cycle_vertices(self) -> set:
-        return {v for c in self.cycles() for v in c}
+    def cycles(self) -> List[Tuple]:
+        """All cycles, each as a successor-ordered tuple starting at its
+        least vertex."""
+        return self._structure[0]
 
     def type_of(self, point) -> TypeTag:
-        if point not in self.successor:
-            raise KeyError(f"point {point} is not in the graph")
-        cyc = self.cycle_vertices()
-        n = 0
-        cur = point
-        while cur not in cyc:
-            cur = self.successor[cur]
-            n += 1
-        m = next(len(c) for c in self.cycles() if cur in c)
-        return TypeTag(m, n)
-
-    # -- shape ----------------------------------------------------------------
+        cycle, depth = self._structure[1][point]
+        return TypeTag(len(cycle), depth)
 
     def components(self) -> List["FunctionalGraph"]:
-        parent: Dict[Hashable, Hashable] = {v: v for v in self.successor}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        """One graph per cycle, of the vertices falling into it, by size and
+        canonical form; the sort is stable over successor order."""
+        place = self._structure[1]
+        groups: Dict[Tuple, Dict] = {}
         for v, w in self.successor.items():
-            parent[find(v)] = find(w)
-        groups: Dict[Hashable, Dict] = {}
-        for v, w in self.successor.items():
-            groups.setdefault(find(v), {})[v] = w
+            groups.setdefault(place[v][0], {})[v] = w
         comps = [FunctionalGraph(g) for g in groups.values()]
         comps.sort(key=lambda g: (len(g), g.canonical_form()))
         return comps
@@ -184,11 +178,11 @@ class FunctionalGraph:
         the cycle length together with the minimal rotation of the tuple of
         canonical rooted-tree encodings hanging off the cycle, where a
         vertex's encoding is its ramification and its children's sorted
-        encodings."""
-        cyc_set = self.cycle_vertices()
+        encodings.  The tree vertices are those at depth > 0."""
+        place = self._structure[1]
         children: Dict[Hashable, List] = {v: [] for v in self.successor}
         for v, w in self.successor.items():
-            if v not in cyc_set:
+            if place[v][1]:
                 children[w].append(v)
 
         def tree_enc(v):
@@ -200,9 +194,6 @@ class FunctionalGraph:
             rots = [tuple(encs[i:] + encs[:i]) for i in range(len(encs))]
             comps.append((len(cycle), min(rots)))
         return tuple(sorted(comps))
-
-    def is_isomorphic_to(self, other: "FunctionalGraph") -> bool:
-        return self.canonical_form() == other.canonical_form()
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,10 @@ route something the package computes directly:
   family, and nothing of sievedb, so it shares no code with ffdyn's walk,
   its tables or its period rule (test_ffdyn.py checks the imports);
 - the bounded rational preperiodic search on Fraction points, against
-  preper.rational_preperiodic_graph and its integer steps.
+  preper.rational_preperiodic_graph and its integer steps;
+- the cycle and depth of a vertex of a finite functional graph by
+  iterating its successor dict, against the one structure pass of
+  preper.FunctionalGraph (nothing of preper is imported).
 """
 
 from __future__ import annotations
@@ -603,3 +606,24 @@ def reference_search(F, G, height_bound, step_budget, size_cutoff):
         for v in path:
             fate[v] = verdict
     return {v: w for v, w in succ.items() if fate.get(v)}, unresolved
+
+
+# ----------------------------------------------------------------------
+# functional graphs by iterating the successor
+# ----------------------------------------------------------------------
+
+def naive_cycle_and_depth(successor: dict, v) -> Tuple[tuple, int]:
+    """(the cycle v falls into, v's number of steps to it): len(successor)
+    steps from v land on the cycle, which runs until it comes back, and the
+    depth is the first k with succ^k(v) on it."""
+    c = v
+    for _ in range(len(successor)):
+        c = successor[c]
+    cycle = [c]
+    while successor[cycle[-1]] != c:
+        cycle.append(successor[cycle[-1]])
+    depth = 0
+    while v not in cycle:
+        v = successor[v]
+        depth += 1
+    return tuple(cycle), depth

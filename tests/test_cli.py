@@ -299,10 +299,6 @@ class TestClassifyTwist:
         assert rc == EXIT_OK
         assert capsys.readouterr().out.startswith("invsq-empty")
 
-    def test_foreign_map_is_usage_error(self, capsys):
-        rc = main(["classify-twist", "--map", "[1,0,-2]/[0,0,1]"])
-        assert rc == EXIT_USAGE
-
     def test_catalog_mismatch_exit(self, monkeypatch, capsys):
         # a search stunted at height 1 finds the 3-cycle with one of its
         # three tails, a shape outside the catalog, whose reference graphs

@@ -31,7 +31,7 @@ from quadpcf.preper import (
 )
 from quadpcf.projmap import NormalizedQuadMap
 
-from oracles import reference_search
+from oracles import naive_cycle_and_depth, reference_search
 
 nonzero_small = st.builds(Rat, st.integers(-30, 30).filter(bool),
                           st.integers(1, 12))
@@ -77,19 +77,19 @@ class TestFunctionalGraph:
         b = FunctionalGraph({Rat(7): Rat(9), Rat(9): Rat(7), Rat(8): Rat(9)})
         c = FunctionalGraph({Rat(0): Rat(1), Rat(1): Rat(0), Rat(2): Rat(0),
                              Rat(3): Rat(1)})
-        assert a.is_isomorphic_to(b)
-        assert not a.is_isomorphic_to(c)
+        assert a.canonical_form() == b.canonical_form()
+        assert a.canonical_form() != c.canonical_form()
 
     def test_canonical_form_sees_ramification(self):
         succ = {Rat(0): Rat(1), Rat(1): Rat(1)}
         tail = FunctionalGraph(succ, critical=(Rat(0),))
         fixed = FunctionalGraph(succ, critical=(Rat(1),))
         assert tail != fixed
-        assert not tail.is_isomorphic_to(fixed)
+        assert tail.canonical_form() != fixed.canonical_form()
         assert (FunctionalGraph(tail.successor).canonical_form()
                 == FunctionalGraph(fixed.successor).canonical_form())
-        assert tail.is_isomorphic_to(FunctionalGraph({Rat(5): Rat(7), Rat(7): Rat(7)},
-                                                     critical=(Rat(5),)))
+        assert tail.canonical_form() == FunctionalGraph(
+            {Rat(5): Rat(7), Rat(7): Rat(7)}, critical=(Rat(5),)).canonical_form()
 
     def test_labels_only_with_critical_points(self):
         succ = {Rat(0): Rat(1), Rat(1): Rat(1)}
@@ -104,6 +104,48 @@ class TestFunctionalGraph:
                                        '  "0" -> "1" [label="2"];\n'
                                        '  "1" -> "1" [label="1"];\n}')
         assert plain == FunctionalGraph(dict(succ)) and plain != labeled
+
+
+def _rotations(cycle):
+    return frozenset(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
+@st.composite
+def successor_maps(draw):
+    """A random successor map on Rat(0) ... Rat(n - 1), n <= 12."""
+    n = draw(st.integers(1, 12))
+    images = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return {Rat(i): Rat(j) for i, j in enumerate(images)}
+
+
+class TestStructurePass:
+    @settings(max_examples=300, deadline=None)
+    @given(successor_maps(), st.data())
+    def test_equals_plain_loops(self, succ, data):
+        g = FunctionalGraph(succ)
+        oracle = {v: naive_cycle_and_depth(succ, v) for v in succ}
+        cycles = {_rotations(c) for c, _ in oracle.values()}
+        assert len(g.cycles()) == len(cycles)
+        assert {_rotations(c) for c in g.cycles()} == cycles
+        for v, (cycle, depth) in oracle.items():
+            assert g.type_of(v) == TypeTag(len(cycle), depth)
+        # components() partitions the vertices as "same cycle" does
+        comps = g.components()
+        assert len(comps) == len(g.cycles())
+        assert sum(len(c) for c in comps) == len(succ)
+        assert {frozenset(c.successor) for c in comps} == {
+            frozenset(v for v in succ if _rotations(oracle[v][0]) == r) for r in cycles}
+        assert all(c.successor == {v: succ[v] for v in c.successor} for c in comps)
+        # the canonical form survives a relabelling, with and without a
+        # critical set
+        perm = data.draw(st.permutations(range(len(succ))), label="relabelling")
+        label = {Rat(i): Rat(j) for i, j in enumerate(perm)}
+        relabelled = {label[v]: label[w] for v, w in succ.items()}
+        crit = data.draw(st.sets(st.sampled_from(list(succ))), label="critical")
+        assert g.canonical_form() == FunctionalGraph(relabelled).canonical_form()
+        assert (FunctionalGraph(succ, critical=crit).canonical_form()
+                == FunctionalGraph(relabelled, critical={label[v] for v in crit})
+                .canonical_form())
 
 
 # ----------------------------------------------------------------------

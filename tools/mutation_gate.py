@@ -288,6 +288,23 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_5_symmetry_locus"),
     ),
     Mutant(
+        "the structure pass puts a cycle vertex at depth 1",
+        "preper.py",
+        "                    place[v] = (cyc, 0)\n",
+        "                    place[v] = (cyc, 1)\n",
+        ("tests/test_preper.py::TestFunctionalGraph::test_cycles_and_types",
+         "tests/test_preper.py::TestStructurePass::test_equals_plain_loops"),
+    ),
+    Mutant(
+        "components are grouped by depth instead of by cycle",
+        "preper.py",
+        "groups.setdefault(place[v][0], {})[v] = w",
+        "groups.setdefault(place[v][1], {})[v] = w",
+        ("tests/test_preper.py::TestFunctionalGraph::test_components",
+         "tests/test_preper.py::TestStructurePass::test_equals_plain_loops",
+         "tests/test_cli.py::TestFrozenBytes::test_catalog_json"),
+    ),
+    Mutant(
         "verify prints its header before it builds the maps",
         "cli.py",
         'def _cmd_verify(args) -> int:\n',
