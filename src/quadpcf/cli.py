@@ -1,27 +1,28 @@
 """Command-line front end for the PCF search pipeline.
 
-Subcommands: sieve, verify, pipeline, portrait, preper, classify-twist,
-catalog.  All outputs are deterministic for a given configuration, and
+Subcommands: verify, pipeline, portrait, preper, classify-twist, catalog.
+All outputs are deterministic for a given configuration, and
 every artifact embeds a digest of the configuration that produced it.
 
 The flags are the only configuration.  FLAGS declares each flag once and
 COMMANDS names the flags of each subcommand; a flag that sets a RunConfig
 field has that field as its dest.  The exact walks run at the fixed
 limits of pcfverify and preper, which the verify and preper headers
-print.  verify, portrait, preper and classify-twist take exactly one
-input, which the parser enforces.  Text from outside (rationals, sigma
-pairs, maps, prime lists, survivor rows) is read by _read, which also
+print.  verify takes --sigmas, and portrait, preper and classify-twist
+exactly one input, which the parser enforces.  Text from outside
+(rationals, sigma pairs, maps, prime lists) is read by _read, which also
 builds the map each input gives and checks that its resultant is
-nonzero, so a command has every map before it prints a line.  Its
-errors name their source:
+nonzero, so a command has every map before it prints a line.  Every
+input error names its flag, as do a run flag out of bounds, a --dot
+file that cannot be written and an --outdir that cannot be made:
 "error: invalid-input: --sigmas: 3,3: degenerate map (resultant 0)".
 A closed stdout ends a command with exit 1 and no message.
 
-sieve and pipeline compute every period set they need on the fly, in one
-process; no command builds, reads or writes a database or a cache.  Only
-they load the sieve, quadpcf.lanesieve, which is plain Python like the
-rest of the package, and only the config digest, pipeline and catalog
-load json.
+pipeline is the one command that runs the sieve, computing every period
+set it needs on the fly; no command reads a file or builds, reads or
+writes a database or a cache.  Only pipeline loads the sieve,
+quadpcf.lanesieve, which is plain Python like the rest of the package,
+and only the config digest, pipeline and catalog load json.
 """
 
 from __future__ import annotations
@@ -105,21 +106,27 @@ class RunConfig(NamedTuple):
         return _sha256()(text.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
-        if self.h1 < 1 or self.h2 < 1:
-            raise ValueError("height bounds must be >= 1")
+        """ValueError, naming the flags at fault, unless the run can start."""
+        for flag, h in (("--h1", self.h1), ("--h2", self.h2)):
+            if h < 1:
+                raise ValueError(f"{flag}: {h} is not >= 1")
         if self.h1 * self.h2 > MAX_HEIGHT_PRODUCT:
-            raise ValueError(f"height bounds need h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
-        if self.primes_count < 1 or self.prime_list is not None and not self.prime_list:
-            raise ValueError("the sieve needs at least one prime")
+            raise ValueError(f"--h1, --h2: height bounds need h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
+        if self.primes_count < 1:
+            raise ValueError("--primes: the sieve needs at least one prime")
         if self.prime_list is not None:
             # the period rule is unsound for a composite modulus, so a
             # composite would let the sieve drop a PCF pair without any error
-            validate_primes(self.prime_list, LANE_PRIME_LIMIT, "the sieve")
+            try:
+                if not validate_primes(self.prime_list, LANE_PRIME_LIMIT, "the sieve"):
+                    raise ValueError("the sieve needs at least one prime")
+            except ValueError as e:
+                raise ValueError(f"--prime-list: {e}") from None
         else:
             # first_odd_primes gives primes; only their count needs a bound
             most = len(odd_primes_up_to(LANE_PRIME_LIMIT))
             if self.primes_count > most:
-                raise ValueError(f"primes_count {self.primes_count} is too large: the "
+                raise ValueError(f"--primes: {self.primes_count} is too large: the "
                                  f"sieve takes the {most} odd primes below {LANE_PRIME_LIMIT}")
         # above the search's size cutoff a searched preperiodic point would
         # be called divergent, and it would leave the graph without a word
@@ -129,8 +136,8 @@ class RunConfig(NamedTuple):
 
 
 class InputError(ValueError):
-    """Outside text that gives no valid input; the message names its
-    source, a flag or "<file> line <n>"."""
+    """Outside text that gives no valid input, or a path given that cannot
+    be written; the message names its flag."""
 
 
 _RATIONAL = "a point of P^1 (an integer, a fraction such as -3/2, or inf)"
@@ -163,12 +170,9 @@ def _rational(text: str, source: str) -> ExtendedRational:
     return _read(ExtendedRational.from_str, text, source, _RATIONAL)
 
 
-def _pair(text: str, source: str, sep: str = ","):
-    """The two rationals of "a,b", as --sigmas and --psi2-dk take them, or
-    the first two columns of a TSV row, split at tabs."""
-    a, b, *rest = text.split(sep)
-    if rest and sep == ",":
-        raise ValueError(text)
+def _pair(text: str, source: str):
+    """The two rationals of "a,b", as --sigmas and --psi2-dk take them."""
+    a, b = text.split(",")
     return _rational(a, source), _rational(b, source)
 
 
@@ -182,10 +186,9 @@ def _same(phi: NormalizedQuadMap) -> NormalizedQuadMap:
     return phi
 
 
-def _sigma_map(text: str, source: str, sep: str = ",", use=_same):
+def _sigma_map(text: str, source: str, use=_same):
     """use of the normal-form map of a sigma pair, read as _pair reads it."""
-    what = _PAIR if sep == "," else "a row with sigma1 and sigma2 columns"
-    return _read(lambda t: _pair(t, source, sep), text, source, what,
+    return _read(lambda t: _pair(t, source), text, source, _PAIR,
                  lambda s: use(_degree_two(NormalizedQuadMap.from_sigmas(*s))))
 
 
@@ -217,6 +220,15 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(**given)
     cfg.validate()
     return cfg
+
+
+def _write_dot(path: Optional[str], graph: preper.FunctionalGraph, name: str) -> None:
+    """Write the --dot file, if asked for, before the command prints a line."""
+    if path:
+        try:
+            Path(path).write_text(graph.to_dot(name) + "\n")
+        except OSError as e:
+            raise InputError(f"--dot: {e}") from None
 
 
 # ----------------------------------------------------------------------
@@ -289,29 +301,8 @@ def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
 # subcommand handlers
 # ----------------------------------------------------------------------
 
-def _cmd_sieve(args) -> int:
-    cfg = _config_from_args(args)
-    from quadpcf import lanesieve
-    survivors = lanesieve.sieve(cfg.h1, cfg.h2, cfg.primes())
-    out = Path(args.out) if args.out else None
-    if out:
-        write_survivors_tsv(out, cfg, survivors)
-        print(f"{len(survivors)} survivors written to {out}")
-    else:
-        print("# " + lanesieve.SieveCandidate.tsv_header())
-        for c in survivors:
-            print(c.tsv_line())
-    return EXIT_OK
-
-
 def _cmd_verify(args) -> int:
-    if args.sigmas is not None:
-        maps = [_sigma_map(part, "--sigmas") for part in args.sigmas.split(";")]
-    else:
-        with open(args.infile) as fh:
-            maps = [_sigma_map(line, f"{args.infile} line {lineno}", "\t")
-                    for lineno, line in enumerate(fh, 1)
-                    if line.strip() and not line.startswith("#")]
+    maps = [_sigma_map(part, "--sigmas") for part in args.sigmas.split(";")]
     bad = 0
     print(f"# exact-iteration budget {pcfverify.DEFAULT_BUDGET}, "
           f"size cutoff {pcfverify.DEFAULT_SIZE_CUTOFF} (artifact parameters)")
@@ -326,7 +317,10 @@ def _cmd_pipeline(args) -> int:
     import json
     cfg = _config_from_args(args)
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InputError(f"--outdir: {e}") from None
     result = run_pipeline(cfg)
     write_survivors_tsv(outdir / "survivors.tsv", cfg, result.survivors)
     write_verified_tsv(outdir / "verified.tsv", cfg, result)
@@ -346,10 +340,10 @@ def _cmd_portrait(args) -> int:
     if not st.verified:
         print(f"UNDETERMINED: {st.reason}")
         return EXIT_ERROR
+    _write_dot(args.dot, st.portrait, "portrait")
     for line in st.portrait.edge_lines():
         print(line)
     if args.dot:
-        Path(args.dot).write_text(st.portrait.to_dot("portrait") + "\n")
         print(f"# DOT written to {args.dot}")
     return EXIT_OK
 
@@ -358,6 +352,7 @@ def _cmd_preper(args) -> int:
     cfg = _config_from_args(args)
     phi = _input_map(args)
     graph = preper.rational_preperiodic_graph(phi, cfg.preper_height_bound)
+    _write_dot(args.dot, graph, "preperiodic")
     print(f"# bounded search: heights <= {cfg.preper_height_bound}, "
           f"{preper.DEFAULT_STEP_BUDGET} steps, size cutoff {preper.DEFAULT_SIZE_CUTOFF}; "
           "completeness beyond the known catalogs is heuristic")
@@ -367,7 +362,6 @@ def _cmd_preper(args) -> int:
     for pt in graph.unresolved:
         print(f"# unresolved candidate: {pt}")
     if args.dot:
-        Path(args.dot).write_text(graph.to_dot("preperiodic") + "\n")
         print(f"# DOT written to {args.dot}")
     return EXIT_OK
 
@@ -460,11 +454,9 @@ FLAGS = {
     "--h2": dict(type=int, help="height bound for sigma2"),
     "--preper-height-bound": dict(type=int, help="height bound of the searched points"),
     "--outdir": dict(help="artifact directory"),
-    "--out": dict(help="TSV output path (default: stdout)"),
     "--dot": dict(help="write Graphviz DOT here"),
     "--json": dict(action="store_true"),
     "--sigmas": dict(help='sigma pair like "2,-8"; verify takes several, "2,-8;-6,4"'),
-    "--in": dict(dest="infile", help="survivors TSV from the sieve"),
     "--map": dict(help='map as "[f2,f1,f0]/[g2,g1,g0]"'),
     "--psi1-b": dict(help="b of the z^2 twist z/2 + b/z"),
     "--psi2-t": dict(help="t of the 1/z^2 twist t/z^2"),
@@ -473,10 +465,8 @@ FLAGS = {
 
 # name, handler, help, flags, and the inputs of which exactly one is given
 COMMANDS = (
-    ("sieve", _cmd_sieve, "run the height-bounded sigma-pair sieve",
-     "--primes --prime-list --h1 --h2 --out", ""),
     ("verify", _cmd_verify, "exactly verify critical-orbit finiteness",
-     "", "--sigmas --in"),
+     "", "--sigmas"),
     ("pipeline", _cmd_pipeline, "sieve + verify, writing artifacts",
      "--primes --prime-list --h1 --h2 --outdir", ""),
     ("portrait", _cmd_portrait, "critical portrait of one map",

@@ -50,22 +50,6 @@ IRRATIONAL_SURVIVOR_SIZES = {
 }
 
 
-class TestSieve:
-    def test_stdout_and_file_agree(self, tmp_path, capsys):
-        rc = main(["sieve", "--h1", "2", "--h2", "2",
-                   "--prime-list", "3,5,7,11,13"])
-        assert rc == EXIT_OK
-        lines = [l for l in capsys.readouterr().out.splitlines()
-                 if l and not l.startswith("#")]
-        out = tmp_path / "s.tsv"
-        rc = main(["sieve", "--h1", "2", "--h2", "2",
-                   "--prime-list", "3,5,7,11,13", "--out", str(out)])
-        assert rc == EXIT_OK
-        file_lines = [l for l in out.read_text().splitlines()
-                      if l and not l.startswith("#")]
-        assert lines == file_lines
-
-
 class TestPipeline:
     def test_artifacts_and_digest(self, tmp_path, capsys):
         outdir = tmp_path / "run"
@@ -156,12 +140,12 @@ class TestPipeline:
         rc = main(["pipeline", "--h1", "1", "--h2", "1",
                    "--prime-list", "3,9,15,25", "--outdir", str(outdir)])
         assert rc == EXIT_USAGE
-        assert "need odd primes, got 9" in capsys.readouterr().err
+        assert "--prime-list: need odd primes, got 9" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("primes, error", [
         (["--prime-list", "3,2053"], "prime 2053 is too large for the sieve (limit 2048)"),
-        (["--primes", "309"], "primes_count 309 is too large"),
+        (["--primes", "309"], "--primes: 309 is too large"),
         (["--primes", "308", "--prime-list", "3,9"], "need odd primes, got 9")])
     def test_primes_beyond_the_bound_rejected(self, tmp_path, capsys, primes, error):
         # the sieve takes the 308 odd primes below 2^11, and nothing else
@@ -179,7 +163,7 @@ class TestPipeline:
         rc = main(["pipeline", "--h1", "1", "--h2", "1", *primes,
                    "--outdir", str(outdir)])
         assert rc == EXIT_USAGE
-        assert "invalid-input" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: invalid-input: {primes[0]}: ")
         assert not outdir.exists()
 
 
@@ -192,17 +176,17 @@ class TestVerify:
         assert "0 ->(2) 0" in out
 
     def test_reads_sieve_output(self, tmp_path, capsys):
-        # five small primes let some non-PCF pairs through; the verifier
-        # must certify the genuine ones and report the rest undetermined
-        out = tmp_path / "surv.tsv"
-        assert main(["sieve", "--h1", "2", "--h2", "4",
-                     "--prime-list", "3,5,7,11,13", "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
-        rc = main(["verify", "--in", str(out)])
-        assert rc in (EXIT_OK, 1)
-        text = capsys.readouterr().out
-        assert "(2,-4)\tVERIFIED_PCF" in text
-        assert "(-2,2)\tVERIFIED_PCF" in text
+        # five small primes let some non-PCF pairs through; the pipeline's
+        # verifier must certify the genuine ones, (2,-4), (-2,4), (-2,0)
+        # and (-2,2), and report the rest undetermined
+        assert main(["pipeline", "--h1", "2", "--h2", "4", "--prime-list", "3,5,7,11,13",
+                     "--outdir", str(tmp_path)]) == EXIT_OK
+        status = {(c[0], c[1]): c[3] for c in _records(tmp_path / "verified.tsv")}
+        pcf = {(str(s1), str(s2)) for s1, s2 in TEN_SIGMA_PAIRS
+               if height(s1) <= 2 and height(s2) <= 4}
+        assert {("2", "-4"), ("-2", "2")} < pcf
+        assert {k for k, v in status.items() if v == "VERIFIED_PCF"} == pcf
+        assert {v for k, v in status.items() if k not in pcf} == {"UNDETERMINED"}
 
     def test_undetermined_exit(self, capsys):
         rc = main(["verify", "--sigmas", "2,-12"])
@@ -220,14 +204,6 @@ class TestVerify:
         assert "UNDETERMINED\torbit size " in out
         assert "exceeded cutoff 1000000" in out
         assert "cannot factor" not in out
-
-    def test_row_without_sigma2_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "surv.tsv"
-        path.write_text("# sigma1\tsigma2\n2\n")
-        rc = main(["verify", "--in", str(path)])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "invalid-input" in err and "line 2" in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--sigmas", "0/0,1"],
@@ -260,6 +236,12 @@ class TestPortrait:
         out = capsys.readouterr().out
         assert "-4 ->(2) -4/3" in out
         assert dot.read_text().startswith("digraph")
+
+    def test_undetermined_writes_no_dot(self, capsys, tmp_path):
+        dot = tmp_path / "p.dot"
+        assert main(["portrait", "--sigmas", "2,-12", "--dot", str(dot)]) == EXIT_ERROR
+        assert capsys.readouterr().out.startswith("UNDETERMINED: ")
+        assert not dot.exists()
 
     def test_by_map(self, capsys):
         rc = main(["portrait", "--map", "[1,0,0]/[0,0,1]"])
@@ -359,15 +341,13 @@ class TestInput:
         (["verify", "--sigmas", "2"], "--sigmas"),
         (["verify", "--sigmas", "1/2/3,1"], "--sigmas"),
         (["verify", "--sigmas", "2,-8;"], "--sigmas"),
-        (["verify", "--in", "{tmp}/surv.tsv"], "{tmp}/surv.tsv line 2"),
         (["classify-twist", "--psi2-dk", "2"], "--psi2-dk"),
         (["portrait", "--map", "[1,0,-2]/[0,0,1]/[1]"], "--map"),
         (["portrait", "--map", "[1,a,2]/[0,0,1]"], "--map"),
         (["portrait", "--sigmas", ""], "--sigmas"),
-        (["sieve", "--prime-list", "3,x"], "--prime-list"),
+        (["pipeline", "--prime-list", "3,x"], "--prime-list"),
         # text that reads but makes no map
         (["verify", "--sigmas", "2,-8;inf,1"], "--sigmas"),
-        (["verify", "--in", "{tmp}/degenerate.tsv"], "{tmp}/degenerate.tsv line 3"),
         (["portrait", "--sigmas", "inf,2"], "--sigmas"),
         (["preper", "--sigmas=inf,2"], "--sigmas"),
         (["portrait", "--sigmas", "3,3"], "--sigmas"),
@@ -377,21 +357,19 @@ class TestInput:
         (["classify-twist", "--psi1-b", "0"], "--psi1-b"),
         (["classify-twist", "--psi2-t", "0"], "--psi2-t"),
         (["classify-twist", "--psi2-dk", "1,1"], "--psi2-dk")],
-        ids=["one-sigma", "three-part-rational", "empty-pair", "tsv-row", "one-of-d-k",
+        ids=["one-sigma", "three-part-rational", "empty-pair", "one-of-d-k",
              "three-part-map", "letter-in-map", "empty-sigmas", "letter-in-primes",
-             "infinite-sigma-after-a-valid-pair", "degenerate-tsv-row", "infinite-sigma",
+             "infinite-sigma-after-a-valid-pair", "infinite-sigma",
              "infinite-sigma-preper", "degenerate-sigmas", "degenerate-map",
              "degenerate-map-to-classify", "map-not-conjugate-to-classify", "zero-b",
              "zero-t", "k-squared-is-d"])
-    def test_malformed_text_names_its_source(self, argv, source, tmp_path, capsys):
+    def test_malformed_text_names_its_source(self, argv, source, capsys):
         # none of Python's own messages (int() literals, unpacking) leaks out,
         # and every map is built before anything is printed
-        (tmp_path / "surv.tsv").write_text("# sigma1\tsigma2\n2\tx\n")
-        (tmp_path / "degenerate.tsv").write_text("# sigma1\tsigma2\n2\t-8\n3\t3\n")
-        rc = main([a.format(tmp=tmp_path) for a in argv])
+        rc = main(argv)
         assert rc == EXIT_USAGE
         out, err = capsys.readouterr()
-        assert err.startswith(f"error: invalid-input: {source.format(tmp=tmp_path)}: "), err
+        assert err.startswith(f"error: invalid-input: {source}: "), err
         assert "unpack" not in err and "invalid literal" not in err
         assert out == ""
 
@@ -416,7 +394,7 @@ class TestInput:
         assert "invalid-input" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--sigmas", "2,-8", "--in", "/nonexistent/surv.tsv"],
+        ["verify"],
         ["portrait", "--map", "[1,0,0]/[0,0,1]", "--sigmas", "2,-8"],
         ["preper"],
         ["classify-twist", "--psi2-dk", "2,1", "--map", "[0,2,-1]/[1,0,-1]"]])
@@ -427,6 +405,38 @@ class TestInput:
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "not allowed with argument" in err or "is required" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sieve", "--h1", "2", "--h2", "2", "--prime-list", "3,5"],
+        ["sieve", "--h1", "2", "--h2", "2", "--out", "{tmp}/s.tsv"],
+        ["verify", "--in", "{tmp}/survivors.tsv"],
+        ["verify", "--sigmas", "2,-8", "--in", "{tmp}/survivors.tsv"]])
+    def test_no_command_reads_or_sieves_besides_pipeline(self, argv, tmp_path, capsys):
+        # pipeline runs the sieve and verifies its survivors; the sieve
+        # alone and the verifier of a survivors file are no commands
+        assert main(["pipeline", "--h1", "2", "--h2", "2", "--prime-list", "3,5",
+                     "--outdir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "usage: quadpcf" in err
+        assert not (tmp_path / "s.tsv").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["portrait", "--sigmas", "2,-8", "--dot", "{tmp}/missing/x.dot"], "--dot"),
+        (["preper", "--sigmas=2,-8", "--dot", "{tmp}/missing/x.dot"], "--dot"),
+        (["pipeline", "--h1", "1", "--h2", "1", "--prime-list", "3",
+          "--outdir", "{tmp}/file"], "--outdir")],
+        ids=["portrait", "preper", "pipeline"])
+    def test_failed_write_names_its_flag(self, argv, flag, tmp_path, capsys):
+        # the file is written before any line is printed
+        (tmp_path / "file").write_text("")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: invalid-input: {flag}: ") and str(tmp_path) in err, err
 
 
 configs = st.builds(
@@ -453,7 +463,7 @@ def _digest_text(cfg):
 
 
 # the one input each command needs, as the parser requires it
-INPUTS = {"sieve": [], "verify": ["--sigmas=2,-8"], "pipeline": [],
+INPUTS = {"verify": ["--sigmas=2,-8"], "pipeline": [],
           "portrait": ["--sigmas=2,-8"], "preper": ["--map", "[1,0,-2]/[0,0,1]"],
           "classify-twist": ["--psi2-t", "1"], "catalog": []}
 
@@ -563,6 +573,22 @@ class TestConfig:
         assert capsys.readouterr() == (
             "", f"error: invalid-input: --preper-height-bound: {bound} is not in [1, 10000]\n")
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--prime-list", "3,3"], "--prime-list: primes must be distinct"),
+        (["--prime-list", "9"], "--prime-list: need odd primes, got 9"),
+        (["--primes", "309"],
+         "--primes: 309 is too large: the sieve takes the 308 odd primes below 2048"),
+        (["--h1", "0"], "--h1: 0 is not >= 1"),
+        (["--h2", "-1"], "--h2: -1 is not >= 1"),
+        (["--h1", "64", "--h2", "65"], "--h1, --h2: height bounds need h1 * h2 <= 4096")],
+        ids=["repeated-prime", "composite", "too-many-primes", "zero-h1", "negative-h2",
+             "box-too-large"])
+    def test_run_flags_name_themselves(self, flags, error, tmp_path, capsys):
+        argv = ["pipeline", *flags, "--outdir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: invalid-input: {error}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(h1=0).validate()
@@ -570,21 +596,22 @@ class TestConfig:
             RunConfig(prime_list=(2, 3)).validate()
 
     def test_bounds(self):
-        with pytest.raises(ValueError, match="need odd primes"):
+        with pytest.raises(ValueError, match="^--prime-list: need odd primes"):
             RunConfig(prime_list=(3, 9)).validate()
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(ValueError, match="^--prime-list: prime 1048583 is too large"):
             RunConfig(prime_list=(3, 1048583)).validate()
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(ValueError, match="^--prime-list: prime 2053 is too large"):
             RunConfig(prime_list=(3, 2053)).validate()
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(ValueError, match="^--primes: 309 is too large"):
             RunConfig(primes_count=309).validate()
         assert RunConfig(primes_count=308).primes()[-1] == 2039
         RunConfig(primes_count=308).validate()
-        with pytest.raises(ValueError, match="h1 \\* h2"):
+        with pytest.raises(ValueError, match="^--h1, --h2: .*h1 \\* h2"):
             RunConfig(h1=64, h2=65).validate()
-        for cfg in (RunConfig(primes_count=0), RunConfig(primes_count=-5),
-                    RunConfig(prime_list=())):
-            with pytest.raises(ValueError, match="at least one prime"):
+        for cfg, flag in ((RunConfig(primes_count=0), "--primes"),
+                          (RunConfig(primes_count=-5), "--primes"),
+                          (RunConfig(prime_list=()), "--prime-list")):
+            with pytest.raises(ValueError, match=f"^{flag}: .*at least one prime"):
                 cfg.validate()
         for value in (0, -1, 10 ** 4 + 1):
             with pytest.raises(ValueError, match="^--preper-height-bound: "):
@@ -698,8 +725,6 @@ def test_exact_commands_run_without_numpy(tmp_path):
                 ["verify", "--sigmas=2,-8;-6,8"], ["portrait", "--sigmas=-2,0"],
                 ["classify-twist", "--psi1-b=-3/2"],
                 ["classify-twist", "--psi2-dk", "2,1"],
-                ["sieve", "--h1", "3", "--h2", "6", "--primes", "20",
-                 "--out", str(tmp_path / "s.tsv")],
                 ["pipeline", "--h1", "4", "--h2", "8", "--primes", "30",
                  "--outdir", str(tmp_path / "run")]]
     code = ("import json, sys\n"
@@ -717,8 +742,7 @@ def test_exact_commands_run_without_numpy(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["pipeline", "--h1", "2", "--h2", "2", "--prime-list", "3,5,7,11,13",
-     "--outdir", "{tmp}"],
-    ["sieve", "--h1", "2", "--h2", "4", "--primes", "10", "--out", "{tmp}/s.tsv"]])
+     "--outdir", "{tmp}"]])
 def test_digest_loads_no_openssl(argv, tmp_path):
     # OpenSSL would cost a sieve process 3.5 MiB of peak memory, even when
     # loaded after the sieve
@@ -732,8 +756,7 @@ def test_digest_loads_no_openssl(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    tsv = tmp_path / ("survivors.tsv" if argv[0] == "pipeline" else "s.tsv")
-    assert "# config-digest: " in tsv.read_text()
+    assert "# config-digest: " in (tmp_path / "survivors.tsv").read_text()
 
 
 def test_console_entry_point():

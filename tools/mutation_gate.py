@@ -268,7 +268,6 @@ MUTANTS = (
         'return f"{source}: {text.strip() or repr(text)} is not {what}"',
         'return f"{text.strip() or repr(text)} is not {what}"',
         ("tests/test_cli.py::TestInput::test_malformed_text_names_its_source[one-sigma]",
-         "tests/test_cli.py::TestInput::test_malformed_text_names_its_source[tsv-row]",
          "tests/test_cli.py::TestInput::test_malformed_text_names_its_source[letter-in-map]",
          "tests/test_cli.py::TestInput::test_malformed_text_names_its_source[letter-in-primes]"),
     ),
@@ -311,9 +310,7 @@ MUTANTS = (
         'def _cmd_verify(args) -> int:\n'
         '    print("# exact-iteration budget and size cutoff (artifact parameters)")\n',
         ("tests/test_cli.py::TestInput::test_malformed_text_names_its_source"
-         "[infinite-sigma-after-a-valid-pair]",
-         "tests/test_cli.py::TestInput::test_malformed_text_names_its_source"
-         "[degenerate-tsv-row]"),
+         "[infinite-sigma-after-a-valid-pair]",),
     ),
     Mutant(
         "classify-twist classifies the map outside the reader, so its error names no flag",
@@ -329,6 +326,26 @@ MUTANTS = (
         "if not 1 <= self.preper_height_bound <= preper.DEFAULT_SIZE_CUTOFF:",
         "if not 1 <= self.preper_height_bound:",
         ("tests/test_cli.py::TestConfig::test_bounds",),
+    ),
+    Mutant(
+        "a --prime-list validation error drops the flag from its message",
+        "cli.py",
+        'raise ValueError(f"--prime-list: {e}") from None',
+        "raise ValueError(str(e)) from None",
+        ("tests/test_cli.py::TestConfig::test_run_flags_name_themselves[repeated-prime]",
+         "tests/test_cli.py::TestConfig::test_run_flags_name_themselves[composite]",
+         "tests/test_cli.py::TestConfig::test_bounds"),
+    ),
+    Mutant(
+        "portrait writes its DOT file after it prints the portrait",
+        "cli.py",
+        '    _write_dot(args.dot, st.portrait, "portrait")\n'
+        "    for line in st.portrait.edge_lines():\n"
+        "        print(line)\n",
+        "    for line in st.portrait.edge_lines():\n"
+        "        print(line)\n"
+        '    _write_dot(args.dot, st.portrait, "portrait")\n',
+        ("tests/test_cli.py::TestInput::test_failed_write_names_its_flag[portrait]",),
     ),
     Mutant(
         "a square cofactor above the trial-division range stays in D",
