@@ -5,16 +5,18 @@ All outputs are deterministic for a given configuration, and
 every artifact embeds a digest of the configuration that produced it.
 
 The flags are the only configuration.  FLAGS declares each flag once and
-COMMANDS names the flags of each subcommand; a flag that sets a RunConfig
-field has that field as its dest.  The exact walks run at the fixed
-limits of pcfverify and preper, which the verify and preper headers
-print.  verify takes --sigmas, and portrait, preper and classify-twist
-exactly one input, which the parser enforces.  Text from outside
-(rationals, sigma pairs, maps, prime lists) is read by _read, which also
-builds the map each input gives and checks that its resultant is
-nonzero, so a command has every map before it prints a line.  Every
-input error names its flag, as do a run flag out of bounds, a --dot
-file that cannot be written and an --outdir that cannot be made:
+COMMANDS names the flags of each subcommand.  RunConfig is what pipeline
+runs on: one prime list (--primes N, the first N odd primes, or
+--prime-list, not both), the heights and the output directory.  The
+exact walks run at the fixed limits of pcfverify and preper, which the
+verify and preper headers print.  verify takes --sigmas, and portrait,
+preper and classify-twist exactly one input, which the parser enforces.
+Text from outside (rationals, sigma pairs, maps, prime lists) is read
+by _read, which also builds the map each input gives and checks that its
+resultant is nonzero, so a command has every map before it prints a
+line.  Every input error names its flag, as do a run flag out of bounds,
+a --dot file that cannot be written and an --outdir that cannot be made
+or written to:
 "error: invalid-input: --sigmas: 3,3: degenerate map (resultant 0)".
 A closed stdout ends a command with exit 1 and no message.
 
@@ -73,17 +75,10 @@ def _sha256():
 
 
 class RunConfig(NamedTuple):
-    primes_count: int = 130
-    prime_list: Optional[Tuple[int, ...]] = None
+    prime_list: Tuple[int, ...] = first_odd_primes(130)
     h1: int = 10
     h2: int = 20
-    preper_height_bound: int = preper.DEFAULT_HEIGHT_BOUND
     outdir: str = "."
-
-    def primes(self) -> Tuple[int, ...]:
-        if self.prime_list is not None:
-            return self.prime_list
-        return first_odd_primes(self.primes_count)
 
     def digest(self) -> str:
         """Digest of the semantic configuration.
@@ -91,17 +86,17 @@ class RunConfig(NamedTuple):
         The output directory affects where results appear, never what they
         are, so it stays out of the digest and artifacts are byte-identical
         across directories.  The exact walks' fixed limits shape
-        verified.tsv, so they are hashed with the fields.
+        verified.tsv, so they are hashed with the fields; so is preper's
+        default height bound, which keeps every digest as it was.
         """
         import json
         body = dict(self._asdict(), config_version=CONFIG_VERSION,
                     budget=pcfverify.DEFAULT_BUDGET, cutoff=pcfverify.DEFAULT_SIZE_CUTOFF,
+                    preper_height_bound=preper.DEFAULT_HEIGHT_BOUND,
                     preper_step_budget=preper.DEFAULT_STEP_BUDGET,
                     preper_cutoff=preper.DEFAULT_SIZE_CUTOFF)
         body.pop("outdir")
-        body["primes"] = list(self.primes())
-        body.pop("prime_list")
-        body.pop("primes_count")
+        body["primes"] = list(body.pop("prime_list"))
         text = json.dumps(body, sort_keys=True, separators=(",", ":"))
         return _sha256()(text.encode()).hexdigest()[:16]
 
@@ -112,27 +107,13 @@ class RunConfig(NamedTuple):
                 raise ValueError(f"{flag}: {h} is not >= 1")
         if self.h1 * self.h2 > MAX_HEIGHT_PRODUCT:
             raise ValueError(f"--h1, --h2: height bounds need h1 * h2 <= {MAX_HEIGHT_PRODUCT}")
-        if self.primes_count < 1:
-            raise ValueError("--primes: the sieve needs at least one prime")
-        if self.prime_list is not None:
-            # the period rule is unsound for a composite modulus, so a
-            # composite would let the sieve drop a PCF pair without any error
-            try:
-                if not validate_primes(self.prime_list, LANE_PRIME_LIMIT, "the sieve"):
-                    raise ValueError("the sieve needs at least one prime")
-            except ValueError as e:
-                raise ValueError(f"--prime-list: {e}") from None
-        else:
-            # first_odd_primes gives primes; only their count needs a bound
-            most = len(odd_primes_up_to(LANE_PRIME_LIMIT))
-            if self.primes_count > most:
-                raise ValueError(f"--primes: {self.primes_count} is too large: the "
-                                 f"sieve takes the {most} odd primes below {LANE_PRIME_LIMIT}")
-        # above the search's size cutoff a searched preperiodic point would
-        # be called divergent, and it would leave the graph without a word
-        if not 1 <= self.preper_height_bound <= preper.DEFAULT_SIZE_CUTOFF:
-            raise ValueError(f"--preper-height-bound: {self.preper_height_bound} is not "
-                             f"in [1, {preper.DEFAULT_SIZE_CUTOFF}]")
+        # the period rule is unsound for a composite modulus, so a
+        # composite would let the sieve drop a PCF pair without any error
+        try:
+            if not validate_primes(self.prime_list, LANE_PRIME_LIMIT, "the sieve"):
+                raise ValueError("the sieve needs at least one prime")
+        except ValueError as e:
+            raise ValueError(f"--prime-list: {e}") from None
 
 
 class InputError(ValueError):
@@ -210,13 +191,24 @@ def _input_map(args, use=_same):
 
 
 def _config_from_args(args) -> RunConfig:
-    """Every RunConfig field a flag set, the others at their defaults."""
-    given = {field: getattr(args, field) for field in RunConfig._fields
-             if getattr(args, field, None) is not None}
-    if "prime_list" in given:
+    """pipeline's RunConfig: every field a flag set, the others at their defaults."""
+    given = {field: getattr(args, field) for field in ("h1", "h2", "outdir")
+             if getattr(args, field) is not None}
+    if args.primes is not None and args.prime_list is not None:
+        raise ValueError("--primes, --prime-list: give one of the two, not both")
+    if args.prime_list is not None:
         given["prime_list"] = _read(
             lambda text: tuple(int(x) for x in text.split(",") if x.strip()),
-            given["prime_list"], "--prime-list", "a comma-separated list of odd primes")
+            args.prime_list, "--prime-list", "a comma-separated list of odd primes")
+    elif args.primes is not None:
+        # first_odd_primes gives primes; only their count needs a bound
+        most = len(odd_primes_up_to(LANE_PRIME_LIMIT))
+        if args.primes < 1:
+            raise ValueError("--primes: the sieve needs at least one prime")
+        if args.primes > most:
+            raise ValueError(f"--primes: {args.primes} is too large: the "
+                             f"sieve takes the {most} odd primes below {LANE_PRIME_LIMIT}")
+        given["prime_list"] = first_odd_primes(args.primes)
     cfg = RunConfig(**given)
     cfg.validate()
     return cfg
@@ -242,7 +234,7 @@ class PipelineResult(NamedTuple):
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     from quadpcf import lanesieve
-    survivors = lanesieve.sieve(cfg.h1, cfg.h2, cfg.primes())
+    survivors = lanesieve.sieve(cfg.h1, cfg.h2, cfg.prime_list)
     statuses = [pcfverify.critical_orbit_portrait(c.phi) for c in survivors]
     return PipelineResult(survivors, statuses)
 
@@ -279,7 +271,7 @@ def pipeline_summary(cfg: RunConfig, result: PipelineResult) -> dict:
         "config_digest": cfg.digest(),
         "h1": cfg.h1,
         "h2": cfg.h2,
-        "prime_count": len(cfg.primes()),
+        "prime_count": len(cfg.prime_list),
         "survivors": [
             {
                 "sigma1": str(c.sigma1),
@@ -322,12 +314,15 @@ def _cmd_pipeline(args) -> int:
     except OSError as e:
         raise InputError(f"--outdir: {e}") from None
     result = run_pipeline(cfg)
-    write_survivors_tsv(outdir / "survivors.tsv", cfg, result.survivors)
-    write_verified_tsv(outdir / "verified.tsv", cfg, result)
     summary = pipeline_summary(cfg, result)
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        write_survivors_tsv(outdir / "survivors.tsv", cfg, result.survivors)
+        write_verified_tsv(outdir / "verified.tsv", cfg, result)
+        with open(outdir / "summary.json", "w") as fh:
+            json.dump(summary, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as e:
+        raise InputError(f"--outdir: {e}") from None
     for item in summary["survivors"]:
         print("\t".join([item["sigma1"], item["sigma2"], item["map"], item["status"]]))
     print(f"# {summary['verified_count']} verified PCF, "
@@ -349,11 +344,16 @@ def _cmd_portrait(args) -> int:
 
 
 def _cmd_preper(args) -> int:
-    cfg = _config_from_args(args)
+    bound = args.preper_height_bound
+    # above the search's size cutoff a searched preperiodic point would
+    # be called divergent, and it would leave the graph without a word
+    if not 1 <= bound <= preper.DEFAULT_SIZE_CUTOFF:
+        raise ValueError(f"--preper-height-bound: {bound} is not "
+                         f"in [1, {preper.DEFAULT_SIZE_CUTOFF}]")
     phi = _input_map(args)
-    graph = preper.rational_preperiodic_graph(phi, cfg.preper_height_bound)
+    graph = preper.rational_preperiodic_graph(phi, bound)
     _write_dot(args.dot, graph, "preperiodic")
-    print(f"# bounded search: heights <= {cfg.preper_height_bound}, "
+    print(f"# bounded search: heights <= {bound}, "
           f"{preper.DEFAULT_STEP_BUDGET} steps, size cutoff {preper.DEFAULT_SIZE_CUTOFF}; "
           "completeness beyond the known catalogs is heuristic")
     print(f"# {len(graph)} rational preperiodic points")
@@ -443,16 +443,14 @@ def _cmd_catalog(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
-# each flag once, with its dest, type and help.  A flag that sets a
-# RunConfig field has that field as its dest, which is all
-# _config_from_args reads
+# each flag once, with its type, default and help
 FLAGS = {
-    "--primes": dict(dest="primes_count", type=int,
-                     help="number of odd primes (default 130)"),
+    "--primes": dict(type=int, help="number of odd primes (default 130)"),
     "--prime-list": dict(help="explicit comma-separated odd primes"),
     "--h1": dict(type=int, help="height bound for sigma1"),
     "--h2": dict(type=int, help="height bound for sigma2"),
-    "--preper-height-bound": dict(type=int, help="height bound of the searched points"),
+    "--preper-height-bound": dict(type=int, default=preper.DEFAULT_HEIGHT_BOUND,
+                                  help="height bound of the searched points"),
     "--outdir": dict(help="artifact directory"),
     "--dot": dict(help="write Graphviz DOT here"),
     "--json": dict(action="store_true"),

@@ -146,7 +146,7 @@ class TestPipeline:
     @pytest.mark.parametrize("primes, error", [
         (["--prime-list", "3,2053"], "prime 2053 is too large for the sieve (limit 2048)"),
         (["--primes", "309"], "--primes: 309 is too large"),
-        (["--primes", "308", "--prime-list", "3,9"], "need odd primes, got 9")])
+        (["--prime-list", "3,9"], "need odd primes, got 9")])
     def test_primes_beyond_the_bound_rejected(self, tmp_path, capsys, primes, error):
         # the sieve takes the 308 odd primes below 2^11, and nothing else
         outdir = tmp_path / "out"
@@ -428,11 +428,15 @@ class TestInput:
         (["portrait", "--sigmas", "2,-8", "--dot", "{tmp}/missing/x.dot"], "--dot"),
         (["preper", "--sigmas=2,-8", "--dot", "{tmp}/missing/x.dot"], "--dot"),
         (["pipeline", "--h1", "1", "--h2", "1", "--prime-list", "3",
-          "--outdir", "{tmp}/file"], "--outdir")],
-        ids=["portrait", "preper", "pipeline"])
+          "--outdir", "{tmp}/file"], "--outdir"),
+        (["pipeline", "--h1", "1", "--h2", "1", "--prime-list", "3",
+          "--outdir", "{tmp}/run"], "--outdir")],
+        ids=["portrait", "preper", "pipeline", "pipeline-artifact"])
     def test_failed_write_names_its_flag(self, argv, flag, tmp_path, capsys):
-        # the file is written before any line is printed
+        # the file is written before any line is printed; pipeline's
+        # artifacts are written into --outdir before its first line too
         (tmp_path / "file").write_text("")
+        (tmp_path / "run" / "verified.tsv").mkdir(parents=True)
         assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
@@ -441,25 +445,28 @@ class TestInput:
 
 configs = st.builds(
     RunConfig,
-    primes_count=st.integers(1, 40),
-    prime_list=st.none() | st.lists(st.integers(3, LANE_PRIME_LIMIT - 1),
-                                    max_size=6).map(tuple),
+    prime_list=st.integers(1, 40).map(first_odd_primes)
+    | st.lists(st.integers(3, LANE_PRIME_LIMIT - 1), max_size=6).map(tuple),
     h1=st.integers(1, 64), h2=st.integers(1, 64),
-    preper_height_bound=st.integers(1, 500),
     outdir=st.text(max_size=6))
 
 
 def _digest_text(cfg):
     """The text the config digest hashes, field by field: every semantic
-    field, the primes as a list, no output directory, and the exact walks'
+    field, the primes as a list, no output directory, the exact walks'
     fixed limits (budget and cutoff of the verifier and of the preperiodic
-    search)."""
+    search) and the preperiodic search's default height bound."""
     return json.dumps({
         "budget": 64, "config_version": 1, "cutoff": 10 ** 6,
         "h1": cfg.h1, "h2": cfg.h2, "preper_cutoff": 10 ** 4,
-        "preper_height_bound": cfg.preper_height_bound,
+        "preper_height_bound": 16,
         "preper_step_budget": 32,
-        "primes": list(cfg.primes())}, sort_keys=True, separators=(",", ":"))
+        "primes": list(cfg.prime_list)}, sort_keys=True, separators=(",", ":"))
+
+
+def _pipeline_config(*flags):
+    """The RunConfig pipeline reads from its flags."""
+    return cli._config_from_args(cli.build_parser().parse_args(["pipeline", *flags]))
 
 
 # the one input each command needs, as the parser requires it
@@ -491,30 +498,25 @@ class TestConfig:
         assert out == "" and not any(tmp_path.iterdir())
 
     def test_every_run_flag_reaches_its_field(self):
-        # a flag that configures a run has its RunConfig field as dest; a
-        # drifted dest would drop the flag without a word
-        values = {"primes_count": 40, "prime_list": (3, 5, 7), "h1": 3, "h2": 7,
-                  "preper_height_bound": 50, "outdir": "elsewhere"}
-        assert set(values) == set(RunConfig._fields)
+        # each flag of pipeline sets its RunConfig field; a flag read into
+        # no field would be dropped without a word
+        cases = {"--primes": ("prime_list", "40", first_odd_primes(40)),
+                 "--prime-list": ("prime_list", "3,5,7", (3, 5, 7)),
+                 "--h1": ("h1", "3", 3), "--h2": ("h2", "7", 7),
+                 "--outdir": ("outdir", "elsewhere", "elsewhere")}
         parser = cli.build_parser()
         commands = next(a for a in parser._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
         assert set(commands) == set(INPUTS)
-        reached = set()
-        for command, sub in commands.items():
-            for action in sub._actions:
-                field = action.dest
-                if field not in values:
-                    continue
-                value = values[field]
-                assert value != getattr(RunConfig(), field)
-                text = ",".join(map(str, value)) if field == "prime_list" else str(value)
-                args = parser.parse_args(
-                    [command, *INPUTS[command], action.option_strings[0], text])
-                assert getattr(cli._config_from_args(args), field) == value, \
-                    (command, action.option_strings)
-                reached.add(field)
-        assert reached == set(RunConfig._fields)
+        assert {a.option_strings[0] for a in commands["pipeline"]._actions
+                if a.dest != "help"} == set(cases)
+        for flag, (field, text, value) in cases.items():
+            assert value != getattr(RunConfig(), field)
+            assert getattr(_pipeline_config(flag, text), field) == value, flag
+        assert {field for field, _, _ in cases.values()} == set(RunConfig._fields)
+        # --primes N is the first N odd primes as --prime-list names them
+        assert _pipeline_config("--primes", "40") == _pipeline_config(
+            "--prime-list", ",".join(map(str, first_odd_primes(40))))
 
     def test_digest_stability(self):
         a = RunConfig(h1=2, h2=4)
@@ -524,7 +526,7 @@ class TestConfig:
         # the default configuration's digest on CPython 3.10 to 3.13, and
         # that of the benchmark's 40 primes
         assert RunConfig().digest() == "618edfa00efb4f9b"
-        assert RunConfig(primes_count=40).digest() == "45942cc69d7970cd"
+        assert _pipeline_config("--primes", "40").digest() == "45942cc69d7970cd"
         assert RunConfig(prime_list=first_odd_primes(40)).digest() == "45942cc69d7970cd"
 
     @settings(max_examples=100, deadline=None)
@@ -554,11 +556,13 @@ class TestConfig:
         ["pipeline", "--h1", "0", "--outdir", "{tmp}/out"],
         ["pipeline", "--h1", "64", "--h2", "65", "--outdir", "{tmp}/out"]])
     def test_bounds_are_usage_errors(self, argv, tmp_path, capsys, monkeypatch):
-        # rejected before any work: the pipeline never reaches the sieve
-        def no_sieve(*args):
-            raise AssertionError("the sieve ran")
+        # rejected before any work: the pipeline never reaches the sieve,
+        # and preper never searches
+        def no_work(*args):
+            raise AssertionError("the sieve or the search ran")
 
-        monkeypatch.setattr(lanesieve, "sieve", no_sieve)
+        monkeypatch.setattr(lanesieve, "sieve", no_work)
+        monkeypatch.setattr(preper, "rational_preperiodic_graph", no_work)
         rc = main([a.format(tmp=tmp_path) for a in argv])
         assert rc == EXIT_USAGE
         out, err = capsys.readouterr()
@@ -566,9 +570,13 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bound", ["0", "10001"])
-    def test_preper_height_bound_names_its_flag(self, bound, capsys):
+    def test_preper_height_bound_names_its_flag(self, bound, capsys, monkeypatch):
         # past the search's size cutoff of 10^4 a searched point would be
-        # called divergent
+        # called divergent; the bound is checked before the search
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(preper, "rational_preperiodic_graph", no_search)
         assert main(["preper", "--sigmas=2,-8", "--preper-height-bound", bound]) == EXIT_USAGE
         assert capsys.readouterr() == (
             "", f"error: invalid-input: --preper-height-bound: {bound} is not in [1, 10000]\n")
@@ -580,9 +588,11 @@ class TestConfig:
          "--primes: 309 is too large: the sieve takes the 308 odd primes below 2048"),
         (["--h1", "0"], "--h1: 0 is not >= 1"),
         (["--h2", "-1"], "--h2: -1 is not >= 1"),
-        (["--h1", "64", "--h2", "65"], "--h1, --h2: height bounds need h1 * h2 <= 4096")],
+        (["--h1", "64", "--h2", "65"], "--h1, --h2: height bounds need h1 * h2 <= 4096"),
+        (["--h1", "1", "--h2", "1", "--primes", "3", "--prime-list", "3"],
+         "--primes, --prime-list: give one of the two, not both")],
         ids=["repeated-prime", "composite", "too-many-primes", "zero-h1", "negative-h2",
-             "box-too-large"])
+             "box-too-large", "both-prime-flags"])
     def test_run_flags_name_themselves(self, flags, error, tmp_path, capsys):
         argv = ["pipeline", *flags, "--outdir", str(tmp_path / "out")]
         assert main(argv) == EXIT_USAGE
@@ -595,7 +605,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(prime_list=(2, 3)).validate()
 
-    def test_bounds(self):
+    def test_bounds(self, monkeypatch, capsys):
         with pytest.raises(ValueError, match="^--prime-list: need odd primes"):
             RunConfig(prime_list=(3, 9)).validate()
         with pytest.raises(ValueError, match="^--prime-list: prime 1048583 is too large"):
@@ -603,21 +613,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="^--prime-list: prime 2053 is too large"):
             RunConfig(prime_list=(3, 2053)).validate()
         with pytest.raises(ValueError, match="^--primes: 309 is too large"):
-            RunConfig(primes_count=309).validate()
-        assert RunConfig(primes_count=308).primes()[-1] == 2039
-        RunConfig(primes_count=308).validate()
+            _pipeline_config("--primes", "309")
+        assert _pipeline_config("--primes", "308").prime_list[-1] == 2039
         with pytest.raises(ValueError, match="^--h1, --h2: .*h1 \\* h2"):
             RunConfig(h1=64, h2=65).validate()
-        for cfg, flag in ((RunConfig(primes_count=0), "--primes"),
-                          (RunConfig(primes_count=-5), "--primes"),
-                          (RunConfig(prime_list=()), "--prime-list")):
-            with pytest.raises(ValueError, match=f"^{flag}: .*at least one prime"):
-                cfg.validate()
+        for flags in (("--primes", "0"), ("--primes=-5",)):
+            with pytest.raises(ValueError, match="^--primes: .*at least one prime"):
+                _pipeline_config(*flags)
+        with pytest.raises(ValueError, match="^--prime-list: .*at least one prime"):
+            RunConfig(prime_list=()).validate()
+        # preper checks its bound before it searches; the stub searches to
+        # height 1 whatever bound it is given
+        searched, search = [], preper.rational_preperiodic_graph
+        monkeypatch.setattr(preper, "rational_preperiodic_graph",
+                            lambda phi, bound: searched.append(bound) or search(phi, 1))
         for value in (0, -1, 10 ** 4 + 1):
-            with pytest.raises(ValueError, match="^--preper-height-bound: "):
-                RunConfig(preper_height_bound=value).validate()
-        RunConfig(preper_height_bound=1).validate()
-        RunConfig(preper_height_bound=10 ** 4).validate()
+            assert main(["preper", "--sigmas=2,-8", f"--preper-height-bound={value}"]) \
+                == EXIT_USAGE
+            assert capsys.readouterr().err.startswith(
+                "error: invalid-input: --preper-height-bound: ")
+        for value in (1, 10 ** 4):
+            assert main(["preper", "--sigmas=2,-8", f"--preper-height-bound={value}"]) \
+                == EXIT_OK
+        assert searched == [1, 10 ** 4]
         with pytest.raises(ValueError):
             first_odd_primes(-5)
 
@@ -701,7 +719,7 @@ class TestRecords:
     def test_built_from_keywords(self, tmp_path):
         primes = first_odd_primes(20)
         cfg = RunConfig(h1=2, h2=4, prime_list=tuple(primes), outdir=str(tmp_path))
-        assert (cfg.h1, cfg.h2, cfg.primes(), cfg.preper_height_bound) == (2, 4, primes, 16)
+        assert (cfg.h1, cfg.h2, cfg.prime_list) == (2, 4, primes)
         assert cfg.digest() == RunConfig(h1=2, h2=4, prime_list=primes).digest()
         survivors = lanesieve.sieve(2, 4, primes)
         c = survivors[0]

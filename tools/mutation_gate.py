@@ -248,11 +248,18 @@ MUTANTS = (
          "tests/test_cli.py::TestConfig::test_digest_stability"),
     ),
     Mutant(
-        "the --primes flag's dest drifts from its RunConfig field",
+        "--primes is checked but never reaches the prime list",
         "cli.py",
-        'dest="primes_count"',
-        'dest="primes"',
+        '        given["prime_list"] = first_odd_primes(args.primes)\n',
+        "",
         ("tests/test_cli.py::TestConfig::test_every_run_flag_reaches_its_field",),
+    ),
+    Mutant(
+        "--prime-list silently overrides --primes",
+        "cli.py",
+        "    if args.primes is not None and args.prime_list is not None:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestConfig::test_run_flags_name_themselves[both-prime-flags]",),
     ),
     Mutant(
         "the verdict renderer calls an unverified status VERIFIED_PCF",
@@ -323,9 +330,11 @@ MUTANTS = (
     Mutant(
         "the preperiodic height bound may exceed the search's size cutoff",
         "cli.py",
-        "if not 1 <= self.preper_height_bound <= preper.DEFAULT_SIZE_CUTOFF:",
-        "if not 1 <= self.preper_height_bound:",
-        ("tests/test_cli.py::TestConfig::test_bounds",),
+        "if not 1 <= bound <= preper.DEFAULT_SIZE_CUTOFF:",
+        "if not 1 <= bound:",
+        ("tests/test_cli.py::TestConfig::test_preper_height_bound_names_its_flag[10001]",
+         "tests/test_cli.py::TestConfig::test_bounds_are_usage_errors[argv1]",
+         "tests/test_cli.py::TestConfig::test_bounds"),
     ),
     Mutant(
         "a --prime-list validation error drops the flag from its message",
