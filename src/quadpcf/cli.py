@@ -445,7 +445,8 @@ def _cmd_catalog(args) -> int:
 
 # each flag once, with its type, default and help
 FLAGS = {
-    "--primes": dict(type=int, help="number of odd primes (default 130)"),
+    "--primes": dict(type=int,
+                     help=f"number of odd primes (default {len(RunConfig().prime_list)})"),
     "--prime-list": dict(help="explicit comma-separated odd primes"),
     "--h1": dict(type=int, help="height bound for sigma1"),
     "--h2": dict(type=int, help="height bound for sigma2"),

@@ -11,6 +11,12 @@ tables of p, built once per prime.  The tests check it against a
 plain-loop oracle that shares none of its code.  The normal-form family,
 its key and the wronskian and resultant of two forms, which projmap, the
 sieve and the reference database share, are defined here once.
+
+PeriodTable is the one table of a prime's entries: critical_periods of
+the family at each key, computed on first use and indexed by the sigma
+residues (x1, x2) as x1 * p + x2.  The sieve reads it by residues, and
+the reference database (sievedb) by key through at_key, the inverse of
+family_bc.
 """
 
 from __future__ import annotations
@@ -115,11 +121,11 @@ def prime_tables(p: int) -> PrimeTables:
 
 def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[int, int]]:
     """The length m and multiplier lam of the cycle that the orbit of each
-    start reaches under the map (F, G) mod p, with wronskian W, all reduced
-    mod p, and the inverse table inv.
+    of one or two starts reaches under the map (F, G) mod p, with wronskian
+    W, all reduced mod p, and the inverse table inv.
 
-    All walks share one visited table.  A walk that reaches a point of an
-    earlier one stops there and takes that walk's cycle.
+    The walks share one visited table.  A second walk that reaches a point
+    of the first stops there and takes the first one's cycle.
     The multiplier is the product of the derivative factors W(z) / G(z)^2
     along the cycle, in the chart 1/z at a pole and at infinity.
     """
@@ -129,10 +135,9 @@ def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[int, int]]:
     inf_img = f2 * inv[g2] % p if g2 else p
     pos = [-1] * (p + 1)   # visited point -> its position
     order = []             # the visited points in order
-    firsts, out = [], []
+    out = []
     for z in starts:
         first = len(order)
-        firsts.append(first)
         while pos[z] < 0:
             pos[z] = len(order)
             order.append(z)
@@ -143,10 +148,7 @@ def _walk(p: int, F, G, W, starts, inv) -> List[Tuple[int, int]]:
                 z = ((f2 * z + f1) * z + f0) * inv[g] % p if g else p
         at = pos[z]
         if at < first:
-            k = len(out) - 1
-            while firsts[k] > at:
-                k -= 1
-            out.append(out[k])
+            out.append(out[0])
             continue
         lam = 1
         for z in order[at:]:
@@ -220,3 +222,27 @@ def critical_periods(p: int, F, G):
     (m1, lam1), (m2, lam2) = _walk(p, F, G, W, (z1, z2), inv)
     s1, s2 = _cycle_periods(p, m1, lam1), _cycle_periods(p, m2, lam2)
     return z1, z2, s1, s2, s1 if s1 is s2 else s1 & s2
+
+
+class PeriodTable(dict):
+    """The entries of one prime p, computed on first use: at x1 * p + x2,
+    critical_periods of the normal form of the key family_bc(x1, x2) of the
+    sigma residues (x1, x2).  The sieve reads it by residues and the
+    reference database by key."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+        self.inv = prime_tables(p).inv
+
+    def __missing__(self, k: int):
+        p = self.p
+        x1, x2 = divmod(k, p)
+        e = self[k] = critical_periods(p, *family_forms(*family_bc(x1, x2)))
+        return e
+
+    def at_key(self, b: int, c: int):
+        """The entry of the key (b, c), at the residues (2 - b, b - c) that
+        family_bc maps to it."""
+        p = self.p
+        return self[(2 - b) % p * p + (b - c) % p]

@@ -4,9 +4,9 @@ A sigma-pair survives when, at every good prime p, its critical points'
 period sets stay non-empty: each rational critical point meets the set of
 the point it reduces to, and conjugate irrational points share one set,
 the meet of their two sets, as sievedb's check_*_periods_detailed do pair
-by pair.  The sets of the key (b, c) = ffdyn.family_bc(x1, x2) of sigma
-residues (x1, x2) come from ffdyn.critical_periods on first use, kept
-as the entry it returns, the one the reference database stores.
+by pair.  The sets come from one ffdyn.PeriodTable per prime, indexed by
+the sigma residues (x1, x2), the table the reference database reads by
+key.  The sieve is imported from here alone.
 
 sieve() takes the sigma1 values as rows and the sigma2 values as the bits
 of one Python int.  At each prime below FILTER_BOUND the filter groups a
@@ -71,25 +71,6 @@ class SieveCandidate(NamedTuple):
                           "critical_points", "period_sets", "primes_used"])
 
 
-class _Entries(dict):
-    """The entries of one prime's keys, ffdyn.critical_periods of the key
-    family_bc(x1, x2) at x1 * p + x2, computed on first use: None at a bad
-    prime, () without critical points in P^1(F_p), else (z1, z2, set1,
-    set2, shared)."""
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-        self.inv = ffdyn.prime_tables(p).inv
-
-    def __missing__(self, k: int):
-        p = self.p
-        x1, x2 = divmod(k, p)
-        e = self[k] = ffdyn.critical_periods(
-            p, *ffdyn.family_forms(*ffdyn.family_bc(x1, x2)))
-        return e
-
-
 def _residues(pairs, p: int, inv) -> List[int]:
     """n / d mod p of each pair, -1 where p divides d (a bad prime)."""
     return [n * inv[d % p] % p if d % p else -1 for n, d in pairs]
@@ -108,7 +89,7 @@ class _FilterPrime:
     each residue class as a mask, and the evidence of the keys (x1, x2)
     over the columns, per x1 on first use."""
 
-    def __init__(self, entries: _Entries, pairs1, pairs2):
+    def __init__(self, entries: ffdyn.PeriodTable, pairs1, pairs2):
         p, inv = entries.p, entries.inv
         self.p, self.entries, self.rows = p, entries, {}
         self.r1, self.r2 = _residues(pairs1, p, inv), _residues(pairs2, p, inv)
@@ -270,7 +251,7 @@ def sieve(h1: int, h2: int, primes: Sequence[int]) -> List[SieveCandidate]:
     pairs1, pairs2 = list(enumerate_pairs(h1)), list(enumerate_pairs(h2))
     # the survivors do not depend on the order of the primes, and small
     # primes kill most lanes
-    entries = [_Entries(p) for p in sorted(primes)]
+    entries = [ffdyn.PeriodTable(p) for p in sorted(primes)]
     steps = [(e.p, e.inv, e) for e in entries]
     filt = [_FilterPrime(e, pairs1, pairs2) for e in entries if e.p < FILTER_BOUND]
     sigma2 = [ExtendedRational.from_pair(n, d) for n, d in pairs2]

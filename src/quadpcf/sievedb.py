@@ -2,16 +2,15 @@
 
 A map (F, G) mod an odd prime p has, when it has degree 2 and both
 critical points are F_p-rational, an admissible global-period set for each
-critical point.  The database holds the entry ffdyn.critical_periods
-gives the normal form at every key (b, c) of each prime, at index
-b * p + c, and lookup hands it out unchanged: (z1, z2, set1, set2,
-shared), or None for a key without two F_p-rational critical points.
-No command reads it: the search runs in quadpcf.lanesieve, and
-examine_pair and the check functions run the sieve's rule one pair at a
-time against the database, as the reference the tests and the
-benchmark's traced replay compare with.  On disk a
-database is a versioned header line and its prime list, and loading it
-rebuilds the entries, which depend on the prime list alone.
+critical point.  The database holds the sieve's table, ffdyn.PeriodTable,
+of each prime, filled at all p^2 keys, and lookup hands out the entry of
+the key (b, c) unchanged: (z1, z2, set1, set2, shared), or None for a key
+without two F_p-rational critical points.  No command reads it: the
+search runs in quadpcf.lanesieve, and examine_pair and the check
+functions run the sieve's rule one pair at a time against the database,
+as the reference the tests and the benchmark's traced replay compare
+with.  On disk a database is a versioned header line and its prime list,
+and loading it rebuilds the tables, which depend on the prime list alone.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from quadpcf import ffdyn
 from quadpcf.exact_arith import ExtendedRational, validate_primes
 from quadpcf.ffdyn import LANE_PRIME_LIMIT, PeriodSet
-# the search and its types, kept importable from here
-from quadpcf.lanesieve import DbConsistencyError, SieveCandidate, sieve  # noqa: F401
+from quadpcf.lanesieve import DbConsistencyError, SieveCandidate
 from quadpcf.projmap import NormalizedQuadMap
 
 
@@ -52,27 +50,27 @@ _HEADER = b"quadpcf reference database, version 2\n"
 
 
 class Database:
-    """Mapping (p, b, c) -> the critical_periods entry of the key, over
-    every key of each prime, read-only once built."""
+    """Mapping (p, b, c) -> the critical_periods entry of the key, through
+    the period table of each prime."""
 
-    def __init__(self, entries: Dict[int, list]):
-        self.entries = entries
-        self.primes = tuple(entries)
+    def __init__(self, tables: Dict[int, ffdyn.PeriodTable]):
+        self.tables = tables
+        self.primes = tuple(tables)
 
     # -- queries ----------------------------------------------------------
 
     def lookup(self, p: int, b: int, c: int) -> Optional[tuple]:
         """(z1, z2, set1, set2, shared), or None for keys without two
         F_p-rational critical points."""
-        return self._entries(p)[b % p * p + c % p] or None
+        return self._table(p).at_key(b, c) or None
 
     def entry_count(self, p: int) -> int:
-        return sum(map(bool, self._entries(p)))
+        return sum(map(bool, self._table(p).values()))
 
-    def _entries(self, p: int) -> list:
-        if p not in self.entries:
+    def _table(self, p: int) -> ffdyn.PeriodTable:
+        if p not in self.tables:
             raise UncoveredPrimeError(f"prime {p} is not covered by this database")
-        return self.entries[p]
+        return self.tables[p]
 
     # -- file I/O -----------------------------------------------------------
 
@@ -108,13 +106,14 @@ class Database:
 
 
 def build_db(primes: Sequence[int], path: Optional[str] = None) -> Database:
-    """Build the database for the given odd primes, in list order:
-    ffdyn.critical_periods of the normal form at all p^2 keys of each;
-    saved to path if given."""
+    """Build the database for the given odd primes, in list order: the
+    period table of each, filled at all p^2 keys; saved to path if given."""
     primes = validate_primes(primes, LANE_PRIME_LIMIT, "the reference database")
-    db = Database({p: [ffdyn.critical_periods(p, *ffdyn.family_forms(b, c))
-                       for b in range(p) for c in range(p)]
-                   for p in primes})
+    db = Database({p: ffdyn.PeriodTable(p) for p in primes})
+    for p, table in db.tables.items():
+        # each lookup walks its key and stores the entry
+        for k in range(p * p):
+            table[k]
     if path is not None:
         db.save(path)
     return db

@@ -26,24 +26,12 @@ def small_db(small_primes):
     return build_db(small_primes)
 
 
-class _WalkedEntries(dict):
-    """The entries build_db stores for the prime p, each walked on its first
-    lookup."""
-
-    def __init__(self, p):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, k):
-        e = self[k] = ffdyn.critical_periods(self.p, *ffdyn.family_forms(*divmod(k, self.p)))
-        return e
-
-
 @pytest.fixture(scope="session")
 def walked_db():
     """build_db's database over every prime the sieve takes, without its
-    p^2 walks per prime: an entry is computed when it is first looked up."""
-    return Database({p: _WalkedEntries(p) for p in odd_primes_up_to(ffdyn.LANE_PRIME_LIMIT)})
+    p^2 walks per prime: the period tables compute an entry when it is
+    first looked up."""
+    return Database({p: ffdyn.PeriodTable(p) for p in odd_primes_up_to(ffdyn.LANE_PRIME_LIMIT)})
 
 
 @pytest.fixture(scope="session")

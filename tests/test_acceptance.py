@@ -9,7 +9,6 @@ ffdyn.critical_periods, the walk the sieve reads, so the suite builds and
 reads no database.
 """
 
-from quadpcf import sievedb
 from quadpcf.cli import TEN_SIGMA_PAIRS, main
 from quadpcf.exact_arith import (
     INFINITY,
@@ -20,6 +19,7 @@ from quadpcf.exact_arith import (
     odd_primes_up_to,
 )
 from quadpcf.ffdyn import critical_periods, family_forms
+from quadpcf.lanesieve import sieve
 from quadpcf.pcfverify import critical_orbit_portrait
 from quadpcf.preper import (
     INVERSE_SQUARE,
@@ -151,7 +151,7 @@ def test_criterion_1_classification_reproduction():
     """pipeline at (H1, H2) = (10, 20), first 130 odd primes: exactly the
     ten classified sigma-pairs, all VERIFIED_PCF, none UNDETERMINED."""
     primes = first_odd_primes(130)
-    survivors = sievedb.sieve(10, 20, primes)
+    survivors = sieve(10, 20, primes)
     got = {(c.sigma1, c.sigma2) for c in survivors}
     want = set(TEN_SIGMA_PAIRS)
     assert got == want, f"survivor set mismatch: extra={got - want} missing={want - got}"
@@ -166,11 +166,11 @@ def test_criterion_1_classification_reproduction():
 def test_criterion_2_sub_bound_consistency():
     """Sub-bound runs: (2, 4) gives a fixed four-element set; (1, 1) nothing."""
     primes = first_odd_primes(130)
-    got_24 = {(c.sigma1, c.sigma2) for c in sievedb.sieve(2, 4, primes)}
+    got_24 = {(c.sigma1, c.sigma2) for c in sieve(2, 4, primes)}
     want_24 = {(Rat(2), Rat(-4)), (Rat(-2), Rat(4)), (Rat(-2), Rat(0)),
                (Rat(-2), Rat(2))}
     assert got_24 == want_24, f"(2,4) mismatch: {got_24}"
-    got_11 = sievedb.sieve(1, 1, primes)
+    got_11 = sieve(1, 1, primes)
     assert not got_11, \
         f"(1,1) not empty: {[(str(c.sigma1), str(c.sigma2)) for c in got_11]}"
 
@@ -316,7 +316,7 @@ def test_criterion_8_oracle_equivalence():
     iteration verifier and the sieve certify exactly the same maps."""
     primes = odd_primes_up_to(PRIME_BOUND)
     grid = list(enumerate_rationals(3))
-    survivors = {(c.sigma1, c.sigma2) for c in sievedb.sieve(3, 3, primes)}
+    survivors = {(c.sigma1, c.sigma2) for c in sieve(3, 3, primes)}
     n_pairs = 0
     both = []
     for s1 in grid:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -309,6 +310,34 @@ class TestCatalog:
         assert len(data["trivial_stabilizer_maps"]) == 10
         assert len(data["invsq_twist_classes"]) == 7
         assert len(data["sq_twist_classes"]) == 4
+
+    def test_text_output_follows_the_json(self, capsys):
+        # the text gives the data of catalog --json in its order: four
+        # section headers, a map line per sigma pair with its portrait
+        # indented, the 4 + 7 class lines with their graphs, and a summary
+        # line per power map
+        assert main(["catalog", "--json"]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert main(["catalog"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        want = ["== quadratic PCF maps over Q with trivial stabilizer =="]
+        for item in data["trivial_stabilizer_maps"]:
+            want.append(f"sigma=({item['sigma1']},{item['sigma2']})  {item['map']}")
+            want += ["   " + line for line in item["portrait"]]
+        want.append("== preperiodic structures: twists of z^2 ==")
+        for item in data["sq_twist_classes"]:
+            want.append(f"b={item['b']}: {item['class']}  ({item['description']})")
+            want += ["   " + line for line in item["graph"]]
+        want.append("== preperiodic structures: twists of 1/z^2 ==")
+        for item in data["invsq_twist_classes"]:
+            want.append(f"{item['class']}  rep {item['representative']}")
+            want += ["   " + line for line in item["graph"]]
+        want.append("== power map components ==")
+        for name in ("square_deg2", "inverse_square_deg6"):
+            comps = data["power_map_components"][name]
+            want.append(f"{name}: {len(comps)} components, "
+                        f"sizes {sorted(len(c) for c in comps)}")
+        assert lines == want
 
 
 class TestFrozenBytes:
@@ -651,6 +680,41 @@ def test_import_needs_no_sympy():
              f"import sys, quadpcf.cli; sys.exit({module!r} in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, (module, proc.stderr)
+
+
+def test_one_import_path_per_name():
+    # a name is imported from the module that defines it, never through a
+    # module that imports it in turn, and the package's __init__ imports
+    # nothing
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "quadpcf"
+    defined = {}
+    for path in package.glob("*.py"):
+        names = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+        defined[path.stem] = names
+    init = ast.parse((package / "__init__.py").read_text())
+    assert [ast.unparse(n) for n in ast.walk(init)
+            if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+    wrong = []
+    for path in [*package.glob("*.py"), *(root / "tests").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.module == "quadpcf":
+                # the submodules themselves
+                wrong += [(path.name, a.name) for a in node.names if a.name not in defined]
+            elif node.module.startswith("quadpcf."):
+                names = defined[node.module.removeprefix("quadpcf.")]
+                wrong += [(path.name, f"{node.module}.{a.name}") for a in node.names
+                          if a.name not in names]
+    assert wrong == []
 
 
 def test_exact_commands_import_no_dataclasses_or_fractions():

@@ -19,10 +19,10 @@ from quadpcf.exact_arith import (
     odd_primes_up_to,
 )
 from quadpcf.ffdyn import LANE_PRIME_LIMIT, family_forms, form_resultant, wronskian
+from quadpcf.lanesieve import DbConsistencyError, sieve
 from quadpcf.projmap import NormalizedQuadMap, normal_form
 from quadpcf.sievedb import (
     Database,
-    DbConsistencyError,
     DbFormatError,
     DbMissingError,
     UncoveredPrimeError,
@@ -32,7 +32,6 @@ from quadpcf.sievedb import (
     examine_pair,
     family_key,
     reduce_rational_point,
-    sieve,
 )
 
 from oracles import naive_critical_periods
@@ -310,11 +309,12 @@ class TestChecks:
 
     def test_absent_at_good_prime_is_hard_error(self):
         # a doctored database missing the (7, 0, 1) entry contradicts the
-        # build invariant for maps with rational critical points
-        entries = list(build_db([7]).entries[7])
-        assert entries[0 * 7 + 1]
-        entries[0 * 7 + 1] = ()
-        doctored = Database({7: entries})
+        # build invariant for maps with rational critical points.  The key
+        # (0, 1) is the family key of the sigma residues (2, 6)
+        doctored = build_db([7])
+        table = doctored.tables[7]
+        assert table[2 * 7 + 6]
+        table[2 * 7 + 6] = ()
         assert doctored.lookup(7, 0, 1) is None
         m = NormalizedQuadMap.from_sigmas(2, -8)
         g1, g2 = m.critical_point_data().points
@@ -490,11 +490,11 @@ class TestSieve:
         # denominator divisible by p makes p bad: the filter needs no
         # resultant
         res = NormalizedQuadMap.from_sigmas(s1, s2).resultant()
-        entries = lanesieve._Entries(p)
+        table = ffdyn.PeriodTable(p)
         good = False
         if s1.den % p and s2.den % p:
             x1, x2 = (s.num * pow(s.den, -1, p) % p for s in (s1, s2))
-            good = entries[x1 * p + x2] is not None
+            good = table[x1 * p + x2] is not None
         assert good == (res % p != 0)
 
     def test_size_bounds(self):

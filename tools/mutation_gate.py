@@ -7,10 +7,14 @@ that replaces it, and the test ids that must fail.  For each mutant the
 script copies src/, tests/, pyproject.toml and perfbench/expected.json into
 a fresh temporary directory, applies the one edit there and runs only the
 named tests, so the checkout and its .hypothesis database are never
-touched.  Hypothesis runs
-under the "mutation" profile of tests/conftest.py, which reports a failing
-example without shrinking it.  The named tests first run once on an
-unmutated copy and must pass there.
+touched.  Hypothesis runs under the "mutation" profile of
+tests/conftest.py, which reports a failing example without shrinking it.
+The named tests first run once on an unmutated copy and must pass there;
+that copy also shows, once per run, that the tests import the package
+from the copy and not from an installed one.  The gate reads only the
+FAILED lines, so pytest runs with --assert=plain: without a bytecode
+cache it would otherwise rewrite the asserts of the test and plugin
+modules in every process.
 
 The gate fails when a mutant survives (a named test passes), when a
 mutant is stale (its old text does not occur exactly once) or when a
@@ -183,11 +187,19 @@ MUTANTS = (
     ),
     Mutant(
         "a table row indexed (x2, x1)",
-        "lanesieve.py",
+        "ffdyn.py",
         "        x1, x2 = divmod(k, p)",
         "        x2, x1 = divmod(k, p)",
-        ("tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",
+        ("tests/test_sievedb.py::TestBuild::test_equals_scalar_database",
          "tests/test_sievedb.py::TestSieve::test_residue_goodness_equals_resultant"),
+    ),
+    Mutant(
+        "a family key read at the residues (2 - b, c - b)",
+        "ffdyn.py",
+        "(b - c) % p]",
+        "(c - b) % p]",
+        ("tests/test_sievedb.py::TestBuild::test_equals_scalar_database",
+         "tests/test_sievedb.py::TestPeriodEntries::test_random_keys_equal_lookup[7]"),
     ),
     Mutant(
         "the exact pass skips its last prime",
@@ -376,18 +388,16 @@ def _copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
+def _env(work: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
 def _run_tests(work: Path, tests: Tuple[str, ...]) -> Tuple[int, set, str]:
     """Run pytest on the copy; exit code, failed test ids and the output."""
-    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
-    found = subprocess.run(
-        [sys.executable, "-c", "import quadpcf; print(quadpcf.__file__)"],
-        cwd=work, env=env, capture_output=True, text=True, check=True).stdout
-    if not Path(found.strip()).is_relative_to(work):
-        raise RuntimeError(f"tests would import the package from {found.strip()}")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-         "--hypothesis-profile=mutation", *tests],
-        cwd=work, env=env, capture_output=True, text=True)
+         "--assert=plain", "--hypothesis-profile=mutation", *tests],
+        cwd=work, env=_env(work), capture_output=True, text=True)
     failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, flags=re.MULTILINE))
     return proc.returncode, failed, proc.stdout + proc.stderr
 
@@ -416,8 +426,15 @@ def main() -> int:
     start = time.perf_counter()
     all_tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
-        _copy_tree(Path(tmp))
-        code, _, out = _run_tests(Path(tmp), all_tests)
+        work = Path(tmp)
+        _copy_tree(work)
+        # every copy is laid out alike, so one check covers them all
+        found = subprocess.run(
+            [sys.executable, "-c", "import quadpcf; print(quadpcf.__file__)"],
+            cwd=work, env=_env(work), capture_output=True, text=True, check=True).stdout
+        if not Path(found.strip()).is_relative_to(work):
+            raise RuntimeError(f"tests would import the package from {found.strip()}")
+        code, _, out = _run_tests(work, all_tests)
     if code != 0:
         print(f"the named tests do not pass on the unmutated code:\n{out[-3000:]}")
         return 1
