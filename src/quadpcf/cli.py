@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -60,11 +61,12 @@ EXIT_USAGE = 2
 EXIT_CATALOG_MISMATCH = 6
 
 
+@cache
 def _sha256():
     """SHA-256 from CPython's built-in module, _sha2 from 3.12 and _sha256
-    before, and from hashlib only when neither imports.  hashlib loads
-    OpenSSL, 3.5 MiB; the sieve's freed arrays stay resident, so even after
-    the sieve those would raise a process's peak."""
+    before, and from hashlib only when neither imports, looked up once per
+    process.  hashlib loads OpenSSL, 3.5 MiB; the sieve's freed arrays stay
+    resident, so even after the sieve those would raise a process's peak."""
     for name in ("_sha2", "_sha256"):
         try:
             return __import__(name).sha256

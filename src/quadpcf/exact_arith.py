@@ -15,10 +15,7 @@ Everything here is immutable and all operations are pure.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, Sequence, Tuple, Union
-
-if TYPE_CHECKING:
-    from numbers import Rational
+from typing import Dict, Iterator, NamedTuple, Sequence, Tuple, Union
 
 
 # ----------------------------------------------------------------------
@@ -35,7 +32,8 @@ class ExtendedRational:
     numerator gives INFINITY; 0/0 raises.
 
     This is a value type with parse, print and equality only: the exact
-    layer computes on the integers num and den.
+    layer computes on the integers num and den.  It equals only an
+    ExtendedRational: an int converts through the constructor instead.
     """
 
     __slots__ = ("num", "den")
@@ -45,8 +43,6 @@ class ExtendedRational:
             if den != 1:
                 raise ValueError("cannot rescale an ExtendedRational in the constructor")
             return num
-        if not isinstance(num, int) and _is_rational(num):
-            num, den = num.numerator, num.denominator * den
         if not isinstance(num, int) or not isinstance(den, int):
             raise TypeError(f"need integers, got {num!r}/{den!r}")
         if den == 0:
@@ -78,19 +74,11 @@ class ExtendedRational:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, ExtendedRational):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            return self.den == 1 and self.num == other
-        if _is_rational(other):
-            return self.den != 0 and self.num == other.numerator and self.den == other.denominator
-        return NotImplemented
+        if not isinstance(other, ExtendedRational):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.den == 0:
-            return hash(("quadpcf-inf",))
-        if self.den == 1:
-            return hash(self.num)
         return hash((self.num, self.den))
 
     # -- text ------------------------------------------------------------
@@ -129,22 +117,13 @@ class ExtendedRational:
         return ExtendedRational(int(text))
 
 
-def _is_rational(x) -> bool:
-    """Whether x is a numbers.Rational, whose numerator and denominator
-    are in lowest terms with a positive denominator.  Callers test for int
-    first, so the module numbers loads only for other values."""
-    from numbers import Rational
-    return isinstance(x, Rational)
-
-
 INFINITY = object.__new__(ExtendedRational)
 INFINITY.num = 1
 INFINITY.den = 0
 
 Rat = ExtendedRational  # short alias used throughout the package
 
-# any numbers.Rational converts exactly too
-RationalLike = Union[ExtendedRational, int, "Rational"]
+RationalLike = Union[ExtendedRational, int]
 
 
 # ----------------------------------------------------------------------

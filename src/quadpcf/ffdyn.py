@@ -8,9 +8,11 @@ local derivatives along the cycle.  With r the multiplier's order, the
 admissible set is {m} for a zero multiplier, else {m, m*r}, and at p = 3
 also 3*m*r.  The walk reads the inverse, square-root and discrete-log
 tables of p, built once per prime.  The tests check it against a
-plain-loop oracle that shares none of its code.  The normal-form family,
-its key and the wronskian and resultant of two forms, which projmap, the
-sieve and the reference database share, are defined here once.
+plain-loop oracle that shares none of its code.  What projmap, the sieve
+and the reference database share is defined here once: the normal-form
+family and its key, the wronskian, resultant and rational critical points
+of two forms, and point_mod_p, the reduction into P^1(F_p), which sends
+infinity and a denominator divisible by p to p.
 
 PeriodTable is the one table of a prime's entries: critical_periods of
 the family at each key, computed on first use and indexed by the sigma
@@ -22,7 +24,7 @@ family_bc.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from typing import FrozenSet, List, NamedTuple, Tuple
 
 from quadpcf.exact_arith import _trial_divide
@@ -72,6 +74,24 @@ def form_resultant(F, G):
     return h * h - w2 * w0
 
 
+def rational_critical_points(F, G, res):
+    """The critical points of integer forms with a nonzero wronskian
+    (w2, 2h, w0) and resultant res = h^2 - w2 * w0, as pairs (x, y) in
+    lowest terms with y >= 0, infinity being (1, 0): (s - h) / w2 and
+    (-s - h) / w2 with s^2 = res, or -w0 / 2h and infinity where w2 = 0.
+    None when res is not a square, for then they are irrational."""
+    s = isqrt(res) if res >= 0 else -1
+    if s * s != res:
+        return None
+    w2, w1, w0 = wronskian(F, G)
+    h = w1 // 2
+    out = []
+    for x, y in [(-w0, 2 * h), (1, 0)] if w2 == 0 else [(s - h, w2), (-s - h, w2)]:
+        g = gcd(x, y) if y >= 0 else -gcd(x, y)
+        out.append((x // g, y // g))
+    return out
+
+
 # ----------------------------------------------------------------------
 # tables of a prime
 # ----------------------------------------------------------------------
@@ -113,6 +133,14 @@ def prime_tables(p: int) -> PrimeTables:
     for u in range((p - 1) // 2):
         sqrt[pw[2 * u]] = min(pw[u], p - pw[u])
     return PrimeTables(tuple(inv), tuple(sqrt), tuple(log))
+
+
+def point_mod_p(x: int, y: int, p: int, inv) -> int:
+    """The reduction of (x : y), x and y coprime, into P^1(F_p), where p
+    is infinity: x / y mod p, or p where p divides y.  inv is the inverse
+    table of p.  At a sigma value, p marks a bad prime."""
+    y %= p
+    return x * inv[y] % p if y else p
 
 
 # ----------------------------------------------------------------------

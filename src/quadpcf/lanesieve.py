@@ -14,23 +14,23 @@ row's lanes by sigma2's residue and meets their running sets, held as
 per-period masks of lanes, with their keys' shared sets.  Residues alone
 decide this: a lane's resultant is lcm(d1, d2)^4 R(sigma), with R(sigma)
 the key's resultant, so the key tells a good prime, and a denominator
-divisible by p makes p bad.  A lane the filter kills is refuted once its
-critical points are shown irrational, for then the shared-set rule is
-theirs: by a good prime at which they lie outside P^1(F_p), or else by a
-resultant that is not a square.  Every other lane goes through the exact
-pass, which computes its integer normal form, resultant and rationality
-and applies the rule at every prime; the survivors, their period sets and
-their evidence counts come from it alone.
+divisible by p makes p bad: ffdyn.point_mod_p reduces such a sigma to p.
+A lane the filter kills is refuted once its critical points are shown
+irrational, for then the shared-set rule is theirs: by a good prime at
+which they lie outside P^1(F_p), or else by a resultant that is not a
+square.  Every other lane goes through the exact pass, which takes its
+normal form, resultant and rational critical points from projmap and
+ffdyn and applies the rule at every prime; the survivors, their period
+sets and their evidence counts come from it alone.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from quadpcf import ffdyn
 from quadpcf.exact_arith import ExtendedRational, enumerate_pairs, validate_primes
-from quadpcf.ffdyn import LANE_PRIME_LIMIT, MAX_HEIGHT_PRODUCT, PeriodSet
+from quadpcf.ffdyn import LANE_PRIME_LIMIT, MAX_HEIGHT_PRODUCT, PeriodSet, point_mod_p
 from quadpcf.projmap import NormalizedQuadMap, normal_form
 
 # the filter takes the primes below this bound: by the time it reaches
@@ -71,11 +71,6 @@ class SieveCandidate(NamedTuple):
                           "critical_points", "period_sets", "primes_used"])
 
 
-def _residues(pairs, p: int, inv) -> List[int]:
-    """n / d mod p of each pair, -1 where p divides d (a bad prime)."""
-    return [n * inv[d % p] % p if d % p else -1 for n, d in pairs]
-
-
 def _bits(x: int):
     """The positions of the set bits of x, ascending."""
     while x:
@@ -85,17 +80,18 @@ def _bits(x: int):
 
 
 class _FilterPrime:
-    """A prime of the filter: the sigmas' residues, the sigma2 columns of
-    each residue class as a mask, and the evidence of the keys (x1, x2)
-    over the columns, per x1 on first use."""
+    """A prime of the filter: the sigmas' residues, p at a bad prime, the
+    sigma2 columns of each residue class as a mask, and the evidence of the
+    keys (x1, x2) over the columns, per x1 on first use."""
 
     def __init__(self, entries: ffdyn.PeriodTable, pairs1, pairs2):
         p, inv = entries.p, entries.inv
         self.p, self.entries, self.rows = p, entries, {}
-        self.r1, self.r2 = _residues(pairs1, p, inv), _residues(pairs2, p, inv)
+        self.r1 = [point_mod_p(n, d, p, inv) for n, d in pairs1]
+        self.r2 = [point_mod_p(n, d, p, inv) for n, d in pairs2]
         self.classes = [0] * p
         for j, x in enumerate(self.r2):
-            if x >= 0:
+            if x < p:
                 self.classes[x] |= 1 << j
 
     def evidence(self, x1: int, lanes: Optional[int] = None):
@@ -111,7 +107,7 @@ class _FilterPrime:
             groups = enumerate(self.classes)
         else:
             r2 = self.r2
-            groups = [(r2[j], 1 << j) for j in _bits(lanes) if r2[j] >= 0]
+            groups = [(r2[j], 1 << j) for j in _bits(lanes) if r2[j] < p]
         meets, ev, proved = {}, 0, 0
         for x2, k in groups:
             e = entries[base + x2]
@@ -137,7 +133,7 @@ def _filter(i: int, filt: List[_FilterPrime], alive: int) -> Tuple[int, int]:
     unc, sets, proved, dead = alive, {}, 0, 0
     for fp in filt:
         x1 = fp.r1[i]
-        if x1 < 0:
+        if x1 == fp.p:
             continue
         if alive.bit_count() > fp.p:
             meets, ev, prv = fp.evidence(x1)
@@ -179,29 +175,19 @@ def _exact(n1, d1, n2, d2, steps, killed):
     marks a lane the filter killed, refuted if its critical points are
     irrational."""
     F, G = normal_form(n1, d1, n2, d2)
-    w2, w1, w0 = ffdyn.wronskian(F, G)
-    h = w1 // 2
-    res = h * h - w2 * w0          # ffdyn.form_resultant
+    res = ffdyn.form_resultant(F, G)
     if res == 0:
         return None
-    # the critical points are rational exactly when 4 * res, the
-    # wronskian discriminant, is a square
-    s = isqrt(res) if res > 0 else -1
-    rational = s * s == res
+    gamma = ffdyn.rational_critical_points(F, G, res)
+    rational = gamma is not None
     if killed and not rational:
         return None
-    if rational:
-        # (N : M) in lowest terms, infinity as (1 : 0); N or M is nonzero,
-        # as h != 0 where w2 = 0
-        gamma = [(-w0, 2 * h), (1, 0)] if w2 == 0 else [(s - h, w2), (-s - h, w2)]
-        gamma = [(x // g, y // g) for x, y in gamma for g in (gcd(x, y),)]
     runs = [None, None] if rational else [None]
     used = 0
     for p, inv, entries in steps:
         good = res % p != 0
-        key = None
-        if d1 % p and d2 % p:
-            key = entries[n1 * inv[d1 % p] % p * p + n2 * inv[d2 % p] % p]
+        x1, x2 = point_mod_p(n1, d1, p, inv), point_mod_p(n2, d2, p, inv)
+        key = entries[x1 * p + x2] if x1 < p and x2 < p else None
         if good != (key is not None):
             raise DbConsistencyError(
                 f"the key's goodness at {p} disagrees with the resultant {res}")
@@ -214,7 +200,7 @@ def _exact(n1, d1, n2, d2, steps, killed):
                     "map with rational critical points")
             z1, z2, s1, s2, _ = key
             for at, (x, y) in enumerate(gamma):
-                z = x * inv[y % p] % p if y % p else p
+                z = point_mod_p(x, y, p, inv)
                 if z == z1:
                     per = s1
                 elif z == z2:

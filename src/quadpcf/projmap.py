@@ -7,12 +7,13 @@ integer forms.  This module builds the standard normal form from the
 sigma-invariants, computes the resultant, the Wronskian critical points
 and the sigma-invariants, and evaluates maps at exact points with one
 integer step for each kind of point: step for P^1(Q) and quad_step for
-P^1(Q(sqrt(D))) outside it.
+P^1(Q(sqrt(D))) outside it.  The resultant and the rational critical
+points are ffdyn's, which the sieve's exact pass reads too.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple, Optional, Tuple
 
 from quadpcf.exact_arith import (
@@ -24,7 +25,8 @@ from quadpcf.exact_arith import (
     RationalLike,
     squarefree_part,
 )
-from quadpcf.ffdyn import family_bc, family_forms, form_resultant, wronskian
+from quadpcf.ffdyn import (family_bc, family_forms, form_resultant,
+                           rational_critical_points, wronskian)
 
 
 class DegenerateMapError(ValueError):
@@ -209,25 +211,23 @@ class NormalizedQuadMap:
     def critical_point_data(self, need_points: bool = True) -> "CriticalPoints":
         """The two critical points, the roots of the wronskian in P^1.
 
-        Rational roots come back as ExtendedRationals.  Otherwise the
-        discriminant is s^2 * D as exact_arith.squarefree_part writes it, D
-        not a square, and the roots are the conjugate pair of QuadPoints in
-        Q(sqrt(D)), real for D > 0 and complex for D < 0.
+        Rational roots are those of ffdyn.rational_critical_points, as
+        ExtendedRationals in the same order.  Otherwise the discriminant is
+        s^2 * D as exact_arith.squarefree_part writes it, D not a square,
+        and the roots are the conjugate pair of QuadPoints in Q(sqrt(D)),
+        real for D > 0 and complex for D < 0.
         With need_points=False the irrational case skips the trial division
         that D needs; the sieve only dispatches on rationality.
         """
         w2, w1, w0 = self.wronskian()
         if w2 == 0 and w1 == 0:
             raise DegenerateMapError("wronskian is degenerate; not a degree-2 morphism")
-        if w2 == 0:
-            return CriticalPoints((Rat(-w0, w1), INFINITY), True)
-        disc = w1 * w1 - 4 * w2 * w0
-        s = isqrt(max(disc, 0))
-        if s * s == disc:
-            return CriticalPoints((Rat(-w1 + s, 2 * w2), Rat(-w1 - s, 2 * w2)), True)
+        pairs = rational_critical_points(self.F, self.G, self.resultant())
+        if pairs is not None:
+            return CriticalPoints(tuple(ExtendedRational.from_pair(*z) for z in pairs), True)
         if not need_points:
             return CriticalPoints(None, False)
-        sq, d = squarefree_part(disc)
+        sq, d = squarefree_part(w1 * w1 - 4 * w2 * w0)
         # the roots (-w1 +- sq*sqrt(d)) / (2*w2), with c > 0 and no common factor
         a, c = (-w1, 2 * w2) if w2 > 0 else (w1, -2 * w2)
         g = gcd(a, sq, c)

@@ -9,8 +9,9 @@ without two F_p-rational critical points.  No command reads it: the
 search runs in quadpcf.lanesieve, and examine_pair and the check
 functions run the sieve's rule one pair at a time against the database,
 as the reference the tests and the benchmark's traced replay compare
-with.  On disk a database is a versioned header line and its prime list,
-and loading it rebuilds the tables, which depend on the prime list alone.
+with; they reduce through ffdyn.point_mod_p, as the sieve does.  On disk
+a database is a versioned header line and its prime list, and loading it
+rebuilds the tables, which depend on the prime list alone.
 """
 
 from __future__ import annotations
@@ -124,10 +125,11 @@ def build_db(primes: Sequence[int], path: Optional[str] = None) -> Database:
 # ----------------------------------------------------------------------
 
 def _sigma_mod_p(s: ExtendedRational, p: int) -> int:
-    if s.den % p == 0:
+    x = reduce_rational_point(s, p)
+    if x == p:
         raise DbConsistencyError(
             f"sigma denominator divisible by good prime {p}; resultant guard failed")
-    return s.num * pow(s.den, p - 2, p) % p
+    return x
 
 
 def family_key(s1: ExtendedRational, s2: ExtendedRational,
@@ -139,9 +141,7 @@ def family_key(s1: ExtendedRational, s2: ExtendedRational,
 
 def reduce_rational_point(x: ExtendedRational, p: int) -> int:
     """Index of the reduction of a point of P^1(Q) mod p (p encodes infinity)."""
-    if x.is_infinity() or x.den % p == 0:
-        return p
-    return x.num * pow(x.den, p - 2, p) % p
+    return ffdyn.point_mod_p(x.num, x.den, p, ffdyn.prime_tables(p).inv)
 
 
 class CheckResult(NamedTuple):

@@ -11,6 +11,8 @@ route something the package computes directly:
 - arithmetic in Q(sqrt(d)) over pairs of Fractions, for the multipliers,
   the Moebius action on quadratic points and the integer step
   NormalizedQuadMap.quad_step;
+- the reduction of a point of P^1(Q) mod p over Fraction, by trying
+  every residue, against ffdyn.point_mod_p;
 - the critical points and period sets of a map mod p by plain loops,
   against ffdyn.critical_periods and the reference database built from
   it: critical points by trying every point of P^1(F_p), orbits by a
@@ -49,6 +51,12 @@ from quadpcf.projmap import FormCoeffs, NormalizedQuadMap
 
 class UnsupportedFieldError(ValueError):
     """A value lives outside Q and the quadratic fields handled here."""
+
+
+def rat(x: Fraction) -> ExtendedRational:
+    """A Fraction as the package's rational, which equals only its own
+    kind."""
+    return Rat(x.numerator, x.denominator)
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +127,7 @@ class Surd:
         """The package's value: a Rat when y = 0, else the QuadPoint over
         the least common denominator."""
         if not self.y:
-            return Rat(self.x)
+            return rat(self.x)
         c = lcm(self.x.denominator, self.y.denominator)
         return QuadPoint(int(self.x * c), int(self.y * c), c, self.d)
 
@@ -383,14 +391,14 @@ def _rational_roots(coeffs):
         while len(work) > 1 and poly_eval(work, root) == 0:
             work = deflate(work, root)
             mult += 1
-        roots.append((Rat(root), mult))
+        roots.append((rat(root), mult))
     if len(work) == 3:
         a, b, c = work
         disc = b * b - 4 * a * c
         n, d = (disc.numerator, disc.denominator)
         if n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d:
             s = Fraction(isqrt(n), isqrt(d))
-            r1, r2 = Rat((-b + s) / (2 * a)), Rat((-b - s) / (2 * a))
+            r1, r2 = rat((-b + s) / (2 * a)), rat((-b - s) / (2 * a))
             for r in sorted({r1, r2}, key=lambda x: (x.num, x.den)):
                 mult = sum(1 for x in (r1, r2) if x == r)
                 roots.append((r, mult))
@@ -400,13 +408,23 @@ def _rational_roots(coeffs):
             lcm = lcm * v.denominator // gcd(lcm, v.denominator)
         return roots, (int(a * lcm), int(b * lcm), int(c * lcm))
     if len(work) == 2:
-        roots.append((Rat(Fraction(-work[1], work[0])), 1))
+        roots.append((rat(-work[1] / work[0]), 1))
     return roots, None
 
 
 # ----------------------------------------------------------------------
 # period sets of one prime, by plain loops
 # ----------------------------------------------------------------------
+
+def naive_point_mod_p(x: int, y: int, p: int) -> int:
+    """The reduction of the point (x : y) of P^1(Q), x and y coprime, into
+    P^1(F_p) (p is infinity), over Fraction: infinity where p divides the
+    denominator of x / y, else the z in 0 .. p - 1, found by trying each,
+    for which p divides the numerator of x / y - z."""
+    if y == 0 or Fraction(x, y).denominator % p == 0:
+        return p
+    return next(z for z in range(p) if (Fraction(x, y) - z).numerator % p == 0)
+
 
 def _value_and_slope(form, z: int) -> Tuple[int, int]:
     """Q(z) and Q'(z) of the dehomogenised form Q = q2 z^2 + q1 z + q0."""

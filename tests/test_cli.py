@@ -1,5 +1,6 @@
 import argparse
 import ast
+import builtins
 import contextlib
 import hashlib
 import io
@@ -576,8 +577,24 @@ class TestConfig:
         monkeypatch.setattr(hashlib, "sha256", spy)
         for name in ("_sha2", "_sha256"):
             monkeypatch.setitem(sys.modules, name, None)
+        # the uncached lookup, which the process's cached one would skip
+        monkeypatch.setattr(cli, "_sha256", cli._sha256.__wrapped__)
         assert cfg.digest() == want
         assert calls == [_digest_text(cfg).encode()]
+
+    def test_sha256_is_looked_up_once(self, monkeypatch):
+        # a pipeline run takes three digests; only the first may import
+        cfg = RunConfig(h1=3, h2=7, prime_list=(3, 5, 11))
+        want = cfg.digest()
+        names, real = [], builtins.__import__
+
+        def spy(name, *args, **kwargs):
+            names.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", spy)
+        assert [cfg.digest(), cfg.digest()] == [want, want]
+        assert not {"_sha2", "_sha256", "hashlib"} & set(names), names
 
     @pytest.mark.parametrize("argv", [
         ["preper", "--sigmas=2,-8", "--preper-height-bound", "0"],

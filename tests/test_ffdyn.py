@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from quadpcf.ffdyn import (
     family_forms,
     form_resultant,
     mult_order,
+    point_mod_p,
     prime_tables,
     wronskian,
 )
@@ -27,6 +29,7 @@ from oracles import (
     naive_cycle,
     naive_cycle_periods,
     naive_multiplier,
+    naive_point_mod_p,
     naive_step,
     poly_resultant,
 )
@@ -278,6 +281,24 @@ class TestPeriodRuleAtThree:
         assert w1 * w1 - 4 * w2 * w0 == 4 * res
         for q in divisors(abs(crit.points[0].D)):
             assert q % 2 == 0 or res % q == 0, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(odd_primes_up_to(LANE_PRIME_LIMIT)),
+       x=st.integers(-10 ** 6, 10 ** 6), y=st.integers(0, 10 ** 6), pole=st.booleans())
+@example(p=3, x=1, y=0, pole=False)               # infinity
+@example(p=7, x=-4, y=3, pole=False)              # a negative numerator
+@example(p=7, x=-4, y=3, pole=True)               # a denominator divisible by p
+@example(p=2039, x=1, y=2038, pole=False)         # the largest lane prime
+def test_point_mod_p_equals_fraction_oracle(p, x, y, pole):
+    # the one reduction into P^1(F_p) of the sieve and the reference
+    # database: a denominator divisible by p, like infinity, goes to p
+    if pole:
+        y *= p
+    g = gcd(x, y)
+    assume(g != 0)
+    x, y = x // g, y // g
+    assert point_mod_p(x, y, p, prime_tables(p).inv) == naive_point_mod_p(x, y, p)
 
 
 def test_prime_tables_of_every_lane_prime():

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadpcf.cli import TEN_SIGMA_PAIRS
@@ -24,6 +24,7 @@ from oracles import (
     conjugate,
     field_conjugate,
     fixed_point_multipliers,
+    rat,
 )
 
 nonzero = st.integers(-40, 40).filter(lambda x: x != 0)
@@ -162,6 +163,23 @@ class TestCriticalPoints:
         assert not crit.rational
         assert crit.points == (QuadPoint(0, 1, 1, -1), QuadPoint(0, -1, 1, -1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(F=FORM, G=FORM)
+    @example(F=(1, 0, 0), G=(0, 0, 1))            # z^2: w2 = 0, infinity critical
+    @example(F=(1, 0, 0), G=(0, -1, 1))           # w2 < 0, roots 0 and 2
+    def test_rational_points_equal_fraction_roots(self, F, G):
+        # the roots of the wronskian over Fraction, in the order
+        # (-w1 + s) / 2w2, (-w1 - s) / 2w2, or the finite root and then
+        # infinity where w2 = 0; rational exactly when there are two
+        assume(form_resultant(F, G) != 0)
+        m = NormalizedQuadMap(F, G)
+        w = m.wronskian()
+        roots = [rat(r) for r in rational_roots(w)] + [INFINITY] * (w[0] == 0)
+        crit = m.critical_point_data(need_points=False)
+        assert crit.rational == (len(roots) == 2)
+        if crit.rational:
+            assert crit.points == tuple(roots)
+
     def test_critical_value_single_fiber(self):
         # each critical value has exactly one preimage (ramification 2)
         for s1, s2 in TEN_SIGMA_PAIRS:
@@ -279,14 +297,14 @@ class TestSigmaInvariants:
         assume(not x.is_zero())
         fx = Fraction(x.num, x.den)
         phi = sq_twist_map(x)
-        assert phi.sigma_invariants() == (2, 0)
-        assert phi.apply(Rat(1)) == Fraction(1, 2) + fx
+        assert phi.sigma_invariants() == (Rat(2), Rat(0))
+        assert phi.apply(Rat(1)) == rat(Fraction(1, 2) + fx)
         phi = invsq_twist_from_t(x)
-        assert phi.sigma_invariants() == (-6, 12)
+        assert phi.sigma_invariants() == (Rat(-6), Rat(12))
         assert phi.apply(Rat(1)) == x
         assume(Fraction(y.num, y.den) ** 2 != fx)
         phi = invsq_twist_from_dk(x, y)
-        assert phi.sigma_invariants() == (-6, 12)
+        assert phi.sigma_invariants() == (Rat(-6), Rat(12))
         assert phi.apply(INFINITY) == y
 
     def test_round_trip_on_the_ten(self):
@@ -323,9 +341,9 @@ class TestApply:
         assume(form_resultant(F, G) != 0)
         m = NormalizedQuadMap(F, G)
         for z in [None, *rational_roots(G), *zs]:
-            pt = INFINITY if z is None else Rat(z)
+            pt = INFINITY if z is None else rat(z)
             image = fraction_image(F, G, z)
-            expected = INFINITY if image is None else Rat(image)
+            expected = INFINITY if image is None else rat(image)
             got = m.apply(pt)
             assert (got.num, got.den) == (expected.num, expected.den)
             assert (got is INFINITY) == (image is None)

@@ -163,12 +163,22 @@ MUTANTS = (
          "tests/test_ffdyn.py::TestFpMap::test_conjugation_invariance"),
     ),
     Mutant(
-        "a pole residue read as a good prime",
-        "lanesieve.py",
-        "    return [n * inv[d % p] % p if d % p else -1 for n, d in pairs]",
-        "    return [n * inv[d % p] % p for n, d in pairs]",
-        ("tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",
+        "a bad denominator read as a residue",
+        "ffdyn.py",
+        "    return x * inv[y] % p if y else p\n",
+        "    return x * inv[y] % p\n",
+        ("tests/test_ffdyn.py::test_point_mod_p_equals_fraction_oracle",
+         "tests/test_sievedb.py::TestReductionHelpers::test_reduce_rational_point",
+         "tests/test_sievedb.py::TestSieve::test_equals_reference_sieve",
          "tests/test_sievedb.py::TestSieve::test_equals_reference_on_a_larger_box"),
+    ),
+    Mutant(
+        "the rational critical points drop their sign fix",
+        "ffdyn.py",
+        "g = gcd(x, y) if y >= 0 else -gcd(x, y)",
+        "g = gcd(x, y)",
+        ("tests/test_projmap.py::TestCriticalPoints::test_rational_points_equal_fraction_roots",
+         "tests/test_projmap.py::TestConjugation::test_critical_points_transform"),
     ),
     Mutant(
         "a filter kill accepted without an irrationality proof",
@@ -246,7 +256,7 @@ MUTANTS = (
         "complex critical points come back without points",
         "projmap.py",
         "        if not need_points:\n",
-        "        if not need_points or disc < 0:\n",
+        "        if not need_points or w1 * w1 < 4 * w2 * w0:\n",
         ("tests/test_projmap.py::TestCriticalPoints::test_complex_pair",
          "tests/test_cli.py::TestVerify::test_complex_critical_points",
          "tests/test_cli.py::TestPipeline::test_every_survivor_reaches_the_verifier"),
